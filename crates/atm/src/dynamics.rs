@@ -256,52 +256,69 @@ impl QgCore {
         tend
     }
 
+    /// Everything in a step that depends on `q_now` alone: ψ per level
+    /// and its two gradient slabs on this rank's rows, left in `dw` for
+    /// the winds, every tracer Jacobian and [`QgCore::tendencies_ws`],
+    /// so no field is synthesized twice in a step.
+    pub fn streamfunction_ws(
+        &self,
+        par: &ParTransform,
+        q: &[SpectralField],
+        dw: &mut DynWorkspace,
+    ) {
+        self.psi_from_pv_into(q, &mut dw.psi);
+        for (psi, grad) in dw.psi.iter().zip(&mut dw.psi_grad) {
+            grad.synthesize(par, psi, &mut dw.spec);
+        }
+    }
+
     /// Allocation-free [`QgCore::tendencies`]: leaves the tendencies in
     /// `dw.tend` for [`QgCore::step_leapfrog_ws`] /
-    /// [`QgCore::step_euler_ws`]. Performs exactly the same operations
-    /// in the same order as the allocating form — bit-identical, pinned
-    /// by the [`DynWorkspace`] doctest. Kept in lockstep with
-    /// [`QgCore::tendencies`]; change both together.
+    /// [`QgCore::step_euler_ws`]. Call [`QgCore::streamfunction_ws`] on
+    /// the same `state_q` first: ψ and its gradients are read from `dw`,
+    /// not recomputed. `orog_grad` is the gradient of the orographic PV
+    /// (constant, so the model builds it once). The Jacobians' analyses
+    /// share one global combine. Every coefficient gets the same
+    /// operands in the same order as in the allocating form —
+    /// bit-identical, pinned by the [`DynWorkspace`] doctest.
     pub fn tendencies_ws(
         &self,
         par: &ParTransform,
         comm: &Comm,
         state_q: &[SpectralField],
         dpsi_eq: &[SpectralField],
-        orog_pv: Option<&SpectralField>,
+        orog_grad: Option<&Gradient>,
         dw: &mut DynWorkspace,
     ) {
         let nl = self.cfg.nlev;
         let DynWorkspace {
             spec,
+            batch,
             psi,
+            psi_grad,
             tend,
             jac,
             drag,
-            ga,
-            gb,
-            gc,
-            gd,
+            x_grad,
             gj,
             rossby_r,
             ..
         } = dw;
-        self.psi_from_pv_into(state_q, psi);
+        batch.begin(nl + usize::from(orog_grad.is_some()));
         for k in 0..nl {
             // Nonlinear advection: −J(ψ, q), via the transform method.
-            jacobian_into(
-                par,
-                comm,
-                &psi[k],
-                &state_q[k],
-                spec,
-                ga,
-                gb,
-                gc,
-                gd,
-                gj,
-                &mut tend[k],
-            );
+            x_grad.synthesize(par, &state_q[k], spec);
+            jacobian_on_rows(par, &psi_grad[k], x_grad, gj);
+            par.accumulate(gj, spec, batch, k);
+        }
+        // Orographic forcing of the bottom level: −J(ψ_b, f h/H).
+        if let Some(h) = orog_grad {
+            jacobian_on_rows(par, &psi_grad[nl - 1], h, gj);
+            par.accumulate(gj, spec, batch, nl);
+        }
+        par.reduce(comm, batch);
+        for k in 0..nl {
+            batch.read(k, &mut tend[k]);
             tend[k].scale(-1.0);
         }
 
@@ -316,9 +333,8 @@ impl QgCore {
                 tend[k].data[idx] += beta;
             }
         }
-        // Orographic forcing of the bottom level: −J(ψ_b, f h/H).
-        if let Some(h) = orog_pv {
-            jacobian_into(par, comm, &psi[nl - 1], h, spec, ga, gb, gc, gd, gj, jac);
+        if orog_grad.is_some() {
+            batch.read(nl, jac);
             jac.scale(-1.0);
             for (m, n) in self.trunc.pairs() {
                 let idx = self.trunc.idx(m, n);
@@ -445,39 +461,55 @@ pub fn jacobian(
     par.analyze(comm, &j)
 }
 
-/// Allocation-free [`jacobian`]: the four synthesis slabs, the grid
-/// product field and the transform scratch are caller-provided (all
-/// fully overwritten). Bit-identical to the allocating form.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn jacobian_into(
-    par: &ParTransform,
-    comm: &Comm,
-    a: &SpectralField,
-    b: &SpectralField,
-    spec: &mut SpectralWorkspace,
-    a_lam: &mut Field2,
-    a_cmu: &mut Field2,
-    b_lam: &mut Field2,
-    b_cmu: &mut Field2,
-    jgrid: &mut Field2,
-    out: &mut SpectralField,
-) {
-    par.synthesize_dlambda_into(a, spec, a_lam);
-    par.synthesize_cosgrad_into(a, spec, a_cmu);
-    par.synthesize_dlambda_into(b, spec, b_lam);
-    par.synthesize_cosgrad_into(b, spec, b_cmu);
+/// The two grid-space derivative slabs of one spectral field on a rank's
+/// rows — what a Jacobian reads of each operand. Synthesized once per
+/// field per step and shared by every Jacobian the field enters.
+#[derive(Debug, Clone)]
+pub struct Gradient {
+    /// ∂f/∂λ.
+    pub dlam: Field2,
+    /// cos φ · ∂f/∂φ.
+    pub cosgrad: Field2,
+}
+
+impl Gradient {
+    /// Zeroed slabs shaped for `par`'s rows.
+    pub fn zeros(par: &ParTransform) -> Self {
+        let slab = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
+        Gradient {
+            dlam: slab.clone(),
+            cosgrad: slab,
+        }
+    }
+
+    /// Synthesize both slabs of `f` on `par`'s rows.
+    pub fn synthesize(
+        &mut self,
+        par: &ParTransform,
+        f: &SpectralField,
+        ws: &mut SpectralWorkspace,
+    ) {
+        par.synthesize_dlambda_into(f, ws, &mut self.dlam);
+        par.synthesize_cosgrad_into(f, ws, &mut self.cosgrad);
+    }
+}
+
+/// The grid-space half of [`jacobian`]: J(a, b) on this rank's rows from
+/// the two fields' gradient slabs, overwriting `out`. Same expression,
+/// point by point, as the allocating form evaluates before its analysis.
+pub(crate) fn jacobian_on_rows(par: &ParTransform, a: &Gradient, b: &Gradient, out: &mut Field2) {
     let grid = &par.base.grid;
     let a2 = EARTH_RADIUS * EARTH_RADIUS;
     for jl in 0..par.n_local_rows() {
         let mu = grid.mu[par.j0 + jl];
         let fac = 1.0 / (a2 * (1.0 - mu * mu));
         for i in 0..grid.nlon {
-            let v =
-                (a_lam.get(i, jl) * b_cmu.get(i, jl) - a_cmu.get(i, jl) * b_lam.get(i, jl)) * fac;
-            jgrid.set(i, jl, v);
+            let v = (a.dlam.get(i, jl) * b.cosgrad.get(i, jl)
+                - a.cosgrad.get(i, jl) * b.dlam.get(i, jl))
+                * fac;
+            out.set(i, jl, v);
         }
     }
-    par.analyze_into(comm, jgrid, spec, out);
 }
 
 /// Invert a dense `n × n` matrix by Gauss–Jordan with partial pivoting.

@@ -8,13 +8,15 @@ use foam_physics::forcing::Forcings;
 use foam_physics::radiation::OrbitalState;
 use foam_physics::surface::BulkFluxes;
 use foam_physics::{AtmColumn, ColumnPhysics, PhysicsConfig, SurfaceKind, SurfaceState};
-use foam_spectral::{Complex, ParTransform, SpectralField, SphericalTransform, Truncation};
+use foam_spectral::{
+    Complex, ParTransform, SpectralField, SpectralWorkspace, SphericalTransform, Truncation,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dynamics::{QgConfig, QgCore, QgState};
+use crate::dynamics::{Gradient, QgConfig, QgCore, QgState};
 use crate::tracers::{
-    advect_grid_tracer, advect_grid_tracer_ws, winds_on_rows, winds_on_rows_into,
+    advect_grid_tracer, advect_grid_tracers_ws, winds_from_gradient, winds_on_rows, TracerSet,
 };
 use crate::workspace::{AtmWorkspace, DynWorkspace};
 use foam_ckpt::Codec;
@@ -179,6 +181,9 @@ pub struct AtmModel {
     pub phys: ColumnPhysics,
     /// Orographic PV (f·h/H) in spectral space, if enabled.
     orog_pv: Option<SpectralField>,
+    /// Its gradient slabs on this rank's rows: constant, so built once
+    /// here instead of once per step.
+    orog_grad: Option<Gradient>,
     /// Scenario forcings (CO₂ / solar / aerosol time series) folded
     /// into the column physics once per simulated day; empty = identity.
     forcings: Forcings,
@@ -204,12 +209,18 @@ impl AtmModel {
         } else {
             None
         };
+        let orog_grad = orog_pv.as_ref().map(|h| {
+            let mut grad = Gradient::zeros(&par);
+            grad.synthesize(&par, h, &mut SpectralWorkspace::new(&par.base));
+            grad
+        });
         AtmModel {
             cfg,
             par,
             core,
             phys,
             orog_pv,
+            orog_grad,
             forcings: Forcings::default(),
         }
     }
@@ -435,7 +446,8 @@ impl AtmModel {
 
     /// Allocation-free [`AtmModel::equilibrium_shear`]: accumulates the
     /// layer-pair mean temperature in `field` and leaves the shears in
-    /// `out`. Bit-identical to the allocating form.
+    /// `out`; the analyses share one global combine. Bit-identical to
+    /// the allocating form.
     fn equilibrium_shear_ws(
         &self,
         comm: &Comm,
@@ -445,6 +457,7 @@ impl AtmModel {
         out: &mut [SpectralField],
     ) {
         let nld = self.cfg.dynamics.nlev;
+        inner.batch.begin(nld - 1);
         for itf in 0..nld - 1 {
             field.fill(0.0);
             let mut cnt = 0.0;
@@ -457,16 +470,22 @@ impl AtmModel {
             }
             field.scale(1.0 / f64::max(cnt, 1.0));
             self.par
-                .analyze_into(comm, field, &mut inner.spec, &mut out[itf]);
-            self.shear_from_tbar_into(&mut out[itf], itf);
+                .accumulate(field, &mut inner.spec, &mut inner.batch, itf);
+        }
+        self.par.reduce(comm, &mut inner.batch);
+        for (itf, shear) in out.iter_mut().enumerate() {
+            inner.batch.read(itf, shear);
+            self.shear_from_tbar_into(shear, itf);
         }
     }
 
     /// Advance the atmosphere by one step (`cfg.dt` seconds).
     ///
-    /// This is the allocate-per-step reference path; hot loops use the
-    /// bit-identical [`AtmModel::step_ws`]. The two bodies are kept in
-    /// lockstep — change both together (tests pin their equivalence).
+    /// This is the allocate-per-step reference: every field transform
+    /// is done where it is needed, one global combine each. Hot loops
+    /// use [`AtmModel::step_ws`], which must reproduce it bit for bit
+    /// (tests pin the equivalence) — change the science here, and there
+    /// to match.
     pub fn step(&self, state: &mut AtmState, comm: &Comm, forcing: &AtmForcing) -> AtmExport {
         let grid = self.grid();
         let nlocal_rows = self.par.n_local_rows();
@@ -602,10 +621,12 @@ impl AtmModel {
 
     /// Advance the atmosphere by one step without allocating: all
     /// scratch comes from `ws` and the results overwrite `export`.
-    /// Bit-identical to [`AtmModel::step`] — both run exactly the same
-    /// floating-point operations in the same order; only buffer
-    /// ownership differs. Kept in lockstep with [`AtmModel::step`];
-    /// change both together.
+    /// Bit-identical to [`AtmModel::step`] — every number has the same
+    /// operands combined in the same order — from less work: ψ and its
+    /// gradient slabs are computed once and shared by the winds, all
+    /// tracer Jacobians and the PV tendencies, the orography's gradient
+    /// comes from model construction, and independent analyses share a
+    /// global combine (four per step instead of one per field).
     ///
     /// ```
     /// use foam_atm::workspace::AtmWorkspace;
@@ -647,31 +668,23 @@ impl AtmModel {
         assert_eq!(forcing.fluxes.len(), self.n_local());
         let AtmWorkspace {
             inner,
-            psi,
-            winds,
             dpsi_eq,
             shear_field,
-            tr_out,
             col,
             phys,
         } = ws;
 
-        // --- Dynamics: winds for this step. ---------------------------
+        // --- Dynamics: ψ and its gradients for this step, winds. -------
         let dyn_scope = foam_telemetry::scope("dynamics");
-        self.core.psi_from_pv_into(&state.qg.q_now, psi);
+        self.core
+            .streamfunction_ws(&self.par, &state.qg.q_now, inner);
         let nld = self.cfg.dynamics.nlev;
-        for d in 0..nld {
-            let (u, v) = &mut winds[d];
-            winds_on_rows_into(&self.par, &psi[d], inner, u, v);
-        }
-        export
-            .u_low
-            .as_mut_slice()
-            .copy_from_slice(winds[nld - 1].0.as_slice());
-        export
-            .v_low
-            .as_mut_slice()
-            .copy_from_slice(winds[nld - 1].1.as_slice());
+        winds_from_gradient(
+            &self.par,
+            &inner.psi_grad[nld - 1],
+            &mut export.u_low,
+            &mut export.v_low,
+        );
         drop(dyn_scope);
 
         // --- Column physics (embarrassingly parallel, load-imbalanced).
@@ -727,33 +740,25 @@ impl AtmModel {
 
         // --- Tracer advection (T, q at every physics level). ----------
         let dyn_scope = foam_telemetry::scope("dynamics");
-        for k in 0..nl {
-            let d = self.dyn_level_for(k);
-            advect_grid_tracer_ws(
-                &self.par,
-                comm,
-                &psi[d],
-                &state.t[k],
-                dt,
-                self.cfg.tracer_nu4,
-                150.0, // physical floor on T [K]
-                inner,
-                tr_out,
-            );
-            std::mem::swap(&mut state.t[k], tr_out);
-            advect_grid_tracer_ws(
-                &self.par,
-                comm,
-                &psi[d],
-                &state.q[k],
-                dt,
-                self.cfg.tracer_nu4,
-                0.0,
-                inner,
-                tr_out,
-            );
-            std::mem::swap(&mut state.q[k], tr_out);
-        }
+        let mut tracers = [
+            TracerSet {
+                slabs: &mut state.t,
+                floor: 150.0, // physical floor on T [K]
+            },
+            TracerSet {
+                slabs: &mut state.q,
+                floor: 0.0,
+            },
+        ];
+        advect_grid_tracers_ws(
+            &self.par,
+            comm,
+            &mut tracers,
+            |k| self.dyn_level_for(k),
+            dt,
+            self.cfg.tracer_nu4,
+            inner,
+        );
 
         // --- QG step forced by the new temperature field. --------------
         self.equilibrium_shear_ws(comm, &state.t, inner, shear_field, dpsi_eq);
@@ -762,7 +767,7 @@ impl AtmModel {
             comm,
             &state.qg.q_now,
             dpsi_eq,
-            self.orog_pv.as_ref(),
+            self.orog_grad.as_ref(),
             inner,
         );
         if state.step_count == 0 {
@@ -987,10 +992,17 @@ mod tests {
     fn step_ws_is_bit_identical_to_step_across_ranks() {
         // The workspace path must reproduce the allocate-per-step path
         // exactly — every export field and every piece of state — on
-        // both serial and decomposed runs.
-        for p in [1usize, 2] {
+        // serial and decomposed runs, at the paper's 18 physics levels
+        // with orography on (every Jacobian, batch and cached gradient
+        // in play).
+        for p in [1usize, 2, 3] {
             Universe::run(p, |comm| {
-                let model = AtmModel::new(AtmConfig::tiny(13), comm);
+                let cfg = AtmConfig {
+                    nlev_phys: 18,
+                    ..AtmConfig::tiny(13)
+                };
+                assert!(cfg.orography);
+                let model = AtmModel::new(cfg, comm);
                 let world = World::earthlike();
                 let mut a = model.init_state();
                 let mut b = model.init_state();

@@ -13,7 +13,7 @@ use foam_grid::Field2;
 use foam_mpi::Comm;
 use foam_spectral::{ParTransform, SpectralField};
 
-use crate::dynamics::jacobian_into;
+use crate::dynamics::{jacobian_on_rows, Gradient};
 use crate::workspace::DynWorkspace;
 
 /// Advective tendency of tracer `x` (spectral) under streamfunction
@@ -64,13 +64,26 @@ pub fn advect_grid_tracer(
     out
 }
 
-/// Allocation-free [`advect_grid_tracer`]: the spectral round trip
-/// runs entirely in `dw`'s scratch and the updated slab overwrites
-/// `out` (callers typically `std::mem::swap` it with the state slab).
-/// Bit-identical to the allocating form.
+/// One family of grid-space tracers for [`advect_grid_tracers_ws`]:
+/// this rank's slab at every physics level, and the floor that clips
+/// the family from below.
+pub struct TracerSet<'a> {
+    pub slabs: &'a mut [Field2],
+    pub floor: f64,
+}
+
+/// [`advect_grid_tracer`] for every tracer slab of a step at once, in
+/// place and allocation-free. Slab `k` of each set is advected by the
+/// streamfunction of dynamic level `dyn_level(k)`, whose gradient slabs
+/// [`QgCore::streamfunction_ws`](crate::dynamics::QgCore::streamfunction_ws)
+/// has left in `dw`. The work runs as three passes over all slabs —
+/// analyze, Jacobian, update and synthesize — so the analyses of each of
+/// the first two passes share one global combine instead of paying one
+/// per slab. Each slab gets exactly the bits of the one-at-a-time form.
 ///
 /// ```
-/// use foam_atm::tracers::{advect_grid_tracer, advect_grid_tracer_ws};
+/// use foam_atm::dynamics::{QgConfig, QgCore};
+/// use foam_atm::tracers::{advect_grid_tracer, advect_grid_tracers_ws, TracerSet};
 /// use foam_atm::workspace::DynWorkspace;
 /// use foam_grid::{AtmGrid, Field2};
 /// use foam_mpi::Universe;
@@ -81,55 +94,89 @@ pub fn advect_grid_tracer(
 ///         SphericalTransform::new(AtmGrid::new(24, 16), Truncation::rhomboidal(5)),
 ///         comm,
 ///     );
-///     let mut psi = SpectralField::zeros(par.base.trunc);
-///     psi.set(2, 3, Complex::new(3.0e6, 1.0e6));
-///     let local = Field2::from_fn(par.base.grid.nlon, par.n_local_rows(), |i, jl| {
-///         (i as f64 * 0.3).sin() + jl as f64 * 0.01
-///     });
-///     let a = advect_grid_tracer(&par, comm, &psi, &local, 1800.0, 1e16, 0.0);
-///     let mut dw = DynWorkspace::new(&par, 3);
-///     let mut b = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
-///     advect_grid_tracer_ws(&par, comm, &psi, &local, 1800.0, 1e16, 0.0, &mut dw, &mut b);
-///     assert_eq!(a.as_slice(), b.as_slice());
+///     let core = QgCore::new(QgConfig::default(), par.base.trunc);
+///     let mut q: Vec<SpectralField> =
+///         (0..3).map(|_| SpectralField::zeros(par.base.trunc)).collect();
+///     q[1].set(2, 3, Complex::new(3.0e-6, 1.0e-6));
+///     let psi = core.psi_from_pv(&q);
+///     let mut slabs: Vec<Field2> = (0..2)
+///         .map(|k| {
+///             Field2::from_fn(par.base.grid.nlon, par.n_local_rows(), |i, jl| {
+///                 (i as f64 * 0.3).sin() + (jl + k) as f64 * 0.01
+///             })
+///         })
+///         .collect();
+///     let want: Vec<Field2> = (0..2)
+///         .map(|k| advect_grid_tracer(&par, comm, &psi[k + 1], &slabs[k], 1800.0, 1e16, 0.0))
+///         .collect();
+///     let mut dw = DynWorkspace::new(&par, 3, 2);
+///     core.streamfunction_ws(&par, &q, &mut dw);
+///     let mut sets = [TracerSet { slabs: &mut slabs, floor: 0.0 }];
+///     advect_grid_tracers_ws(&par, comm, &mut sets, |k| k + 1, 1800.0, 1e16, &mut dw);
+///     for k in 0..2 {
+///         assert_eq!(want[k].as_slice(), slabs[k].as_slice());
+///     }
 /// });
 /// ```
-#[allow(clippy::too_many_arguments)]
-pub fn advect_grid_tracer_ws(
+pub fn advect_grid_tracers_ws(
     par: &ParTransform,
     comm: &Comm,
-    psi: &SpectralField,
-    local: &Field2,
+    sets: &mut [TracerSet],
+    dyn_level: impl Fn(usize) -> usize,
     dt: f64,
     nu4: f64,
-    floor: f64,
     dw: &mut DynWorkspace,
-    out: &mut Field2,
 ) {
     let DynWorkspace {
         spec,
+        batch,
+        psi_grad,
         tr_spec,
         tr_tend,
-        ga,
-        gb,
-        gc,
-        gd,
+        x_grad,
         gj,
         ..
     } = dw;
-    par.analyze_into(comm, local, spec, tr_spec);
+    let n: usize = sets.iter().map(|s| s.slabs.len()).sum();
+    assert_eq!(n, tr_spec.len(), "workspace sized for other tracers");
+
+    batch.begin(n);
+    for (slot, slab) in sets.iter().flat_map(|s| s.slabs.iter()).enumerate() {
+        par.accumulate(slab, spec, batch, slot);
+    }
+    par.reduce(comm, batch);
+    for (slot, x) in tr_spec.iter_mut().enumerate() {
+        batch.read(slot, x);
+    }
+
     // Advective tendency −J(ψ, x), as in [`advect`].
-    jacobian_into(par, comm, psi, tr_spec, spec, ga, gb, gc, gd, gj, tr_tend);
-    tr_tend.scale(-1.0);
-    tr_spec.axpy(dt, tr_tend);
-    // Implicit ∇²+∇⁴ diffusion; the ∇² part offsets the weak
-    // amplification of forward-Euler advection.
-    tr_spec.apply_diffusion(nu4 * 3.0e-11, nu4, dt);
-    par.synthesize_into(tr_spec, spec, out);
-    // The spectral round trip is lossy for non-band-limited fields; keep
-    // the physical bound.
-    for v in out.as_mut_slice() {
-        if *v < floor {
-            *v = floor;
+    batch.begin(n);
+    let levels = sets.iter().flat_map(|s| 0..s.slabs.len());
+    for (slot, (k, x)) in levels.zip(tr_spec.iter()).enumerate() {
+        x_grad.synthesize(par, x, spec);
+        jacobian_on_rows(par, &psi_grad[dyn_level(k)], x_grad, gj);
+        par.accumulate(gj, spec, batch, slot);
+    }
+    par.reduce(comm, batch);
+
+    let slabs = sets.iter_mut().flat_map(|s| {
+        let floor = s.floor;
+        s.slabs.iter_mut().map(move |slab| (slab, floor))
+    });
+    for (slot, ((slab, floor), x)) in slabs.zip(tr_spec.iter_mut()).enumerate() {
+        batch.read(slot, tr_tend);
+        tr_tend.scale(-1.0);
+        x.axpy(dt, tr_tend);
+        // Implicit ∇²+∇⁴ diffusion; the ∇² part offsets the weak
+        // amplification of forward-Euler advection.
+        x.apply_diffusion(nu4 * 3.0e-11, nu4, dt);
+        par.synthesize_into(x, spec, slab);
+        // The spectral round trip is lossy for non-band-limited fields;
+        // keep the physical bound.
+        for v in slab.as_mut_slice() {
+            if *v < floor {
+                *v = floor;
+            }
         }
     }
 }
@@ -155,16 +202,18 @@ pub fn winds_on_rows(par: &ParTransform, psi: &SpectralField) -> (Field2, Field2
     (u, v)
 }
 
-/// Allocation-free [`winds_on_rows`]: the cos-gradient and λ-derivative
-/// slabs are synthesized into `dw` scratch and the winds overwrite
-/// `u`/`v`. Bit-identical to the allocating form.
+/// [`winds_on_rows`] from gradient slabs of ψ that are already on the
+/// grid: the winds overwrite `u`/`v`, bit-identical to synthesizing
+/// them afresh.
 ///
 /// ```
-/// use foam_atm::tracers::{winds_on_rows, winds_on_rows_into};
-/// use foam_atm::workspace::DynWorkspace;
+/// use foam_atm::dynamics::Gradient;
+/// use foam_atm::tracers::{winds_from_gradient, winds_on_rows};
 /// use foam_grid::{AtmGrid, Field2};
 /// use foam_mpi::Universe;
-/// use foam_spectral::{Complex, ParTransform, SpectralField, SphericalTransform, Truncation};
+/// use foam_spectral::{
+///     Complex, ParTransform, SpectralField, SpectralWorkspace, SphericalTransform, Truncation,
+/// };
 ///
 /// Universe::run(1, |comm| {
 ///     let par = ParTransform::new(
@@ -174,32 +223,22 @@ pub fn winds_on_rows(par: &ParTransform, psi: &SpectralField) -> (Field2, Field2
 ///     let mut psi = SpectralField::zeros(par.base.trunc);
 ///     psi.set(1, 2, Complex::new(2.0e6, -0.5e6));
 ///     let (u, v) = winds_on_rows(&par, &psi);
-///     let mut dw = DynWorkspace::new(&par, 3);
+///     let mut grad = Gradient::zeros(&par);
+///     grad.synthesize(&par, &psi, &mut SpectralWorkspace::new(&par.base));
 ///     let mut u2 = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
 ///     let mut v2 = u2.clone();
-///     winds_on_rows_into(&par, &psi, &mut dw, &mut u2, &mut v2);
+///     winds_from_gradient(&par, &grad, &mut u2, &mut v2);
 ///     assert_eq!(u.as_slice(), u2.as_slice());
 ///     assert_eq!(v.as_slice(), v2.as_slice());
 /// });
 /// ```
-pub fn winds_on_rows_into(
-    par: &ParTransform,
-    psi: &SpectralField,
-    dw: &mut DynWorkspace,
-    u: &mut Field2,
-    v: &mut Field2,
-) {
-    let DynWorkspace { spec, ga, gb, .. } = dw;
-    par.synthesize_cosgrad_into(psi, spec, ga);
-    ga.scale(-1.0 / EARTH_RADIUS);
-    par.synthesize_dlambda_into(psi, spec, gb);
-    gb.scale(1.0 / EARTH_RADIUS);
+pub fn winds_from_gradient(par: &ParTransform, psi: &Gradient, u: &mut Field2, v: &mut Field2) {
     let grid = &par.base.grid;
     for jl in 0..par.n_local_rows() {
         let cos = grid.lats[par.j0 + jl].cos();
         for i in 0..grid.nlon {
-            u.set(i, jl, ga.get(i, jl) / cos);
-            v.set(i, jl, gb.get(i, jl) / cos);
+            u.set(i, jl, psi.cosgrad.get(i, jl) * (-1.0 / EARTH_RADIUS) / cos);
+            v.set(i, jl, psi.dlam.get(i, jl) * (1.0 / EARTH_RADIUS) / cos);
         }
     }
 }

@@ -2,29 +2,35 @@
 //!
 //! The coupled hot loop must not allocate in steady state (the
 //! zero-churn rule; see PERFORMANCE.md). Everything the atmosphere
-//! step needs beyond its prognostic state — streamfunctions, spectral
-//! tendencies, transform scratch, grid-space Jacobian slabs, the
-//! physics column and its working vectors — lives in an
-//! [`AtmWorkspace`] created once and reused for every step. The
+//! step needs beyond its prognostic state — streamfunctions and their
+//! gradient slabs, spectral tendencies, transform scratch, the batched
+//! analysis payload, the physics column and its working vectors — lives
+//! in an [`AtmWorkspace`] created once and reused for every step. The
 //! workspace-threaded step ([`crate::model::AtmModel::step_ws`]) is
-//! bit-identical to the allocate-per-step path
-//! ([`crate::model::AtmModel::step`]): both perform exactly the same
-//! floating-point operations in the same order; only the ownership of
-//! the buffers differs. Tests and doctests pin that equivalence.
+//! bit-identical to the allocate-per-step reference
+//! ([`crate::model::AtmModel::step`]): every number it produces has the
+//! same operands combined in the same order. What differs is how often
+//! work is done — a field's gradient is synthesized once per step and
+//! shared, and independent analyses share one global combine. Tests and
+//! doctests pin that equivalence.
 
 use foam_grid::Field2;
 use foam_physics::{AtmColumn, PhysicsWorkspace};
-use foam_spectral::{ParTransform, SpectralField, SpectralWorkspace};
+use foam_spectral::{AnalysisBatch, ParTransform, SpectralField, SpectralWorkspace};
 
+use crate::dynamics::Gradient;
 use crate::model::AtmModel;
 
 /// Scratch for the dynamical-core and tracer kernels: spectral
-/// transform workspace, per-level streamfunction/tendency fields, and
-/// the grid-space slabs the Jacobian evaluates on.
+/// transform workspace, the per-step cache of ψ and its gradient slabs,
+/// per-level tendency fields, the batched-analysis payload and the
+/// grid-space slabs the Jacobian evaluates on.
 ///
-/// One `DynWorkspace` serves every kernel in a step — the Jacobian,
-/// winds, tracer advection, PV tendencies and the leapfrog update all
-/// borrow disjoint pieces of it.
+/// One `DynWorkspace` serves every kernel in a step — winds, tracer
+/// advection, PV tendencies and the leapfrog update all borrow disjoint
+/// pieces of it. [`QgCore::streamfunction_ws`](crate::dynamics::QgCore::streamfunction_ws)
+/// fills the ψ cache at the top of a step; the tracer and tendency
+/// kernels read it.
 ///
 /// ```
 /// use foam_atm::dynamics::{QgConfig, QgCore, QgState};
@@ -45,11 +51,12 @@ use crate::model::AtmModel;
 ///     let mut b = a.clone();
 ///     let dpsi: Vec<SpectralField> =
 ///         (0..2).map(|_| SpectralField::zeros(par.base.trunc)).collect();
-///     let mut dw = DynWorkspace::new(&par, 3);
+///     let mut dw = DynWorkspace::new(&par, 3, 0);
 ///     for s in 0..4 {
 ///         // Allocate-per-step path…
 ///         let tend = core.tendencies(&par, comm, &a.q_now, &dpsi, None);
 ///         // …and the workspace path: bit-identical states.
+///         core.streamfunction_ws(&par, &b.q_now, &mut dw);
 ///         core.tendencies_ws(&par, comm, &b.q_now, &dpsi, None, &mut dw);
 ///         if s == 0 {
 ///             core.step_euler(&mut a, &tend, 1800.0);
@@ -69,8 +76,13 @@ use crate::model::AtmModel;
 pub struct DynWorkspace {
     /// Legendre/FFT/reduction scratch for the spectral transforms.
     pub(crate) spec: SpectralWorkspace,
-    /// ψ per dynamic level, recomputed inside `tendencies_ws`.
+    /// Payload of the batched analyses (tracers, their Jacobians, the
+    /// shears, the PV Jacobians — one batch at a time).
+    pub(crate) batch: AnalysisBatch,
+    /// ψ per dynamic level and its gradient slabs, valid for the
+    /// current `q_now` from `streamfunction_ws` until the time step.
     pub(crate) psi: Vec<SpectralField>,
+    pub(crate) psi_grad: Vec<Gradient>,
     /// PV tendencies per dynamic level (output of `tendencies_ws`,
     /// input of the `step_*_ws` time steppers).
     pub(crate) tend: Vec<SpectralField>,
@@ -82,52 +94,49 @@ pub struct DynWorkspace {
     /// middle level, swapped into the state each step.
     pub(crate) q_next: SpectralField,
     pub(crate) filtered: SpectralField,
-    /// Tracer spectral coefficients and advective tendency.
-    pub(crate) tr_spec: SpectralField,
+    /// Spectral coefficients of every tracer slab, and one advective
+    /// tendency.
+    pub(crate) tr_spec: Vec<SpectralField>,
     pub(crate) tr_tend: SpectralField,
-    /// Grid-space slabs: four synthesis outputs plus the Jacobian
-    /// product field (also reused as wind scratch).
-    pub(crate) ga: Field2,
-    pub(crate) gb: Field2,
-    pub(crate) gc: Field2,
-    pub(crate) gd: Field2,
+    /// Gradient slabs of the field a Jacobian pairs with ψ, and the
+    /// Jacobian product field.
+    pub(crate) x_grad: Gradient,
     pub(crate) gj: Field2,
     /// Reciprocal squared Rossby radii of the interfaces.
     pub(crate) rossby_r: Vec<f64>,
 }
 
 impl DynWorkspace {
-    /// Scratch sized for `nlev` dynamic levels on `par`'s local rows.
-    pub fn new(par: &ParTransform, nlev: usize) -> Self {
+    /// Scratch sized for `nlev` dynamic levels and `n_tracers` tracer
+    /// slabs on `par`'s local rows.
+    pub fn new(par: &ParTransform, nlev: usize, n_tracers: usize) -> Self {
         let trunc = par.base.trunc;
-        let nlon = par.base.grid.nlon;
-        let rows = par.n_local_rows();
         let sf = || SpectralField::zeros(trunc);
-        let gf = || Field2::zeros(nlon, rows);
         DynWorkspace {
             spec: SpectralWorkspace::new(&par.base),
+            // The largest batch: all tracers, or the PV Jacobians plus
+            // the orographic one.
+            batch: AnalysisBatch::new(trunc, n_tracers.max(nlev + 1)),
             psi: (0..nlev).map(|_| sf()).collect(),
+            psi_grad: (0..nlev).map(|_| Gradient::zeros(par)).collect(),
             tend: (0..nlev).map(|_| sf()).collect(),
             jac: sf(),
             drag: sf(),
             q_next: sf(),
             filtered: sf(),
-            tr_spec: sf(),
+            tr_spec: (0..n_tracers).map(|_| sf()).collect(),
             tr_tend: sf(),
-            ga: gf(),
-            gb: gf(),
-            gc: gf(),
-            gd: gf(),
-            gj: gf(),
+            x_grad: Gradient::zeros(par),
+            gj: Field2::zeros(par.base.grid.nlon, par.n_local_rows()),
             rossby_r: Vec::new(),
         }
     }
 }
 
 /// Everything [`AtmModel::step_ws`] needs beyond the prognostic state:
-/// a [`DynWorkspace`] for the spectral kernels, per-level wind and
-/// streamfunction buffers, the equilibrium-shear fields, and one
-/// reusable physics column with its [`PhysicsWorkspace`].
+/// a [`DynWorkspace`] for the spectral kernels, the equilibrium-shear
+/// fields, and one reusable physics column with its
+/// [`PhysicsWorkspace`].
 ///
 /// Create it once per run with [`AtmWorkspace::new`] and pass it to
 /// every [`AtmModel::step_ws`] call; after the first few steps the
@@ -137,18 +146,10 @@ impl DynWorkspace {
 pub struct AtmWorkspace {
     /// Kernel-level scratch.
     pub(crate) inner: DynWorkspace,
-    /// ψ per dynamic level for winds and tracer advection (distinct
-    /// from `inner.psi`, which `tendencies_ws` overwrites later in the
-    /// step).
-    pub(crate) psi: Vec<SpectralField>,
-    /// (u, v) per dynamic level.
-    pub(crate) winds: Vec<(Field2, Field2)>,
     /// Equilibrium interface shears (nlev − 1 fields).
     pub(crate) dpsi_eq: Vec<SpectralField>,
     /// Layer-pair mean temperature accumulator.
     pub(crate) shear_field: Field2,
-    /// Tracer-advection output slab, swapped into the state per level.
-    pub(crate) tr_out: Field2,
     /// The one physics column, reloaded per grid cell.
     pub(crate) col: AtmColumn,
     /// Column-physics scratch.
@@ -161,17 +162,11 @@ impl AtmWorkspace {
         let par = &model.par;
         let trunc = par.base.trunc;
         let nld = model.cfg.dynamics.nlev;
-        let nlon = par.base.grid.nlon;
-        let rows = par.n_local_rows();
         AtmWorkspace {
-            inner: DynWorkspace::new(par, nld),
-            psi: (0..nld).map(|_| SpectralField::zeros(trunc)).collect(),
-            winds: (0..nld)
-                .map(|_| (Field2::zeros(nlon, rows), Field2::zeros(nlon, rows)))
-                .collect(),
+            // Two tracers (T, q) per physics level.
+            inner: DynWorkspace::new(par, nld, 2 * model.cfg.nlev_phys),
             dpsi_eq: (0..nld - 1).map(|_| SpectralField::zeros(trunc)).collect(),
-            shear_field: Field2::zeros(nlon, rows),
-            tr_out: Field2::zeros(nlon, rows),
+            shear_field: Field2::zeros(par.base.grid.nlon, par.n_local_rows()),
             col: AtmColumn::isothermal(model.cfg.nlev_phys, 2000.0, 280.0),
             phys: PhysicsWorkspace::with_levels(model.cfg.nlev_phys),
         }

@@ -121,10 +121,16 @@ pub fn saturation_humidity(t: f64, p: f64) -> f64 {
 /// An entrainment efficiency < 1 dilutes the release, as in simple
 /// plume closures. Solved by damped fixed-point iteration.
 pub fn moist_adiabat(t0: f64, q0: f64, p0: f64, p: f64) -> f64 {
+    let kappa = R_DRY / CP_DRY;
+    moist_adiabat_from_dry(t0 * (p / p0).powf(kappa), q0, p)
+}
+
+/// [`moist_adiabat`] given the parcel's dry-adiabatic temperature
+/// `t_dry` at `p` (callers that lift through a fixed pressure grid have
+/// the `powf` factor cached).
+pub(crate) fn moist_adiabat_from_dry(t_dry: f64, q0: f64, p: f64) -> f64 {
     use foam_grid::constants::L_VAP;
     const ENTRAINMENT_EFF: f64 = 0.6;
-    let kappa = R_DRY / CP_DRY;
-    let t_dry = t0 * (p / p0).powf(kappa);
     let mut t = t_dry;
     for _ in 0..25 {
         let qs = saturation_humidity(t, p);

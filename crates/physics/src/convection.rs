@@ -21,7 +21,7 @@
 
 use foam_grid::constants::{CP_DRY, L_VAP, R_DRY};
 
-use crate::column::{moist_adiabat, saturation_humidity, AtmColumn};
+use crate::column::{moist_adiabat_from_dry, saturation_humidity, AtmColumn};
 use crate::workspace::{fit, PhysicsWorkspace};
 
 /// Tunable parameters.
@@ -88,20 +88,32 @@ impl ConvectionResult {
 /// c_p T mass-weighted enthalpy and water), sweeping until the column is
 /// stable or `max_iters` is reached. Returns the number of sweeps.
 pub fn dry_adjustment(col: &mut AtmColumn, max_iters: usize) -> usize {
+    dry_adjustment_ws(col, max_iters, &mut PhysicsWorkspace::new())
+}
+
+/// [`dry_adjustment`] reading the Exner factors of the pressure grid
+/// from `ws` (computed once per grid) instead of calling `powf` four
+/// times per layer pair per sweep. Bit-identical.
+pub fn dry_adjustment_ws(
+    col: &mut AtmColumn,
+    max_iters: usize,
+    ws: &mut PhysicsWorkspace,
+) -> usize {
     let n = col.nlev();
+    let pf = ws.pressure.of(&col.p);
     for it in 0..max_iters {
         let mut changed = false;
         for k in 0..n - 1 {
             // k is above k+1. Instability: θ increases downward.
-            let th_up = col.theta(k);
-            let th_dn = col.theta(k + 1);
+            let th_up = col.t[k] * pf.inv_exner[k];
+            let th_dn = col.t[k + 1] * pf.inv_exner[k + 1];
             if th_dn > th_up + 1e-6 {
                 let m1 = col.layer_mass(k);
                 let m2 = col.layer_mass(k + 1);
                 // Mix to a common potential temperature, preserving
                 // mass-weighted enthalpy via the Exner weights.
-                let ex1 = (col.p[k] / 1.0e5f64).powf(R_DRY / CP_DRY);
-                let ex2 = (col.p[k + 1] / 1.0e5f64).powf(R_DRY / CP_DRY);
+                let ex1 = pf.exner[k];
+                let ex2 = pf.exner[k + 1];
                 let th_mix = (m1 * ex1 * th_up + m2 * ex2 * th_dn) / (m1 * ex1 + m2 * ex2);
                 col.t[k] = th_mix * ex1;
                 col.t[k + 1] = th_mix * ex2;
@@ -121,16 +133,25 @@ pub fn dry_adjustment(col: &mut AtmColumn, max_iters: usize) -> usize {
 /// Convective available potential energy of a parcel lifted
 /// pseudo-adiabatically from the lowest layer \[J/kg\].
 pub fn compute_cape(col: &AtmColumn) -> f64 {
+    compute_cape_ws(col, &mut PhysicsWorkspace::new())
+}
+
+/// [`compute_cape`] with the pressure-grid factors read from `ws`; it
+/// leaves the parcel's temperature at every level above the lowest in
+/// `ws.parcel` for [`deep_convection_ws`]. Bit-identical.
+pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
     let n = col.nlev();
+    let pf = ws.pressure.of(&col.p);
     let t0 = col.t[n - 1];
     let q0 = col.q[n - 1];
-    let p0 = col.p[n - 1];
+    fit(&mut ws.parcel, n - 1);
     let mut cape = 0.0;
     for k in (0..n - 1).rev() {
-        let tp = moist_adiabat(t0, q0, p0, col.p[k]);
+        let tp = moist_adiabat_from_dry(t0 * pf.lift[k], q0, col.p[k]);
+        ws.parcel[k] = tp;
         let buoy = R_DRY * (tp - col.t[k]);
         if buoy > 0.0 {
-            cape += buoy * (col.p[k + 1] / col.p[k]).ln();
+            cape += buoy * pf.dlnp[k];
         }
     }
     cape
@@ -142,34 +163,33 @@ pub fn compute_cape(col: &AtmColumn) -> f64 {
 /// moisture (the precipitated water). Conserves moist enthalpy exactly.
 /// Returns (precip \[kg/m²\], sweeps used).
 pub fn deep_convection(col: &mut AtmColumn, dt: f64, p: &ConvectionParams) -> (f64, usize) {
-    deep_convection_ws(col, dt, p, &mut Vec::new())
+    deep_convection_ws(col, dt, p, &mut PhysicsWorkspace::new())
 }
 
-/// Allocation-free [`deep_convection`]: the heating-increment scratch
-/// vector is caller-provided (see [`PhysicsWorkspace`]). Bit-identical
-/// to the allocating form.
+/// Allocation-free [`deep_convection`]: scratch is borrowed from `ws`,
+/// and the moist adiabat it relaxes toward is the profile the CAPE
+/// integral has just computed (the column has not changed in between).
+/// Bit-identical to the allocating form.
 pub fn deep_convection_ws(
     col: &mut AtmColumn,
     dt: f64,
     p: &ConvectionParams,
-    dts: &mut Vec<f64>,
+    ws: &mut PhysicsWorkspace,
 ) -> (f64, usize) {
     if !p.deep_enabled {
         return (0.0, 0);
     }
-    let cape = compute_cape(col);
+    let cape = compute_cape_ws(col, ws);
     if cape < p.cape_threshold {
         return (0.0, 1);
     }
+    let PhysicsWorkspace { parcel, dts, .. } = ws;
     let n = col.nlev();
-    let t0 = col.t[n - 1];
-    let q0 = col.q[n - 1];
-    let p0 = col.p[n - 1];
     // Heating demanded by relaxation toward the moist adiabat.
     let mut heat = 0.0; // J/m²
     fit(dts, n);
     for k in 0..n - 1 {
-        let t_ref = moist_adiabat(t0, q0, p0, col.p[k]);
+        let t_ref = parcel[k];
         if t_ref > col.t[k] {
             let d = (t_ref - col.t[k]) * dt / p.tau_deep;
             dts[k] = d;
@@ -263,9 +283,9 @@ pub fn convect(col: &mut AtmColumn, dt: f64, p: &ConvectionParams) -> Convection
     convect_ws(col, dt, p, &mut PhysicsWorkspace::new())
 }
 
-/// Allocation-free [`convect`]: deep-convection scratch is borrowed
-/// from `ws` (the other stages were already allocation-free).
-/// Bit-identical to the allocating form.
+/// Allocation-free [`convect`]: deep-convection scratch and the
+/// pressure-grid factors are borrowed from `ws`. Bit-identical to the
+/// allocating form.
 ///
 /// ```
 /// use foam_physics::convection::{convect, convect_ws, ConvectionParams};
@@ -287,9 +307,9 @@ pub fn convect_ws(
     p: &ConvectionParams,
     ws: &mut PhysicsWorkspace,
 ) -> ConvectionResult {
-    let it_dry = dry_adjustment(col, p.max_iters);
+    let it_dry = dry_adjustment_ws(col, p.max_iters, ws);
     let it_shallow = shallow_convection(col);
-    let (precip_deep, it_deep) = deep_convection_ws(col, dt, p, &mut ws.dts);
+    let (precip_deep, it_deep) = deep_convection_ws(col, dt, p, ws);
     let precip_stratiform = stratiform(col, p);
     ConvectionResult {
         precip_deep,
@@ -326,6 +346,76 @@ mod tests {
         c.q[n - 1] = 0.9 * saturation_humidity(c.t[n - 1], c.p[n - 1]);
         c.q[n - 2] = 0.9 * saturation_humidity(c.t[n - 2], c.p[n - 2]);
         c
+    }
+
+    /// `dry_adjustment` as written before the pressure factors were
+    /// cached: every θ and Exner weight from its own `powf`.
+    fn dry_adjustment_uncached(col: &mut AtmColumn, max_iters: usize) -> usize {
+        let n = col.nlev();
+        for it in 0..max_iters {
+            let mut changed = false;
+            for k in 0..n - 1 {
+                let th_up = col.theta(k);
+                let th_dn = col.theta(k + 1);
+                if th_dn > th_up + 1e-6 {
+                    let m1 = col.layer_mass(k);
+                    let m2 = col.layer_mass(k + 1);
+                    let ex1 = (col.p[k] / 1.0e5f64).powf(R_DRY / CP_DRY);
+                    let ex2 = (col.p[k + 1] / 1.0e5f64).powf(R_DRY / CP_DRY);
+                    let th_mix = (m1 * ex1 * th_up + m2 * ex2 * th_dn) / (m1 * ex1 + m2 * ex2);
+                    col.t[k] = th_mix * ex1;
+                    col.t[k + 1] = th_mix * ex2;
+                    let q_mix = (m1 * col.q[k] + m2 * col.q[k + 1]) / (m1 + m2);
+                    col.q[k] = q_mix;
+                    col.q[k + 1] = q_mix;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return it + 1;
+            }
+        }
+        max_iters
+    }
+
+    /// The parcel profile and CAPE from the public `moist_adiabat` and a
+    /// fresh `ln` per layer, as `compute_cape` was written.
+    fn cape_uncached(col: &AtmColumn) -> (Vec<f64>, f64) {
+        let n = col.nlev();
+        let (t0, q0, p0) = (col.t[n - 1], col.q[n - 1], col.p[n - 1]);
+        let mut parcel = vec![0.0; n - 1];
+        let mut cape = 0.0;
+        for k in (0..n - 1).rev() {
+            parcel[k] = crate::column::moist_adiabat(t0, q0, p0, col.p[k]);
+            let buoy = R_DRY * (parcel[k] - col.t[k]);
+            if buoy > 0.0 {
+                cape += buoy * (col.p[k + 1] / col.p[k]).ln();
+            }
+        }
+        (parcel, cape)
+    }
+
+    #[test]
+    fn cached_pressure_factors_change_no_bits() {
+        // One workspace across columns and depths, as the model uses it.
+        let mut ws = PhysicsWorkspace::new();
+        let mut cols = vec![stable_col(), cape_free_col(), unstable_col()];
+        cols.push(AtmColumn::standard(8, 295.0));
+        let mut inverted = stable_col();
+        inverted.t[9] += 25.0; // needs several adjustment sweeps
+        cols.push(inverted);
+        for col in cols {
+            let (mut a, mut b) = (col.clone(), col.clone());
+            assert_eq!(
+                dry_adjustment_uncached(&mut a, 20),
+                dry_adjustment_ws(&mut b, 20, &mut ws)
+            );
+            assert_eq!(a.t, b.t);
+            assert_eq!(a.q, b.q);
+            let (parcel, cape) = cape_uncached(&col);
+            assert_eq!(cape.to_bits(), compute_cape_ws(&col, &mut ws).to_bits());
+            assert_eq!(parcel, ws.parcel);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::column::AtmColumn;
 use crate::workspace::{fit, PhysicsWorkspace};
-use foam_grid::constants::{CP_DRY, R_DRY};
+use foam_grid::constants::{GRAVITY, R_DRY};
 
 /// Apply one implicit vertical-diffusion step to θ and q.
 ///
@@ -48,10 +48,10 @@ pub fn vertical_diffusion_ws(
         return;
     }
     let PhysicsWorkspace {
+        pressure,
         z,
         m,
         g,
-        exner,
         theta,
         q,
         band_a,
@@ -62,11 +62,22 @@ pub fn vertical_diffusion_ws(
         ..
     } = ws;
 
-    // Geometry: heights of layer centres.
+    let pf = pressure.of(&col.p);
+
+    // Geometry: heights of layer centres, [`AtmColumn::height`] for
+    // every k in one upward pass (each height is the one below plus one
+    // more layer, summed in the same order).
     fit(z, n);
     fit(m, n);
+    let mut height = 0.0;
+    height += R_DRY * col.t[n - 1] / GRAVITY * pf.lnp_sfc;
+    z[n - 1] = height;
+    for kk in (1..n).rev() {
+        let tbar = 0.5 * (col.t[kk] + col.t[kk - 1]);
+        height += R_DRY * tbar / GRAVITY * pf.dlnp[kk - 1];
+        z[kk - 1] = height;
+    }
     for k in 0..n {
-        z[k] = col.height(k);
         m[k] = col.layer_mass(k);
     }
 
@@ -86,10 +97,9 @@ pub fn vertical_diffusion_ws(
     }
 
     // Convert T to θ, diffuse θ and q, convert back.
-    fit(exner, n);
+    let exner = &pf.exner;
     fit(theta, n);
     for k in 0..n {
-        exner[k] = (col.p[k] / 1.0e5f64).powf(R_DRY / CP_DRY);
         theta[k] = col.t[k] / exner[k];
     }
     solve_tridiag_diffusion(theta, g, m, dt, band_a, band_b, band_c, band_cp, band_dp);
@@ -152,6 +162,20 @@ fn solve_tridiag_diffusion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foam_grid::constants::CP_DRY;
+
+    #[test]
+    fn one_pass_heights_match_column_height_bit_for_bit() {
+        let mut ws = PhysicsWorkspace::new();
+        for mut col in [
+            AtmColumn::standard(18, 288.0),
+            AtmColumn::standard(7, 301.0),
+        ] {
+            let want: Vec<f64> = (0..col.nlev()).map(|k| col.height(k)).collect();
+            vertical_diffusion_ws(&mut col, 1800.0, 50.0, 1000.0, &mut ws);
+            assert_eq!(ws.z, want);
+        }
+    }
 
     #[test]
     fn diffusion_conserves_mass_weighted_quantities() {

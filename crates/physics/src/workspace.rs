@@ -21,6 +21,58 @@
 //! allocating original — the workspace only changes *where* the scratch
 //! lives, never the arithmetic performed on it (see PERFORMANCE.md).
 
+use foam_grid::constants::{CP_DRY, R_DRY};
+
+/// Functions of the column's pressure grid alone. The grid is the same
+/// in every column of a run and never changes, yet the physics used to
+/// re-evaluate these `powf`/`ln` calls in every column on every step.
+/// Each entry is the original expression evaluated once, so using it
+/// changes no bits.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PressureFactors {
+    /// The grid the entries below were computed for.
+    p: Vec<f64>,
+    /// Exner factor (p_k / 10⁵)^κ: T = θ · exner.
+    pub(crate) exner: Vec<f64>,
+    /// (10⁵ / p_k)^κ, the factor in [`crate::AtmColumn::theta`].
+    pub(crate) inv_exner: Vec<f64>,
+    /// (p_k / p_bottom)^κ: dry-adiabatic cooling of a parcel lifted
+    /// from the lowest layer to level k.
+    pub(crate) lift: Vec<f64>,
+    /// ln(p_{k+1} / p_k) for k < n − 1.
+    pub(crate) dlnp: Vec<f64>,
+    /// ln(10⁵ / p_bottom): the half layer between the surface and the
+    /// lowest mid-level.
+    pub(crate) lnp_sfc: f64,
+}
+
+impl PressureFactors {
+    /// The factors of grid `p`, recomputed only when `p` differs from
+    /// the grid of the previous call.
+    pub(crate) fn of(&mut self, p: &[f64]) -> &Self {
+        if self.p != p {
+            let kappa = R_DRY / CP_DRY;
+            let n = p.len();
+            self.p.clear();
+            self.p.extend_from_slice(p);
+            fit(&mut self.exner, n);
+            fit(&mut self.inv_exner, n);
+            fit(&mut self.lift, n);
+            fit(&mut self.dlnp, n.saturating_sub(1));
+            for k in 0..n {
+                self.exner[k] = (p[k] / 1.0e5f64).powf(kappa);
+                self.inv_exner[k] = (1.0e5 / p[k]).powf(kappa);
+                self.lift[k] = (p[k] / p[n - 1]).powf(kappa);
+            }
+            for k in 0..n.saturating_sub(1) {
+                self.dlnp[k] = (p[k + 1] / p[k]).ln();
+            }
+            self.lnp_sfc = p.last().map_or(0.0, |&pb| (1.0e5 / pb).ln());
+        }
+        self
+    }
+}
+
 /// Reusable scratch buffers for one column-physics engine.
 ///
 /// The workspace is plain data: create it once per rank (or per thread)
@@ -43,11 +95,12 @@
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysicsWorkspace {
+    // Per-level functions of the pressure grid, computed once.
+    pub(crate) pressure: PressureFactors,
     // Vertical diffusion: geometry, couplings, θ/q work vectors.
     pub(crate) z: Vec<f64>,
     pub(crate) m: Vec<f64>,
     pub(crate) g: Vec<f64>,
-    pub(crate) exner: Vec<f64>,
     pub(crate) theta: Vec<f64>,
     pub(crate) q: Vec<f64>,
     // Tridiagonal solve bands (rebuilt per solve from `g`/`m`).
@@ -56,7 +109,9 @@ pub struct PhysicsWorkspace {
     pub(crate) band_c: Vec<f64>,
     pub(crate) band_cp: Vec<f64>,
     pub(crate) band_dp: Vec<f64>,
-    // Deep convection heating increments.
+    // Deep convection: the parcel's moist-adiabat profile (left by the
+    // CAPE integral for the adjustment to reuse) and heating increments.
+    pub(crate) parcel: Vec<f64>,
     pub(crate) dts: Vec<f64>,
     // Radiation sweeps: emissivity, Planck source, interface fluxes.
     pub(crate) eps: Vec<f64>,
@@ -92,10 +147,14 @@ impl PhysicsWorkspace {
         // and costs a few hundred bytes once.
         let cap = nlev + 1;
         for v in [
+            &mut ws.pressure.p,
+            &mut ws.pressure.exner,
+            &mut ws.pressure.inv_exner,
+            &mut ws.pressure.lift,
+            &mut ws.pressure.dlnp,
             &mut ws.z,
             &mut ws.m,
             &mut ws.g,
-            &mut ws.exner,
             &mut ws.theta,
             &mut ws.q,
             &mut ws.band_a,
@@ -103,6 +162,7 @@ impl PhysicsWorkspace {
             &mut ws.band_c,
             &mut ws.band_cp,
             &mut ws.band_dp,
+            &mut ws.parcel,
             &mut ws.dts,
             &mut ws.eps,
             &mut ws.planck,

@@ -22,6 +22,13 @@
 //! evicted until the cache fits again. The sequence survives restarts
 //! (it resumes from the largest stamp on disk), so recency is a
 //! property of the cache directory, not of one server incarnation.
+//!
+//! Accesses and evictions run concurrently on the server's worker and
+//! connection threads. A stamp is rewritten in place, so an eviction
+//! scan can catch it empty; that entry is being touched *right now* and
+//! ranks newest. Only an entry with no sidecar at all — a file this
+//! cache did not write — ranks oldest. A `put` stamps before it
+//! publishes the report, so its entry is never seen unstamped.
 
 use std::fs;
 use std::io;
@@ -50,11 +57,19 @@ impl ResultCache {
         let dir = root.join("cache");
         fs::create_dir_all(&dir)?;
         // Resume the access clock past every stamp already on disk.
+        // Nothing is touching the cache yet, so a stamp that does not
+        // parse is debris of a crash mid-touch: drop it, and the entry
+        // ranks oldest until its next access.
         let mut max_stamp = 0u64;
         for e in fs::read_dir(&dir)?.flatten() {
             if let Some(name) = e.file_name().to_str() {
                 if let Some(digest) = name.strip_suffix(".at") {
-                    max_stamp = max_stamp.max(read_stamp(&dir, digest));
+                    match read_stamp(&dir, digest) {
+                        MID_TOUCH => {
+                            let _ = fs::remove_file(e.path());
+                        }
+                        stamp => max_stamp = max_stamp.max(stamp),
+                    }
                 }
             }
         }
@@ -101,8 +116,10 @@ impl ResultCache {
     pub fn put(&self, digest: &str, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("{digest}.tmp"));
         fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, self.path(digest))?;
+        // Stamp first: a concurrent eviction must never see the report
+        // without its stamp and take it for a foreign file.
         self.touch(digest);
+        fs::rename(&tmp, self.path(digest))?;
         self.evict_to_budget();
         Ok(())
     }
@@ -174,11 +191,18 @@ struct EntryMeta {
     stamp: u64,
 }
 
+/// The stamp read for a sidecar that exists but does not parse:
+/// `touch` on another thread has truncated it and not yet written the
+/// new stamp. Newer than any real stamp.
+const MID_TOUCH: u64 = u64::MAX;
+
+/// The access stamp of `digest`: 0 (oldest) when it has no sidecar,
+/// [`MID_TOUCH`] (newest) when the sidecar is being rewritten.
 fn read_stamp(dir: &Path, digest: &str) -> u64 {
-    fs::read_to_string(dir.join(format!("{digest}.at")))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+    match fs::read_to_string(dir.join(format!("{digest}.at"))) {
+        Ok(s) => s.trim().parse().unwrap_or(MID_TOUCH),
+        Err(_) => 0,
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +269,76 @@ mod tests {
         cache.put("dddddddddddddddd", &[b'x'; 400]).unwrap();
         assert!(cache.contains("dddddddddddddddd"));
         assert_eq!(cache.digests(), vec!["dddddddddddddddd".to_string()]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_caught_mid_touch_ranks_newest_not_oldest() {
+        let dir = tmp_dir("midtouch");
+        let cache = ResultCache::open_with_budget(&dir, Some(250)).unwrap();
+        let blob = vec![b'x'; 100];
+        cache.put("aaaaaaaaaaaaaaaa", &blob).unwrap();
+        cache.put("bbbbbbbbbbbbbbbb", &blob).unwrap();
+        // What an eviction scan sees while another thread's `touch` of
+        // `a` is between truncating the stamp and writing it.
+        fs::write(cache.stamp_path("aaaaaaaaaaaaaaaa"), "").unwrap();
+        cache.put("cccccccccccccccc", &blob).unwrap();
+        assert!(cache.contains("aaaaaaaaaaaaaaaa"), "entry in use evicted");
+        assert!(!cache.contains("bbbbbbbbbbbbbbbb"), "LRU entry evicted");
+        // A report with no sidecar at all is foreign and goes first.
+        fs::remove_file(cache.stamp_path("aaaaaaaaaaaaaaaa")).unwrap();
+        cache.put("dddddddddddddddd", &blob).unwrap();
+        assert!(!cache.contains("aaaaaaaaaaaaaaaa"));
+        assert!(cache.contains("cccccccccccccccc"));
+        // After a restart an unparseable stamp is crash debris, not an
+        // access in flight: the clock resumes from the real stamps and
+        // the entry ranks oldest again.
+        fs::write(cache.stamp_path("cccccccccccccccc"), "").unwrap();
+        let reopened = ResultCache::open_with_budget(&dir, Some(250)).unwrap();
+        assert!(reopened.clock.load(Ordering::Relaxed) < 100);
+        reopened.put("eeeeeeeeeeeeeeee", &blob).unwrap();
+        assert!(!reopened.contains("cccccccccccccccc"));
+        assert!(reopened.contains("dddddddddddddddd"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hot_entry_survives_gets_racing_evicting_puts() {
+        // Budget for about eight reports; one thread keeps reading a hot
+        // digest while another stores fresh ones, every one of which
+        // evicts. Each put waits for a get since the previous put, so
+        // the hot entry is the most recently used at every eviction —
+        // while gets (and their stamp rewrites) keep landing inside the
+        // eviction scans.
+        use std::sync::atomic::AtomicBool;
+        let dir = tmp_dir("race");
+        let cache = ResultCache::open_with_budget(&dir, Some(8 * 1400 + 700)).unwrap();
+        let blob = vec![b'x'; 1400];
+        let hot = "00000000000000ff";
+        cache.put(hot, &blob).unwrap();
+        let gets = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..600u64 {
+                    let seen = gets.load(Ordering::SeqCst);
+                    while gets.load(Ordering::SeqCst) == seen {
+                        std::thread::yield_now();
+                    }
+                    cache.put(&format!("{:016x}", 0x1000 + i), &blob).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            // Keep counting after a miss so the putter is never left
+            // waiting; the verdict comes once both threads are done.
+            let mut misses = 0;
+            while !done.load(Ordering::SeqCst) {
+                misses += u64::from(cache.get(hot).is_none());
+                gets.fetch_add(1, Ordering::SeqCst);
+            }
+            assert_eq!(misses, 0, "hot digest was evicted while in use");
+        });
+        assert!(cache.contains(hot));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -324,12 +324,14 @@ fn execute_job(shared: &Shared, digest: &str) {
                 job.set_state(JobState::Failed(format!("storing report: {e}")));
                 return;
             }
-            job.set_state(JobState::Done);
             // This job's checkpoints are now redundant with the cache.
+            // Collect them before announcing `done`, so a client that
+            // sees `done` never finds the root still there.
             let gone = root.file_name().and_then(|n| n.to_str()).map(String::from);
             if let Some(gone) = gone {
                 let _ = CheckpointStore::sweep_roots(&shared.jobs_dir, |name| name != gone);
             }
+            job.set_state(JobState::Done);
         }
         Err(why) => {
             let why = if job.cancelled() {

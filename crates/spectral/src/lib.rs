@@ -12,14 +12,15 @@
 //! transform algorithms the paper cites.
 //!
 //! Everything is built from scratch:
-//! * [`fft`] — mixed-radix complex FFT and the real transforms used on
-//!   longitude circles,
+//! * [`fft`] — mixed-radix complex FFT, compiled once per length into
+//!   flat stages, and the real transforms used on longitude circles,
 //! * [`legendre`] — fully normalized associated Legendre functions and
 //!   their μ-derivatives,
 //! * [`Truncation`] — the rhomboidal (m, n) index set,
 //! * [`SphericalTransform`] — serial analysis/synthesis plus spectral-space
 //!   calculus (Laplacian, its inverse, hyperdiffusion, gradients),
-//! * [`ParTransform`] — the latitude-distributed transform,
+//! * [`ParTransform`] — the latitude-distributed transform, with
+//!   [`AnalysisBatch`] to complete many analyses with one global combine,
 //! * [`SpectralWorkspace`] — pre-allocated scratch making every hot
 //!   transform allocation-free via the `_ws`/`_into` method variants
 //!   (see PERFORMANCE.md for the zero-churn rule they implement).
@@ -31,6 +32,6 @@ mod transform;
 mod truncation;
 
 pub use fft::Complex;
-pub use parallel::ParTransform;
+pub use parallel::{AnalysisBatch, ParTransform};
 pub use transform::{SpectralField, SpectralWorkspace, SphericalTransform, SynthKind};
 pub use truncation::Truncation;

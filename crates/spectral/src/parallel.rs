@@ -6,13 +6,20 @@
 //! a contiguous block of Gaussian latitudes, accumulates its rows'
 //! quadrature contributions, and an `allreduce` sum completes the
 //! transform, leaving the full spectral state replicated on every rank
-//! (synthesis is then purely local).
+//! (synthesis is then purely local). Because the combine is the
+//! expensive step, analyses that do not depend on each other go through
+//! an [`AnalysisBatch`]: every field's local sums land in one payload
+//! and a single `allreduce` completes them all. The sum is element-wise,
+//! so a coefficient gets the same bits whether its field travels alone
+//! or in a batch.
 
 use foam_grid::Field2;
 use foam_mpi::{Comm, ReduceOp};
 
-use crate::fft::Complex;
-use crate::transform::{SpectralField, SpectralWorkspace, SphericalTransform, SynthKind};
+use crate::transform::{
+    unflatten, SpectralField, SpectralWorkspace, SphericalTransform, SynthKind,
+};
+use crate::truncation::Truncation;
 
 /// A [`SphericalTransform`] plus a latitude decomposition for one rank.
 pub struct ParTransform {
@@ -21,6 +28,75 @@ pub struct ParTransform {
     pub j0: usize,
     /// Last owned latitude row (exclusive).
     pub j1: usize,
+}
+
+/// The allreduce payload of a batch of distributed analyses: one slot of
+/// flat `(re, im)` coefficients per field. Allocate it once for the
+/// largest batch and reuse it; [`AnalysisBatch::begin`] opens a batch
+/// of any size up to that.
+///
+/// ```
+/// use foam_grid::{AtmGrid, Field2};
+/// use foam_mpi::Universe;
+/// use foam_spectral::{
+///     AnalysisBatch, ParTransform, SpectralField, SpectralWorkspace, SphericalTransform,
+///     Truncation,
+/// };
+///
+/// Universe::run(2, |comm| {
+///     let t = SphericalTransform::new(AtmGrid::new(16, 8), Truncation::rhomboidal(3));
+///     let par = ParTransform::new(t, comm);
+///     let slabs: Vec<Field2> = (0..3)
+///         .map(|f| Field2::from_fn(16, par.n_local_rows(), |i, j| (f * i + j) as f64))
+///         .collect();
+///     let mut ws = SpectralWorkspace::new(&par.base);
+///     let mut batch = AnalysisBatch::new(par.base.trunc, slabs.len());
+///     batch.begin(slabs.len());
+///     for (slot, slab) in slabs.iter().enumerate() {
+///         par.accumulate(slab, &mut ws, &mut batch, slot);
+///     }
+///     par.reduce(comm, &mut batch); // one allreduce for all three fields
+///     let mut spec = SpectralField::zeros(par.base.trunc);
+///     for (slot, slab) in slabs.iter().enumerate() {
+///         batch.read(slot, &mut spec);
+///         assert_eq!(spec, par.analyze(comm, slab)); // same bits as one at a time
+///     }
+/// });
+/// ```
+#[derive(Debug, Clone)]
+pub struct AnalysisBatch {
+    payload: Vec<f64>,
+    /// `f64`s per slot: two per retained coefficient.
+    slot_len: usize,
+    /// Slots of the batch under way.
+    active: usize,
+}
+
+impl AnalysisBatch {
+    /// A payload with room for `slots` fields under `trunc`.
+    pub fn new(trunc: Truncation, slots: usize) -> Self {
+        let slot_len = 2 * trunc.len();
+        AnalysisBatch {
+            payload: vec![0.0; slots * slot_len],
+            slot_len,
+            active: 0,
+        }
+    }
+
+    /// Start a batch of `n` fields: zero their slots.
+    pub fn begin(&mut self, n: usize) {
+        assert!(n * self.slot_len <= self.payload.len(), "batch too large");
+        self.active = n;
+        self.payload[..n * self.slot_len].fill(0.0);
+    }
+
+    /// Copy the coefficients of `slot` into `out` (complete once
+    /// [`ParTransform::reduce`] has run).
+    pub fn read(&self, slot: usize, out: &mut SpectralField) {
+        assert!(slot < self.active);
+        let at = slot * self.slot_len;
+        unflatten(&self.payload[at..at + self.slot_len], &mut out.data);
+    }
 }
 
 /// Contiguous block decomposition of `n` rows over `size` ranks: rank `r`
@@ -51,9 +127,11 @@ impl ParTransform {
     }
 
     /// Allocation-free [`ParTransform::analyze`]: overwrites `out` with
-    /// the complete spectral field, borrowing all scratch (accumulator,
-    /// reduction buffer, FFT scratch) from `ws`. Bit-identical to the
-    /// allocating form.
+    /// the complete spectral field, borrowing all scratch (accumulator
+    /// and reduction payload, FFT scratch) from `ws`. Bit-identical to
+    /// the allocating form. The `spectral` telemetry scope covers the
+    /// Legendre sums and the combine; its child `reduce` is the combine
+    /// (mostly waiting for the other ranks) alone.
     pub fn analyze_into(
         &self,
         comm: &Comm,
@@ -64,19 +142,49 @@ impl ParTransform {
         let _t = foam_telemetry::scope("spectral");
         assert_eq!(local.ny(), self.n_local_rows());
         assert_eq!(out.trunc, self.base.trunc);
-        let SpectralWorkspace { fft, cm, acc, flat } = ws;
-        acc.fill(Complex::ZERO);
+        let SpectralWorkspace { fft, cm, flat } = ws;
+        flat.fill(0.0);
         self.base
-            .accumulate_rows_scratch(local, self.j0, self.j1, acc, cm, fft);
-        // Global combine: flatten to interleaved re/im and sum-reduce.
-        for (pair, c) in flat.chunks_exact_mut(2).zip(acc.iter()) {
-            pair[0] = c.re;
-            pair[1] = c.im;
+            .accumulate_rows(local, self.j0, self.j1, flat, cm, fft);
+        {
+            let _r = foam_telemetry::scope("reduce");
+            comm.allreduce_mut(flat, ReduceOp::Sum);
         }
-        comm.allreduce_mut(flat, ReduceOp::Sum);
-        for (c, pair) in out.data.iter_mut().zip(flat.chunks_exact(2)) {
-            *c = Complex::new(pair[0], pair[1]);
-        }
+        unflatten(flat, &mut out.data);
+    }
+
+    /// The local half of a batched analysis: add this rank's rows of
+    /// `local` to `slot` of `batch`. Counts as one `spectral` call.
+    pub fn accumulate(
+        &self,
+        local: &Field2,
+        ws: &mut SpectralWorkspace,
+        batch: &mut AnalysisBatch,
+        slot: usize,
+    ) {
+        let _t = foam_telemetry::scope("spectral");
+        assert_eq!(local.ny(), self.n_local_rows());
+        assert!(slot < batch.active);
+        let at = slot * batch.slot_len;
+        self.base.accumulate_rows(
+            local,
+            self.j0,
+            self.j1,
+            &mut batch.payload[at..at + batch.slot_len],
+            &mut ws.cm,
+            &mut ws.fft,
+        );
+    }
+
+    /// The global half: one `allreduce` completes every field of the
+    /// batch on every rank. Its time goes to `spectral` (and the child
+    /// `reduce`) without counting another `spectral` call — the calls
+    /// are the fields, already counted by [`ParTransform::accumulate`].
+    pub fn reduce(&self, comm: &Comm, batch: &mut AnalysisBatch) {
+        let _t = foam_telemetry::resume("spectral");
+        let _r = foam_telemetry::scope("reduce");
+        let used = batch.active * batch.slot_len;
+        comm.allreduce_mut(&mut batch.payload[..used], ReduceOp::Sum);
     }
 
     /// Local synthesis of this rank's rows (no communication).
@@ -155,7 +263,7 @@ impl ParTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::truncation::Truncation;
+    use crate::fft::Complex;
     use foam_grid::AtmGrid;
     use foam_mpi::Universe;
 

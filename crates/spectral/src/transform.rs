@@ -156,8 +156,9 @@ impl Codec for SpectralField {
 }
 
 /// Pre-allocated scratch for the spherical-harmonic transform: FFT
-/// scratch, one row of Fourier coefficients, a spectral accumulator and
-/// its flattened `(re, im)` image for cross-rank reduction.
+/// scratch, one row of Fourier coefficients, and one field's spectral
+/// accumulator as flat `(re, im)` pairs — the layout the cross-rank
+/// reduction sends, so the analysis sums straight into the payload.
 ///
 /// Every `_ws`/`_into` method of [`SphericalTransform`] and
 /// [`ParTransform`](crate::ParTransform) borrows the pieces it needs
@@ -183,9 +184,7 @@ pub struct SpectralWorkspace {
     pub(crate) fft: Vec<Complex>,
     /// One longitude row of Fourier coefficients (`m_max + 1`).
     pub(crate) cm: Vec<Complex>,
-    /// Spectral accumulator for the distributed analysis.
-    pub(crate) acc: Vec<Complex>,
-    /// `acc` flattened to `(re, im)` pairs for the allreduce.
+    /// Spectral accumulator of one field, `(re, im)` interleaved.
     pub(crate) flat: Vec<f64>,
 }
 
@@ -196,9 +195,16 @@ impl SpectralWorkspace {
         SpectralWorkspace {
             fft: vec![Complex::ZERO; t.plan.scratch_len()],
             cm: vec![Complex::ZERO; t.trunc.m_max + 1],
-            acc: vec![Complex::ZERO; t.trunc.len()],
             flat: vec![0.0; 2 * t.trunc.len()],
         }
+    }
+}
+
+/// Read spectral coefficients back out of flat `(re, im)` pairs.
+pub(crate) fn unflatten(flat: &[f64], out: &mut [Complex]) {
+    assert_eq!(flat.len(), 2 * out.len());
+    for (c, pair) in out.iter_mut().zip(flat.chunks_exact(2)) {
+        *c = Complex::new(pair[0], pair[1]);
     }
 }
 
@@ -240,7 +246,7 @@ impl SphericalTransform {
     /// Forward (analysis) transform of a full grid field.
     pub fn analyze(&self, f: &Field2) -> SpectralField {
         let mut spec = SpectralField::zeros(self.trunc);
-        self.accumulate_rows(f, 0, f.ny(), &mut spec.data);
+        self.analyze_ws(f, &mut SpectralWorkspace::new(self), &mut spec);
         spec
     }
 
@@ -249,34 +255,31 @@ impl SphericalTransform {
     /// Bit-identical to the allocating form.
     pub fn analyze_ws(&self, f: &Field2, ws: &mut SpectralWorkspace, out: &mut SpectralField) {
         assert_eq!(out.trunc, self.trunc);
-        out.data.fill(Complex::ZERO);
-        self.accumulate_rows_scratch(f, 0, f.ny(), &mut out.data, &mut ws.cm, &mut ws.fft);
+        let SpectralWorkspace { fft, cm, flat } = ws;
+        flat.fill(0.0);
+        self.accumulate_rows(f, 0, f.ny(), flat, cm, fft);
+        unflatten(flat, &mut out.data);
     }
 
-    /// Accumulate the Legendre-quadrature contribution of grid rows
-    /// `[j0, j1)` into `acc` (used directly by the distributed transform;
-    /// the full analysis is the sum of all rows' contributions).
-    pub fn accumulate_rows(&self, f: &Field2, j0: usize, j1: usize, acc: &mut [Complex]) {
-        let mut cm = vec![Complex::ZERO; self.trunc.m_max + 1];
-        let mut fft = vec![Complex::ZERO; self.plan.scratch_len()];
-        self.accumulate_rows_scratch(f, j0, j1, acc, &mut cm, &mut fft);
-    }
-
-    /// [`SphericalTransform::accumulate_rows`] with explicit scratch:
-    /// `cm` holds one row of Fourier coefficients (`m_max + 1`) and
-    /// `fft` the FFT scratch (`FftPlan::scratch_len` of the grid's
-    /// plan). [`SpectralWorkspace`] carries suitably sized buffers.
-    pub fn accumulate_rows_scratch(
+    /// Add the Legendre-quadrature contribution of grid rows `[j0, j1)`
+    /// to `acc`, one field's coefficients as flat `(re, im)` pairs (the
+    /// full analysis is the sum of all rows' contributions, which is
+    /// how the distributed transform uses this). `f` is either the full
+    /// grid or exactly the slab of rows `[j0, j1)`. `cm` holds one row
+    /// of Fourier coefficients (`m_max + 1`) and `fft` the FFT scratch
+    /// (`FftPlan::scratch_len` of the grid's plan); [`SpectralWorkspace`]
+    /// carries suitably sized buffers.
+    pub(crate) fn accumulate_rows(
         &self,
         f: &Field2,
         j0: usize,
         j1: usize,
-        acc: &mut [Complex],
+        acc: &mut [f64],
         cm: &mut [Complex],
         fft: &mut [Complex],
     ) {
         assert_eq!(f.nx(), self.grid.nlon);
-        assert_eq!(acc.len(), self.trunc.len());
+        assert_eq!(acc.len(), 2 * self.trunc.len());
         let m_max = self.trunc.m_max;
         assert_eq!(cm.len(), m_max + 1);
         for (jl, j) in (j0..j1).enumerate() {
@@ -289,12 +292,14 @@ impl SphericalTransform {
             real_analysis_into(&self.plan, row, cm, fft);
             let w = self.grid.weights[j];
             for m in 0..=m_max {
-                let t = &self.tables[m];
-                let base = self.trunc.idx(m, m);
+                let prow = self.tables[m].p_row(j);
+                let base = 2 * self.trunc.idx(m, m);
                 let c = cm[m].scale(w);
-                let prow = t.p_row(j);
-                for (dn, &p) in prow.iter().enumerate() {
-                    acc[base + dn] += c.scale(p);
+                let acc_m = &mut acc[base..base + 2 * prow.len()];
+                for (pair, &p) in acc_m.chunks_exact_mut(2).zip(prow) {
+                    let v = c.scale(p);
+                    pair[0] += v.re;
+                    pair[1] += v.im;
                 }
             }
         }
@@ -347,8 +352,9 @@ impl SphericalTransform {
     }
 
     /// [`SphericalTransform::synthesize_rows_into`] with explicit
-    /// scratch slices (see
-    /// [`SphericalTransform::accumulate_rows_scratch`] for sizes).
+    /// scratch slices: `cm` holds one row of Fourier coefficients
+    /// (`m_max + 1`) and `fft` the FFT scratch (`FftPlan::scratch_len`
+    /// of the grid's plan).
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize_rows_scratch(
         &self,
@@ -594,9 +600,12 @@ mod tests {
         let t = small();
         let spec = rand_spec(&t, 5);
         let grid = t.synthesize(&spec);
+        let mut ws = SpectralWorkspace::new(&t);
+        let SpectralWorkspace { fft, cm, flat } = &mut ws;
+        t.accumulate_rows(&grid, 0, 7, flat, cm, fft);
+        t.accumulate_rows(&grid, 7, t.grid.nlat, flat, cm, fft);
         let mut acc = vec![Complex::ZERO; t.trunc.len()];
-        t.accumulate_rows(&grid, 0, 7, &mut acc);
-        t.accumulate_rows(&grid, 7, t.grid.nlat, &mut acc);
+        unflatten(flat, &mut acc);
         let full = t.analyze(&grid);
         for (a, b) in acc.iter().zip(&full.data) {
             assert!((*a - *b).abs() < 1e-13);

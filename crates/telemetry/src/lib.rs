@@ -119,7 +119,19 @@ pub fn scope(name: &'static str) -> Scope {
     }
 }
 
-/// RAII guard for a phase scope opened with [`scope`].
+/// Re-enter a phase whose calls were already counted: like [`scope`],
+/// but the guard adds only elapsed time to the phase, not a call (see
+/// [`TelemetryRegistry::resume`]).
+#[must_use = "the scope is timed until this guard is dropped"]
+pub fn resume(name: &'static str) -> Scope {
+    let depth = CURRENT.with(|c| c.borrow_mut().as_mut().map(|reg| reg.resume(name)));
+    Scope {
+        depth,
+        _not_send: PhantomData,
+    }
+}
+
+/// RAII guard for a phase scope opened with [`scope`] or [`resume`].
 pub struct Scope {
     /// Stack depth to restore on drop; `None` when telemetry is off.
     depth: Option<usize>,

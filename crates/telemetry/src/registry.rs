@@ -51,9 +51,10 @@ pub struct TelemetryRegistry {
     wall_seconds: f64,
     phases: BTreeMap<String, PhaseStat>,
     counters: BTreeMap<String, u64>,
-    /// Open scopes: (name, start). The full path of the innermost scope
-    /// is the names joined with `/`.
-    stack: Vec<(&'static str, Instant)>,
+    /// Open scopes: (name, start, calls to record on close — 0 for a
+    /// resumed scope). The full path of the innermost scope is the names
+    /// joined with `/`.
+    stack: Vec<(&'static str, Instant, u64)>,
 }
 
 impl TelemetryRegistry {
@@ -94,8 +95,20 @@ impl TelemetryRegistry {
     /// children still open, so a scope abandoned early cannot corrupt
     /// its siblings).
     pub fn open(&mut self, name: &'static str) -> usize {
+        self.push(name, 1)
+    }
+
+    /// Like [`TelemetryRegistry::open`], but the scope adds only its
+    /// time to the phase, not a call: for work that completes calls
+    /// already counted (one global combine finishing a batch of
+    /// transforms), so `calls` keeps meaning "units of work".
+    pub fn resume(&mut self, name: &'static str) -> usize {
+        self.push(name, 0)
+    }
+
+    fn push(&mut self, name: &'static str, calls: u64) -> usize {
         let depth = self.stack.len();
-        self.stack.push((name, Instant::now()));
+        self.stack.push((name, Instant::now(), calls));
         depth
     }
 
@@ -105,17 +118,17 @@ impl TelemetryRegistry {
     /// current stack) is a no-op.
     pub fn close_to(&mut self, depth: usize) {
         while self.stack.len() > depth {
-            let (_, start) = *self.stack.last().expect("stack is non-empty");
+            let (_, start, calls) = *self.stack.last().expect("stack is non-empty");
             let path = self
                 .stack
                 .iter()
-                .map(|(n, _)| *n)
+                .map(|(n, _, _)| *n)
                 .collect::<Vec<_>>()
                 .join("/");
             let seconds = start.elapsed().as_secs_f64();
             self.stack.pop();
             let stat = self.phases.entry(path).or_default();
-            stat.calls += 1;
+            stat.calls += calls;
             stat.seconds += seconds;
         }
     }
@@ -213,6 +226,21 @@ mod tests {
             r.close_to(d);
         }
         assert_eq!(r.phases()["physics"].calls, 5);
+    }
+
+    #[test]
+    fn resumed_scope_adds_time_but_no_call() {
+        let mut r = TelemetryRegistry::new(0);
+        let d = r.open("spectral");
+        r.close_to(d);
+        let before = r.phases()["spectral"].seconds;
+        let d = r.resume("spectral");
+        r.open("reduce");
+        r.close_to(d);
+        assert_eq!(r.phases()["spectral"].calls, 1);
+        assert!(r.phases()["spectral"].seconds >= before);
+        // The child of a resumed scope is an ordinary, counted scope.
+        assert_eq!(r.phases()["spectral/reduce"].calls, 1);
     }
 
     #[test]

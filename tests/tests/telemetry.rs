@@ -9,6 +9,7 @@ use foam::{
     run_coupled, try_run_coupled, CkptConfig, ConfigError, CoupledError, FoamConfig,
     TelemetryConfig,
 };
+use foam_mpi::tag_label;
 use foam_telemetry::{json, SCHEMA};
 
 /// A fresh scratch directory under the system temp dir (the build has
@@ -88,6 +89,53 @@ impl SecondsSane for foam_telemetry::PhaseAgg {
             && self.sum >= 0.0
             && self.min <= self.mean + 1e-12
             && self.mean <= self.max + 1e-12
+    }
+}
+
+/// Field transforms (calls of the `spectral` phase) and global combines
+/// per atmosphere step of a two-rank run with `nlev_phys` physics
+/// levels, orography on.
+fn spectral_work_per_step(nlev_phys: usize) -> (f64, f64) {
+    let mut cfg = FoamConfig::tiny(17);
+    cfg.atm.nlev_phys = nlev_phys;
+    cfg.telemetry.enabled = true;
+    assert!(cfg.atm.orography && cfg.n_atm_ranks == 2);
+    let out = run_coupled(&cfg, 0.5);
+    let report = out.telemetry.expect("telemetry was enabled");
+    let calls = |path: &str| report.phase(path).expect("phase recorded").calls as f64;
+    let transforms = calls("atmosphere/dynamics/spectral") / calls("atmosphere");
+    // The combine is compute + wait inside `spectral`, the wait alone
+    // in its child.
+    assert!(calls("atmosphere/dynamics/spectral/reduce") > 0.0);
+    // Every non-root rank sends one reduce message per allreduce.
+    let reduces: u64 = out
+        .traces
+        .iter()
+        .flat_map(|t| &t.stats.by_tag)
+        .filter(|(tag, _)| tag_label(**tag) == "internal:reduce")
+        .map(|(_, s)| s.msgs_sent)
+        .sum();
+    let steps = out.mean_sst_series.len() * cfg.atm_steps_per_couple();
+    (transforms, reduces as f64 / steps as f64)
+}
+
+#[test]
+fn redundant_transforms_and_combines_do_not_creep_back() {
+    // Per step: 6 ψ-gradient syntheses, 5 transforms per tracer slab
+    // (analysis, two gradient syntheses, Jacobian analysis, synthesis),
+    // 2 shear analyses, and per PV Jacobian two syntheses and one
+    // analysis plus the orographic analysis — 18 + 10·levels. Four
+    // batches, so four allreduces (plus the driver's per-interval ones).
+    for (nlev_phys, budget) in [(18, 198.0), (4, 58.0)] {
+        let (transforms, allreduces) = spectral_work_per_step(nlev_phys);
+        assert!(
+            transforms <= budget,
+            "{transforms} field transforms per step at {nlev_phys} levels (budget {budget})"
+        );
+        assert!(
+            allreduces <= 6.0,
+            "{allreduces} allreduces per step at {nlev_phys} levels"
+        );
     }
 }
 
