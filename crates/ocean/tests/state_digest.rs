@@ -1,0 +1,119 @@
+//! The ocean's bits, frozen. Each case steps an [`OceanModel`] under
+//! [`OceanForcing::climatological`] and compares an FNV-1a digest over
+//! every `to_bits` of the resulting [`OceanState`] with a value recorded
+//! on the allocating, clone-per-level implementation this crate had
+//! before its workspace rewrite. That implementation is gone; these
+//! digests are what is left of it, and any change that moves one has
+//! moved the model's answers (see ROADMAP's re-pin gate before editing a
+//! constant here).
+
+use foam_grid::World;
+use foam_ocean::{OceanConfig, OceanForcing, OceanModel, OceanState};
+
+const DT_COUPLE: f64 = 21_600.0;
+
+fn digest(state: &OceanState) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bits: u64| {
+        for b in bits.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let levels = [&state.t, &state.s, &state.u, &state.v];
+    for field in levels.into_iter().flatten() {
+        field.as_slice().iter().for_each(|x| eat(x.to_bits()));
+    }
+    for field in [&state.baro.eta, &state.baro.u, &state.baro.v] {
+        field.as_slice().iter().for_each(|x| eat(x.to_bits()));
+    }
+    eat(state.step_count);
+    h
+}
+
+/// Step `cfg` and return the digests after 4 and after 12 calls.
+fn coupled_digests(cfg: OceanConfig) -> (u64, u64) {
+    let world = World::earthlike();
+    let model = OceanModel::new(cfg, &world);
+    let mut state = model.init_state(&world);
+    let forcing = OceanForcing::climatological(&model.grid, &world, &model.sst(&state));
+    let mut after_4 = 0;
+    for call in 1..=12 {
+        model.step_coupled(&mut state, &forcing, DT_COUPLE);
+        if call == 4 {
+            after_4 = digest(&state);
+        }
+    }
+    assert!(model.is_finite(&state));
+    (after_4, digest(&state))
+}
+
+#[track_caller]
+fn check<const N: usize>(name: &str, got: [u64; N], want: [u64; N]) {
+    assert_eq!(
+        got, want,
+        "{name}: state digests {got:#018x?}, pinned {want:#018x?}"
+    );
+}
+
+#[test]
+fn tiny_step_coupled() {
+    let (d4, d12) = coupled_digests(OceanConfig::tiny());
+    check(
+        "tiny, 4 and 12 calls",
+        [d4, d12],
+        [0xe4a9_d58f_f72b_041d, 0x9c88_f674_a9be_90d8],
+    );
+}
+
+#[test]
+fn default_step_coupled() {
+    let (d4, d12) = coupled_digests(OceanConfig::default());
+    check(
+        "default, 4 and 12 calls",
+        [d4, d12],
+        [0x1c57_527e_44d9_fb8d, 0x41d7_276c_cc33_d53a],
+    );
+}
+
+#[test]
+fn tiny_without_polar_filter() {
+    let cfg = OceanConfig {
+        polar_filter_on: false,
+        ..OceanConfig::tiny()
+    };
+    let (d4, d12) = coupled_digests(cfg);
+    check(
+        "tiny, no polar filter, 4 and 12 calls",
+        [d4, d12],
+        [0xa3c5_a9bd_f9ee_bf41, 0x0c70_4d8f_360c_257e],
+    );
+}
+
+#[test]
+fn tiny_with_tracers_every_step() {
+    let cfg = OceanConfig {
+        n_trac: 1,
+        ..OceanConfig::tiny()
+    };
+    let (d4, d12) = coupled_digests(cfg);
+    check(
+        "tiny, n_trac = 1, 4 and 12 calls",
+        [d4, d12],
+        [0x4535_f517_3eb2_5e25, 0xba4c_46ea_c77f_07d7],
+    );
+}
+
+#[test]
+fn tiny_step_unsplit() {
+    let world = World::earthlike();
+    let model = OceanModel::new(OceanConfig::tiny(), &world);
+    let mut state = model.init_state(&world);
+    let forcing = OceanForcing::climatological(&model.grid, &world, &model.sst(&state));
+    model.step_unsplit(&mut state, &forcing, DT_COUPLE);
+    assert!(model.is_finite(&state));
+    check(
+        "tiny, 1 unsplit interval",
+        [digest(&state)],
+        [0x3891_9b75_be6a_db4a],
+    );
+}
