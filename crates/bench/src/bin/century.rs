@@ -26,6 +26,7 @@ use foam::{
 use foam_bench::flag_or;
 use foam_ckpt::Codec;
 use foam_grid::{Basin, OceanGrid};
+use foam_ocean::{OceanForcing, OceanModel};
 use foam_telemetry::alloc::{CountingAlloc, SteadyMeter};
 use foam_telemetry::json::Value;
 
@@ -81,6 +82,23 @@ fn basin_profile(
         }
         profile
     })
+}
+
+/// Heap allocations of one warmed-up `OceanModel::step_coupled` on
+/// `cfg`'s ocean: the ocean rank's share of the steady rate, counted
+/// directly (the run's own counters are process-wide). Zero since the
+/// ocean workspace.
+fn ocean_interval_allocations(cfg: &FoamConfig) -> u64 {
+    let world = World::earthlike();
+    let model = OceanModel::new(cfg.ocean.clone(), &world);
+    let mut state = model.init_state(&world);
+    let forcing = OceanForcing::climatological(&model.grid, &world, &model.sst(&state));
+    for _ in 0..2 {
+        model.step_coupled(&mut state, &forcing, cfg.dt_couple);
+    }
+    let meter = SteadyMeter::begin();
+    model.step_coupled(&mut state, &forcing, cfg.dt_couple);
+    meter.so_far().allocations
 }
 
 fn main() {
@@ -156,6 +174,8 @@ fn main() {
             sy,
         );
     }
+    let ocean_allocs = ocean_interval_allocations(&cfg);
+    println!("ocean.step_coupled: {ocean_allocs} allocations per warmed-up coupling interval");
 
     // --- Figure-4 analysis straight off the stream. ---------------------
     let (mut leading_varfrac, mut basin_corr) = (Value::Null, Value::Null);
@@ -230,6 +250,10 @@ fn main() {
                     steady
                         .map(|(sy, d)| Value::Number(d.per(sy).allocations))
                         .unwrap_or(Value::Null),
+                ),
+                (
+                    "ocean_step_coupled_allocations".to_string(),
+                    ocean_allocs.into(),
                 ),
                 (
                     "steady_bytes_per_year".to_string(),

@@ -12,8 +12,12 @@
 //! with the *new* velocities) with semi-implicit Coriolis rotation; a
 //! weak surface smoother suppresses the A-grid checkerboard mode.
 
+use std::cell::RefCell;
+
 use foam_grid::constants::{coriolis, GRAVITY};
 use foam_grid::{Field2, OceanGrid};
+
+use crate::stencil::{Stencil, EAST, NORTH, SOUTH, WEST};
 
 /// The 2-D subsystem bound to a grid, mask and mean depth.
 #[derive(Debug, Clone)]
@@ -30,8 +34,15 @@ pub struct BarotropicSystem {
     pub drag: f64,
     /// Disable rotation (for wave-speed unit tests).
     pub coriolis_on: bool,
-    /// Per-row Coriolis parameter.
-    f_row: Vec<f64>,
+    /// Per-row Coriolis parameter, 2·dx, 2·dy and cell area.
+    pub(crate) f_row: Vec<f64>,
+    pub(crate) two_dx: Vec<f64>,
+    pub(crate) two_dy: Vec<f64>,
+    area: Vec<f64>,
+    pub(crate) stencil: Stencil,
+    /// η after the continuity update, which the smoother reads while it
+    /// corrects η in place. Grown on the first step.
+    eta_new: RefCell<Vec<f64>>,
 }
 
 /// Free-surface state: elevation and depth-mean velocities.
@@ -72,6 +83,10 @@ impl BarotropicSystem {
         assert!(slowdown >= 1.0);
         assert_eq!(mask.len(), grid.len());
         let f_row = grid.lats.iter().map(|&l| coriolis(l)).collect();
+        let two_dx = grid.dx.iter().map(|dx| 2.0 * dx).collect();
+        let two_dy = grid.dy.iter().map(|dy| 2.0 * dy).collect();
+        let area = (0..grid.ny).map(|j| grid.cell_area(0, j)).collect();
+        let stencil = Stencil::new(grid.nx, grid.ny, &mask);
         BarotropicSystem {
             grid,
             mask,
@@ -80,6 +95,11 @@ impl BarotropicSystem {
             drag: 1.0e-6,
             coriolis_on: true,
             f_row,
+            two_dx,
+            two_dy,
+            area,
+            stencil,
+            eta_new: RefCell::new(Vec::new()),
         }
     }
 
@@ -106,19 +126,6 @@ impl BarotropicSystem {
         0.5 * dx_min / self.wave_speed()
     }
 
-    /// Surface value with a zero-gradient (no pressure force) condition
-    /// across coastlines.
-    #[inline]
-    fn eta_at(&self, eta: &Field2, i: isize, j: usize, i0: usize, j0: usize) -> f64 {
-        let nx = self.grid.nx as isize;
-        let iw = (((i % nx) + nx) % nx) as usize;
-        if self.mask[self.grid.idx(iw, j)] {
-            eta.get(iw, j)
-        } else {
-            eta.get(i0, j0)
-        }
-    }
-
     /// One forward–backward step: `fx`, `fy` are body accelerations
     /// \[m/s²\] (wind stress / H, vertically integrated baroclinic
     /// forcing).
@@ -126,112 +133,115 @@ impl BarotropicSystem {
         let g = &self.grid;
         let (nx, ny) = (g.nx, g.ny);
         let ge = self.g_eff();
+        let Stencil { ie, iw, flags, .. } = &self.stencil;
+        let (fx, fy) = (fx.as_slice(), fy.as_slice());
+        let (eta, u, v) = (
+            st.eta.as_mut_slice(),
+            st.u.as_mut_slice(),
+            st.v.as_mut_slice(),
+        );
 
         // --- Momentum (semi-implicit rotation). -----------------------
         for j in 0..ny {
             let f = if self.coriolis_on { self.f_row[j] } else { 0.0 };
             let a = f * dt;
             let denom = 1.0 + a * a;
+            let interior = j > 0 && j < ny - 1;
+            let row = j * nx;
             for i in 0..nx {
-                let k = g.idx(i, j);
-                if !self.mask[k] {
-                    st.u.set(i, j, 0.0);
-                    st.v.set(i, j, 0.0);
+                let c = row + i;
+                let fl = flags[c];
+                if fl == 0 {
+                    u[c] = 0.0;
+                    v[c] = 0.0;
                     continue;
                 }
-                let detadx = (self.eta_at(&st.eta, i as isize + 1, j, i, j)
-                    - self.eta_at(&st.eta, i as isize - 1, j, i, j))
-                    / (2.0 * g.dx[j]);
-                let detady = if j > 0 && j < ny - 1 {
-                    let n = if self.mask[g.idx(i, j + 1)] {
-                        st.eta.get(i, j + 1)
-                    } else {
-                        st.eta.get(i, j)
-                    };
-                    let s = if self.mask[g.idx(i, j - 1)] {
-                        st.eta.get(i, j - 1)
-                    } else {
-                        st.eta.get(i, j)
-                    };
-                    (n - s) / (2.0 * g.dy[j])
+                // Surface value across a face, with a zero-gradient (no
+                // pressure force) condition across coastlines.
+                let across = |side: u8, nb: usize| if fl & side != 0 { eta[nb] } else { eta[c] };
+                let detadx =
+                    (across(EAST, row + ie[i]) - across(WEST, row + iw[i])) / self.two_dx[j];
+                let detady = if interior {
+                    (across(NORTH, c + nx) - across(SOUTH, c - nx)) / self.two_dy[j]
                 } else {
                     0.0
                 };
                 // Explicit accelerations except rotation.
-                let au = -ge * detadx + fx.get(i, j) - self.drag * st.u.get(i, j);
-                let av = -ge * detady + fy.get(i, j) - self.drag * st.v.get(i, j);
-                let us = st.u.get(i, j) + dt * au;
-                let vs = st.v.get(i, j) + dt * av;
+                let au = -ge * detadx + fx[c] - self.drag * u[c];
+                let av = -ge * detady + fy[c] - self.drag * v[c];
+                let us = u[c] + dt * au;
+                let vs = v[c] + dt * av;
                 // Semi-implicit rotation of (us, vs) by f dt.
-                let un = (us + a * vs) / denom;
-                let vn = (vs - a * us) / denom;
-                st.u.set(i, j, un);
-                st.v.set(i, j, vn);
+                u[c] = (us + a * vs) / denom;
+                v[c] = (vs - a * us) / denom;
             }
         }
 
         // --- Continuity with the *new* velocities (backward part), in
         // exactly conservative finite-volume form: volume fluxes through
         // faces, zero through coastlines and the domain's N/S walls. ----
-        let mut eta_new = st.eta.clone();
-        let sea = |i: usize, j: usize| self.mask[g.idx(i, j)];
+        let mut eta_new = self.eta_new.borrow_mut();
+        eta_new.resize(nx * ny, 0.0);
+        let eta_new = eta_new.as_mut_slice();
+        eta_new[..nx].copy_from_slice(&eta[..nx]);
+        eta_new[(ny - 1) * nx..].copy_from_slice(&eta[(ny - 1) * nx..]);
         for j in 1..ny - 1 {
             // Face lengths: x-faces have length dy; y-faces have length
             // dx evaluated at the face latitude.
             let dxf_n = 0.5 * (g.dx[j] + g.dx[j + 1]);
             let dxf_s = 0.5 * (g.dx[j] + g.dx[j - 1]);
+            let mut open = !0u8;
+            if j + 1 == ny - 1 {
+                open &= !NORTH;
+            }
+            if j == 1 {
+                open &= !SOUTH;
+            }
+            let row = j * nx;
             for i in 0..nx {
-                if !sea(i, j) {
+                let c = row + i;
+                let fl = flags[c] & open;
+                if fl == 0 {
+                    eta_new[c] = eta[c];
                     continue;
                 }
-                let area = g.cell_area(i, j);
-                let ie = (i + 1) % nx;
-                let iw = (i + nx - 1) % nx;
-                let fe = if sea(ie, j) {
-                    0.5 * (st.u.get(i, j) + st.u.get(ie, j)) * g.dy[j]
-                } else {
-                    0.0
+                let flux = |side: u8, a: f64, b: f64, len: f64| {
+                    if fl & side != 0 {
+                        0.5 * (a + b) * len
+                    } else {
+                        0.0
+                    }
                 };
-                let fw = if sea(iw, j) {
-                    0.5 * (st.u.get(iw, j) + st.u.get(i, j)) * g.dy[j]
-                } else {
-                    0.0
-                };
-                let fn_ = if j + 1 < ny - 1 && sea(i, j + 1) {
-                    0.5 * (st.v.get(i, j) + st.v.get(i, j + 1)) * dxf_n
-                } else {
-                    0.0
-                };
-                let fs = if j > 1 && sea(i, j - 1) {
-                    0.5 * (st.v.get(i, j - 1) + st.v.get(i, j)) * dxf_s
-                } else {
-                    0.0
-                };
-                let div = (fe - fw + fn_ - fs) / area;
-                eta_new.set(i, j, st.eta.get(i, j) - dt * self.depth * div);
+                let fe = flux(EAST, u[c], u[row + ie[i]], g.dy[j]);
+                let fw = flux(WEST, u[row + iw[i]], u[c], g.dy[j]);
+                let fn_ = flux(NORTH, v[c], v[c + nx], dxf_n);
+                let fs = flux(SOUTH, v[c - nx], v[c], dxf_s);
+                let div = (fe - fw + fn_ - fs) / self.area[j];
+                eta_new[c] = eta[c] - dt * self.depth * div;
             }
         }
         // Weak conservative smoother on η (flux exchange between sea
         // neighbours) to suppress the unstaggered-grid checkerboard —
         // the 2-D counterpart of the paper's ∇⁴ dissipation.
-        let c = 0.01;
-        st.eta = eta_new.clone();
+        let c_smooth = 0.01;
+        eta.copy_from_slice(eta_new);
         for j in 1..ny - 1 {
+            let a0 = self.area[j];
+            let north_open = j + 1 < ny - 1;
+            let row = j * nx;
             for i in 0..nx {
-                if !sea(i, j) {
-                    continue;
+                let c = row + i;
+                let fl = flags[c];
+                if fl & EAST != 0 {
+                    let e = row + ie[i];
+                    let f = c_smooth * (eta_new[e] - eta_new[c]);
+                    eta[c] += 0.5 * f;
+                    eta[e] -= 0.5 * f * a0 / self.area[j];
                 }
-                let ie = (i + 1) % nx;
-                let a0 = g.cell_area(i, j);
-                if sea(ie, j) {
-                    let f = c * (eta_new.get(ie, j) - eta_new.get(i, j));
-                    st.eta[(i, j)] += 0.5 * f;
-                    st.eta[(ie, j)] -= 0.5 * f * a0 / g.cell_area(ie, j);
-                }
-                if j + 1 < ny - 1 && sea(i, j + 1) {
-                    let f = c * (eta_new.get(i, j + 1) - eta_new.get(i, j));
-                    st.eta[(i, j)] += 0.5 * f;
-                    st.eta[(i, j + 1)] -= 0.5 * f * a0 / g.cell_area(i, j + 1);
+                if north_open && fl & NORTH != 0 {
+                    let f = c_smooth * (eta_new[c + nx] - eta_new[c]);
+                    eta[c] += 0.5 * f;
+                    eta[c + nx] -= 0.5 * f * a0 / self.area[j + 1];
                 }
             }
         }
@@ -259,7 +269,7 @@ impl BarotropicSystem {
         for j in 0..g.ny {
             for i in 0..g.nx {
                 if self.mask[g.idx(i, j)] {
-                    v += st.eta.get(i, j) * g.cell_area(i, j);
+                    v += st.eta.get(i, j) * self.area[j];
                 }
             }
         }

@@ -32,5 +32,6 @@ pub mod eos;
 pub mod mixing;
 pub mod model;
 pub mod polar;
+mod stencil;
 
 pub use model::{OceanConfig, OceanForcing, OceanModel, OceanState, SplitScheme};

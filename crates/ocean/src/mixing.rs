@@ -67,50 +67,67 @@ pub fn richardson(
     n2 / shear2.max(1.0e-10)
 }
 
-/// Implicit vertical diffusion of a column `x` with per-interface
-/// diffusivities `k_int` (length `n − 1`) and layer thicknesses `dz`.
-/// Conserves ∑ x·dz exactly (no-flux boundaries).
-pub fn diffuse_column(x: &mut [f64], k_int: &[f64], dz: &[f64], dt: f64) {
-    let n = x.len();
-    if n < 2 {
-        return;
-    }
-    assert_eq!(k_int.len(), n - 1);
-    let mut a = vec![0.0; n];
-    let mut b = vec![0.0; n];
-    let mut c = vec![0.0; n];
-    for k in 0..n {
-        let g_up = if k > 0 {
-            k_int[k - 1] / (0.5 * (dz[k - 1] + dz[k]))
-        } else {
-            0.0
-        };
-        let g_dn = if k < n - 1 {
-            k_int[k] / (0.5 * (dz[k] + dz[k + 1]))
-        } else {
-            0.0
-        };
-        b[k] = 1.0 + dt * (g_up + g_dn) / dz[k];
-        if k > 0 {
-            a[k] = -dt * g_up / dz[k];
-        }
-        if k < n - 1 {
-            c[k] = -dt * g_dn / dz[k];
+/// Implicit vertical diffusion of columns on fixed layer thicknesses.
+/// No-flux boundaries, so ∑ x·dz is conserved exactly.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnDiffuser {
+    dz: Vec<f64>,
+    /// Distance between adjacent layer centres, `0.5 * (dz[k] + dz[k+1])`.
+    pub dz_int: Vec<f64>,
+}
+
+impl ColumnDiffuser {
+    pub fn new(dz: &[f64]) -> Self {
+        ColumnDiffuser {
+            dz: dz.to_vec(),
+            dz_int: dz.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect(),
         }
     }
-    // Thomas algorithm.
-    let mut cp = vec![0.0; n];
-    let mut dp = vec![0.0; n];
-    cp[0] = c[0] / b[0];
-    dp[0] = x[0] / b[0];
-    for k in 1..n {
-        let den = b[k] - a[k] * cp[k - 1];
-        cp[k] = c[k] / den;
-        dp[k] = (x[k] - a[k] * dp[k - 1]) / den;
-    }
-    x[n - 1] = dp[n - 1];
-    for k in (0..n - 1).rev() {
-        x[k] = dp[k] - cp[k] * x[k + 1];
+
+    /// Diffuse two columns that share the per-interface diffusivities
+    /// `k_int` (length `n − 1`) over `dt`: the tridiagonal matrix is
+    /// built and factorised once (Thomas algorithm) and both right-hand
+    /// sides ride the same sweep. `cp` is scratch of length `n`.
+    pub fn diffuse_pair(
+        &self,
+        x: &mut [f64],
+        y: &mut [f64],
+        k_int: &[f64],
+        dt: f64,
+        cp: &mut [f64],
+    ) {
+        let n = x.len();
+        if n < 2 {
+            return;
+        }
+        assert!(y.len() == n && k_int.len() == n - 1 && self.dz.len() == n && cp.len() == n);
+        let dz = &self.dz;
+        let mut g_up = 0.0;
+        for k in 0..n {
+            let g_dn = if k < n - 1 {
+                k_int[k] / self.dz_int[k]
+            } else {
+                0.0
+            };
+            let b = 1.0 + dt * (g_up + g_dn) / dz[k];
+            let c = if k < n - 1 { -dt * g_dn / dz[k] } else { 0.0 };
+            if k == 0 {
+                cp[0] = c / b;
+                x[0] /= b;
+                y[0] /= b;
+            } else {
+                let a = -dt * g_up / dz[k];
+                let den = b - a * cp[k - 1];
+                cp[k] = c / den;
+                x[k] = (x[k] - a * x[k - 1]) / den;
+                y[k] = (y[k] - a * y[k - 1]) / den;
+            }
+            g_up = g_dn;
+        }
+        for k in (0..n - 1).rev() {
+            x[k] -= cp[k] * x[k + 1];
+            y[k] -= cp[k] * y[k + 1];
+        }
     }
 }
 
@@ -166,6 +183,83 @@ pub fn convective_adjustment(t: &mut [f64], s: &mut [f64], dz: &[f64], max_sweep
 mod tests {
     use super::*;
     use foam_grid::constants::S_REF;
+    use rand::{Rng, SeedableRng};
+
+    /// The one-column solver `ColumnDiffuser::diffuse_pair` replaced,
+    /// kept as its reference.
+    fn diffuse_column(x: &mut [f64], k_int: &[f64], dz: &[f64], dt: f64) {
+        let n = x.len();
+        if n < 2 {
+            return;
+        }
+        assert_eq!(k_int.len(), n - 1);
+        let mut a = vec![0.0; n];
+        let mut b = vec![0.0; n];
+        let mut c = vec![0.0; n];
+        for k in 0..n {
+            let g_up = if k > 0 {
+                k_int[k - 1] / (0.5 * (dz[k - 1] + dz[k]))
+            } else {
+                0.0
+            };
+            let g_dn = if k < n - 1 {
+                k_int[k] / (0.5 * (dz[k] + dz[k + 1]))
+            } else {
+                0.0
+            };
+            b[k] = 1.0 + dt * (g_up + g_dn) / dz[k];
+            if k > 0 {
+                a[k] = -dt * g_up / dz[k];
+            }
+            if k < n - 1 {
+                c[k] = -dt * g_dn / dz[k];
+            }
+        }
+        // Thomas algorithm.
+        let mut cp = vec![0.0; n];
+        let mut dp = vec![0.0; n];
+        cp[0] = c[0] / b[0];
+        dp[0] = x[0] / b[0];
+        for k in 1..n {
+            let den = b[k] - a[k] * cp[k - 1];
+            cp[k] = c[k] / den;
+            dp[k] = (x[k] - a[k] * dp[k - 1]) / den;
+        }
+        x[n - 1] = dp[n - 1];
+        for k in (0..n - 1).rev() {
+            x[k] = dp[k] - cp[k] * x[k + 1];
+        }
+    }
+
+    fn diffuse(x: &mut [f64], k_int: &[f64], dz: &[f64], dt: f64) {
+        let mut twin = x.to_vec();
+        let mut cp = vec![0.0; x.len()];
+        ColumnDiffuser::new(dz).diffuse_pair(x, &mut twin, k_int, dt, &mut cp);
+        assert_eq!(x, &twin[..]);
+    }
+
+    #[test]
+    fn pair_solve_matches_two_single_solves_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for n in 2..=20 {
+            for _ in 0..50 {
+                let dz: Vec<f64> = (0..n).map(|_| rng.random_range(5.0..500.0)).collect();
+                let k_int: Vec<f64> = (0..n - 1).map(|_| rng.random_range(1.0e-6..0.1)).collect();
+                let dt = rng.random_range(600.0..1.0e5);
+                let x: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..30.0)).collect();
+                let y: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+                let (mut xr, mut yr) = (x.clone(), y.clone());
+                diffuse_column(&mut xr, &k_int, &dz, dt);
+                diffuse_column(&mut yr, &k_int, &dz, dt);
+                let (mut xp, mut yp) = (x, y);
+                let mut cp = vec![0.0; n];
+                ColumnDiffuser::new(&dz).diffuse_pair(&mut xp, &mut yp, &k_int, dt, &mut cp);
+                let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&xp), bits(&xr), "n = {n}");
+                assert_eq!(bits(&yp), bits(&yr), "n = {n}");
+            }
+        }
+    }
 
     #[test]
     fn pp_mixing_shuts_down_with_stratification() {
@@ -206,7 +300,7 @@ mod tests {
         let dz = [10.0, 20.0, 40.0, 80.0];
         let mut t = [25.0, 18.0, 10.0, 4.0];
         let total0: f64 = t.iter().zip(&dz).map(|(x, d)| x * d).sum();
-        diffuse_column(&mut t, &[1e-3, 1e-4, 1e-5], &dz, 86_400.0);
+        diffuse(&mut t, &[1e-3, 1e-4, 1e-5], &dz, 86_400.0);
         let total1: f64 = t.iter().zip(&dz).map(|(x, d)| x * d).sum();
         assert!((total1 - total0).abs() < 1e-9 * total0.abs());
         // Smoothing: top cooled, layer below warmed.
@@ -217,7 +311,7 @@ mod tests {
     fn diffusion_is_stable_for_huge_dt() {
         let dz = [25.0; 8];
         let mut t = [30.0, 2.0, 30.0, 2.0, 30.0, 2.0, 30.0, 2.0];
-        diffuse_column(&mut t, &[0.05; 7], &dz, 1.0e7);
+        diffuse(&mut t, &[0.05; 7], &dz, 1.0e7);
         // Implicit solve → bounded by initial extremes.
         for &v in &t {
             assert!((2.0 - 1e-6..=30.0 + 1e-6).contains(&v));

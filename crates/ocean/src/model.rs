@@ -1,15 +1,16 @@
 //! The full ocean model: internal (baroclinic) dynamics, tracers, and the
 //! nested FOAM time-stepping scheme, plus the unsplit baseline.
 
-use foam_grid::constants::{
-    coriolis, CP_SEAWATER, GRAVITY, RHO_SEAWATER, SEAWATER_FREEZE_C, S_REF,
-};
+use std::cell::{OnceCell, RefCell};
+
+use foam_grid::constants::{CP_SEAWATER, GRAVITY, RHO_SEAWATER, SEAWATER_FREEZE_C, S_REF};
 use foam_grid::{Field2, OceanGrid, VerticalGrid, World};
 
 use crate::barotropic::{BarotropicState, BarotropicSystem};
 use crate::eos::density_anomaly;
-use crate::mixing::{convective_adjustment, diffuse_column, richardson, PpParams};
+use crate::mixing::{convective_adjustment, richardson, ColumnDiffuser, PpParams};
 use crate::polar::PolarFilter;
+use crate::stencil::{Cell, EAST, NORTH, SOUTH, WEST};
 
 /// Which stepping scheme a run uses (the subject of ablation A1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,6 +195,68 @@ impl foam_ckpt::Codec for OceanForcing {
     }
 }
 
+/// Per-row metric terms, tabulated once.
+struct RowTables {
+    /// cos φ at each row's north face: the mean of the two adjacent row
+    /// centres' cosines.
+    cos_north: Vec<f64>,
+    dx2: Vec<f64>,
+    dy2: Vec<f64>,
+    /// dy · cos φ.
+    dy_cos: Vec<f64>,
+}
+
+impl RowTables {
+    fn new(grid: &OceanGrid) -> Self {
+        let cos: Vec<f64> = grid.lats.iter().map(|l| l.cos()).collect();
+        RowTables {
+            cos_north: cos.windows(2).map(|c| 0.5 * (c[0] + c[1])).collect(),
+            dx2: grid.dx.iter().map(|dx| dx * dx).collect(),
+            dy2: grid.dy.iter().map(|dy| dy * dy).collect(),
+            dy_cos: grid.dy.iter().zip(&cos).map(|(dy, c)| dy * c).collect(),
+        }
+    }
+}
+
+/// Every buffer a step needs, allocated on the model's first step and
+/// reused for its lifetime (the zero-churn rule of PERFORMANCE.md).
+struct Workspace {
+    /// One slab, carved differently by the two phases that need full 3-D
+    /// scratch and never overlap in time. Baroclinic: Fx and Fy per
+    /// level, the running hydrostatic pressure, φ, ∇²u, ∇²v. Tracers:
+    /// east- and north-face velocities and w per level.
+    slab: Vec<f64>,
+    /// The depth-mean forcings from the baroclinic phase to the end of
+    /// the barotropic subcycle; the new T and S level in the tracer
+    /// phase.
+    pair: [Field2; 2],
+    /// Depth-mean velocity accumulators of one row (2 · nx).
+    row: Vec<f64>,
+    /// One column of T, S, u, v (nz each), the interface diffusivity and
+    /// viscosity (nz − 1 each) and the tridiagonal solver's scratch (nz).
+    column: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(nx: usize, ny: usize, nz: usize) -> Self {
+        Workspace {
+            slab: vec![0.0; nx * ny * (3 * nz).max(2 * nz + 4)],
+            pair: [Field2::zeros(nx, ny), Field2::zeros(nx, ny)],
+            row: vec![0.0; 2 * nx],
+            column: vec![0.0; 7 * nz - 2],
+        }
+    }
+}
+
+/// Split the front of `slab` into consecutive pieces of the given lengths.
+fn carve<const N: usize>(mut slab: &mut [f64], lens: [usize; N]) -> [&mut [f64]; N] {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut slab).split_at_mut(len);
+        slab = tail;
+        head
+    })
+}
+
 /// The ocean component.
 pub struct OceanModel {
     pub cfg: OceanConfig,
@@ -202,8 +265,17 @@ pub struct OceanModel {
     /// `true` = sea.
     pub mask: Vec<bool>,
     pub baro_sys: BarotropicSystem,
+    /// The full-gravity (α = 1) subsystem of the unsplit baseline, built
+    /// when that scheme first runs.
+    full_sys: OnceCell<BarotropicSystem>,
     filter: PolarFilter,
-    f_row: Vec<f64>,
+    /// Per-row metric terms; the stencil, Coriolis and 2·dx, 2·dy tables
+    /// are `baro_sys`'s, which is bound to the same grid and mask.
+    rows: RowTables,
+    diffuser: ColumnDiffuser,
+    /// Flat indices of the land cells.
+    land: Vec<usize>,
+    ws: RefCell<Option<Workspace>>,
 }
 
 impl OceanModel {
@@ -228,15 +300,18 @@ impl OceanModel {
         let mask = Self::effective_sea_mask(&cfg, world);
         let baro_sys = BarotropicSystem::new(grid.clone(), mask.clone(), cfg.depth, cfg.slowdown);
         let filter = PolarFilter::new(&grid, cfg.polar_lat);
-        let f_row = grid.lats.iter().map(|&l| coriolis(l)).collect();
         OceanModel {
+            rows: RowTables::new(&grid),
+            diffuser: ColumnDiffuser::new(&vert.thickness),
+            land: (0..mask.len()).filter(|&c| !mask[c]).collect(),
+            full_sys: OnceCell::new(),
+            ws: RefCell::new(None),
             cfg,
             grid,
             vert,
             mask,
             baro_sys,
             filter,
-            f_row,
         }
     }
 
@@ -287,193 +362,139 @@ impl OceanModel {
         state.t[0].clone()
     }
 
-    /// Total velocity (baroclinic + barotropic) of level `k` at `(i, j)`.
-    #[inline]
-    pub fn u_total(&self, state: &OceanState, k: usize, i: usize, j: usize) -> f64 {
-        state.u[k].get(i, j) + state.baro.u.get(i, j)
+    /// `(nx, nx · ny, nz)`.
+    fn dims(&self) -> (usize, usize, usize) {
+        (self.grid.nx, self.grid.len(), self.cfg.nz)
     }
 
-    #[inline]
-    pub fn v_total(&self, state: &OceanState, k: usize, i: usize, j: usize) -> f64 {
-        state.v[k].get(i, j) + state.baro.v.get(i, j)
+    /// The rows every kernel below walks: all but 0 and ny − 1, which
+    /// [`OceanModel::effective_sea_mask`] closed.
+    fn interior(&self) -> std::ops::Range<usize> {
+        1..self.grid.ny - 1
     }
 
     // ------------------------------------------------------------------
     // Dynamics pieces
     // ------------------------------------------------------------------
 
-    /// Geopotential (p′/ρ₀) per level from the hydrostatic integral of
-    /// the density anomaly \[m²/s²\].
-    fn baroclinic_geopotential(&self, state: &OceanState) -> Vec<Field2> {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
-        let mut phi = vec![Field2::zeros(nx, ny); nz];
-        for j in 0..ny {
-            for i in 0..nx {
-                if !self.mask[self.grid.idx(i, j)] {
-                    continue;
-                }
-                let mut p = 0.0;
-                for k in 0..nz {
-                    let rho = density_anomaly(state.t[k].get(i, j), state.s[k].get(i, j));
-                    let half = 0.5 * GRAVITY * rho * self.vert.thickness[k] / RHO_SEAWATER;
-                    p += half;
-                    phi[k].set(i, j, p);
-                    p += half;
-                }
-            }
-        }
-        phi
-    }
-
-    /// Grid-scale biharmonic damping of a field (non-dimensional
-    /// Laplacian applied twice), masked to sea cells.
-    fn del4(&self, f: &Field2) -> Field2 {
-        let lap = self.lap_gridunits(f);
-        self.lap_gridunits(&lap)
-    }
-
-    fn lap_gridunits(&self, f: &Field2) -> Field2 {
-        let (nx, ny) = (self.grid.nx, self.grid.ny);
-        let mut out = Field2::zeros(nx, ny);
-        for j in 0..ny {
-            for i in 0..nx {
-                let k = self.grid.idx(i, j);
-                if !self.mask[k] {
-                    continue;
-                }
-                let c = f.get(i, j);
-                let mut acc = 0.0;
-                let mut cnt = 0.0;
-                let e = ((i + 1) % nx, j);
-                let w = ((i + nx - 1) % nx, j);
-                for (ii, jj) in [e, w] {
-                    if self.mask[self.grid.idx(ii, jj)] {
-                        acc += f.get(ii, jj) - c;
-                        cnt += 1.0;
-                    }
-                }
-                if j + 1 < ny && self.mask[self.grid.idx(i, j + 1)] {
-                    acc += f.get(i, j + 1) - c;
-                    cnt += 1.0;
-                }
-                if j > 0 && self.mask[self.grid.idx(i, j - 1)] {
-                    acc += f.get(i, j - 1) - c;
-                    cnt += 1.0;
-                }
-                let _ = cnt;
-                out.set(i, j, acc);
-            }
-        }
-        out
-    }
-
-    /// Per-level momentum forcings (accelerations \[m/s²\]) and their
-    /// depth mean: (Fx levels, Fy levels, fx mean, fy mean).
-    fn momentum_forcings(
+    /// Level `k`'s fields for the momentum forcings: its share of the
+    /// hydrostatic integral of the density anomaly — `p` (p′/ρ₀
+    /// \[m²/s²\]) enters at the level's top and leaves at its bottom,
+    /// `phi` gets the mid-level geopotential — and the grid-unit
+    /// Laplacians of u and v, whose Laplacians in turn are the ∇⁴
+    /// damping.
+    fn level_fields(
         &self,
         state: &OceanState,
-        forcing: &OceanForcing,
-    ) -> (Vec<Field2>, Vec<Field2>, Field2, Field2) {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
-        let phi = self.baroclinic_geopotential(state);
-        let mut fx = vec![Field2::zeros(nx, ny); nz];
-        let mut fy = vec![Field2::zeros(nx, ny); nz];
-        let mut mx = Field2::zeros(nx, ny);
-        let mut my = Field2::zeros(nx, ny);
+        k: usize,
+        p: &mut [f64],
+        phi: &mut [f64],
+        lap_u: &mut [f64],
+        lap_v: &mut [f64],
+    ) {
+        let (t, s) = (state.t[k].as_slice(), state.s[k].as_slice());
+        let (u, v) = (state.u[k].as_slice(), state.v[k].as_slice());
+        let dz = self.vert.thickness[k];
+        for j in self.interior() {
+            for cell in self.baro_sys.stencil.row_cells(j) {
+                let c = cell.c;
+                let rho = density_anomaly(t[c], s[c]);
+                let half = 0.5 * GRAVITY * rho * dz / RHO_SEAWATER;
+                p[c] += half;
+                phi[c] = p[c];
+                p[c] += half;
+                lap_u[c] = cell.lap(u);
+                lap_v[c] = cell.lap(v);
+            }
+        }
+    }
+
+    /// Per-level momentum forcings (accelerations \[m/s²\]) into the
+    /// slab and their depth mean into the field pair.
+    fn momentum_forcings(&self, state: &OceanState, forcing: &OceanForcing, ws: &mut Workspace) {
+        let (_, n, nz) = self.dims();
+        let [fx, fy, p, phi, lap_u, lap_v] = carve(&mut ws.slab, [nz * n, nz * n, n, n, n, n]);
+        let [mx, my] = &mut ws.pair;
+        mx.fill(0.0);
+        my.fill(0.0);
+        let (mx, my) = (mx.as_mut_slice(), my.as_mut_slice());
+        p.fill(0.0);
+        let (ub, vb) = (state.baro.u.as_slice(), state.baro.v.as_slice());
+        let (tau_x, tau_y) = (forcing.tau_x.as_slice(), forcing.tau_y.as_slice());
+        let top_mass = RHO_SEAWATER * self.vert.thickness[0];
+        let (nu4, dt_int) = (self.cfg.nu4, self.cfg.dt_int);
         for k in 0..nz {
-            let d4u = self.del4(&state.u[k]);
-            let d4v = self.del4(&state.v[k]);
-            for j in 1..ny - 1 {
-                for i in 0..nx {
-                    let kk = self.grid.idx(i, j);
-                    if !self.mask[kk] {
-                        continue;
-                    }
+            self.level_fields(state, k, p, phi, lap_u, lap_v);
+            let (u, v) = (state.u[k].as_slice(), state.v[k].as_slice());
+            let (fx, fy) = (&mut fx[k * n..(k + 1) * n], &mut fy[k * n..(k + 1) * n]);
+            let w = self.vert.thickness[k] / self.cfg.depth;
+            for j in self.interior() {
+                let (two_dx, two_dy) = (self.baro_sys.two_dx[j], self.baro_sys.two_dy[j]);
+                for cell in self.baro_sys.stencil.row_cells(j) {
+                    let c = cell.c;
                     // Baroclinic pressure gradient (zero-gradient at coast).
-                    let pe = if self.mask[self.grid.idx((i + 1) % nx, j)] {
-                        phi[k].get((i + 1) % nx, j)
-                    } else {
-                        phi[k].get(i, j)
-                    };
-                    let pw = if self.mask[self.grid.idx((i + nx - 1) % nx, j)] {
-                        phi[k].get((i + nx - 1) % nx, j)
-                    } else {
-                        phi[k].get(i, j)
-                    };
-                    let pn = if self.mask[self.grid.idx(i, j + 1)] {
-                        phi[k].get(i, j + 1)
-                    } else {
-                        phi[k].get(i, j)
-                    };
-                    let ps = if self.mask[self.grid.idx(i, j - 1)] {
-                        phi[k].get(i, j - 1)
-                    } else {
-                        phi[k].get(i, j)
-                    };
-                    let mut ax = -(pe - pw) / (2.0 * self.grid.dx[j])
-                        - self.cfg.nu4 * d4u.get(i, j) / self.cfg.dt_int;
-                    let mut ay = -(pn - ps) / (2.0 * self.grid.dy[j])
-                        - self.cfg.nu4 * d4v.get(i, j) / self.cfg.dt_int;
+                    let pe = cell.across(phi, EAST, cell.e);
+                    let pw = cell.across(phi, WEST, cell.w);
+                    let pn = cell.across(phi, NORTH, cell.n);
+                    let ps = cell.across(phi, SOUTH, cell.s);
+                    // Grid-scale biharmonic damping (the non-dimensional
+                    // Laplacian applied twice, masked to sea cells).
+                    let mut ax = -(pe - pw) / two_dx - nu4 * cell.lap(lap_u) / dt_int;
+                    let mut ay = -(pn - ps) / two_dy - nu4 * cell.lap(lap_v) / dt_int;
                     if k == 0 {
                         // Wind stress into the top layer.
-                        ax += forcing.tau_x.get(i, j) / (RHO_SEAWATER * self.vert.thickness[0]);
-                        ay += forcing.tau_y.get(i, j) / (RHO_SEAWATER * self.vert.thickness[0]);
+                        ax += tau_x[c] / top_mass;
+                        ay += tau_y[c] / top_mass;
                     }
                     if k == nz - 1 {
                         // Linear bottom drag on the bottom layer.
                         let r = 1.0e-6;
-                        ax -= r * self.u_total(state, k, i, j);
-                        ay -= r * self.v_total(state, k, i, j);
+                        ax -= r * (u[c] + ub[c]);
+                        ay -= r * (v[c] + vb[c]);
                     }
-                    fx[k].set(i, j, ax);
-                    fy[k].set(i, j, ay);
-                    let w = self.vert.thickness[k] / self.cfg.depth;
-                    mx[(i, j)] += w * ax;
-                    my[(i, j)] += w * ay;
+                    fx[c] = ax;
+                    fy[c] = ay;
+                    mx[c] += w * ax;
+                    my[c] += w * ay;
                 }
             }
         }
-        (fx, fy, mx, my)
     }
 
     /// Internal momentum step: advance baroclinic shear velocities with
     /// the deviation forcings and semi-implicit rotation, then remove any
     /// residual depth mean (it belongs to the barotropic system).
-    fn internal_momentum_step(
-        &self,
-        state: &mut OceanState,
-        fx: &[Field2],
-        fy: &[Field2],
-        mx: &Field2,
-        my: &Field2,
-        dt: f64,
-    ) {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
-        for j in 0..ny {
-            let f = self.f_row[j];
-            let a = f * dt;
+    fn internal_momentum_step(&self, state: &mut OceanState, ws: &mut Workspace, dt: f64) {
+        let (nx, n, nz) = self.dims();
+        let [fx, fy] = carve(&mut ws.slab, [nz * n, nz * n]);
+        let (mx, my) = (ws.pair[0].as_slice(), ws.pair[1].as_slice());
+        let (ubar, vbar) = ws.row.split_at_mut(nx);
+        let stencil = &self.baro_sys.stencil;
+        for j in self.interior() {
+            let a = self.baro_sys.f_row[j] * dt;
             let denom = 1.0 + a * a;
-            for i in 0..nx {
-                let kk = self.grid.idx(i, j);
-                if !self.mask[kk] {
-                    continue;
-                }
-                let mut ubar = 0.0;
-                let mut vbar = 0.0;
-                for k in 0..nz {
-                    let us = state.u[k].get(i, j) + dt * (fx[k].get(i, j) - mx.get(i, j));
-                    let vs = state.v[k].get(i, j) + dt * (fy[k].get(i, j) - my.get(i, j));
+            ubar.fill(0.0);
+            vbar.fill(0.0);
+            for k in 0..nz {
+                let (u, v) = (state.u[k].as_mut_slice(), state.v[k].as_mut_slice());
+                let (fx, fy) = (&fx[k * n..(k + 1) * n], &fy[k * n..(k + 1) * n]);
+                let w = self.vert.thickness[k] / self.cfg.depth;
+                for c in stencil.row_cells(j).map(|cell| cell.c) {
+                    let us = u[c] + dt * (fx[c] - mx[c]);
+                    let vs = v[c] + dt * (fy[c] - my[c]);
                     let un = (us + a * vs) / denom;
                     let vn = (vs - a * us) / denom;
-                    state.u[k].set(i, j, un);
-                    state.v[k].set(i, j, vn);
-                    let w = self.vert.thickness[k] / self.cfg.depth;
-                    ubar += w * un;
-                    vbar += w * vn;
+                    u[c] = un;
+                    v[c] = vn;
+                    ubar[c - j * nx] += w * un;
+                    vbar[c - j * nx] += w * vn;
                 }
-                for k in 0..nz {
-                    state.u[k][(i, j)] -= ubar;
-                    state.v[k][(i, j)] -= vbar;
+            }
+            for k in 0..nz {
+                let (u, v) = (state.u[k].as_mut_slice(), state.v[k].as_mut_slice());
+                for c in stencil.row_cells(j).map(|cell| cell.c) {
+                    u[c] -= ubar[c - j * nx];
+                    v[c] -= vbar[c - j * nx];
                 }
             }
         }
@@ -481,28 +502,21 @@ impl OceanModel {
 
     /// Vertical PP mixing + convective adjustment for one column sweep
     /// over the whole grid (implicit, unconditionally stable).
-    fn vertical_mixing(&self, state: &mut OceanState, dt: f64) {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
+    fn vertical_mixing(&self, state: &mut OceanState, dt: f64, ws: &mut Workspace) {
+        let nz = self.cfg.nz;
         let dz = &self.vert.thickness;
-        let mut tcol = vec![0.0; nz];
-        let mut scol = vec![0.0; nz];
-        let mut ucol = vec![0.0; nz];
-        let mut vcol = vec![0.0; nz];
-        let mut nu_int = vec![0.0; nz - 1];
-        let mut k_int = vec![0.0; nz - 1];
-        for j in 0..ny {
-            for i in 0..nx {
-                if !self.mask[self.grid.idx(i, j)] {
-                    continue;
-                }
+        let [tcol, scol, ucol, vcol, k_int, nu_int, cp] =
+            carve(&mut ws.column, [nz, nz, nz, nz, nz - 1, nz - 1, nz]);
+        for j in self.interior() {
+            for c in self.baro_sys.stencil.row_cells(j).map(|cell| cell.c) {
+                let (ub, vb) = (state.baro.u.as_slice()[c], state.baro.v.as_slice()[c]);
                 for k in 0..nz {
-                    tcol[k] = state.t[k].get(i, j);
-                    scol[k] = state.s[k].get(i, j);
-                    ucol[k] = self.u_total(state, k, i, j);
-                    vcol[k] = self.v_total(state, k, i, j);
+                    tcol[k] = state.t[k].as_slice()[c];
+                    scol[k] = state.s[k].as_slice()[c];
+                    ucol[k] = state.u[k].as_slice()[c] + ub;
+                    vcol[k] = state.v[k].as_slice()[c] + vb;
                 }
                 for k in 0..nz - 1 {
-                    let dzi = 0.5 * (dz[k] + dz[k + 1]);
                     let ri = richardson(
                         tcol[k],
                         scol[k],
@@ -512,289 +526,158 @@ impl OceanModel {
                         scol[k + 1],
                         ucol[k + 1],
                         vcol[k + 1],
-                        dzi,
+                        self.diffuser.dz_int[k],
                     );
-                    let (nu, kap) = self.cfg.pp.coefficients(ri);
-                    nu_int[k] = nu;
-                    k_int[k] = kap;
+                    (nu_int[k], k_int[k]) = self.cfg.pp.coefficients(ri);
                 }
-                diffuse_column(&mut tcol, &k_int, dz, dt);
-                diffuse_column(&mut scol, &k_int, dz, dt);
-                diffuse_column(&mut ucol, &nu_int, dz, dt);
-                diffuse_column(&mut vcol, &nu_int, dz, dt);
-                convective_adjustment(&mut tcol, &mut scol, dz, 2 * nz);
-                let ub = state.baro.u.get(i, j);
-                let vb = state.baro.v.get(i, j);
+                self.diffuser.diffuse_pair(tcol, scol, k_int, dt, cp);
+                self.diffuser.diffuse_pair(ucol, vcol, nu_int, dt, cp);
+                convective_adjustment(tcol, scol, dz, 2 * nz);
                 for k in 0..nz {
-                    state.t[k].set(i, j, tcol[k]);
-                    state.s[k].set(i, j, scol[k]);
-                    state.u[k].set(i, j, ucol[k] - ub);
-                    state.v[k].set(i, j, vcol[k] - vb);
+                    state.t[k].as_mut_slice()[c] = tcol[k];
+                    state.s[k].as_mut_slice()[c] = scol[k];
+                    state.u[k].as_mut_slice()[c] = ucol[k] - ub;
+                    state.v[k].as_mut_slice()[c] = vcol[k] - vb;
                 }
             }
+        }
+    }
+
+    /// Total (baroclinic + barotropic) velocities of level `kz` at every
+    /// sea cell's east and north face, 0 across coasts. A cell's west and
+    /// south faces are its neighbours' east and north ones, so continuity
+    /// and the tracer fluxes see one velocity per face, the discrete 3-D
+    /// divergence vanishes exactly and flux-form advection conserves
+    /// tracers to rounding.
+    fn face_velocities(&self, state: &OceanState, kz: usize, ue: &mut [f64], vn: &mut [f64]) {
+        let (u, v) = (state.u[kz].as_slice(), state.v[kz].as_slice());
+        let (ub, vb) = (state.baro.u.as_slice(), state.baro.v.as_slice());
+        for j in self.interior() {
+            for cell in self.baro_sys.stencil.row_cells(j) {
+                let (c, e, n) = (cell.c, cell.e, cell.n);
+                ue[c] = if cell.has(EAST) {
+                    0.5 * ((u[c] + ub[c]) + (u[e] + ub[e]))
+                } else {
+                    0.0
+                };
+                vn[c] = if cell.has(NORTH) {
+                    0.5 * ((v[c] + vb[c]) + (v[n] + vb[n]))
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+
+    /// The four face velocities of a cell in row `j` from the tables of
+    /// [`OceanModel::face_velocities`], and their divergence.
+    #[inline(always)]
+    fn cell_flow(&self, j: usize, cell: Cell, ue: &[f64], vn: &[f64]) -> CellFlow {
+        let (ue, vn) = (
+            [ue[cell.c], if cell.has(WEST) { ue[cell.w] } else { 0.0 }],
+            [vn[cell.c], if cell.has(SOUTH) { vn[cell.s] } else { 0.0 }],
+        );
+        let cos = [self.rows.cos_north[j], self.rows.cos_north[j - 1]];
+        let div = (ue[0] - ue[1]) / self.grid.dx[j]
+            + (vn[0] * cos[0] - vn[1] * cos[1]) / self.rows.dy_cos[j];
+        CellFlow {
+            u: ue,
+            v: vn,
+            cos,
+            div,
         }
     }
 
     /// Tracer advection (flux form with a small upwind blend), horizontal
     /// diffusion, vertical advection from continuity, surface fluxes and
-    /// the FOAM −1.92 °C clamp.
-    fn tracer_step(&self, state: &mut OceanState, forcing: &OceanForcing, dt: f64) {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
-        let up = self.cfg.upwind;
+    /// the FOAM −1.92 °C clamp. T and S advance together, level by level
+    /// from the top: a level sees the new values above it and the old
+    /// ones below, and that order is part of the model's answers.
+    fn tracer_step(
+        &self,
+        state: &mut OceanState,
+        forcing: &OceanForcing,
+        dt: f64,
+        ws: &mut Workspace,
+    ) {
+        let (_, n, nz) = self.dims();
+        let stencil = &self.baro_sys.stencil;
+        let dz = &self.vert.thickness;
+        let [ue, vn, w] = carve(&mut ws.slab, [nz * n, nz * n, nz * n]);
+        let level = |k: usize| k * n..(k + 1) * n;
 
-        // Vertical velocities at layer-top interfaces from continuity.
-        let mut w_int = vec![Field2::zeros(nx, ny); nz + 1];
+        // Vertical velocities at layer-top interfaces from continuity,
+        // bottom up from w = 0 at the sea floor.
         for kz in (0..nz).rev() {
-            for j in 1..ny - 1 {
-                let cosc = self.grid.lats[j].cos();
-                let cosn = self.grid.lats[j + 1].cos();
-                let coss = self.grid.lats[j - 1].cos();
-                for i in 0..nx {
-                    if !self.mask[self.grid.idx(i, j)] {
-                        continue;
-                    }
-                    let sea = |ii: usize, jj: usize| self.mask[self.grid.idx(ii, jj)];
-                    let ie = (i + 1) % nx;
-                    let iw = (i + nx - 1) % nx;
-                    // Face velocities, identical to those used by the
-                    // horizontal tracer fluxes, so that the discrete 3-D
-                    // divergence vanishes exactly and flux-form advection
-                    // conserves tracers to rounding.
-                    let ue = if sea(ie, j) {
-                        0.5 * (self.u_total(state, kz, i, j) + self.u_total(state, kz, ie, j))
-                    } else {
-                        0.0
-                    };
-                    let uw = if sea(iw, j) {
-                        0.5 * (self.u_total(state, kz, iw, j) + self.u_total(state, kz, i, j))
-                    } else {
-                        0.0
-                    };
-                    let cosn_f = 0.5 * (cosc + cosn);
-                    let coss_f = 0.5 * (cosc + coss);
-                    let vn = if sea(i, j + 1) {
-                        0.5 * (self.v_total(state, kz, i, j) + self.v_total(state, kz, i, j + 1))
-                            * cosn_f
-                    } else {
-                        0.0
-                    };
-                    let vs = if sea(i, j - 1) {
-                        0.5 * (self.v_total(state, kz, i, j - 1) + self.v_total(state, kz, i, j))
-                            * coss_f
-                    } else {
-                        0.0
-                    };
-                    let div = (ue - uw) / self.grid.dx[j] + (vn - vs) / (self.grid.dy[j] * cosc);
-                    let w_below = w_int[kz + 1].get(i, j);
-                    w_int[kz].set(i, j, w_below - div * self.vert.thickness[kz]);
+            let (ue, vn) = (&mut ue[level(kz)], &mut vn[level(kz)]);
+            self.face_velocities(state, kz, ue, vn);
+            let (w, w_below) = w[kz * n..].split_at_mut(n);
+            for j in self.interior() {
+                for cell in stencil.row_cells(j) {
+                    let below = if kz + 1 < nz { w_below[cell.c] } else { 0.0 };
+                    w[cell.c] = below - self.cell_flow(j, cell, ue, vn).div * dz[kz];
                 }
             }
         }
 
-        for tracer in 0..2 {
-            // Work on T then S with identical machinery.
-            let surf_src: Box<dyn Fn(usize, usize, f64) -> f64> = if tracer == 0 {
-                Box::new(|i, j, _old| {
-                    forcing.heat.get(i, j) / (RHO_SEAWATER * CP_SEAWATER * self.vert.thickness[0])
-                })
-            } else {
-                Box::new(|i, j, old| {
-                    -old * forcing.freshwater.get(i, j) / (RHO_SEAWATER * self.vert.thickness[0])
-                })
-            };
-            for kz in 0..nz {
-                let x_old = if tracer == 0 {
-                    state.t[kz].clone()
-                } else {
-                    state.s[kz].clone()
+        let (heat, fresh) = (forcing.heat.as_slice(), forcing.freshwater.as_slice());
+        let heat_capacity = RHO_SEAWATER * CP_SEAWATER * dz[0];
+        let top_mass = RHO_SEAWATER * dz[0];
+        let [t_new, s_new] = &mut ws.pair;
+        for kz in 0..nz {
+            t_new.as_mut_slice().copy_from_slice(state.t[kz].as_slice());
+            s_new.as_mut_slice().copy_from_slice(state.s[kz].as_slice());
+            let (t, s) = (TracerLevel::at(&state.t, kz), TracerLevel::at(&state.s, kz));
+            let (t_out, s_out) = (t_new.as_mut_slice(), s_new.as_mut_slice());
+            let (ue, vn, w_top) = (&ue[level(kz)], &vn[level(kz)], &w[level(kz)]);
+            let w_bot = (kz + 1 < nz).then(|| &w[level(kz + 1)]);
+            for j in self.interior() {
+                let metric = RowMetric {
+                    dx: self.grid.dx[j],
+                    dx2: self.rows.dx2[j],
+                    dy2: self.rows.dy2[j],
+                    dy_cos: self.rows.dy_cos[j],
+                    dz: dz[kz],
+                    upwind: self.cfg.upwind,
+                    kappa_h: self.cfg.kappa_h,
                 };
-                let x_above = if kz > 0 {
-                    Some(if tracer == 0 {
-                        state.t[kz - 1].clone()
-                    } else {
-                        state.s[kz - 1].clone()
-                    })
-                } else {
-                    None
-                };
-                let x_below = if kz + 1 < nz {
-                    Some(if tracer == 0 {
-                        state.t[kz + 1].clone()
-                    } else {
-                        state.s[kz + 1].clone()
-                    })
-                } else {
-                    None
-                };
-                let mut x_new = x_old.clone();
-                for j in 1..ny - 1 {
-                    let cosc = self.grid.lats[j].cos();
-                    for i in 0..nx {
-                        let kk = self.grid.idx(i, j);
-                        if !self.mask[kk] {
-                            continue;
-                        }
-                        let sea = |ii: usize, jj: usize| self.mask[self.grid.idx(ii, jj)];
-                        let ie = (i + 1) % nx;
-                        let iw = (i + nx - 1) % nx;
-                        let c0 = x_old.get(i, j);
-
-                        // Horizontal fluxes (zero across coastlines).
-                        let mut tend = 0.0;
-                        if sea(ie, j) {
-                            let uf = 0.5
-                                * (self.uv_at(state, kz, i, j).0 + self.uv_at(state, kz, ie, j).0);
-                            let xf = face_value(c0, x_old.get(ie, j), uf, up);
-                            tend -= uf * xf / self.grid.dx[j];
-                        }
-                        if sea(iw, j) {
-                            let uf = 0.5
-                                * (self.uv_at(state, kz, iw, j).0 + self.uv_at(state, kz, i, j).0);
-                            let xf = face_value(x_old.get(iw, j), c0, uf, up);
-                            tend += uf * xf / self.grid.dx[j];
-                        }
-                        let cosn = 0.5 * (cosc + self.grid.lats[j + 1].cos());
-                        let coss = 0.5 * (cosc + self.grid.lats[j - 1].cos());
-                        if sea(i, j + 1) {
-                            let vf = 0.5
-                                * (self.uv_at(state, kz, i, j).1
-                                    + self.uv_at(state, kz, i, j + 1).1);
-                            let xf = face_value(c0, x_old.get(i, j + 1), vf, up);
-                            tend -= vf * xf * cosn / (self.grid.dy[j] * cosc);
-                        }
-                        if sea(i, j - 1) {
-                            let vf = 0.5
-                                * (self.uv_at(state, kz, i, j - 1).1
-                                    + self.uv_at(state, kz, i, j).1);
-                            let xf = face_value(x_old.get(i, j - 1), c0, vf, up);
-                            tend += vf * xf * coss / (self.grid.dy[j] * cosc);
-                        }
-                        // Flux-form correction: + X ∇·u so that constant
-                        // tracers stay constant (divergence compensation).
-                        let ue = if sea(ie, j) {
-                            0.5 * (self.uv_at(state, kz, i, j).0 + self.uv_at(state, kz, ie, j).0)
-                        } else {
-                            0.0
-                        };
-                        let uw2 = if sea(iw, j) {
-                            0.5 * (self.uv_at(state, kz, iw, j).0 + self.uv_at(state, kz, i, j).0)
-                        } else {
-                            0.0
-                        };
-                        let vn2 = if sea(i, j + 1) {
-                            0.5 * (self.uv_at(state, kz, i, j).1
-                                + self.uv_at(state, kz, i, j + 1).1)
-                                * cosn
-                        } else {
-                            0.0
-                        };
-                        let vs2 = if sea(i, j - 1) {
-                            0.5 * (self.uv_at(state, kz, i, j - 1).1
-                                + self.uv_at(state, kz, i, j).1)
-                                * coss
-                        } else {
-                            0.0
-                        };
-                        let div =
-                            (ue - uw2) / self.grid.dx[j] + (vn2 - vs2) / (self.grid.dy[j] * cosc);
-                        tend += c0 * div;
-
-                        // Horizontal diffusion (Laplacian, masked).
-                        let mut lap = 0.0;
-                        if sea(ie, j) {
-                            lap += (x_old.get(ie, j) - c0) / (self.grid.dx[j] * self.grid.dx[j]);
-                        }
-                        if sea(iw, j) {
-                            lap += (x_old.get(iw, j) - c0) / (self.grid.dx[j] * self.grid.dx[j]);
-                        }
-                        if sea(i, j + 1) {
-                            lap += (x_old.get(i, j + 1) - c0) / (self.grid.dy[j] * self.grid.dy[j]);
-                        }
-                        if sea(i, j - 1) {
-                            lap += (x_old.get(i, j - 1) - c0) / (self.grid.dy[j] * self.grid.dy[j]);
-                        }
-                        tend += self.cfg.kappa_h * lap;
-
-                        // Vertical advection across layer interfaces.
-                        let dzk = self.vert.thickness[kz];
-                        let w_top = w_int[kz].get(i, j);
-                        let w_bot = w_int[kz + 1].get(i, j);
-                        // Flux at the top interface (positive upward).
-                        // For the surface layer the interface is the
-                        // moving free surface: water crossing it carries
-                        // the surface concentration, which keeps constant
-                        // fields exactly constant (no spurious sources
-                        // where the column converges — important because
-                        // the slowed barotropic amplifies η by α).
-                        let flux_top = if kz == 0 {
-                            w_top * c0
-                        } else {
-                            let xa = x_above.as_ref().unwrap().get(i, j);
-                            w_top * if w_top > 0.0 { c0 } else { xa }
-                        };
-                        let flux_bot = if kz == nz - 1 {
-                            0.0
-                        } else {
-                            let xb = x_below.as_ref().unwrap().get(i, j);
-                            w_bot * if w_bot > 0.0 { xb } else { c0 }
-                        };
-                        tend += (flux_bot - flux_top) / dzk;
-                        // Divergence compensation for the vertical part.
-                        tend -= c0 * (w_bot - w_top) / dzk;
-
-                        // Surface source on the top layer.
-                        if kz == 0 {
-                            tend += surf_src(i, j, c0);
-                        }
-
-                        let mut newv = c0 + dt * tend;
-                        if tracer == 0 && kz == 0 {
-                            // FOAM's sea-ice clamp: "a clamp on temperature
-                            // is imposed by the ocean model at −1.92 °C".
-                            newv = newv.max(SEAWATER_FREEZE_C);
-                        }
-                        x_new.set(i, j, newv);
+                for cell in stencil.row_cells(j) {
+                    let c = cell.c;
+                    let flow = self.cell_flow(j, cell, ue, vn);
+                    let w = [w_top[c], w_bot.map_or(0.0, |w| w[c])];
+                    let mut t_tend = t.tendency(cell, &flow, w, &metric);
+                    let mut s_tend = s.tendency(cell, &flow, w, &metric);
+                    if kz == 0 {
+                        // Surface sources on the top layer.
+                        t_tend += heat[c] / heat_capacity;
+                        s_tend += -s.old[c] * fresh[c] / top_mass;
+                    }
+                    t_out[c] = t.old[c] + dt * t_tend;
+                    s_out[c] = s.old[c] + dt * s_tend;
+                    if kz == 0 {
+                        // FOAM's sea-ice clamp: "a clamp on temperature
+                        // is imposed by the ocean model at −1.92 °C".
+                        t_out[c] = t_out[c].max(SEAWATER_FREEZE_C);
                     }
                 }
-                if tracer == 0 {
-                    state.t[kz] = x_new;
-                } else {
-                    state.s[kz] = x_new;
-                }
             }
+            std::mem::swap(&mut state.t[kz], t_new);
+            std::mem::swap(&mut state.s[kz], s_new);
         }
-    }
-
-    #[inline]
-    fn uv_at(&self, state: &OceanState, k: usize, i: usize, j: usize) -> (f64, f64) {
-        (
-            state.u[k].get(i, j) + state.baro.u.get(i, j),
-            state.v[k].get(i, j) + state.baro.v.get(i, j),
-        )
     }
 
     fn apply_polar_filter(&self, state: &mut OceanState) {
         if !self.cfg.polar_filter_on {
             return;
         }
-        self.filter.apply(&mut state.baro.eta);
-        self.filter.apply(&mut state.baro.u);
-        self.filter.apply(&mut state.baro.v);
-        for k in 0..self.cfg.nz {
-            self.filter.apply(&mut state.u[k]);
-            self.filter.apply(&mut state.v[k]);
-        }
+        let OceanState { u, v, baro, .. } = state;
+        self.filter.apply(&mut baro.eta);
         // Filtering smears across coastlines; re-zero land velocities.
-        for j in 0..self.grid.ny {
-            for i in 0..self.grid.nx {
-                if !self.mask[self.grid.idx(i, j)] {
-                    state.baro.u.set(i, j, 0.0);
-                    state.baro.v.set(i, j, 0.0);
-                    for k in 0..self.cfg.nz {
-                        state.u[k].set(i, j, 0.0);
-                        state.v[k].set(i, j, 0.0);
-                    }
-                }
+        for f in [&mut baro.u, &mut baro.v].into_iter().chain(u).chain(v) {
+            self.filter.apply(f);
+            let f = f.as_mut_slice();
+            for &c in &self.land {
+                f[c] = 0.0;
             }
         }
     }
@@ -802,6 +685,61 @@ impl OceanModel {
     // ------------------------------------------------------------------
     // The two stepping schemes
     // ------------------------------------------------------------------
+
+    /// One internal step of length `dt`: momentum forcings and the
+    /// internal momentum step, `n_sub` subcycles of the barotropic
+    /// subsystem `sys`, tracers over `n_trac · dt` on every `n_trac`-th
+    /// step (returning whether they ran), the polar filter.
+    fn internal_step(
+        &self,
+        state: &mut OceanState,
+        forcing: &OceanForcing,
+        ws: &mut Workspace,
+        sys: &BarotropicSystem,
+        dt: f64,
+        n_sub: usize,
+        n_trac: usize,
+    ) -> bool {
+        {
+            let _t = foam_telemetry::scope("baroclinic");
+            {
+                let _t = foam_telemetry::scope("forcings");
+                self.momentum_forcings(state, forcing, ws);
+            }
+            self.internal_momentum_step(state, ws, dt);
+        }
+        {
+            let _t = foam_telemetry::scope("barotropic");
+            sys.subcycle(&mut state.baro, &ws.pair[0], &ws.pair[1], dt, n_sub);
+        }
+        state.step_count += 1;
+        let tracers = state.step_count.is_multiple_of(n_trac as u64);
+        if tracers {
+            let _t = foam_telemetry::scope("tracers");
+            let dt_trac = dt * n_trac as f64;
+            {
+                let _t = foam_telemetry::scope("advect");
+                self.tracer_step(state, forcing, dt_trac, ws);
+            }
+            let _t = foam_telemetry::scope("mix");
+            self.vertical_mixing(state, dt_trac, ws);
+        }
+        {
+            let _t = foam_telemetry::scope("polar_filter");
+            self.apply_polar_filter(state);
+        }
+        state.sim_t += dt;
+        tracers
+    }
+
+    /// Run `run` on the model's workspace, which the first call allocates.
+    fn with_workspace(&self, run: impl FnOnce(&mut Workspace)) {
+        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.cfg.nz);
+        run(self
+            .ws
+            .borrow_mut()
+            .get_or_insert_with(|| Workspace::new(nx, ny, nz)));
+    }
 
     /// Advance by one coupling interval `dt_couple` with FOAM's nested
     /// scheme: barotropic subcycled inside internal steps, tracers on a
@@ -815,33 +753,15 @@ impl OceanModel {
     ) -> usize {
         let n_int = (dt_couple / self.cfg.dt_int).round().max(1.0) as usize;
         let n_sub = (self.cfg.dt_int / self.baro_sys.max_dt()).ceil().max(1.0) as usize;
+        let (sys, dt, n_trac) = (&self.baro_sys, self.cfg.dt_int, self.cfg.n_trac);
         let mut work = 0;
-        for _ in 0..n_int {
-            let baro_scope = foam_telemetry::scope("baroclinic");
-            let (fx, fy, mx, my) = self.momentum_forcings(state, forcing);
-            self.internal_momentum_step(state, &fx, &fy, &mx, &my, self.cfg.dt_int);
-            drop(baro_scope);
-            {
-                let _t = foam_telemetry::scope("barotropic");
-                self.baro_sys
-                    .subcycle(&mut state.baro, &mx, &my, self.cfg.dt_int, n_sub);
+        self.with_workspace(|ws| {
+            for _ in 0..n_int {
+                let tracers = self.internal_step(state, forcing, ws, sys, dt, n_sub, n_trac);
+                foam_telemetry::count("ocean.barotropic_subcycles", n_sub as u64);
+                work += self.cfg.nz + n_sub + if tracers { 4 * self.cfg.nz } else { 0 };
             }
-            foam_telemetry::count("ocean.barotropic_subcycles", n_sub as u64);
-            work += self.cfg.nz + n_sub;
-            state.step_count += 1;
-            if state.step_count.is_multiple_of(self.cfg.n_trac as u64) {
-                let _t = foam_telemetry::scope("tracers");
-                let dt_trac = self.cfg.dt_int * self.cfg.n_trac as f64;
-                self.tracer_step(state, forcing, dt_trac);
-                self.vertical_mixing(state, dt_trac);
-                work += 4 * self.cfg.nz;
-            }
-            {
-                let _t = foam_telemetry::scope("polar_filter");
-                self.apply_polar_filter(state);
-            }
-            state.sim_t += self.cfg.dt_int;
-        }
+        });
         work
     }
 
@@ -856,34 +776,18 @@ impl OceanModel {
         dt_couple: f64,
     ) -> usize {
         // Full-gravity subsystem for the CFL and the surface update.
-        let full = BarotropicSystem::new(self.grid.clone(), self.mask.clone(), self.cfg.depth, 1.0);
+        let full = self.full_sys.get_or_init(|| {
+            BarotropicSystem::new(self.grid.clone(), self.mask.clone(), self.cfg.depth, 1.0)
+        });
         let dt = full.max_dt();
         let n = (dt_couple / dt).ceil().max(1.0) as usize;
         let dt = dt_couple / n as f64;
-        let mut work = 0;
-        for _ in 0..n {
-            let baro_scope = foam_telemetry::scope("baroclinic");
-            let (fx, fy, mx, my) = self.momentum_forcings(state, forcing);
-            self.internal_momentum_step(state, &fx, &fy, &mx, &my, dt);
-            drop(baro_scope);
-            {
-                let _t = foam_telemetry::scope("barotropic");
-                full.step(&mut state.baro, &mx, &my, dt);
+        self.with_workspace(|ws| {
+            for _ in 0..n {
+                self.internal_step(state, forcing, ws, full, dt, 1, 1);
             }
-            {
-                let _t = foam_telemetry::scope("tracers");
-                self.tracer_step(state, forcing, dt);
-                self.vertical_mixing(state, dt);
-            }
-            {
-                let _t = foam_telemetry::scope("polar_filter");
-                self.apply_polar_filter(state);
-            }
-            work += 1 + 5 * self.cfg.nz;
-            state.sim_t += dt;
-            state.step_count += 1;
-        }
-        work
+        });
+        n * (1 + 5 * self.cfg.nz)
     }
 
     // ------------------------------------------------------------------
@@ -935,6 +839,112 @@ impl OceanModel {
             && state.s.iter().all(Field2::all_finite)
             && state.u.iter().all(Field2::all_finite)
             && state.v.iter().all(Field2::all_finite)
+    }
+}
+
+/// The face velocities around one cell — `u` = \[east, west\], `v` =
+/// \[north, south\] with the faces' cos φ in `cos` — and their
+/// horizontal divergence.
+struct CellFlow {
+    u: [f64; 2],
+    v: [f64; 2],
+    cos: [f64; 2],
+    div: f64,
+}
+
+/// What a row and level contribute to a tracer tendency.
+struct RowMetric {
+    dx: f64,
+    dx2: f64,
+    dy2: f64,
+    dy_cos: f64,
+    dz: f64,
+    upwind: f64,
+    kappa_h: f64,
+}
+
+/// One tracer at one level: the level's old values, the level above
+/// (already advanced) and the one below (not yet).
+struct TracerLevel<'a> {
+    old: &'a [f64],
+    above: Option<&'a [f64]>,
+    below: Option<&'a [f64]>,
+}
+
+impl<'a> TracerLevel<'a> {
+    fn at(levels: &'a [Field2], kz: usize) -> Self {
+        TracerLevel {
+            old: levels[kz].as_slice(),
+            above: kz.checked_sub(1).map(|k| levels[k].as_slice()),
+            below: levels.get(kz + 1).map(Field2::as_slice),
+        }
+    }
+
+    /// Advective, diffusive and vertical tendency at `cell`, without the
+    /// surface source; `w` is the vertical velocity at the layer's
+    /// \[top, bottom\] interface.
+    #[inline(always)]
+    fn tendency(&self, cell: Cell, flow: &CellFlow, w: [f64; 2], m: &RowMetric) -> f64 {
+        let x = self.old;
+        let c0 = x[cell.c];
+        let sides = [
+            (EAST, cell.e, m.dx2),
+            (WEST, cell.w, m.dx2),
+            (NORTH, cell.n, m.dy2),
+            (SOUTH, cell.s, m.dy2),
+        ];
+
+        // Horizontal fluxes (zero across coastlines).
+        let mut tend = 0.0;
+        if cell.has(EAST) {
+            let xf = face_value(c0, x[cell.e], flow.u[0], m.upwind);
+            tend -= flow.u[0] * xf / m.dx;
+        }
+        if cell.has(WEST) {
+            let xf = face_value(x[cell.w], c0, flow.u[1], m.upwind);
+            tend += flow.u[1] * xf / m.dx;
+        }
+        if cell.has(NORTH) {
+            let xf = face_value(c0, x[cell.n], flow.v[0], m.upwind);
+            tend -= flow.v[0] * xf * flow.cos[0] / m.dy_cos;
+        }
+        if cell.has(SOUTH) {
+            let xf = face_value(x[cell.s], c0, flow.v[1], m.upwind);
+            tend += flow.v[1] * xf * flow.cos[1] / m.dy_cos;
+        }
+        // Flux-form correction: + X ∇·u so that constant tracers stay
+        // constant (divergence compensation).
+        tend += c0 * flow.div;
+
+        // Horizontal diffusion (Laplacian, masked).
+        let mut lap = 0.0;
+        for (side, nb, d2) in sides {
+            if cell.has(side) {
+                lap += (x[nb] - c0) / d2;
+            }
+        }
+        tend += m.kappa_h * lap;
+
+        // Vertical advection across layer interfaces.
+        let [w_top, w_bot] = w;
+        // Flux at the top interface (positive upward). For the surface
+        // layer the interface is the moving free surface: water crossing
+        // it carries the surface concentration, which keeps constant
+        // fields exactly constant (no spurious sources where the column
+        // converges — important because the slowed barotropic amplifies
+        // η by α).
+        let flux_top = match self.above {
+            None => w_top * c0,
+            Some(above) => w_top * if w_top > 0.0 { c0 } else { above[cell.c] },
+        };
+        let flux_bot = match self.below {
+            None => 0.0,
+            Some(below) => w_bot * if w_bot > 0.0 { below[cell.c] } else { c0 },
+        };
+        tend += (flux_bot - flux_top) / m.dz;
+        // Divergence compensation for the vertical part.
+        tend -= c0 * (w_bot - w_top) / m.dz;
+        tend
     }
 }
 
@@ -1079,6 +1089,97 @@ mod tests {
         }
         let s1 = model.grid.masked_mean(state.s[0].as_slice(), &model.mask);
         assert!(s1 < s0, "salinity should drop: {s0} → {s1}");
+    }
+
+    /// A spun-up state: currents, coasts and the zonal wrap all in play.
+    fn spun_up() -> (OceanModel, OceanState) {
+        let (model, mut state, world) = setup();
+        let f = OceanForcing::climatological(&model.grid, &world, &model.sst(&state));
+        model.step_coupled(&mut state, &f, 43_200.0);
+        (model, state)
+    }
+
+    #[test]
+    fn tabulated_faces_match_the_per_cell_face_velocities() {
+        // What continuity and the tracer fluxes each used to recompute
+        // per cell, against the one table per level they now share: a
+        // cell's west and south faces read its neighbours' entries.
+        let (model, state) = spun_up();
+        let (nx, ny, nz) = (model.grid.nx, model.grid.ny, model.cfg.nz);
+        let sea = |i: usize, j: usize| model.mask[model.grid.idx(i, j)];
+        let total =
+            |f: &[Field2], b: &Field2, k: usize, i: usize, j: usize| f[k].get(i, j) + b.get(i, j);
+        let (mut ue, mut vn) = (vec![f64::NAN; nx * ny], vec![f64::NAN; nx * ny]);
+        let (mut coasts, mut wraps) = (0, 0);
+        for k in 0..nz {
+            let u = |i, j| total(&state.u, &state.baro.u, k, i, j);
+            let v = |i, j| total(&state.v, &state.baro.v, k, i, j);
+            model.face_velocities(&state, k, &mut ue, &mut vn);
+            for j in 1..ny - 1 {
+                let cos = |jj: usize| model.grid.lats[jj].cos();
+                let (cos_n, cos_s) = (0.5 * (cos(j) + cos(j + 1)), 0.5 * (cos(j) + cos(j - 1)));
+                for cell in model.baro_sys.stencil.row_cells(j) {
+                    let i = cell.c - j * nx;
+                    let (ie, iw) = ((i + 1) % nx, (i + nx - 1) % nx);
+                    let face = |open: bool, a: f64, b: f64| if open { 0.5 * (a + b) } else { 0.0 };
+                    let want_u = [
+                        face(sea(ie, j), u(i, j), u(ie, j)),
+                        face(sea(iw, j), u(iw, j), u(i, j)),
+                    ];
+                    let want_v = [
+                        face(sea(i, j + 1), v(i, j), v(i, j + 1)),
+                        face(sea(i, j - 1), v(i, j - 1), v(i, j)),
+                    ];
+                    let div = (want_u[0] - want_u[1]) / model.grid.dx[j]
+                        + (want_v[0] * cos_n - want_v[1] * cos_s) / (model.grid.dy[j] * cos(j));
+                    let got = model.cell_flow(j, cell, &ue, &vn);
+                    let bits = |x: [f64; 2]| x.map(f64::to_bits);
+                    assert_eq!(bits(got.u), bits(want_u), "u faces at ({i},{j},{k})");
+                    assert_eq!(bits(got.v), bits(want_v), "v faces at ({i},{j},{k})");
+                    assert_eq!(bits(got.cos), bits([cos_n, cos_s]));
+                    assert_eq!(got.div.to_bits(), div.to_bits(), "div at ({i},{j},{k})");
+                    coasts += usize::from(!sea(iw, j) || !sea(i, j - 1));
+                    wraps += usize::from(iw > i && sea(iw, j));
+                }
+            }
+        }
+        assert!(
+            coasts > 0 && wraps > 0,
+            "{coasts} coasts, {wraps} wrapped faces"
+        );
+        assert!(ue.iter().any(|&x| x != 0.0 && x.is_finite()));
+    }
+
+    #[test]
+    fn level_by_level_geopotential_matches_the_stored_form() {
+        // The form `level_fields` replaced: the hydrostatic integral of
+        // the density anomaly, column by column into one field per level.
+        let (model, state) = spun_up();
+        let (nx, ny, nz) = (model.grid.nx, model.grid.ny, model.cfg.nz);
+        let mut stored = vec![Field2::zeros(nx, ny); nz];
+        for c in (0..nx * ny).filter(|&c| model.mask[c]) {
+            let mut p = 0.0;
+            for k in 0..nz {
+                let rho = density_anomaly(state.t[k].as_slice()[c], state.s[k].as_slice()[c]);
+                let half = 0.5 * GRAVITY * rho * model.vert.thickness[k] / RHO_SEAWATER;
+                p += half;
+                stored[k].as_mut_slice()[c] = p;
+                p += half;
+            }
+        }
+        let mut buf = vec![0.0; 4 * nx * ny];
+        let [p, phi, lap_u, lap_v] = carve(&mut buf, [nx * ny; 4]);
+        for k in 0..nz {
+            model.level_fields(&state, k, p, phi, lap_u, lap_v);
+            for c in (0..nx * ny).filter(|&c| model.mask[c]) {
+                assert_eq!(
+                    phi[c].to_bits(),
+                    stored[k].as_slice()[c].to_bits(),
+                    "level {k}, cell {c}"
+                );
+            }
+        }
+        assert!(stored[nz - 1].max_abs() > 0.0);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! poleward of a threshold latitude, so the *effective* resolution — and
 //! hence stability — matches the mid-latitudes.
 
+use std::cell::RefCell;
+
 use foam_grid::{Field2, OceanGrid};
-use foam_spectral::fft::{real_analysis, real_synthesis, FftPlan};
+use foam_spectral::fft::{real_analysis_into, real_synthesis_into, Complex, FftPlan};
 
 /// A polar filter bound to a grid.
 pub struct PolarFilter {
@@ -15,6 +17,9 @@ pub struct PolarFilter {
     /// Per row: `None` (row untouched) or damping factors per zonal
     /// wavenumber 0..=nx/2.
     factors: Vec<Option<Vec<f64>>>,
+    /// One row's coefficients (nx/2) followed by the transforms'
+    /// scratch. Grown on the first `apply`.
+    scratch: RefCell<Vec<Complex>>,
 }
 
 impl PolarFilter {
@@ -46,6 +51,7 @@ impl PolarFilter {
         PolarFilter {
             plan: FftPlan::new(grid.nx),
             factors,
+            scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -58,17 +64,19 @@ impl PolarFilter {
     pub fn apply(&self, f: &mut Field2) {
         let nx = self.plan.len();
         assert_eq!(f.nx(), nx);
+        // real_synthesis requires 2·m_max < nx, so the Nyquist
+        // coefficient (damped hardest anyway) is never computed.
         let half = nx / 2;
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.resize(half + self.plan.scratch_len(), Complex::ZERO);
+        let (coeffs, scratch) = scratch.split_at_mut(half);
         for j in 0..f.ny() {
             if let Some(fac) = &self.factors[j] {
-                let mut coeffs = real_analysis(&self.plan, f.row(j), half);
-                for (m, c) in coeffs.iter_mut().enumerate() {
-                    *c = c.scale(fac[m]);
+                real_analysis_into(&self.plan, f.row(j), coeffs, scratch);
+                for (c, &damp) in coeffs.iter_mut().zip(fac) {
+                    *c = c.scale(damp);
                 }
-                // Note: real_synthesis requires 2·m_max < nx, so drop the
-                // Nyquist coefficient (it is damped hardest anyway).
-                coeffs.truncate(half);
-                real_synthesis(&self.plan, &coeffs, f.row_mut(j));
+                real_synthesis_into(&self.plan, coeffs, f.row_mut(j), scratch);
             }
         }
     }
