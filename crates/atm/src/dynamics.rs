@@ -180,82 +180,6 @@ impl QgCore {
         }
     }
 
-    /// PV tendencies. `dpsi_eq[k]` is the equilibrium interface shear
-    /// (ψ_k − ψ_{k+1})_eq, in spectral space, supplied by the model layer
-    /// from the physics temperature field (thermal wind). Requires a
-    /// distributed transform + communicator for the Jacobians.
-    /// `orog_pv` is the orographic PV f·h/H as a spectral field; flow
-    /// over it forces the bottom level (stationary waves), the standard
-    /// QG treatment (Marshall–Molteni's f₀ h/H term).
-    pub fn tendencies(
-        &self,
-        par: &ParTransform,
-        comm: &Comm,
-        state_q: &[SpectralField],
-        dpsi_eq: &[SpectralField],
-        orog_pv: Option<&SpectralField>,
-    ) -> Vec<SpectralField> {
-        let nl = self.cfg.nlev;
-        let psi = self.psi_from_pv(state_q);
-        let mut tend: Vec<SpectralField> = (0..nl)
-            .map(|k| {
-                // Nonlinear advection: −J(ψ, q), via the transform method.
-                let mut t = jacobian(par, comm, &psi[k], &state_q[k]);
-                t.scale(-1.0);
-                t
-            })
-            .collect();
-
-        let a2 = EARTH_RADIUS * EARTH_RADIUS;
-        for k in 0..nl {
-            // β term: −(2Ω/a²) ∂ψ/∂λ, spectral multiply by i m.
-            for (m, n) in self.trunc.pairs() {
-                let idx = self.trunc.idx(m, n);
-                let beta = psi[k].data[idx]
-                    .mul_i()
-                    .scale(-(2.0 * OMEGA / a2) * m as f64);
-                tend[k].data[idx] += beta;
-            }
-        }
-        // Orographic forcing of the bottom level: −J(ψ_b, f h/H).
-        if let Some(h) = orog_pv {
-            let mut j = jacobian(par, comm, &psi[nl - 1], h);
-            j.scale(-1.0);
-            for (m, n) in self.trunc.pairs() {
-                let idx = self.trunc.idx(m, n);
-                tend[nl - 1].data[idx] += j.data[idx];
-            }
-        }
-        // Ekman drag on the bottom level: −∇²ψ/τ_E.
-        let mut drag = psi[nl - 1].laplacian();
-        drag.scale(-1.0 / self.cfg.tau_ekman);
-        for (m, n) in self.trunc.pairs() {
-            let idx = self.trunc.idx(m, n);
-            tend[nl - 1].data[idx] += drag.data[idx];
-        }
-        // Interface thermal relaxation: drive the shear toward dpsi_eq.
-        let r: Vec<f64> = self
-            .cfg
-            .rossby_radii
-            .iter()
-            .map(|&rd| 1.0 / (rd * rd))
-            .collect();
-        for k in 0..nl - 1 {
-            for (m, n) in self.trunc.pairs() {
-                let idx = self.trunc.idx(m, n);
-                let shear = psi[k].data[idx] - psi[k + 1].data[idx];
-                let dev = shear - dpsi_eq[k].data[idx];
-                let f = dev.scale(r[k] / self.cfg.tau_thermal);
-                // To raise the shear toward equilibrium, *remove*
-                // stretching PV above the interface and add it below:
-                // q_k ⊃ −r·Δψ, so dq_k = +r·dev/τ drives dΔψ = −dev/τ.
-                tend[k].data[idx] += f;
-                tend[k + 1].data[idx] += f.scale(-1.0);
-            }
-        }
-        tend
-    }
-
     /// Everything in a step that depends on `q_now` alone: ψ per level
     /// and its two gradient slabs on this rank's rows, left in `dw` for
     /// the winds, every tracer Jacobian and [`QgCore::tendencies_ws`],
@@ -272,15 +196,17 @@ impl QgCore {
         }
     }
 
-    /// Allocation-free [`QgCore::tendencies`]: leaves the tendencies in
-    /// `dw.tend` for [`QgCore::step_leapfrog_ws`] /
-    /// [`QgCore::step_euler_ws`]. Call [`QgCore::streamfunction_ws`] on
-    /// the same `state_q` first: ψ and its gradients are read from `dw`,
-    /// not recomputed. `orog_grad` is the gradient of the orographic PV
-    /// (constant, so the model builds it once). The Jacobians' analyses
-    /// share one global combine. Every coefficient gets the same
-    /// operands in the same order as in the allocating form —
-    /// bit-identical, pinned by the [`DynWorkspace`] doctest.
+    /// PV tendencies, left in `dw.tend` for [`QgCore::step_leapfrog_ws`]
+    /// / [`QgCore::step_euler_ws`]. `dpsi_eq[k]` is the equilibrium
+    /// interface shear (ψ_k − ψ_{k+1})_eq, in spectral space, supplied by
+    /// the model layer from the physics temperature field (thermal
+    /// wind). `orog_grad` is the gradient of the orographic PV f·h/H
+    /// (constant, so the model builds it once); flow over it forces the
+    /// bottom level (stationary waves), the standard QG treatment
+    /// (Marshall–Molteni's f₀ h/H term). Call
+    /// [`QgCore::streamfunction_ws`] on the same `state_q` first: ψ and
+    /// its gradients are read from `dw`, not recomputed. The Jacobians'
+    /// analyses share one global combine.
     pub fn tendencies_ws(
         &self,
         par: &ParTransform,
@@ -357,6 +283,9 @@ impl QgCore {
                 let shear = psi[k].data[idx] - psi[k + 1].data[idx];
                 let dev = shear - dpsi_eq[k].data[idx];
                 let f = dev.scale(rossby_r[k] / self.cfg.tau_thermal);
+                // To raise the shear toward equilibrium, *remove*
+                // stretching PV above the interface and add it below:
+                // q_k ⊃ −r·Δψ, so dq_k = +r·dev/τ drives dΔψ = −dev/τ.
                 tend[k].data[idx] += f;
                 tend[k + 1].data[idx] += f.scale(-1.0);
             }
@@ -364,39 +293,9 @@ impl QgCore {
     }
 
     /// One leapfrog step with Robert–Asselin filtering and implicit
-    /// hyperdiffusion. Advances `state` in place by `dt`.
-    pub fn step_leapfrog(&self, state: &mut QgState, tend: &[SpectralField], dt: f64) {
-        let nl = self.cfg.nlev;
-        for k in 0..nl {
-            let mut q_next = state.q_prev[k].clone();
-            q_next.axpy(2.0 * dt, &tend[k]);
-            q_next.apply_hyperdiffusion(self.cfg.nu_hyper, 2.0 * dt);
-            // Robert–Asselin: filter the middle time level.
-            let mut filtered = state.q_now[k].clone();
-            for i in 0..filtered.data.len() {
-                filtered.data[i] += (state.q_prev[k].data[i] + q_next.data[i]
-                    - state.q_now[k].data[i].scale(2.0))
-                .scale(self.cfg.robert);
-            }
-            state.q_prev[k] = filtered;
-            state.q_now[k] = q_next;
-        }
-    }
-
-    /// Forward-Euler bootstrap step (first step of a leapfrog run).
-    pub fn step_euler(&self, state: &mut QgState, tend: &[SpectralField], dt: f64) {
-        let nl = self.cfg.nlev;
-        for k in 0..nl {
-            state.q_prev[k] = state.q_now[k].clone();
-            state.q_now[k].axpy(dt, &tend[k]);
-            state.q_now[k].apply_hyperdiffusion(self.cfg.nu_hyper, dt);
-        }
-    }
-
-    /// Allocation-free [`QgCore::step_leapfrog`] consuming the
-    /// tendencies left in `dw` by [`QgCore::tendencies_ws`]. The new
-    /// time levels are built in workspace scratch and swapped into the
-    /// state — same arithmetic, zero churn, bit-identical.
+    /// hyperdiffusion, consuming the tendencies left in `dw` by
+    /// [`QgCore::tendencies_ws`]. Advances `state` in place by `dt`: the
+    /// new time levels are built in workspace scratch and swapped in.
     pub fn step_leapfrog_ws(&self, state: &mut QgState, dt: f64, dw: &mut DynWorkspace) {
         let nl = self.cfg.nlev;
         let DynWorkspace {
@@ -421,8 +320,9 @@ impl QgCore {
         }
     }
 
-    /// Allocation-free [`QgCore::step_euler`] consuming the tendencies
-    /// left in `dw` by [`QgCore::tendencies_ws`].
+    /// Forward-Euler bootstrap step (first step of a leapfrog run),
+    /// consuming the tendencies left in `dw` by
+    /// [`QgCore::tendencies_ws`].
     pub fn step_euler_ws(&self, state: &mut QgState, dt: f64, dw: &mut DynWorkspace) {
         let nl = self.cfg.nlev;
         for k in 0..nl {
@@ -431,34 +331,6 @@ impl QgCore {
             state.q_now[k].apply_hyperdiffusion(self.cfg.nu_hyper, dt);
         }
     }
-}
-
-/// Spherical Jacobian J(a, b) = (1/a²)(∂a/∂λ ∂b/∂μ − ∂a/∂μ ∂b/∂λ),
-/// evaluated by the transform method on this rank's rows and re-analyzed
-/// (the distributed global-sum step).
-pub fn jacobian(
-    par: &ParTransform,
-    comm: &Comm,
-    a: &SpectralField,
-    b: &SpectralField,
-) -> SpectralField {
-    let a_lam = par.synthesize_dlambda(a);
-    let a_cmu = par.synthesize_cosgrad(a);
-    let b_lam = par.synthesize_dlambda(b);
-    let b_cmu = par.synthesize_cosgrad(b);
-    let grid = &par.base.grid;
-    let a2 = EARTH_RADIUS * EARTH_RADIUS;
-    let mut j = Field2::zeros(grid.nlon, par.n_local_rows());
-    for jl in 0..par.n_local_rows() {
-        let mu = grid.mu[par.j0 + jl];
-        let fac = 1.0 / (a2 * (1.0 - mu * mu));
-        for i in 0..grid.nlon {
-            let v =
-                (a_lam.get(i, jl) * b_cmu.get(i, jl) - a_cmu.get(i, jl) * b_lam.get(i, jl)) * fac;
-            j.set(i, jl, v);
-        }
-    }
-    par.analyze(comm, &j)
 }
 
 /// The two grid-space derivative slabs of one spectral field on a rank's
@@ -494,9 +366,10 @@ impl Gradient {
     }
 }
 
-/// The grid-space half of [`jacobian`]: J(a, b) on this rank's rows from
-/// the two fields' gradient slabs, overwriting `out`. Same expression,
-/// point by point, as the allocating form evaluates before its analysis.
+/// Spherical Jacobian J(a, b) = (1/a²)(∂a/∂λ ∂b/∂μ − ∂a/∂μ ∂b/∂λ) by
+/// the transform method, grid-space half: evaluated on this rank's rows
+/// from the two fields' gradient slabs, overwriting `out`. The caller
+/// re-analyzes it (the distributed global-sum step).
 pub(crate) fn jacobian_on_rows(par: &ParTransform, a: &Gradient, b: &Gradient, out: &mut Field2) {
     let grid = &par.base.grid;
     let a2 = EARTH_RADIUS * EARTH_RADIUS;
@@ -570,6 +443,49 @@ mod tests {
             SphericalTransform::new(AtmGrid::new(24, 16), Truncation::rhomboidal(5)),
             comm,
         )
+    }
+
+    const DT: f64 = 1800.0;
+
+    /// Advance `state` by `steps` of `DT` with no orography:
+    /// Euler bootstrap, then leapfrog.
+    fn integrate(
+        c: &QgCore,
+        par: &ParTransform,
+        comm: &Comm,
+        state: &mut QgState,
+        dpsi_eq: &[SpectralField],
+        steps: usize,
+    ) {
+        let mut dw = DynWorkspace::new(par, c.cfg.nlev, 0);
+        for s in 0..steps {
+            c.streamfunction_ws(par, &state.q_now, &mut dw);
+            c.tendencies_ws(par, comm, &state.q_now, dpsi_eq, None, &mut dw);
+            if s == 0 {
+                c.step_euler_ws(state, DT, &mut dw);
+            } else {
+                c.step_leapfrog_ws(state, DT, &mut dw);
+            }
+        }
+    }
+
+    /// Spectral J(a, b): both gradients, the product on this rank's
+    /// rows, one distributed analysis.
+    fn jacobian(
+        par: &ParTransform,
+        comm: &Comm,
+        a: &SpectralField,
+        b: &SpectralField,
+    ) -> SpectralField {
+        let mut ws = SpectralWorkspace::new(&par.base);
+        let (mut ga, mut gb) = (Gradient::zeros(par), Gradient::zeros(par));
+        ga.synthesize(par, a, &mut ws);
+        gb.synthesize(par, b, &mut ws);
+        let mut j = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
+        jacobian_on_rows(par, &ga, &gb, &mut j);
+        let mut out = SpectralField::zeros(par.base.trunc);
+        par.analyze_into(comm, &j, &mut ws, &mut out);
+        out
     }
 
     #[test]
@@ -651,16 +567,9 @@ mod tests {
             };
             let dpsi_eq: Vec<SpectralField> =
                 (0..2).map(|_| SpectralField::zeros(c.trunc)).collect();
-            let dt = 1800.0;
+            let dt = DT;
             let steps = 48;
-            for s in 0..steps {
-                let tend = c.tendencies(&par, comm, &state.q_now, &dpsi_eq, None);
-                if s == 0 {
-                    c.step_euler(&mut state, &tend, dt);
-                } else {
-                    c.step_leapfrog(&mut state, &tend, dt);
-                }
-            }
+            integrate(&c, &par, comm, &mut state, &dpsi_eq, steps);
             let psi_end = c.psi_from_pv(&state.q_now);
             let z = psi_end[1].get(m, n);
             // Phase angle after `steps·dt`.
@@ -735,14 +644,7 @@ mod tests {
             let dpsi_eq: Vec<SpectralField> =
                 (0..2).map(|_| SpectralField::zeros(c.trunc)).collect();
             let e0: f64 = state.q_now.iter().map(|q| q.mean_square()).sum();
-            for s in 0..24 {
-                let tend = c.tendencies(&par, comm, &state.q_now, &dpsi_eq, None);
-                if s == 0 {
-                    c.step_euler(&mut state, &tend, 1800.0);
-                } else {
-                    c.step_leapfrog(&mut state, &tend, 1800.0);
-                }
-            }
+            integrate(&c, &par, comm, &mut state, &dpsi_eq, 24);
             let e1: f64 = state.q_now.iter().map(|q| q.mean_square()).sum();
             assert!(e1 < e0, "drag should dissipate: {e0} → {e1}");
             assert!(e1 > 0.5 * e0, "half-day should not kill the flow");
@@ -765,14 +667,7 @@ mod tests {
             let mut dpsi_eq: Vec<SpectralField> =
                 (0..2).map(|_| SpectralField::zeros(c.trunc)).collect();
             dpsi_eq[0].set(0, 2, Complex::new(5.0e6, 0.0));
-            for s in 0..48 {
-                let tend = c.tendencies(&par, comm, &state.q_now, &dpsi_eq, None);
-                if s == 0 {
-                    c.step_euler(&mut state, &tend, 1800.0);
-                } else {
-                    c.step_leapfrog(&mut state, &tend, 1800.0);
-                }
-            }
+            integrate(&c, &par, comm, &mut state, &dpsi_eq, 48);
             let psi = c.psi_from_pv(&state.q_now);
             let shear = psi[0].get(0, 2) - psi[1].get(0, 2);
             assert!(

@@ -22,9 +22,8 @@
 //! * [`model`] — [`AtmModel`]: the latitude-decomposed SPMD component
 //!   combining dynamics, tracers and `foam-physics` columns, exchanging
 //!   surface fields with the coupler,
-//! * [`workspace`] — [`AtmWorkspace`]: pre-allocated scratch making the
-//!   whole step allocation-free via [`AtmModel::step_ws`], bit-identical
-//!   to the allocate-per-step [`AtmModel::step`] (the zero-churn rule;
+//! * [`workspace`] — [`AtmWorkspace`]: the pre-allocated scratch that
+//!   makes [`AtmModel::step_ws`] allocation-free (the zero-churn rule;
 //!   see PERFORMANCE.md).
 
 pub mod dynamics;

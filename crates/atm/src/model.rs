@@ -15,9 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dynamics::{Gradient, QgConfig, QgCore, QgState};
-use crate::tracers::{
-    advect_grid_tracer, advect_grid_tracers_ws, winds_from_gradient, winds_on_rows, TracerSet,
-};
+use crate::tracers::{advect_grid_tracers_ws, winds_from_gradient, winds_on_rows, TracerSet};
 use crate::workspace::{AtmWorkspace, DynWorkspace};
 use foam_ckpt::Codec;
 
@@ -179,10 +177,9 @@ pub struct AtmModel {
     pub par: ParTransform,
     core: QgCore,
     pub phys: ColumnPhysics,
-    /// Orographic PV (f·h/H) in spectral space, if enabled.
-    orog_pv: Option<SpectralField>,
-    /// Its gradient slabs on this rank's rows: constant, so built once
-    /// here instead of once per step.
+    /// Gradient slabs of the orographic PV (f·h/H) on this rank's rows,
+    /// if enabled: constant, so built once here instead of once per
+    /// step.
     orog_grad: Option<Gradient>,
     /// Scenario forcings (CO₂ / solar / aerosol time series) folded
     /// into the column physics once per simulated day; empty = identity.
@@ -196,7 +193,7 @@ impl AtmModel {
         let par = ParTransform::new(SphericalTransform::new(grid, trunc), comm);
         let core = QgCore::new(cfg.dynamics.clone(), trunc);
         let phys = ColumnPhysics::new(cfg.physics);
-        let orog_pv = if cfg.orography {
+        let orog_grad = cfg.orography.then(|| {
             // f·h/H with H = 8 km scale height, from the synthetic planet,
             // analyzed on the full grid (identical on every rank).
             let world = foam_grid::World::earthlike();
@@ -205,13 +202,12 @@ impl AtmModel {
                 let h = world.elevation(grid.lons[i], grid.lats[j]);
                 foam_grid::constants::coriolis(grid.lats[j]) * h / 8000.0
             });
-            Some(par.base.analyze(&f))
-        } else {
-            None
-        };
-        let orog_grad = orog_pv.as_ref().map(|h| {
             let mut grad = Gradient::zeros(&par);
-            grad.synthesize(&par, h, &mut SpectralWorkspace::new(&par.base));
+            grad.synthesize(
+                &par,
+                &par.base.analyze(&f),
+                &mut SpectralWorkspace::new(&par.base),
+            );
             grad
         });
         AtmModel {
@@ -219,7 +215,6 @@ impl AtmModel {
             par,
             core,
             phys,
-            orog_pv,
             orog_grad,
             forcings: Forcings::default(),
         }
@@ -380,7 +375,9 @@ impl AtmModel {
                     field.set(i, j, tbar);
                 }
             }
-            out.push(self.shear_from_tbar_field(st.analyze(&field), itf));
+            let mut tbar = st.analyze(&field);
+            self.shear_from_tbar(&mut tbar, itf);
+            out.push(tbar);
         }
         out
     }
@@ -400,16 +397,10 @@ impl AtmModel {
         sum / f64::max(cnt, 1.0)
     }
 
-    /// Convert a spectral T̄ field into an equilibrium interface shear:
-    /// Δψ_eq = (R_d Δln p / f₀) · T̄′ (thermal wind), with the global mean
-    /// removed (it has no dynamical meaning).
-    fn shear_from_tbar_field(&self, mut tbar: SpectralField, itf: usize) -> SpectralField {
-        self.shear_from_tbar_into(&mut tbar, itf);
-        tbar
-    }
-
-    /// In-place form of [`AtmModel::shear_from_tbar_field`].
-    fn shear_from_tbar_into(&self, tbar: &mut SpectralField, itf: usize) {
+    /// Convert a spectral T̄ field, in place, into an equilibrium
+    /// interface shear: Δψ_eq = (R_d Δln p / f₀) · T̄′ (thermal wind),
+    /// with the global mean removed (it has no dynamical meaning).
+    fn shear_from_tbar(&self, tbar: &mut SpectralField, itf: usize) {
         let nld = self.cfg.dynamics.nlev;
         // Pressure ratio across the interface: equally spaced sigma-like
         // dynamic levels at (k+1/2)/nld of the column.
@@ -420,34 +411,10 @@ impl AtmModel {
         tbar.scale(R_DRY * dlnp / F0);
     }
 
-    /// Equilibrium shears from the *current* temperature state
-    /// (distributed analysis).
-    fn equilibrium_shear(&self, comm: &Comm, t: &[Field2]) -> Vec<SpectralField> {
-        let nld = self.cfg.dynamics.nlev;
-        let nlocal = self.par.n_local_rows();
-        let grid = self.grid();
-        let mut out = Vec::with_capacity(nld - 1);
-        for itf in 0..nld - 1 {
-            let mut field = Field2::zeros(grid.nlon, nlocal);
-            let mut cnt = 0.0;
-            for k in 0..self.cfg.nlev_phys {
-                let d = self.dyn_level_for(k);
-                if d == itf || d == itf + 1 {
-                    field.axpy(1.0, &t[k]);
-                    cnt += 1.0;
-                }
-            }
-            field.scale(1.0 / f64::max(cnt, 1.0));
-            let spec = self.par.analyze(comm, &field);
-            out.push(self.shear_from_tbar_field(spec, itf));
-        }
-        out
-    }
-
-    /// Allocation-free [`AtmModel::equilibrium_shear`]: accumulates the
-    /// layer-pair mean temperature in `field` and leaves the shears in
-    /// `out`; the analyses share one global combine. Bit-identical to
-    /// the allocating form.
+    /// Equilibrium shears from the *current* temperature state:
+    /// accumulates the layer-pair mean temperature in `field` and leaves
+    /// the shears in `out`; the distributed analyses share one global
+    /// combine.
     fn equilibrium_shear_ws(
         &self,
         comm: &Comm,
@@ -475,181 +442,35 @@ impl AtmModel {
         self.par.reduce(comm, &mut inner.batch);
         for (itf, shear) in out.iter_mut().enumerate() {
             inner.batch.read(itf, shear);
-            self.shear_from_tbar_into(shear, itf);
+            self.shear_from_tbar(shear, itf);
         }
     }
 
-    /// Advance the atmosphere by one step (`cfg.dt` seconds).
-    ///
-    /// This is the allocate-per-step reference: every field transform
-    /// is done where it is needed, one global combine each. Hot loops
-    /// use [`AtmModel::step_ws`], which must reproduce it bit for bit
-    /// (tests pin the equivalence) — change the science here, and there
-    /// to match.
-    pub fn step(&self, state: &mut AtmState, comm: &Comm, forcing: &AtmForcing) -> AtmExport {
-        let grid = self.grid();
-        let nlocal_rows = self.par.n_local_rows();
-        let nlon = grid.nlon;
-        let nl = self.cfg.nlev_phys;
-        let dt = self.cfg.dt;
-        assert_eq!(forcing.fluxes.len(), self.n_local());
-
-        // --- Dynamics: winds for this step. ---------------------------
-        let dyn_scope = foam_telemetry::scope("dynamics");
-        let psi = self.core.psi_from_pv(&state.qg.q_now);
-        let nld = self.cfg.dynamics.nlev;
-        let winds: Vec<(Field2, Field2)> = (0..nld)
-            .map(|d| winds_on_rows(&self.par, &psi[d]))
-            .collect();
-        let (u_low, v_low) = winds[nld - 1].clone();
-        drop(dyn_scope);
-
-        // --- Column physics (embarrassingly parallel, load-imbalanced).
-        let phys_scope = foam_telemetry::scope("physics");
-        let orb = OrbitalState::at_with(state.sim_t, self.phys.cfg.obliquity_deg);
-        let eff = self.effective_phys(state.sim_t);
-        let refresh = state.step_count == 0 || eff.radiation_due(state.sim_t, dt);
-        // Radiation-cache accounting: a refresh step recomputes the full
-        // radiative transfer in every local column (a cache miss per
-        // column); other steps reuse the cached fluxes.
-        let n_cols = self.n_local() as u64;
-        if refresh {
-            foam_telemetry::count("atm.radiation.cache_misses", n_cols);
-        } else {
-            foam_telemetry::count("atm.radiation.cache_hits", n_cols);
-        }
-        let mut precip = Field2::zeros(nlon, nlocal_rows);
-        let mut sw_sfc = Field2::zeros(nlon, nlocal_rows);
-        let mut lw_down = Field2::zeros(nlon, nlocal_rows);
-        let mut cloud = Field2::zeros(nlon, nlocal_rows);
-        let mut work = vec![0usize; self.n_local()];
-        let mut col = AtmColumn::isothermal(nl, 2000.0, 280.0);
-        for jl in 0..nlocal_rows {
-            let lat = grid.lats[self.par.j0 + jl];
-            for i in 0..nlon {
-                let idx = jl * nlon + i;
-                // Load the column.
-                for k in 0..nl {
-                    col.t[k] = state.t[k].get(i, jl);
-                    col.q[k] = state.q[k].get(i, jl);
-                }
-                let sfc = SurfaceState {
-                    kind: SurfaceKind::Ocean, // kind is unused with external fluxes
-                    t_sfc: forcing.t_sfc[idx],
-                    albedo: forcing.albedo[idx],
-                    wetness: 1.0,
-                };
-                let out = eff.step_with_fluxes(
-                    &mut col,
-                    &sfc,
-                    forcing.fluxes[idx],
-                    orb,
-                    grid.lons[i],
-                    lat,
-                    &mut state.rad[idx],
-                    refresh,
-                    dt,
-                );
-                for k in 0..nl {
-                    state.t[k].set(i, jl, col.t[k]);
-                    state.q[k].set(i, jl, col.q[k]);
-                }
-                precip.set(i, jl, out.precip / dt);
-                sw_sfc.set(i, jl, out.sw_sfc);
-                lw_down.set(i, jl, out.lw_down_sfc);
-                cloud.set(i, jl, out.cloud);
-                work[idx] = out.iterations;
-            }
-        }
-        drop(phys_scope);
-
-        // --- Tracer advection (T, q at every physics level). ----------
-        let dyn_scope = foam_telemetry::scope("dynamics");
-        for k in 0..nl {
-            let d = self.dyn_level_for(k);
-            state.t[k] = advect_grid_tracer(
-                &self.par,
-                comm,
-                &psi[d],
-                &state.t[k],
-                dt,
-                self.cfg.tracer_nu4,
-                150.0, // physical floor on T [K]
-            );
-            state.q[k] = advect_grid_tracer(
-                &self.par,
-                comm,
-                &psi[d],
-                &state.q[k],
-                dt,
-                self.cfg.tracer_nu4,
-                0.0,
-            );
-        }
-
-        // --- QG step forced by the new temperature field. --------------
-        let dpsi_eq = self.equilibrium_shear(comm, &state.t);
-        let tend = self.core.tendencies(
-            &self.par,
-            comm,
-            &state.qg.q_now,
-            &dpsi_eq,
-            self.orog_pv.as_ref(),
-        );
-        if state.step_count == 0 {
-            self.core.step_euler(&mut state.qg, &tend, dt);
-        } else {
-            self.core.step_leapfrog(&mut state.qg, &tend, dt);
-        }
-        drop(dyn_scope);
-
-        state.sim_t += dt;
-        state.step_count += 1;
-
-        AtmExport {
-            t_low: state.t[nl - 1].clone(),
-            q_low: state.q[nl - 1].clone(),
-            u_low,
-            v_low,
-            precip,
-            sw_sfc,
-            lw_down,
-            cloud,
-            work,
-        }
-    }
-
-    /// Advance the atmosphere by one step without allocating: all
-    /// scratch comes from `ws` and the results overwrite `export`.
-    /// Bit-identical to [`AtmModel::step`] — every number has the same
-    /// operands combined in the same order — from less work: ψ and its
-    /// gradient slabs are computed once and shared by the winds, all
-    /// tracer Jacobians and the PV tendencies, the orography's gradient
-    /// comes from model construction, and independent analyses share a
-    /// global combine (four per step instead of one per field).
+    /// Advance the atmosphere by one step (`cfg.dt` seconds) without
+    /// allocating: all scratch comes from `ws` and the results overwrite
+    /// `export`. ψ and its gradient slabs are computed once and shared
+    /// by the winds, all tracer Jacobians and the PV tendencies, the
+    /// orography's gradient comes from model construction, and
+    /// independent analyses share a global combine (four per step).
+    /// `crates/atm/tests/state_digest.rs` pins the bits this produces.
     ///
     /// ```
-    /// use foam_atm::workspace::AtmWorkspace;
-    /// use foam_atm::{AtmConfig, AtmModel};
+    /// use foam_atm::{AtmConfig, AtmModel, AtmWorkspace};
     /// use foam_grid::World;
     /// use foam_mpi::Universe;
     ///
     /// Universe::run(1, |comm| {
     ///     let model = AtmModel::new(AtmConfig::tiny(4), comm);
     ///     let world = World::earthlike();
-    ///     let mut a = model.init_state();
-    ///     let mut b = model.init_state();
+    ///     let mut state = model.init_state();
     ///     let mut ws = AtmWorkspace::new(&model);
     ///     let mut export = model.empty_export();
     ///     for _ in 0..3 {
-    ///         let forcing = model.standalone_forcing(&a, &world);
-    ///         let e = model.step(&mut a, comm, &forcing);
-    ///         model.step_ws(&mut b, comm, &forcing, &mut ws, &mut export);
-    ///         assert_eq!(e.t_low.as_slice(), export.t_low.as_slice());
-    ///         assert_eq!(e.precip.as_slice(), export.precip.as_slice());
+    ///         let forcing = model.standalone_forcing(&state, &world);
+    ///         model.step_ws(&mut state, comm, &forcing, &mut ws, &mut export);
     ///     }
-    ///     assert_eq!(a.t[0].as_slice(), b.t[0].as_slice());
-    ///     assert_eq!(a.qg.q_now[0].data, b.qg.q_now[0].data);
+    ///     assert_eq!(state.step_count, 3);
+    ///     assert!(export.t_low.all_finite());
     /// });
     /// ```
     pub fn step_ws(
@@ -692,6 +513,9 @@ impl AtmModel {
         let orb = OrbitalState::at_with(state.sim_t, self.phys.cfg.obliquity_deg);
         let eff = self.effective_phys(state.sim_t);
         let refresh = state.step_count == 0 || eff.radiation_due(state.sim_t, dt);
+        // Radiation-cache accounting: a refresh step recomputes the full
+        // radiative transfer in every local column (a cache miss per
+        // column); other steps reuse the cached fluxes.
         let n_cols = self.n_local() as u64;
         if refresh {
             foam_telemetry::count("atm.radiation.cache_misses", n_cols);
@@ -922,9 +746,11 @@ mod tests {
             let model = AtmModel::new(AtmConfig::tiny(3), comm);
             let world = World::earthlike();
             let mut state = model.init_state();
+            let mut ws = AtmWorkspace::new(&model);
+            let mut export = model.empty_export();
             for _ in 0..48 {
                 let forcing = model.standalone_forcing(&state, &world);
-                let export = model.step(&mut state, comm, &forcing);
+                model.step_ws(&mut state, comm, &forcing, &mut ws, &mut export);
                 assert!(export.t_low.all_finite());
                 assert!(export.q_low.all_finite());
                 for k in 0..model.cfg.nlev_phys {
@@ -938,7 +764,7 @@ mod tests {
             }
             // Winds should be alive (jets spun up) but bounded.
             let forcing = model.standalone_forcing(&state, &world);
-            let export = model.step(&mut state, comm, &forcing);
+            model.step_ws(&mut state, comm, &forcing, &mut ws, &mut export);
             let umax = export.u_low.max_abs();
             assert!(umax > 0.5, "no circulation developed: umax = {umax}");
             assert!(umax < 150.0, "runaway winds: umax = {umax}");
@@ -955,9 +781,11 @@ mod tests {
                 let model = AtmModel::new(AtmConfig::tiny(seed), comm);
                 let world = World::earthlike();
                 let mut state = model.init_state();
+                let mut ws = AtmWorkspace::new(&model);
+                let mut export = model.empty_export();
                 for _ in 0..96 {
                     let forcing = model.standalone_forcing(&state, &world);
-                    model.step(&mut state, comm, &forcing);
+                    model.step_ws(&mut state, comm, &forcing, &mut ws, &mut export);
                 }
                 model.eddy_energy(&state)
             });
@@ -989,65 +817,19 @@ mod tests {
     }
 
     #[test]
-    fn step_ws_is_bit_identical_to_step_across_ranks() {
-        // The workspace path must reproduce the allocate-per-step path
-        // exactly — every export field and every piece of state — on
-        // serial and decomposed runs, at the paper's 18 physics levels
-        // with orography on (every Jacobian, batch and cached gradient
-        // in play).
-        for p in [1usize, 2, 3] {
-            Universe::run(p, |comm| {
-                let cfg = AtmConfig {
-                    nlev_phys: 18,
-                    ..AtmConfig::tiny(13)
-                };
-                assert!(cfg.orography);
-                let model = AtmModel::new(cfg, comm);
-                let world = World::earthlike();
-                let mut a = model.init_state();
-                let mut b = model.init_state();
-                let mut ws = AtmWorkspace::new(&model);
-                let mut export = model.empty_export();
-                for _ in 0..6 {
-                    let forcing = model.standalone_forcing(&a, &world);
-                    let e = model.step(&mut a, comm, &forcing);
-                    model.step_ws(&mut b, comm, &forcing, &mut ws, &mut export);
-                    assert_eq!(e.t_low.as_slice(), export.t_low.as_slice());
-                    assert_eq!(e.q_low.as_slice(), export.q_low.as_slice());
-                    assert_eq!(e.u_low.as_slice(), export.u_low.as_slice());
-                    assert_eq!(e.v_low.as_slice(), export.v_low.as_slice());
-                    assert_eq!(e.precip.as_slice(), export.precip.as_slice());
-                    assert_eq!(e.sw_sfc.as_slice(), export.sw_sfc.as_slice());
-                    assert_eq!(e.lw_down.as_slice(), export.lw_down.as_slice());
-                    assert_eq!(e.cloud.as_slice(), export.cloud.as_slice());
-                    assert_eq!(e.work, export.work);
-                }
-                for k in 0..model.cfg.nlev_phys {
-                    assert_eq!(a.t[k].as_slice(), b.t[k].as_slice());
-                    assert_eq!(a.q[k].as_slice(), b.q[k].as_slice());
-                }
-                for k in 0..model.cfg.dynamics.nlev {
-                    assert_eq!(a.qg.q_now[k].data, b.qg.q_now[k].data);
-                    assert_eq!(a.qg.q_prev[k].data, b.qg.q_prev[k].data);
-                }
-            });
-        }
-    }
-
-    #[test]
     fn work_field_shows_horizontal_variation() {
         Universe::run(1, |comm| {
             let model = AtmModel::new(AtmConfig::tiny(9), comm);
             let world = World::earthlike();
             let mut state = model.init_state();
-            let mut last = Vec::new();
+            let mut ws = AtmWorkspace::new(&model);
+            let mut export = model.empty_export();
             for _ in 0..8 {
                 let forcing = model.standalone_forcing(&state, &world);
-                let export = model.step(&mut state, comm, &forcing);
-                last = export.work;
+                model.step_ws(&mut state, comm, &forcing, &mut ws, &mut export);
             }
-            let min = *last.iter().min().unwrap();
-            let max = *last.iter().max().unwrap();
+            let min = *export.work.iter().min().unwrap();
+            let max = *export.work.iter().max().unwrap();
             assert!(
                 max > min,
                 "physics work should vary across columns (load imbalance)"

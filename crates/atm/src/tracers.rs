@@ -11,58 +11,10 @@
 use foam_grid::constants::EARTH_RADIUS;
 use foam_grid::Field2;
 use foam_mpi::Comm;
-use foam_spectral::{ParTransform, SpectralField};
+use foam_spectral::{ParTransform, SpectralField, SpectralWorkspace};
 
 use crate::dynamics::{jacobian_on_rows, Gradient};
 use crate::workspace::DynWorkspace;
-
-/// Advective tendency of tracer `x` (spectral) under streamfunction
-/// `psi` (spectral): returns −J(ψ, x) in spectral space. Identical
-/// machinery to the PV Jacobian.
-pub fn advect(
-    par: &ParTransform,
-    comm: &Comm,
-    psi: &SpectralField,
-    x: &SpectralField,
-) -> SpectralField {
-    let mut t = crate::dynamics::jacobian(par, comm, psi, x);
-    t.scale(-1.0);
-    t
-}
-
-/// One explicit advection-diffusion step of a *grid-space* tracer slab
-/// owned by this rank: analyze → tendency → synthesize increment → apply.
-///
-/// Returns the updated local slab. `nu4` is the hyperdiffusion
-/// coefficient; `floor` clips the result from below (0 for moisture,
-/// f64::NEG_INFINITY for temperature anomalies).
-#[allow(clippy::too_many_arguments)]
-pub fn advect_grid_tracer(
-    par: &ParTransform,
-    comm: &Comm,
-    psi: &SpectralField,
-    local: &Field2,
-    dt: f64,
-    nu4: f64,
-    floor: f64,
-) -> Field2 {
-    let spec = par.analyze(comm, local);
-    let tend = advect(par, comm, psi, &spec);
-    let mut new_spec = spec;
-    new_spec.axpy(dt, &tend);
-    // Implicit ∇²+∇⁴ diffusion; the ∇² part offsets the weak
-    // amplification of forward-Euler advection.
-    new_spec.apply_diffusion(nu4 * 3.0e-11, nu4, dt);
-    let mut out = par.synthesize(&new_spec);
-    // The spectral round trip is lossy for non-band-limited fields; keep
-    // the physical bound.
-    for v in out.as_mut_slice() {
-        if *v < floor {
-            *v = floor;
-        }
-    }
-    out
-}
 
 /// One family of grid-space tracers for [`advect_grid_tracers_ws`]:
 /// this rank's slab at every physics level, and the floor that clips
@@ -72,18 +24,20 @@ pub struct TracerSet<'a> {
     pub floor: f64,
 }
 
-/// [`advect_grid_tracer`] for every tracer slab of a step at once, in
-/// place and allocation-free. Slab `k` of each set is advected by the
-/// streamfunction of dynamic level `dyn_level(k)`, whose gradient slabs
-/// [`QgCore::streamfunction_ws`](crate::dynamics::QgCore::streamfunction_ws)
+/// One explicit advection-diffusion step of every grid-space tracer slab
+/// this rank owns, in place: analyze → tendency −J(ψ, x) → implicit
+/// diffusion (`nu4` is the hyperdiffusion coefficient) → synthesize →
+/// clip from below at the set's floor. Slab `k` of each set is advected
+/// by the streamfunction of dynamic level `dyn_level(k)`, whose gradient
+/// slabs [`QgCore::streamfunction_ws`](crate::dynamics::QgCore::streamfunction_ws)
 /// has left in `dw`. The work runs as three passes over all slabs —
 /// analyze, Jacobian, update and synthesize — so the analyses of each of
 /// the first two passes share one global combine instead of paying one
-/// per slab. Each slab gets exactly the bits of the one-at-a-time form.
+/// per slab.
 ///
 /// ```
 /// use foam_atm::dynamics::{QgConfig, QgCore};
-/// use foam_atm::tracers::{advect_grid_tracer, advect_grid_tracers_ws, TracerSet};
+/// use foam_atm::tracers::{advect_grid_tracers_ws, TracerSet};
 /// use foam_atm::workspace::DynWorkspace;
 /// use foam_grid::{AtmGrid, Field2};
 /// use foam_mpi::Universe;
@@ -98,24 +52,19 @@ pub struct TracerSet<'a> {
 ///     let mut q: Vec<SpectralField> =
 ///         (0..3).map(|_| SpectralField::zeros(par.base.trunc)).collect();
 ///     q[1].set(2, 3, Complex::new(3.0e-6, 1.0e-6));
-///     let psi = core.psi_from_pv(&q);
+///     // Two moisture slabs, advected by dynamic levels 1 and 2.
 ///     let mut slabs: Vec<Field2> = (0..2)
 ///         .map(|k| {
 ///             Field2::from_fn(par.base.grid.nlon, par.n_local_rows(), |i, jl| {
-///                 (i as f64 * 0.3).sin() + (jl + k) as f64 * 0.01
+///                 0.01 * (1.0 + (i as f64 * 0.3).sin()) + (jl + k) as f64 * 1.0e-4
 ///             })
 ///         })
-///         .collect();
-///     let want: Vec<Field2> = (0..2)
-///         .map(|k| advect_grid_tracer(&par, comm, &psi[k + 1], &slabs[k], 1800.0, 1e16, 0.0))
 ///         .collect();
 ///     let mut dw = DynWorkspace::new(&par, 3, 2);
 ///     core.streamfunction_ws(&par, &q, &mut dw);
 ///     let mut sets = [TracerSet { slabs: &mut slabs, floor: 0.0 }];
 ///     advect_grid_tracers_ws(&par, comm, &mut sets, |k| k + 1, 1800.0, 1e16, &mut dw);
-///     for k in 0..2 {
-///         assert_eq!(want[k].as_slice(), slabs[k].as_slice());
-///     }
+///     assert!(slabs.iter().all(|s| s.as_slice().iter().all(|&v| v >= 0.0 && v < 0.1)));
 /// });
 /// ```
 pub fn advect_grid_tracers_ws(
@@ -149,7 +98,7 @@ pub fn advect_grid_tracers_ws(
         batch.read(slot, x);
     }
 
-    // Advective tendency −J(ψ, x), as in [`advect`].
+    // Advective tendency −J(ψ, x): the machinery of the PV Jacobian.
     batch.begin(n);
     let levels = sets.iter().flat_map(|s| 0..s.slabs.len());
     for (slot, (k, x)) in levels.zip(tr_spec.iter()).enumerate() {
@@ -182,56 +131,20 @@ pub fn advect_grid_tracers_ws(
 }
 
 /// Horizontal winds (u, v) \[m/s\] on this rank's rows from a
-/// streamfunction, dividing out the cos φ factor of the spectral
-/// gradients.
-pub fn winds_on_rows(par: &ParTransform, psi: &SpectralField) -> (Field2, Field2) {
-    let mut ucos = par.synthesize_cosgrad(psi);
-    ucos.scale(-1.0 / EARTH_RADIUS);
-    let mut vcos = par.synthesize_dlambda(psi);
-    vcos.scale(1.0 / EARTH_RADIUS);
-    let grid = &par.base.grid;
-    let mut u = Field2::zeros(grid.nlon, par.n_local_rows());
-    let mut v = Field2::zeros(grid.nlon, par.n_local_rows());
-    for jl in 0..par.n_local_rows() {
-        let cos = grid.lats[par.j0 + jl].cos();
-        for i in 0..grid.nlon {
-            u.set(i, jl, ucos.get(i, jl) / cos);
-            v.set(i, jl, vcos.get(i, jl) / cos);
-        }
-    }
+/// streamfunction, for callers outside the step that have no ψ
+/// gradient on the grid yet.
+pub(crate) fn winds_on_rows(par: &ParTransform, psi: &SpectralField) -> (Field2, Field2) {
+    let mut grad = Gradient::zeros(par);
+    grad.synthesize(par, psi, &mut SpectralWorkspace::new(&par.base));
+    let mut u = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
+    let mut v = u.clone();
+    winds_from_gradient(par, &grad, &mut u, &mut v);
     (u, v)
 }
 
-/// [`winds_on_rows`] from gradient slabs of ψ that are already on the
-/// grid: the winds overwrite `u`/`v`, bit-identical to synthesizing
-/// them afresh.
-///
-/// ```
-/// use foam_atm::dynamics::Gradient;
-/// use foam_atm::tracers::{winds_from_gradient, winds_on_rows};
-/// use foam_grid::{AtmGrid, Field2};
-/// use foam_mpi::Universe;
-/// use foam_spectral::{
-///     Complex, ParTransform, SpectralField, SpectralWorkspace, SphericalTransform, Truncation,
-/// };
-///
-/// Universe::run(1, |comm| {
-///     let par = ParTransform::new(
-///         SphericalTransform::new(AtmGrid::new(24, 16), Truncation::rhomboidal(5)),
-///         comm,
-///     );
-///     let mut psi = SpectralField::zeros(par.base.trunc);
-///     psi.set(1, 2, Complex::new(2.0e6, -0.5e6));
-///     let (u, v) = winds_on_rows(&par, &psi);
-///     let mut grad = Gradient::zeros(&par);
-///     grad.synthesize(&par, &psi, &mut SpectralWorkspace::new(&par.base));
-///     let mut u2 = Field2::zeros(par.base.grid.nlon, par.n_local_rows());
-///     let mut v2 = u2.clone();
-///     winds_from_gradient(&par, &grad, &mut u2, &mut v2);
-///     assert_eq!(u.as_slice(), u2.as_slice());
-///     assert_eq!(v.as_slice(), v2.as_slice());
-/// });
-/// ```
+/// Horizontal winds (u, v) \[m/s\] on this rank's rows from the
+/// gradient slabs of a streamfunction, dividing out the cos φ factor of
+/// the spectral gradients; the winds overwrite `u`/`v`.
 pub fn winds_from_gradient(par: &ParTransform, psi: &Gradient, u: &mut Field2, v: &mut Field2) {
     let grid = &par.base.grid;
     for jl in 0..par.n_local_rows() {
@@ -255,6 +168,37 @@ mod tests {
             SphericalTransform::new(AtmGrid::new(24, 16), Truncation::rhomboidal(5)),
             comm,
         )
+    }
+
+    /// A one-level, one-tracer workspace with `psi`'s gradient slabs in
+    /// its ψ cache.
+    fn workspace_for(par: &ParTransform, psi: &SpectralField) -> DynWorkspace {
+        let mut dw = DynWorkspace::new(par, 1, 1);
+        dw.psi_grad[0].synthesize(par, psi, &mut dw.spec);
+        dw
+    }
+
+    const DT: f64 = 1800.0;
+
+    /// One advection step of `DT` of the single slab `local` under the
+    /// cached ψ.
+    fn advect_one(
+        par: &ParTransform,
+        comm: &Comm,
+        local: &mut Field2,
+        nu4: f64,
+        floor: f64,
+        dw: &mut DynWorkspace,
+    ) {
+        let mut sets = [TracerSet {
+            slabs: std::slice::from_mut(local),
+            floor,
+        }];
+        advect_grid_tracers_ws(par, comm, &mut sets, |_| 0, DT, nu4, dw);
+    }
+
+    fn zero_slab(par: &ParTransform) -> Field2 {
+        Field2::zeros(par.base.grid.nlon, par.n_local_rows())
     }
 
     /// Solid-body rotation streamfunction ψ = −ω a² μ.
@@ -301,13 +245,16 @@ mod tests {
             // without deformation under solid-body flow.
             let mut x = SpectralField::zeros(par.base.trunc);
             x.set(1, 2, Complex::new(1.0, 0.0));
-            let dt = 1800.0;
+            let dt = DT;
             let steps = 240; // 5 days = quarter rotation
-            let mut local = par.synthesize(&x);
+            let mut dw = workspace_for(&par, &psi);
+            let mut local = zero_slab(&par);
+            par.synthesize_into(&x, &mut dw.spec, &mut local);
             for _ in 0..steps {
-                local = advect_grid_tracer(&par, comm, &psi, &local, dt, 0.0, f64::NEG_INFINITY);
+                advect_one(&par, comm, &mut local, 0.0, f64::NEG_INFINITY, &mut dw);
             }
-            let spec = par.analyze(comm, &local);
+            let mut spec = SpectralField::zeros(par.base.trunc);
+            par.analyze_into(comm, &local, &mut dw.spec, &mut spec);
             let z = spec.get(1, 2);
             // Pattern cos(λ + φ(t)) with φ = −ω t (eastward drift):
             // coefficient phase advances by −m ω t.
@@ -330,13 +277,17 @@ mod tests {
             let mut x = SpectralField::zeros(par.base.trunc);
             x.set(0, 0, Complex::new(2.0, 0.0));
             x.set(1, 3, Complex::new(0.5, 0.2));
-            let mut local = par.synthesize(&x);
-            let mean0 = par.analyze(comm, &local).get(0, 0).re;
+            let mut dw = workspace_for(&par, &psi);
+            let mut local = zero_slab(&par);
+            par.synthesize_into(&x, &mut dw.spec, &mut local);
+            let mut spec = SpectralField::zeros(par.base.trunc);
+            par.analyze_into(comm, &local, &mut dw.spec, &mut spec);
+            let mean0 = spec.get(0, 0).re;
             for _ in 0..10 {
-                local =
-                    advect_grid_tracer(&par, comm, &psi, &local, 1800.0, 0.0, f64::NEG_INFINITY);
+                advect_one(&par, comm, &mut local, 0.0, f64::NEG_INFINITY, &mut dw);
             }
-            let mean1 = par.analyze(comm, &local).get(0, 0).re;
+            par.analyze_into(comm, &local, &mut dw.spec, &mut spec);
+            let mean1 = spec.get(0, 0).re;
             assert!(
                 (mean1 - mean0).abs() < 1e-10 * mean0.abs(),
                 "mean drift {mean0} → {mean1}"
@@ -353,15 +304,16 @@ mod tests {
             // A sharply varying non-negative field (spectral ringing would
             // go negative without the clip).
             let g = &par.base.grid;
-            let local = Field2::from_fn(g.nlon, par.n_local_rows(), |i, jl| {
+            let mut local = Field2::from_fn(g.nlon, par.n_local_rows(), |i, jl| {
                 if i % 7 == 0 && jl % 3 == 0 {
                     0.02
                 } else {
                     0.0
                 }
             });
-            let out = advect_grid_tracer(&par, comm, &psi, &local, 1800.0, 1e16, 0.0);
-            assert!(out.as_slice().iter().all(|&v| v >= 0.0));
+            let mut dw = workspace_for(&par, &psi);
+            advect_one(&par, comm, &mut local, 1e16, 0.0, &mut dw);
+            assert!(local.as_slice().iter().all(|&v| v >= 0.0));
         });
     }
 }

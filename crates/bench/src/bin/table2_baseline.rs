@@ -11,6 +11,9 @@
 //! * **baseline (CSM-like)**: unsplit ocean stepping at the full
 //!   gravity-wave CFL, sequential (blocking) coupling.
 //!
+//! The ocean-alone block doubles as ablation A1: between the two it
+//! switches the slowed surface and the tracer subcycle off one at a time.
+//!
 //! ```sh
 //! cargo run --release -p foam-bench --bin table2_baseline [days] [n_atm_ranks]
 //! ```
@@ -27,27 +30,54 @@ fn main() {
 
     println!("=== Table 2: FOAM vs CSM-like baseline ===\n");
 
-    // ---- Ocean formulation in isolation (the 10× claim). --------------
+    // ---- Ocean formulation in isolation (the 10× claim), and ablation
+    // A1: the slowed surface and the tracer subcycle switched off one
+    // at a time. ----------------------------------------------------------
     let world = World::earthlike();
-    let ocfg = OceanConfig::default();
-    let model = OceanModel::new(ocfg.clone(), &world);
-    let forcing = {
-        let st = model.init_state(&world);
-        OceanForcing::climatological(&model.grid, &world, &model.sst(&st))
+    // One simulated day each way. Wall time is the best of three for the
+    // sub-second split variants: a single 0.4 s sample on a shared host
+    // is ±20 %.
+    let sim = 86_400.0;
+    let one_day = |cfg: OceanConfig, unsplit: bool| {
+        let model = OceanModel::new(cfg, &world);
+        let st0 = model.init_state(&world);
+        let forcing = OceanForcing::climatological(&model.grid, &world, &model.sst(&st0));
+        let reps = if unsplit { 1 } else { 3 };
+        let (mut wall, mut work) = (f64::INFINITY, 0);
+        for _ in 0..reps {
+            let mut st = st0.clone();
+            let t0 = Instant::now();
+            work = if unsplit {
+                model.step_unsplit(&mut st, &forcing, sim)
+            } else {
+                model.step_coupled(&mut st, &forcing, sim)
+            };
+            wall = wall.min(t0.elapsed().as_secs_f64());
+        }
+        (wall, work)
     };
-    let sim = 86_400.0; // one simulated day each way
-    let mut st_a = model.init_state(&world);
-    let t0 = Instant::now();
-    let work_split = model.step_coupled(&mut st_a, &forcing, sim);
-    let wall_split = t0.elapsed().as_secs_f64();
-    let mut st_b = model.init_state(&world);
-    let t0 = Instant::now();
-    let work_unsplit = model.step_unsplit(&mut st_b, &forcing, sim);
-    let wall_unsplit = t0.elapsed().as_secs_f64();
+    let base = OceanConfig::default();
+    let (wall_split, work_split) = one_day(base.clone(), false);
     println!("ocean formulation alone (one simulated day, 128×128×16):");
     println!(
         "  FOAM split/slowed/subcycled : {wall_split:>8.2} s wall, {work_split:>8} work units"
     );
+    let mut no_slow = base.clone();
+    no_slow.slowdown = 1.0; // external waves at full √(gH)
+    let mut no_sub = base.clone();
+    no_sub.n_trac = 1; // tracers every internal step
+    for (name, cfg) in [
+        ("  no slowed surface (α = 1)", no_slow),
+        ("  tracers every step", no_sub),
+    ] {
+        let (wall, work) = one_day(cfg, false);
+        println!(
+            "{name:<30}: {wall:>8.2} s wall, {work:>8} work units ({:+.0} % work, {:+.0} % wall)",
+            100.0 * (work as f64 / work_split as f64 - 1.0),
+            100.0 * (wall / wall_split.max(1e-9) - 1.0)
+        );
+    }
+    let (wall_unsplit, work_unsplit) = one_day(base, true);
     println!(
         "  unsplit gravity-wave CFL    : {wall_unsplit:>8.2} s wall, {work_unsplit:>8} work units"
     );

@@ -1,8 +1,8 @@
 //! `foam-bench` — the experiment harness.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §3 and
-//! EXPERIMENTS.md for the index), plus Criterion micro-benches for the
-//! component-level ablations:
+//! EXPERIMENTS.md for the index). Timing of components and kernels lives
+//! in `perf/` (`foam-perf`, the repo's one benchmark), not here:
 //!
 //! | target | artifact |
 //! |--------|----------|
@@ -10,10 +10,7 @@
 //! | `figure3_sst` | Fig. 3 — SST: model vs observations vs difference |
 //! | `figure4_variability` | Fig. 4 — VARIMAX EOF of low-passed SST |
 //! | `table1_scaling` | §5 — model speedup vs node count |
-//! | `table2_baseline` | §5 — FOAM vs CSM-like baseline |
-//! | bench `ocean_ablation` | A1 — slowed/split/subcycled ocean options |
-//! | bench `coupler_overlap` | A2 — overlap grid vs naive regridding |
-//! | bench `spectral` | A3 — transform costs |
+//! | `table2_baseline` | §5 — FOAM vs CSM-like baseline; A1 — slowed/split/subcycled ocean options |
 //!
 //! Shared helpers for the binaries live here.
 

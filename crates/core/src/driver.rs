@@ -763,12 +763,10 @@ fn checkpoint_rendezvous(
 /// Per-rank scratch for the coupled hot loop, created once per run and
 /// reused across every step and coupling interval (the zero-churn rule;
 /// see PERFORMANCE.md and DESIGN.md §14). Holding these buffers here —
-/// instead of allocating them inside [`AtmModel::step`] and
-/// [`Coupler::step_rows`] each step — removes essentially all
-/// steady-state allocation from the driver without changing a single
-/// floating-point operation: the workspace paths are bit-identical to
-/// the allocate-per-step ones (pinned by tests in `foam-atm` and
-/// `foam-tests`).
+/// instead of allocating them inside the atmosphere and coupler steps —
+/// removes essentially all steady-state allocation from the driver; the
+/// bits the steps produce are pinned by digests in `foam-atm` and
+/// `foam-tests`.
 struct StepWorkspace {
     /// Spectral/physics scratch for [`AtmModel::step_ws`].
     atm: AtmWorkspace,

@@ -356,8 +356,9 @@ impl Coupler {
     /// One coupler pass for one atmosphere step of length `dt` \[s\]:
     /// compute all surface exchanges, advance the land/ice state, and
     /// accumulate the ocean forcing. Returns the surface the atmosphere
-    /// sees. (Serial convenience wrapper over [`Coupler::step_rows`] +
-    /// [`Coupler::route_rivers`] covering the whole grid.)
+    /// sees. (Serial convenience over [`Coupler::step_rows_ws`] +
+    /// [`Coupler::route_rivers_ws`] covering the whole grid, with a
+    /// throw-away workspace.)
     pub fn step(
         &self,
         st: &mut CouplerState,
@@ -366,38 +367,22 @@ impl Coupler {
         dt: f64,
     ) -> SurfaceForAtm {
         let n = self.atm_grid.len();
-        let (out, runoff) = self.step_rows(st, atm, sst, dt, 0, n, 0);
-        self.route_rivers(st, &runoff, dt);
-        out
+        let mut ws = self.workspace();
+        self.step_rows_ws(st, atm.view(), sst, dt, 0, n, 0, &mut ws);
+        let runoff = std::mem::take(&mut ws.runoff);
+        self.route_rivers_ws(st, &runoff, dt, &mut ws);
+        ws.out
     }
 
     /// The distributed coupler pass: process only atmosphere cells
     /// `ka0..ka1` (this rank's latitude rows, co-located with its
-    /// atmosphere decomposition, as in the paper). `atm` may hold just
-    /// the local rows, with `ka_offset` the flat index of its first
-    /// entry. Returns the surface (full-length vectors, entries filled in
-    /// the range) and the local runoff \[m over the step\] (full-length;
-    /// allgather it and call [`Coupler::route_rivers`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_rows(
-        &self,
-        st: &mut CouplerState,
-        atm: &AtmSurfaceFields,
-        sst: &Field2,
-        dt: f64,
-        ka0: usize,
-        ka1: usize,
-        ka_offset: usize,
-    ) -> (SurfaceForAtm, Vec<f64>) {
-        let mut ws = self.workspace();
-        self.step_rows_ws(st, atm.view(), sst, dt, ka0, ka1, ka_offset, &mut ws);
-        (ws.out, ws.runoff)
-    }
-
-    /// Allocation-free [`Coupler::step_rows`]: reads the atmosphere
-    /// surface through a borrowed [`AtmSurfaceView`] and leaves the
-    /// results in `ws.out` / `ws.runoff`. Bit-identical to the
-    /// allocating form (which is now a thin wrapper over this one).
+    /// atmosphere decomposition, as in the paper). `atm` is a borrowed
+    /// [`AtmSurfaceView`] that may hold just the local rows, with
+    /// `ka_offset` the flat index of its first entry. Leaves the surface
+    /// in `ws.out` (full-length vectors, entries filled in the range)
+    /// and the local runoff \[m over the step\] in `ws.runoff`
+    /// (full-length; allgather it and call
+    /// [`Coupler::route_rivers_ws`]).
     ///
     /// ```
     /// use foam_coupler::{AtmSurfaceFields, Coupler};
@@ -419,16 +404,13 @@ impl Coupler {
     ///     t_low: g(285.0), q_low: g(0.008), u_low: g(5.0), v_low: g(0.0),
     ///     precip: g(1.0e-5), sw_sfc: g(200.0), lw_down: g(350.0),
     /// };
-    /// let mut st_a = coupler.init_state(&sst, |_| 280.0);
-    /// let mut st_b = st_a.clone();
+    /// let mut st = coupler.init_state(&sst, |_| 280.0);
     /// let n = atm_grid.len();
-    ///
-    /// // Allocating reference vs the reused-workspace path:
-    /// let (out, runoff) = coupler.step_rows(&mut st_a, &atm, &sst, 1800.0, 0, n, 0);
     /// let mut ws = coupler.workspace();
-    /// coupler.step_rows_ws(&mut st_b, atm.view(), &sst, 1800.0, 0, n, 0, &mut ws);
-    /// assert_eq!(out.t_sfc, ws.out.t_sfc);   // bit-identical
-    /// assert_eq!(runoff, ws.runoff);
+    /// coupler.step_rows_ws(&mut st, atm.view(), &sst, 1800.0, 0, n, 0, &mut ws);
+    /// assert!(ws.out.t_sfc.iter().all(|&t| (200.0..330.0).contains(&t)));
+    /// assert!(ws.out.albedo.iter().all(|&a| (0.0..=1.0).contains(&a)));
+    /// assert_eq!(ws.runoff.len(), n);
     /// ```
     #[allow(clippy::too_many_arguments)]
     pub fn step_rows_ws(
@@ -678,21 +660,8 @@ impl Coupler {
     /// into the *shared* ocean-forcing accumulator. `runoff` must be the
     /// full-grid field (allgather the per-rank pieces first when
     /// distributed); every rank calls this with identical inputs so the
-    /// replicated river state stays in lockstep.
-    pub fn route_rivers(&self, st: &mut CouplerState, runoff: &[f64], dt: f64) {
-        let mouths_atm = self.river.step(&mut st.river, runoff, dt);
-        let mouths_ocn = self.overlap.atm_to_ocean(&mouths_atm);
-        for ko in 0..self.ocn_grid.len() {
-            if self.sea_mask[ko] {
-                st.acc_shared.freshwater.as_mut_slice()[ko] += dt * mouths_ocn.as_slice()[ko];
-            }
-        }
-    }
-
-    /// [`Coupler::route_rivers`] against workspace scratch —
-    /// bit-identical (the `_into` forms it calls reset their buffers to
-    /// exactly the zeros fresh allocations would hold) and
-    /// allocation-free in steady state.
+    /// replicated river state stays in lockstep. The routing scratch
+    /// comes from `ws`.
     ///
     /// ```
     /// use foam_coupler::Coupler;
@@ -709,19 +678,14 @@ impl Coupler {
     ///     PhysicsConfig::default(),
     /// );
     /// let sst = Field2::filled(8, 6, 15.0);
-    /// let mut st_a = coupler.init_state(&sst, |_| 280.0);
-    /// let mut st_b = st_a.clone();
+    /// let mut st = coupler.init_state(&sst, |_| 280.0);
     /// let runoff = vec![1.0e-4; atm_grid.len()];
-    ///
-    /// coupler.route_rivers(&mut st_a, &runoff, 1800.0);
     /// let mut ws = coupler.workspace();
-    /// coupler.route_rivers_ws(&mut st_b, &runoff, 1800.0, &mut ws);
-    /// // Bit-identical, including the shared freshwater accumulator:
-    /// assert_eq!(st_a.river.volume, st_b.river.volume);
-    /// assert_eq!(
-    ///     st_a.acc_shared.freshwater.as_slice(),
-    ///     st_b.acc_shared.freshwater.as_slice(),
-    /// );
+    /// coupler.route_rivers_ws(&mut st, &runoff, 1800.0, &mut ws);
+    /// // The runoff is now river water, on its way to the shared
+    /// // freshwater accumulator.
+    /// assert!(st.river.volume.iter().any(|&v| v > 0.0));
+    /// assert!(st.acc_shared.freshwater.all_finite());
     /// ```
     pub fn route_rivers_ws(
         &self,

@@ -86,14 +86,10 @@ impl ConvectionResult {
 
 /// Remove dry static instability by mixing adjacent layers (conserving
 /// c_p T mass-weighted enthalpy and water), sweeping until the column is
-/// stable or `max_iters` is reached. Returns the number of sweeps.
-pub fn dry_adjustment(col: &mut AtmColumn, max_iters: usize) -> usize {
-    dry_adjustment_ws(col, max_iters, &mut PhysicsWorkspace::new())
-}
-
-/// [`dry_adjustment`] reading the Exner factors of the pressure grid
-/// from `ws` (computed once per grid) instead of calling `powf` four
-/// times per layer pair per sweep. Bit-identical.
+/// stable or `max_iters` is reached. Returns the number of sweeps. The
+/// Exner factors of the pressure grid are read from `ws` (computed once
+/// per grid) instead of calling `powf` four times per layer pair per
+/// sweep.
 pub fn dry_adjustment_ws(
     col: &mut AtmColumn,
     max_iters: usize,
@@ -131,14 +127,10 @@ pub fn dry_adjustment_ws(
 }
 
 /// Convective available potential energy of a parcel lifted
-/// pseudo-adiabatically from the lowest layer \[J/kg\].
-pub fn compute_cape(col: &AtmColumn) -> f64 {
-    compute_cape_ws(col, &mut PhysicsWorkspace::new())
-}
-
-/// [`compute_cape`] with the pressure-grid factors read from `ws`; it
-/// leaves the parcel's temperature at every level above the lowest in
-/// `ws.parcel` for [`deep_convection_ws`]. Bit-identical.
+/// pseudo-adiabatically from the lowest layer \[J/kg\]. The
+/// pressure-grid factors are read from `ws`, and the parcel's
+/// temperature at every level above the lowest is left in `ws.parcel`
+/// for [`deep_convection_ws`].
 pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
     let n = col.nlev();
     let pf = ws.pressure.of(&col.p);
@@ -161,15 +153,9 @@ pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
 /// threshold, relax the temperature profile toward the parcel moist
 /// adiabat with timescale `tau_deep`, paying for the heating with column
 /// moisture (the precipitated water). Conserves moist enthalpy exactly.
-/// Returns (precip \[kg/m²\], sweeps used).
-pub fn deep_convection(col: &mut AtmColumn, dt: f64, p: &ConvectionParams) -> (f64, usize) {
-    deep_convection_ws(col, dt, p, &mut PhysicsWorkspace::new())
-}
-
-/// Allocation-free [`deep_convection`]: scratch is borrowed from `ws`,
-/// and the moist adiabat it relaxes toward is the profile the CAPE
+/// Returns (precip \[kg/m²\], sweeps used). Scratch is borrowed from
+/// `ws`, and the moist adiabat it relaxes toward is the profile the CAPE
 /// integral has just computed (the column has not changed in between).
-/// Bit-identical to the allocating form.
 pub fn deep_convection_ws(
     col: &mut AtmColumn,
     dt: f64,
@@ -278,28 +264,18 @@ pub fn stratiform(col: &mut AtmColumn, p: &ConvectionParams) -> f64 {
     falling
 }
 
-/// The full convection sequence for one step.
-pub fn convect(col: &mut AtmColumn, dt: f64, p: &ConvectionParams) -> ConvectionResult {
-    convect_ws(col, dt, p, &mut PhysicsWorkspace::new())
-}
-
-/// Allocation-free [`convect`]: deep-convection scratch and the
-/// pressure-grid factors are borrowed from `ws`. Bit-identical to the
-/// allocating form.
+/// The full convection sequence for one step; deep-convection scratch
+/// and the pressure-grid factors are borrowed from `ws`.
 ///
 /// ```
-/// use foam_physics::convection::{convect, convect_ws, ConvectionParams};
+/// use foam_physics::convection::{convect_ws, ConvectionParams};
 /// use foam_physics::{AtmColumn, PhysicsWorkspace};
 ///
 /// let mut ws = PhysicsWorkspace::new();
-/// let p = ConvectionParams::default();
-/// let mut a = AtmColumn::standard(18, 302.0);
-/// a.t[17] += 3.0; // make it convect
-/// let mut b = a.clone();
-/// let ra = convect(&mut a, 1800.0, &p);
-/// let rb = convect_ws(&mut b, 1800.0, &p, &mut ws);
-/// assert_eq!(a.t, b.t);
-/// assert_eq!(ra.total_precip(), rb.total_precip());
+/// let mut col = AtmColumn::standard(18, 302.0);
+/// col.t[17] += 3.0; // make it convect
+/// let r = convect_ws(&mut col, 1800.0, &ConvectionParams::default(), &mut ws);
+/// assert!(r.total_precip() > 0.0 && r.iterations > 1);
 /// ```
 pub fn convect_ws(
     col: &mut AtmColumn,
@@ -321,6 +297,10 @@ pub fn convect_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ws() -> PhysicsWorkspace {
+        PhysicsWorkspace::new()
+    }
 
     fn stable_col() -> AtmColumn {
         AtmColumn::standard(18, 288.0)
@@ -425,7 +405,7 @@ mod tests {
         c.t[n - 1] += 10.0; // superadiabatic kick
         let h0 = c.moist_enthalpy();
         let w0 = c.precipitable_water();
-        let iters = dry_adjustment(&mut c, 50);
+        let iters = dry_adjustment_ws(&mut c, 50, &mut ws());
         assert!(iters >= 2, "unstable column should need work");
         for k in 1..n {
             assert!(c.theta(k - 1) >= c.theta(k) - 1e-5, "still unstable at {k}");
@@ -437,14 +417,14 @@ mod tests {
     #[test]
     fn stable_column_needs_one_sweep() {
         let mut c = stable_col();
-        assert_eq!(dry_adjustment(&mut c, 50), 1);
+        assert_eq!(dry_adjustment_ws(&mut c, 50, &mut ws()), 1);
     }
 
     #[test]
     fn cape_discriminates_stability() {
-        let quiet = compute_cape(&cape_free_col());
+        let quiet = compute_cape_ws(&cape_free_col(), &mut ws());
         assert!(quiet < 70.0, "cold dry column CAPE = {quiet}");
-        let u = compute_cape(&unstable_col());
+        let u = compute_cape_ws(&unstable_col(), &mut ws());
         assert!(u > 500.0, "tropical sounding CAPE = {u}");
         assert!(u > 10.0 * quiet.max(1.0));
     }
@@ -454,7 +434,8 @@ mod tests {
         let mut c = unstable_col();
         let h0 = c.moist_enthalpy();
         let w0 = c.precipitable_water();
-        let (precip, sweeps) = deep_convection(&mut c, 1800.0, &ConvectionParams::default());
+        let (precip, sweeps) =
+            deep_convection_ws(&mut c, 1800.0, &ConvectionParams::default(), &mut ws());
         assert!(precip > 0.0, "deep convection should precipitate");
         assert!(sweeps > 1);
         // Moist enthalpy conserved: heating paid by latent release.
@@ -466,14 +447,15 @@ mod tests {
         // Water budget: column lost exactly the precip.
         assert!((w0 - c.precipitable_water() - precip).abs() < 1e-9 * w0);
         // CAPE reduced.
-        assert!(compute_cape(&c) < compute_cape(&unstable_col()));
+        assert!(compute_cape_ws(&c, &mut ws()) < compute_cape_ws(&unstable_col(), &mut ws()));
     }
 
     #[test]
     fn deep_convection_skips_stable_columns() {
         let mut c = cape_free_col();
         let before = c.clone();
-        let (precip, _) = deep_convection(&mut c, 1800.0, &ConvectionParams::default());
+        let (precip, _) =
+            deep_convection_ws(&mut c, 1800.0, &ConvectionParams::default(), &mut ws());
         assert_eq!(precip, 0.0);
         assert_eq!(c.t, before.t);
     }
@@ -510,8 +492,8 @@ mod tests {
         let mut stable = stable_col();
         let mut unstable = unstable_col();
         let p = ConvectionParams::default();
-        let r_stable = convect(&mut stable, 1800.0, &p);
-        let r_unstable = convect(&mut unstable, 1800.0, &p);
+        let r_stable = convect_ws(&mut stable, 1800.0, &p, &mut ws());
+        let r_unstable = convect_ws(&mut unstable, 1800.0, &p, &mut ws());
         assert!(
             r_unstable.iterations > r_stable.iterations,
             "load imbalance source: {} vs {}",
@@ -527,6 +509,10 @@ mod vintage_tests {
     use super::*;
     use crate::column::saturation_humidity;
 
+    fn ws() -> PhysicsWorkspace {
+        PhysicsWorkspace::new()
+    }
+
     fn tropical_col() -> AtmColumn {
         let mut c = AtmColumn::standard(18, 302.0);
         let n = c.nlev();
@@ -539,10 +525,11 @@ mod vintage_tests {
     #[test]
     fn ccm2_configuration_disables_deep_convection() {
         let mut c = tropical_col();
-        let (precip, _) = deep_convection(&mut c, 1800.0, &ConvectionParams::ccm2());
+        let (precip, _) = deep_convection_ws(&mut c, 1800.0, &ConvectionParams::ccm2(), &mut ws());
         assert_eq!(precip, 0.0);
         let mut c2 = tropical_col();
-        let (precip3, _) = deep_convection(&mut c2, 1800.0, &ConvectionParams::default());
+        let (precip3, _) =
+            deep_convection_ws(&mut c2, 1800.0, &ConvectionParams::default(), &mut ws());
         assert!(precip3 > 0.0, "CCM3 config must convect deeply");
     }
 
@@ -575,9 +562,9 @@ mod vintage_tests {
             c
         };
         let mut a = make();
-        let ra = convect(&mut a, 1800.0, &ConvectionParams::ccm2());
+        let ra = convect_ws(&mut a, 1800.0, &ConvectionParams::ccm2(), &mut ws());
         let mut b = make();
-        let rb = convect(&mut b, 1800.0, &ConvectionParams::default());
+        let rb = convect_ws(&mut b, 1800.0, &ConvectionParams::default(), &mut ws());
         assert_eq!(ra.total_precip(), rb.total_precip());
         assert_eq!(a.t, b.t);
     }

@@ -192,54 +192,13 @@ impl ColumnPhysics {
         }
     }
 
-    /// Advance one column by `dt` seconds.
+    /// Advance one column by `dt` seconds with surface fluxes supplied
+    /// externally (computed by the coupler on the overlap grid). Every
+    /// stage (radiation refresh, PBL diffusion, convection) borrows its
+    /// scratch from `ws`.
     ///
-    /// * `wind` — lowest-model-level wind (from the dynamics) \[m/s\],
     /// * `lon`, `lat` — column position \[rad\],
     /// * `cache` — radiation cache, refreshed when `refresh` is true.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        &self,
-        col: &mut AtmColumn,
-        sfc: &SurfaceState,
-        wind: (f64, f64),
-        orb: OrbitalState,
-        lon: f64,
-        lat: f64,
-        cache: &mut RadCache,
-        refresh: bool,
-        dt: f64,
-    ) -> PhysicsTendencies {
-        let fluxes = self.surface_fluxes(col, sfc, wind);
-        self.step_with_fluxes(col, sfc, fluxes, orb, lon, lat, cache, refresh, dt)
-    }
-
-    /// Advance one column by `dt` seconds with surface fluxes supplied
-    /// externally (computed by the coupler on the overlap grid).
-    ///
-    /// Allocating convenience wrapper over
-    /// [`ColumnPhysics::step_with_fluxes_ws`]; hot loops should hold a
-    /// [`PhysicsWorkspace`] and call that directly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_with_fluxes(
-        &self,
-        col: &mut AtmColumn,
-        sfc: &SurfaceState,
-        fluxes: BulkFluxes,
-        orb: OrbitalState,
-        lon: f64,
-        lat: f64,
-        cache: &mut RadCache,
-        refresh: bool,
-        dt: f64,
-    ) -> PhysicsTendencies {
-        let mut ws = PhysicsWorkspace::new();
-        self.step_with_fluxes_ws(col, sfc, fluxes, orb, lon, lat, cache, refresh, dt, &mut ws)
-    }
-
-    /// Allocation-free [`ColumnPhysics::step_with_fluxes`]: every stage
-    /// (radiation refresh, PBL diffusion, convection) borrows its
-    /// scratch from `ws`. Bit-identical to the allocating form.
     ///
     /// ```
     /// use foam_physics::{
@@ -249,14 +208,13 @@ impl ColumnPhysics {
     /// let e = ColumnPhysics::default();
     /// let sfc = SurfaceState::open_ocean(300.0);
     /// let orb = OrbitalState::at(81.0 * 86_400.0);
-    /// let mut ws = PhysicsWorkspace::new();
-    /// let (mut a, mut b) = (AtmColumn::standard(18, 299.0), AtmColumn::standard(18, 299.0));
-    /// let (mut ca, mut cb) = (RadCache::empty(18), RadCache::empty(18));
-    /// let f = e.surface_fluxes(&a, &sfc, (5.0, 0.0));
-    /// let ta = e.step_with_fluxes(&mut a, &sfc, f, orb, 3.1, 0.1, &mut ca, true, 1800.0);
-    /// let tb = e.step_with_fluxes_ws(&mut b, &sfc, f, orb, 3.1, 0.1, &mut cb, true, 1800.0, &mut ws);
-    /// assert_eq!(a.t, b.t);
-    /// assert_eq!(ta.precip, tb.precip);
+    /// let mut ws = PhysicsWorkspace::with_levels(18);
+    /// let mut col = AtmColumn::standard(18, 299.0);
+    /// let mut cache = RadCache::empty(18);
+    /// let f = e.surface_fluxes(&col, &sfc, (5.0, 0.0));
+    /// let out = e.step_with_fluxes_ws(&mut col, &sfc, f, orb, 3.1, 0.1, &mut cache, true, 1800.0, &mut ws);
+    /// assert!(col.t.iter().all(|t| t.is_finite()));
+    /// assert!(out.precip >= 0.0 && out.lw_down_sfc > 0.0);
     /// ```
     #[allow(clippy::too_many_arguments)]
     pub fn step_with_fluxes_ws(
@@ -330,6 +288,26 @@ mod tests {
         ColumnPhysics::default()
     }
 
+    /// One column step with the surface fluxes computed here from
+    /// `wind`, the lowest-model-level wind \[m/s\].
+    #[allow(clippy::too_many_arguments)]
+    fn step_column(
+        e: &ColumnPhysics,
+        col: &mut AtmColumn,
+        sfc: &SurfaceState,
+        wind: (f64, f64),
+        orb: OrbitalState,
+        lon: f64,
+        lat: f64,
+        cache: &mut RadCache,
+        refresh: bool,
+        dt: f64,
+    ) -> PhysicsTendencies {
+        let fluxes = e.surface_fluxes(col, sfc, wind);
+        let ws = &mut PhysicsWorkspace::new();
+        e.step_with_fluxes_ws(col, sfc, fluxes, orb, lon, lat, cache, refresh, dt, ws)
+    }
+
     fn noon_tropics() -> (OrbitalState, f64, f64) {
         (
             OrbitalState {
@@ -373,7 +351,8 @@ mod tests {
                 seconds_utc: t % 86_400.0,
                 ..orb
             };
-            let out = e.step(
+            let out = step_column(
+                &e,
                 &mut col,
                 &sfc,
                 (6.0, 1.0),
@@ -405,7 +384,8 @@ mod tests {
         let sfc = SurfaceState::open_ocean(295.0);
         let (orb, lon, lat) = noon_tropics();
         let mut cache = RadCache::empty(18);
-        let out = e.step(
+        let out = step_column(
+            &e,
             &mut col,
             &sfc,
             (7.0, 0.0),
@@ -425,7 +405,8 @@ mod tests {
             seconds_utc: 43_200.0,
             obliquity_deg: crate::radiation::OBLIQUITY_PRESENT_DEG,
         };
-        let out2 = e.step(
+        let out2 = step_column(
+            &e,
             &mut col,
             &sfc,
             (7.0, 0.0),
@@ -454,7 +435,8 @@ mod tests {
         tropics.t[17] += 4.0;
         tropics.q[17] = saturation_humidity(tropics.t[17], 1.0e5) * 0.95;
         let mut polar = AtmColumn::standard(18, 260.0);
-        let out_t = e.step(
+        let out_t = step_column(
+            &e,
             &mut tropics,
             &SurfaceState::open_ocean(305.0),
             (5.0, 0.0),
@@ -465,7 +447,8 @@ mod tests {
             true,
             1800.0,
         );
-        let out_p = e.step(
+        let out_p = step_column(
+            &e,
             &mut polar,
             &SurfaceState {
                 kind: SurfaceKind::SeaIce,
@@ -501,7 +484,8 @@ mod tests {
         let sfc = SurfaceState::open_ocean(299.0);
         let (orb, lon, lat) = noon_tropics();
         let mut cache = RadCache::empty(18);
-        let out = e.step(
+        let out = step_column(
+            &e,
             &mut col,
             &sfc,
             (10.0, 0.0),

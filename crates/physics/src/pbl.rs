@@ -10,31 +10,22 @@ use crate::column::AtmColumn;
 use crate::workspace::{fit, PhysicsWorkspace};
 use foam_grid::constants::{GRAVITY, R_DRY};
 
-/// Apply one implicit vertical-diffusion step to θ and q.
+/// Apply one implicit vertical-diffusion step to θ and q; all working
+/// vectors are borrowed from `ws`.
 ///
 /// `k_sfc` is the near-surface diffusivity \[m²/s\]; the profile decays as
 /// exp(−z/`h_scale`).
 ///
-/// Allocating convenience wrapper over [`vertical_diffusion_ws`]; hot
-/// loops should hold a [`PhysicsWorkspace`] and call that directly.
-pub fn vertical_diffusion(col: &mut AtmColumn, dt: f64, k_sfc: f64, h_scale: f64) {
-    vertical_diffusion_ws(col, dt, k_sfc, h_scale, &mut PhysicsWorkspace::new());
-}
-
-/// Allocation-free [`vertical_diffusion`]: all working vectors are
-/// borrowed from `ws`. Bit-identical to the allocating form.
-///
 /// ```
-/// use foam_physics::pbl::{vertical_diffusion, vertical_diffusion_ws};
+/// use foam_physics::pbl::vertical_diffusion_ws;
 /// use foam_physics::{AtmColumn, PhysicsWorkspace};
 ///
 /// let mut ws = PhysicsWorkspace::new();
-/// let mut a = AtmColumn::standard(18, 288.0);
-/// let mut b = a.clone();
-/// vertical_diffusion(&mut a, 1800.0, 50.0, 1000.0);
-/// vertical_diffusion_ws(&mut b, 1800.0, 50.0, 1000.0, &mut ws);
-/// assert_eq!(a.t, b.t);
-/// assert_eq!(a.q, b.q);
+/// let mut col = AtmColumn::standard(18, 288.0);
+/// col.q[17] *= 3.0; // a surface moisture spike…
+/// let (spike, above) = (col.q[17], col.q[16]);
+/// vertical_diffusion_ws(&mut col, 1800.0, 50.0, 1000.0, &mut ws);
+/// assert!(col.q[17] < spike && col.q[16] > above); // …mixes upward
 /// ```
 pub fn vertical_diffusion_ws(
     col: &mut AtmColumn,
@@ -182,7 +173,7 @@ mod tests {
         let mut col = AtmColumn::standard(18, 288.0);
         col.q[17] *= 3.0; // moisten the surface layer
         let w0 = col.precipitable_water();
-        vertical_diffusion(&mut col, 1800.0, 50.0, 1000.0);
+        vertical_diffusion_ws(&mut col, 1800.0, 50.0, 1000.0, &mut PhysicsWorkspace::new());
         let w1 = col.precipitable_water();
         assert!(
             (w1 - w0).abs() < 1e-9 * w0,
@@ -196,7 +187,13 @@ mod tests {
         let q_above_before = col.q[16];
         col.q[17] *= 3.0;
         let q_sfc_before = col.q[17];
-        vertical_diffusion(&mut col, 3600.0, 100.0, 1500.0);
+        vertical_diffusion_ws(
+            &mut col,
+            3600.0,
+            100.0,
+            1500.0,
+            &mut PhysicsWorkspace::new(),
+        );
         assert!(col.q[17] < q_sfc_before, "spike should decay");
         assert!(col.q[16] > q_above_before, "moisture should move up");
     }
@@ -212,7 +209,7 @@ mod tests {
             col.q[k] = 0.004;
         }
         let before = col.clone();
-        vertical_diffusion(&mut col, 3600.0, 80.0, 1200.0);
+        vertical_diffusion_ws(&mut col, 3600.0, 80.0, 1200.0, &mut PhysicsWorkspace::new());
         for k in 0..n {
             assert!((col.t[k] - before.t[k]).abs() < 1e-9);
             assert!((col.q[k] - before.q[k]).abs() < 1e-12);
@@ -223,7 +220,13 @@ mod tests {
     fn large_dt_remains_stable() {
         let mut col = AtmColumn::standard(18, 300.0);
         col.t[17] += 15.0;
-        vertical_diffusion(&mut col, 86_400.0, 500.0, 2000.0);
+        vertical_diffusion_ws(
+            &mut col,
+            86_400.0,
+            500.0,
+            2000.0,
+            &mut PhysicsWorkspace::new(),
+        );
         assert!(col
             .t
             .iter()
@@ -235,7 +238,7 @@ mod tests {
     fn zero_diffusivity_is_a_noop() {
         let mut col = AtmColumn::standard(18, 288.0);
         let before = col.clone();
-        vertical_diffusion(&mut col, 1800.0, 0.0, 1000.0);
+        vertical_diffusion_ws(&mut col, 1800.0, 0.0, 1000.0, &mut PhysicsWorkspace::new());
         assert_eq!(col.t, before.t);
     }
 }

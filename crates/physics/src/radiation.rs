@@ -196,37 +196,21 @@ pub fn diagnose_cloud(col: &AtmColumn) -> f64 {
 /// The expensive full radiation computation for one column.
 ///
 /// `albedo_sfc` is the surface shortwave albedo; `t_sfc` the surface
-/// temperature \[K\]. Returns a [`RadCache`] to be reused (rescaled by
-/// solar geometry) until the next refresh.
-pub fn full_radiation(col: &AtmColumn, t_sfc: f64, albedo_sfc: f64, p: &RadParams) -> RadCache {
-    let mut cache = RadCache::empty(col.nlev());
-    full_radiation_into(
-        col,
-        t_sfc,
-        albedo_sfc,
-        p,
-        &mut PhysicsWorkspace::new(),
-        &mut cache,
-    );
-    cache
-}
-
-/// Allocation-free [`full_radiation`]: overwrites `cache` in place,
-/// borrowing the sweep buffers (emissivity, Planck source, interface
-/// fluxes) from `ws`, so the twice-daily refresh stops churning the
-/// heap. Bit-identical to the allocating form.
+/// temperature \[K\]. Overwrites `cache` in place, to be reused
+/// (rescaled by solar geometry) until the next refresh; the sweep
+/// buffers (emissivity, Planck source, interface fluxes) are borrowed
+/// from `ws`, so the twice-daily refresh does not churn the heap.
 ///
 /// ```
-/// use foam_physics::radiation::{full_radiation, full_radiation_into, RadParams};
+/// use foam_physics::radiation::{full_radiation_into, RadParams};
 /// use foam_physics::{AtmColumn, PhysicsWorkspace, RadCache};
 ///
 /// let col = AtmColumn::standard(18, 288.0);
-/// let p = RadParams::default();
-/// let a = full_radiation(&col, 288.0, 0.1, &p);
-/// let mut b = RadCache::empty(18);
-/// full_radiation_into(&col, 288.0, 0.1, &p, &mut PhysicsWorkspace::new(), &mut b);
-/// assert_eq!(a.lw_heating, b.lw_heating);
-/// assert_eq!(a.olr, b.olr);
+/// let mut cache = RadCache::empty(18);
+/// let ws = &mut PhysicsWorkspace::new();
+/// full_radiation_into(&col, 288.0, 0.1, &RadParams::default(), ws, &mut cache);
+/// assert!(cache.olr > 150.0 && cache.olr < 320.0);
+/// assert!(cache.sw_sfc(0.5) > 0.0);
 /// ```
 pub fn full_radiation_into(
     col: &AtmColumn,
@@ -311,6 +295,13 @@ pub fn full_radiation_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn full_radiation(col: &AtmColumn, t_sfc: f64, albedo_sfc: f64, p: &RadParams) -> RadCache {
+        let mut cache = RadCache::empty(col.nlev());
+        let ws = &mut PhysicsWorkspace::new();
+        full_radiation_into(col, t_sfc, albedo_sfc, p, ws, &mut cache);
+        cache
+    }
 
     fn col() -> AtmColumn {
         AtmColumn::standard(18, 288.0)

@@ -1,11 +1,9 @@
 //! Pre-allocated scratch for the per-column physics hot path.
 //!
-//! The column physics runs in every grid column on every step; each of
-//! its stages historically allocated its working vectors on entry
-//! (heights, tridiagonal bands, radiation sweeps, …) — roughly a dozen
-//! heap allocations per column per step, the single largest allocation
-//! source after the spectral transform. [`PhysicsWorkspace`] owns all of
-//! that scratch so the `_ws`/`_into` variants of the physics entry
+//! The column physics runs in every grid column on every step, and each
+//! of its stages needs working vectors (heights, tridiagonal bands,
+//! radiation sweeps, …) — roughly a dozen per column per step.
+//! [`PhysicsWorkspace`] owns all of that scratch so the physics entry
 //! points ([`crate::pbl::vertical_diffusion_ws`],
 //! [`crate::convection::convect_ws`],
 //! [`crate::radiation::full_radiation_into`],
@@ -17,9 +15,8 @@
 //! to the column at hand, so one workspace serves columns of different
 //! depths (the dynamics' physics columns and the coupler's reference
 //! columns); capacity grows to the largest column seen and is then
-//! reused forever. Every `_ws` variant is bit-identical to its
-//! allocating original — the workspace only changes *where* the scratch
-//! lives, never the arithmetic performed on it (see PERFORMANCE.md).
+//! reused forever. No result depends on what a workspace held before
+//! the call (see PERFORMANCE.md).
 
 use foam_grid::constants::{CP_DRY, R_DRY};
 
@@ -81,15 +78,17 @@ impl PressureFactors {
 /// contents, which are overwritten on every call.
 ///
 /// ```
-/// use foam_physics::pbl::{vertical_diffusion, vertical_diffusion_ws};
+/// use foam_physics::pbl::vertical_diffusion_ws;
 /// use foam_physics::{AtmColumn, PhysicsWorkspace};
 ///
 /// let mut ws = PhysicsWorkspace::new();
+/// let mut other = AtmColumn::standard(18, 300.0);
+/// vertical_diffusion_ws(&mut other, 1800.0, 60.0, 1200.0, &mut ws);
+/// // A used workspace and a fresh one give the same bits.
 /// let mut a = AtmColumn::standard(10, 290.0);
 /// let mut b = a.clone();
-/// vertical_diffusion(&mut a, 1800.0, 60.0, 1200.0);
-/// vertical_diffusion_ws(&mut b, 1800.0, 60.0, 1200.0, &mut ws);
-/// // Bit-identical to the allocating path.
+/// vertical_diffusion_ws(&mut a, 1800.0, 60.0, 1200.0, &mut ws);
+/// vertical_diffusion_ws(&mut b, 1800.0, 60.0, 1200.0, &mut PhysicsWorkspace::new());
 /// assert_eq!(a.t, b.t);
 /// assert_eq!(a.q, b.q);
 /// ```

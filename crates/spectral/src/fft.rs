@@ -316,34 +316,18 @@ impl FftPlan {
         last.combine(src, limit, emit);
     }
 
-    /// Forward DFT: X_k = Σ_j x_j e^{-2πijk/n} (no normalization).
-    pub fn forward(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.n];
-        let mut scratch = vec![Complex::ZERO; self.scratch_len()];
-        self.forward_into(x, &mut out, &mut scratch);
-        out
-    }
-
-    /// Allocation-free [`FftPlan::forward`]: writes the transform into
-    /// `out` using caller-provided `scratch` (at least `2 * len()`
-    /// elements; [`FftPlan::scratch_len`] always suffices). Produces
-    /// bit-identical results to `forward`.
+    /// Forward DFT: X_k = Σ_j x_j e^{-2πijk/n} (no normalization),
+    /// written into `out` using caller-provided `scratch` (at least
+    /// `2 * len()` elements; [`FftPlan::scratch_len`] always suffices).
     pub fn forward_into(&self, x: &[Complex], out: &mut [Complex], scratch: &mut [Complex]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(out.len(), self.n);
         self.run(scratch, self.n, |i| x[i], |k, v| out[k] = v);
     }
 
-    /// Inverse DFT: x_j = (1/n) Σ_k X_k e^{+2πijk/n}.
-    pub fn inverse(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.n];
-        let mut scratch = vec![Complex::ZERO; self.scratch_len()];
-        self.inverse_into(x, &mut out, &mut scratch);
-        out
-    }
-
-    /// Allocation-free [`FftPlan::inverse`] (`scratch` needs at least
-    /// `2 * len()` elements; [`FftPlan::scratch_len`] always suffices).
+    /// Inverse DFT: x_j = (1/n) Σ_k X_k e^{+2πijk/n} (`scratch` needs
+    /// at least `2 * len()` elements; [`FftPlan::scratch_len`] always
+    /// suffices).
     pub fn inverse_into(&self, x: &[Complex], out: &mut [Complex], scratch: &mut [Complex]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(out.len(), self.n);
@@ -375,20 +359,11 @@ fn smallest_prime_factor(n: usize) -> usize {
 }
 
 /// Real analysis on a longitude circle: given `nlon` real samples,
-/// return the one-sided Fourier coefficients
-/// c_m = (1/nlon) Σ_i f_i e^{-imλ_i} for m = 0..=m_max, so that
-/// f_i = Re[c_0 + 2 Σ_{m≥1} c_m e^{imλ_i}] for band-limited f.
-pub fn real_analysis(plan: &FftPlan, row: &[f64], m_max: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; m_max + 1];
-    let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
-    real_analysis_into(plan, row, &mut out, &mut scratch);
-    out
-}
-
-/// Allocation-free [`real_analysis`]: fills `out` (length `m_max + 1`)
-/// with the one-sided coefficients, using caller scratch of at least
-/// `2 * plan.len()` elements ([`FftPlan::scratch_len`] always
-/// suffices). Bit-identical to the allocating form. Wavenumbers above
+/// fill `out` (length `m_max + 1`) with the one-sided Fourier
+/// coefficients c_m = (1/nlon) Σ_i f_i e^{-imλ_i} for m = 0..=m_max, so
+/// that f_i = Re[c_0 + 2 Σ_{m≥1} c_m e^{imλ_i}] for band-limited f.
+/// Caller scratch of at least `2 * plan.len()` elements
+/// ([`FftPlan::scratch_len`] always suffices). Wavenumbers above
 /// `m_max` are never computed.
 pub fn real_analysis_into(
     plan: &FftPlan,
@@ -408,16 +383,11 @@ pub fn real_analysis_into(
     );
 }
 
-/// Real synthesis on a longitude circle: inverse of [`real_analysis`].
-pub fn real_synthesis(plan: &FftPlan, coeffs: &[Complex], out: &mut [f64]) {
-    let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
-    real_synthesis_into(plan, coeffs, out, &mut scratch);
-}
-
-/// Allocation-free [`real_synthesis`] using caller scratch of at least
-/// `3 * plan.len()` elements (exactly [`FftPlan::scratch_len`]).
-/// Bit-identical to the allocating form. Only the real half of the last
-/// stage is computed — the imaginary half is discarded anyway.
+/// Real synthesis on a longitude circle: inverse of
+/// [`real_analysis_into`], using caller scratch of at least
+/// `3 * plan.len()` elements (exactly [`FftPlan::scratch_len`]). Only
+/// the real half of the last stage is computed — the imaginary half is
+/// discarded anyway.
 pub fn real_synthesis_into(
     plan: &FftPlan,
     coeffs: &[Complex],
@@ -596,6 +566,12 @@ mod tests {
         }
     }
 
+    fn forward(plan: &FftPlan, x: &[Complex]) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; plan.len()];
+        plan.forward_into(x, &mut out, &mut vec![Complex::ZERO; plan.scratch_len()]);
+        out
+    }
+
     fn naive_dft(x: &[Complex]) -> Vec<Complex> {
         let n = x.len();
         (0..n)
@@ -629,7 +605,7 @@ mod tests {
         for n in [1usize, 2, 3, 4, 5, 6, 8, 12, 15, 16, 20, 48, 49, 128] {
             let plan = FftPlan::new(n);
             let x = rand_signal(n, n as u64);
-            let fast = plan.forward(&x);
+            let fast = forward(&plan, &x);
             let slow = naive_dft(&x);
             for (a, b) in fast.iter().zip(&slow) {
                 assert!((*a - *b).abs() < 1e-9 * (n as f64), "n={n}");
@@ -642,7 +618,12 @@ mod tests {
         for n in [2usize, 3, 7, 24, 48, 128] {
             let plan = FftPlan::new(n);
             let x = rand_signal(n, 42 + n as u64);
-            let y = plan.inverse(&plan.forward(&x));
+            let mut y = vec![Complex::ZERO; n];
+            plan.inverse_into(
+                &forward(&plan, &x),
+                &mut y,
+                &mut vec![Complex::ZERO; plan.scratch_len()],
+            );
             for (a, b) in x.iter().zip(&y) {
                 assert!((*a - *b).abs() < 1e-10, "n={n}");
             }
@@ -654,7 +635,7 @@ mod tests {
         let n = 48;
         let plan = FftPlan::new(n);
         let x = rand_signal(n, 7);
-        let y = plan.forward(&x);
+        let y = forward(&plan, &x);
         let ex: f64 = x.iter().map(|c| c.norm_sq()).sum();
         let ey: f64 = y.iter().map(|c| c.norm_sq()).sum::<f64>() / n as f64;
         assert!((ex - ey).abs() < 1e-10 * ex);
@@ -666,7 +647,7 @@ mod tests {
         let plan = FftPlan::new(n);
         let mut x = vec![Complex::ZERO; n];
         x[0] = Complex::ONE;
-        let y = plan.forward(&x);
+        let y = forward(&plan, &x);
         for c in y {
             assert!((c - Complex::ONE).abs() < 1e-12);
         }
@@ -684,9 +665,11 @@ mod tests {
                 1.5 + 0.7 * (3.0 * lam).cos() - 2.0 * (15.0 * lam).sin() + 0.1 * (lam).sin()
             })
             .collect();
-        let c = real_analysis(&plan, &row, m_max);
+        let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
+        let mut c = vec![Complex::ZERO; m_max + 1];
+        real_analysis_into(&plan, &row, &mut c, &mut scratch);
         let mut back = vec![0.0; n];
-        real_synthesis(&plan, &c, &mut back);
+        real_synthesis_into(&plan, &c, &mut back, &mut scratch);
         for (a, b) in row.iter().zip(&back) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -702,7 +685,13 @@ mod tests {
                 2.0 + 3.0 * (2.0 * lam).cos() + 4.0 * (5.0 * lam).sin()
             })
             .collect();
-        let c = real_analysis(&plan, &row, 7);
+        let mut c = vec![Complex::ZERO; 8];
+        real_analysis_into(
+            &plan,
+            &row,
+            &mut c,
+            &mut vec![Complex::ZERO; plan.scratch_len()],
+        );
         assert!((c[0].re - 2.0).abs() < 1e-12 && c[0].im.abs() < 1e-12);
         // a cos(mλ) → c_m = a/2 ; b sin(mλ) → c_m = -i b/2.
         assert!((c[2].re - 1.5).abs() < 1e-12 && c[2].im.abs() < 1e-12);

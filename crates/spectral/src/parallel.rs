@@ -57,9 +57,11 @@ pub struct ParTransform {
 ///     }
 ///     par.reduce(comm, &mut batch); // one allreduce for all three fields
 ///     let mut spec = SpectralField::zeros(par.base.trunc);
+///     let mut alone = spec.clone();
 ///     for (slot, slab) in slabs.iter().enumerate() {
 ///         batch.read(slot, &mut spec);
-///         assert_eq!(spec, par.analyze(comm, slab)); // same bits as one at a time
+///         par.analyze_into(comm, slab, &mut ws, &mut alone);
+///         assert_eq!(spec, alone); // same bits as one at a time
 ///     }
 /// });
 /// ```
@@ -118,20 +120,12 @@ impl ParTransform {
     }
 
     /// Distributed analysis: `local` is this rank's `(nlon × local_rows)`
-    /// slab; every rank returns the complete spectral field.
-    pub fn analyze(&self, comm: &Comm, local: &Field2) -> SpectralField {
-        let mut ws = SpectralWorkspace::new(&self.base);
-        let mut out = SpectralField::zeros(self.base.trunc);
-        self.analyze_into(comm, local, &mut ws, &mut out);
-        out
-    }
-
-    /// Allocation-free [`ParTransform::analyze`]: overwrites `out` with
-    /// the complete spectral field, borrowing all scratch (accumulator
-    /// and reduction payload, FFT scratch) from `ws`. Bit-identical to
-    /// the allocating form. The `spectral` telemetry scope covers the
-    /// Legendre sums and the combine; its child `reduce` is the combine
-    /// (mostly waiting for the other ranks) alone.
+    /// slab; on every rank `out` is overwritten with the complete
+    /// spectral field. All scratch (accumulator and reduction payload,
+    /// FFT scratch) is borrowed from `ws`. The `spectral` telemetry
+    /// scope covers the Legendre sums and the combine; its child
+    /// `reduce` is the combine (mostly waiting for the other ranks)
+    /// alone.
     pub fn analyze_into(
         &self,
         comm: &Comm,
@@ -187,16 +181,8 @@ impl ParTransform {
         comm.allreduce_mut(&mut batch.payload[..used], ReduceOp::Sum);
     }
 
-    /// Local synthesis of this rank's rows (no communication).
-    pub fn synthesize(&self, spec: &SpectralField) -> Field2 {
-        let _t = foam_telemetry::scope("spectral");
-        self.base
-            .synthesize_rows(spec, self.j0, self.j1, SynthKind::Value)
-    }
-
-    /// Allocation-free [`ParTransform::synthesize`]: overwrites the
-    /// `(nlon × local_rows)` slab `out`. Bit-identical to the
-    /// allocating form, as are the other `_into` synthesis variants.
+    /// Local synthesis of this rank's rows (no communication):
+    /// overwrites the `(nlon × local_rows)` slab `out`.
     pub fn synthesize_into(
         &self,
         spec: &SpectralField,
@@ -209,13 +195,6 @@ impl ParTransform {
     }
 
     /// Local synthesis of ∂f/∂λ.
-    pub fn synthesize_dlambda(&self, spec: &SpectralField) -> Field2 {
-        let _t = foam_telemetry::scope("spectral");
-        self.base
-            .synthesize_rows(spec, self.j0, self.j1, SynthKind::DLambda)
-    }
-
-    /// Allocation-free [`ParTransform::synthesize_dlambda`].
     pub fn synthesize_dlambda_into(
         &self,
         spec: &SpectralField,
@@ -228,13 +207,6 @@ impl ParTransform {
     }
 
     /// Local synthesis of cos φ · ∂f/∂φ.
-    pub fn synthesize_cosgrad(&self, spec: &SpectralField) -> Field2 {
-        let _t = foam_telemetry::scope("spectral");
-        self.base
-            .synthesize_rows(spec, self.j0, self.j1, SynthKind::CosGrad)
-    }
-
-    /// Allocation-free [`ParTransform::synthesize_cosgrad`].
     pub fn synthesize_cosgrad_into(
         &self,
         spec: &SpectralField,
@@ -306,7 +278,13 @@ mod tests {
                 for j in t.j0..t.j1 {
                     local.row_mut(j - t.j0).copy_from_slice(full.row(j));
                 }
-                let spec = t.analyze(comm, &local);
+                let mut spec = SpectralField::zeros(t.base.trunc);
+                t.analyze_into(
+                    comm,
+                    &local,
+                    &mut SpectralWorkspace::new(&t.base),
+                    &mut spec,
+                );
                 spec.data
                     .iter()
                     .flat_map(|c| [c.re, c.im])
@@ -349,8 +327,11 @@ mod tests {
             for j in t.j0..t.j1 {
                 local.row_mut(j - t.j0).copy_from_slice(full.row(j));
             }
-            let spec = t.analyze(comm, &local);
-            let back_local = t.synthesize(&spec);
+            let mut ws = SpectralWorkspace::new(&t.base);
+            let mut spec = SpectralField::zeros(t.base.trunc);
+            t.analyze_into(comm, &local, &mut ws, &mut spec);
+            let mut back_local = Field2::zeros(t.base.grid.nlon, t.n_local_rows());
+            t.synthesize_into(&spec, &mut ws, &mut back_local);
             let gathered = t.gather_grid(comm, &back_local);
             if comm.rank() == 0 {
                 let g = gathered.unwrap();

@@ -307,38 +307,15 @@ impl SphericalTransform {
 
     /// Inverse (synthesis) transform onto the full grid.
     pub fn synthesize(&self, spec: &SpectralField) -> Field2 {
-        self.synthesize_rows(spec, 0, self.grid.nlat, SynthKind::Value)
-    }
-
-    /// Synthesis of ∂f/∂λ on the full grid.
-    pub fn synthesize_dlambda(&self, spec: &SpectralField) -> Field2 {
-        self.synthesize_rows(spec, 0, self.grid.nlat, SynthKind::DLambda)
-    }
-
-    /// Synthesis of cos φ · ∂f/∂φ (= (1 − μ²) ∂f/∂μ) on the full grid.
-    pub fn synthesize_cosgrad(&self, spec: &SpectralField) -> Field2 {
-        self.synthesize_rows(spec, 0, self.grid.nlat, SynthKind::CosGrad)
-    }
-
-    /// Synthesize rows `[j0, j1)` of the chosen quantity, returning a
-    /// `(nlon × (j1 − j0))` slab.
-    pub fn synthesize_rows(
-        &self,
-        spec: &SpectralField,
-        j0: usize,
-        j1: usize,
-        kind: SynthKind,
-    ) -> Field2 {
-        let mut out = Field2::zeros(self.grid.nlon, j1 - j0);
-        let mut cm = vec![Complex::ZERO; self.trunc.m_max + 1];
-        let mut fft = vec![Complex::ZERO; self.plan.scratch_len()];
-        self.synthesize_rows_scratch(spec, j0, j1, kind, &mut cm, &mut fft, &mut out);
+        let mut out = Field2::zeros(self.grid.nlon, self.grid.nlat);
+        let ws = &mut SpectralWorkspace::new(self);
+        self.synthesize_rows_into(spec, 0, self.grid.nlat, SynthKind::Value, ws, &mut out);
         out
     }
 
-    /// Allocation-free [`SphericalTransform::synthesize_rows`]:
-    /// overwrites the `(nlon × (j1 − j0))` slab `out`, borrowing
-    /// scratch from `ws`. Bit-identical to the allocating form.
+    /// Synthesize rows `[j0, j1)` of the chosen quantity, overwriting
+    /// the `(nlon × (j1 − j0))` slab `out` and borrowing scratch from
+    /// `ws`.
     pub fn synthesize_rows_into(
         &self,
         spec: &SpectralField,
@@ -348,24 +325,7 @@ impl SphericalTransform {
         ws: &mut SpectralWorkspace,
         out: &mut Field2,
     ) {
-        self.synthesize_rows_scratch(spec, j0, j1, kind, &mut ws.cm, &mut ws.fft, out);
-    }
-
-    /// [`SphericalTransform::synthesize_rows_into`] with explicit
-    /// scratch slices: `cm` holds one row of Fourier coefficients
-    /// (`m_max + 1`) and `fft` the FFT scratch (`FftPlan::scratch_len`
-    /// of the grid's plan).
-    #[allow(clippy::too_many_arguments)]
-    pub fn synthesize_rows_scratch(
-        &self,
-        spec: &SpectralField,
-        j0: usize,
-        j1: usize,
-        kind: SynthKind,
-        cm: &mut [Complex],
-        fft: &mut [Complex],
-        out: &mut Field2,
-    ) {
+        let SpectralWorkspace { fft, cm, .. } = ws;
         assert_eq!(spec.trunc, self.trunc);
         assert_eq!(out.nx(), self.grid.nlon);
         assert_eq!(out.ny(), j1 - j0);
@@ -390,20 +350,10 @@ impl SphericalTransform {
             real_synthesis_into(&self.plan, cm, out.row_mut(j - j0), fft);
         }
     }
-
-    /// Rotational winds from a streamfunction: returns (U, V) where
-    /// U = u cos φ and V = v cos φ, with u = −(1/a) ∂ψ/∂φ and
-    /// v = (1/(a cos φ)) ∂ψ/∂λ.
-    pub fn uv_from_streamfunction(&self, psi: &SpectralField) -> (Field2, Field2) {
-        let mut ucos = self.synthesize_cosgrad(psi);
-        ucos.scale(-1.0 / EARTH_RADIUS);
-        let mut vcos = self.synthesize_dlambda(psi);
-        vcos.scale(1.0 / EARTH_RADIUS);
-        (ucos, vcos)
-    }
 }
 
-/// Which quantity [`SphericalTransform::synthesize_rows`] produces.
+/// Which quantity [`SphericalTransform::synthesize_rows_into`] produces:
+/// the field, ∂f/∂λ, or cos φ · ∂f/∂φ (= (1 − μ²) ∂f/∂μ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SynthKind {
     Value,
@@ -417,6 +367,19 @@ mod tests {
 
     fn small() -> SphericalTransform {
         SphericalTransform::new(AtmGrid::new(24, 16), Truncation::rhomboidal(5))
+    }
+
+    /// Rows `[j0, j1)` of `kind` through a throw-away workspace.
+    fn synth_rows(
+        t: &SphericalTransform,
+        spec: &SpectralField,
+        j0: usize,
+        j1: usize,
+        kind: SynthKind,
+    ) -> Field2 {
+        let mut out = Field2::zeros(t.grid.nlon, j1 - j0);
+        t.synthesize_rows_into(spec, j0, j1, kind, &mut SpectralWorkspace::new(t), &mut out);
+        out
     }
 
     fn rand_spec(t: &SphericalTransform, seed: u64) -> SpectralField {
@@ -501,7 +464,7 @@ mod tests {
             t.grid.lats[j].cos() * t.grid.lons[i].sin()
         });
         let spec = t.analyze(&f);
-        let df = t.synthesize_dlambda(&spec);
+        let df = synth_rows(&t, &spec, 0, t.grid.nlat, SynthKind::DLambda);
         for j in 0..t.grid.nlat {
             for i in 0..t.grid.nlon {
                 let expect = t.grid.lats[j].cos() * t.grid.lons[i].cos();
@@ -516,7 +479,7 @@ mod tests {
         // f = μ = sin φ; cos φ ∂f/∂φ = cos²φ = 1 − μ².
         let f = Field2::from_fn(t.grid.nlon, t.grid.nlat, |_i, j| t.grid.mu[j]);
         let spec = t.analyze(&f);
-        let g = t.synthesize_cosgrad(&spec);
+        let g = synth_rows(&t, &spec, 0, t.grid.nlat, SynthKind::CosGrad);
         for j in 0..t.grid.nlat {
             let expect = 1.0 - t.grid.mu[j] * t.grid.mu[j];
             for i in 0..t.grid.nlon {
@@ -534,7 +497,12 @@ mod tests {
             -omega * EARTH_RADIUS * EARTH_RADIUS * t.grid.mu[j]
         });
         let psi = t.analyze(&f);
-        let (ucos, vcos) = t.uv_from_streamfunction(&psi);
+        // (U, V) = (u cos φ, v cos φ) with u = −(1/a) ∂ψ/∂φ and
+        // v = (1/(a cos φ)) ∂ψ/∂λ.
+        let mut ucos = synth_rows(&t, &psi, 0, t.grid.nlat, SynthKind::CosGrad);
+        ucos.scale(-1.0 / EARTH_RADIUS);
+        let mut vcos = synth_rows(&t, &psi, 0, t.grid.nlat, SynthKind::DLambda);
+        vcos.scale(1.0 / EARTH_RADIUS);
         for j in 0..t.grid.nlat {
             let cos = t.grid.lats[j].cos();
             let expect_u = omega * EARTH_RADIUS * cos; // u = Ωa cosφ
@@ -587,7 +555,7 @@ mod tests {
         let t = small();
         let spec = rand_spec(&t, 77);
         let full = t.synthesize(&spec);
-        let slab = t.synthesize_rows(&spec, 4, 9, SynthKind::Value);
+        let slab = synth_rows(&t, &spec, 4, 9, SynthKind::Value);
         for j in 4..9 {
             for i in 0..t.grid.nlon {
                 assert_eq!(slab.get(i, j - 4), full.get(i, j));

@@ -244,9 +244,18 @@ mod tests {
     use super::*;
 
     // The test binary does not install the allocator globally, so the
-    // counters only move when we drive them directly.
+    // counters only move when we drive them directly — but they are
+    // process-wide and these tests assert exact deltas, so they take
+    // turns.
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn turn() -> std::sync::MutexGuard<'static, ()> {
+        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn bookkeeping_tracks_live_and_peak() {
+        let _turn = turn();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let before = CountingAlloc::stats();
@@ -270,6 +279,7 @@ mod tests {
 
     #[test]
     fn steady_window_sees_activity_inside_it() {
+        let _turn = turn();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
         let meter = SteadyMeter::begin();
@@ -277,8 +287,6 @@ mod tests {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
         }
-        // Sibling tests drive the same process-wide counters
-        // concurrently, so the window is a lower bound here.
         let d = meter.so_far();
         assert!(d.allocations >= 1);
         assert!(d.total_bytes >= 64);
@@ -293,6 +301,7 @@ mod tests {
 
     #[test]
     fn realloc_moves_live_by_the_difference() {
+        let _turn = turn();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {

@@ -2,7 +2,7 @@
 //!
 //! The build environment is fully offline (no serde), so the telemetry
 //! report carries its own JSON layer: enough to *emit* the
-//! `BENCH_model_speedup.json` artifact deterministically (object keys
+//! `BENCH_*.json` artifacts deterministically (object keys
 //! ride on `BTreeMap`, so rendering is stable) and to *parse* it back in
 //! tests and CI checks. Numbers are `f64`; monotonic counters stay exact
 //! up to 2^53, far beyond anything a run can accumulate.

@@ -19,7 +19,8 @@
 //!   rank (ranks are threads in `foam-mpi`), harvested at rank exit and
 //!   reduced across ranks into a [`TelemetryReport`]: model speedup,
 //!   per-phase min/mean/max across ranks, load imbalance — serialized as
-//!   JSON ([`json`]) into `BENCH_model_speedup.json`-style artifacts;
+//!   JSON ([`json`]) into the `BENCH_*.json` artifacts and `foam-perf`'s
+//!   ledger;
 //! * **negligible cost when disabled** — with no registry installed,
 //!   [`scope`] and [`count`] are a thread-local `Option` check and
 //!   return; instrumented code never branches on configuration itself.

@@ -111,7 +111,8 @@ fn overlap_grid_conserves_fluxes_at_production_resolution() {
     );
     // Every ocean sea cell is covered by the atmosphere.
     let ones = foam_grid::Field2::filled(atm.nlon, atm.nlat, 1.0);
-    let cover = ov.atm_to_ocean(&ones);
+    let mut cover = foam_grid::Field2::zeros(ocn.nx, ocn.ny);
+    ov.atm_to_ocean_into(&ones, &mut cover);
     for (k, &sea) in mask.iter().enumerate() {
         if sea {
             assert!((cover.as_slice()[k] - 1.0).abs() < 1e-9, "hole at {k}");

@@ -5,8 +5,8 @@
 use foam_grid::constants::L_VAP;
 use foam_land::hydrology::{Bucket, RHO_WATER};
 use foam_physics::column::saturation_humidity;
-use foam_physics::convection::{compute_cape, convect, ConvectionParams};
-use foam_physics::AtmColumn;
+use foam_physics::convection::{compute_cape_ws, convect_ws, ConvectionParams};
+use foam_physics::{AtmColumn, PhysicsWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a physically plausible 12-level column — surface
@@ -38,7 +38,7 @@ proptest! {
         let col_t_max = c.t.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let h0 = c.moist_enthalpy();
         let w0 = c.precipitable_water();
-        let out = convect(&mut c, dt, &ConvectionParams::default());
+        let out = convect_ws(&mut c, dt, &ConvectionParams::default(), &mut PhysicsWorkspace::new());
         let h1 = c.moist_enthalpy();
         let w1 = c.precipitable_water();
         // Water: column loss equals surface precipitation.
@@ -68,9 +68,9 @@ proptest! {
     #[test]
     fn convection_reduces_or_keeps_cape(col in column_strategy()) {
         let mut c = col;
-        let cape0 = compute_cape(&c);
-        convect(&mut c, 3600.0, &ConvectionParams::default());
-        let cape1 = compute_cape(&c);
+        let cape0 = compute_cape_ws(&c, &mut PhysicsWorkspace::new());
+        convect_ws(&mut c, 3600.0, &ConvectionParams::default(), &mut PhysicsWorkspace::new());
+        let cape1 = compute_cape_ws(&c, &mut PhysicsWorkspace::new());
         // Convection must never *create* instability (small tolerance
         // for the shallow-mixing moisture rearrangement).
         prop_assert!(cape1 <= cape0 + 50.0, "CAPE {cape0} → {cape1}");

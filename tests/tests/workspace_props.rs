@@ -1,16 +1,16 @@
 //! Bit-identity of the zero-churn workspace hot loop (PERFORMANCE.md,
 //! DESIGN.md §14): driving the atmosphere + coupler through the
-//! pre-allocated workspace path (`step_ws` / `step_rows_ws`, what the
-//! coupled driver runs) must produce exactly the bits of the
-//! allocate-per-step reference path (`step` / `step_rows`), including
-//! across a checkpoint/resume split where the resumed leg starts from
-//! freshly constructed workspaces mid-trajectory — exactly what a
-//! driver restart does.
+//! pre-allocated workspaces (`step_ws` / `step_rows_ws`, what the
+//! coupled driver runs) must produce exactly the bits pinned below —
+//! recorded from the allocate-per-step reference path this one
+//! replaced — for every checkpoint/resume split, where the resumed leg
+//! starts from freshly constructed workspaces mid-trajectory: exactly
+//! what a driver restart does.
 
 use foam::{FoamConfig, World};
 use foam_atm::{AtmExport, AtmForcing, AtmModel, AtmState, AtmWorkspace};
 use foam_ckpt::Codec;
-use foam_coupler::{AtmSurfaceFields, AtmSurfaceView, Coupler, CouplerState};
+use foam_coupler::{AtmSurfaceView, Coupler, CouplerState};
 use foam_grid::Field2;
 use foam_mpi::{Comm, Universe};
 use foam_ocean::OceanModel;
@@ -52,40 +52,6 @@ impl Harness {
         let cstate = self.coupler.init_state(&self.sst, AtmModel::t_init);
         let export = self.model.initial_export(&state);
         (state, cstate, export)
-    }
-
-    /// The pre-refactor reference step: clone the surface fields, let
-    /// the coupler and the atmosphere allocate their outputs fresh.
-    fn step_reference(
-        &self,
-        comm: &Comm,
-        state: &mut AtmState,
-        cstate: &mut CouplerState,
-        export: &mut AtmExport,
-    ) {
-        let (j0, j1) = self.model.rows();
-        let nlon = self.model.grid().nlon;
-        let (ka0, ka1) = (j0 * nlon, j1 * nlon);
-        let fields = AtmSurfaceFields {
-            t_low: export.t_low.clone(),
-            q_low: export.q_low.clone(),
-            u_low: export.u_low.clone(),
-            v_low: export.v_low.clone(),
-            precip: export.precip.clone(),
-            sw_sfc: export.sw_sfc.clone(),
-            lw_down: export.lw_down.clone(),
-        };
-        let (sfc, runoff) = self
-            .coupler
-            .step_rows(cstate, &fields, &self.sst, self.dt, ka0, ka1, ka0);
-        self.coupler
-            .route_rivers(cstate, &runoff[ka0..ka1], self.dt);
-        let forcing = AtmForcing {
-            fluxes: sfc.fluxes[ka0..ka1].to_vec(),
-            t_sfc: sfc.t_sfc[ka0..ka1].to_vec(),
-            albedo: sfc.albedo[ka0..ka1].to_vec(),
-        };
-        *export = self.model.step(state, comm, &forcing);
     }
 
     /// The workspace step the coupled driver runs (`StepWorkspace`).
@@ -150,15 +116,15 @@ fn digest(state: &AtmState, cstate: &CouplerState, export: &AtmExport) -> u64 {
 
 /// Digests of the allocate-per-step reference trajectory
 /// (`Coupler::step_rows` + `Coupler::route_rivers` + `AtmModel::step`)
-/// after `N_STEPS` steps, per seed. Recorded from that path; see
-/// ROADMAP's re-pin gate before editing one.
+/// after `N_STEPS` steps, per seed. Recorded from that path, which is
+/// gone; see ROADMAP's re-pin gate before editing one.
 const PINNED: [(u64, u64); 2] = [(3, 0xae75_6181_0b7d_b452), (17, 0x2744_b815_b2a0_9376)];
 
 /// Property: for every (seed, resume split) pair, N workspace steps with
 /// a checkpoint/resume at the split — resuming into *fresh* workspaces,
-/// like a driver restart — equal N allocate-per-step reference steps,
-/// bit for bit, in the dynamical state, the tracer fields, the coupler
-/// state, and every export field.
+/// like a driver restart — reproduce the pinned digest of N reference
+/// steps: the dynamical state, the tracer fields, the coupler state and
+/// every export field, bit for bit.
 #[test]
 fn workspace_path_is_bit_identical_across_resume_splits() {
     const N_STEPS: usize = 6;
@@ -168,15 +134,9 @@ fn workspace_path_is_bit_identical_across_resume_splits() {
             Universe::run(1, move |comm| {
                 let h = Harness::new(&cfg, comm);
 
-                // Reference trajectory, allocate-per-step all the way.
-                let (mut state_a, mut cstate_a, mut export_a) = h.init();
-                for _ in 0..N_STEPS {
-                    h.step_reference(comm, &mut state_a, &mut cstate_a, &mut export_a);
-                }
-
-                // Workspace trajectory with a mid-run serialize →
-                // deserialize → fresh-workspace resume at `split`.
-                let (mut state_b, mut cstate_b, mut export_b) = h.init();
+                // A mid-run serialize → deserialize → fresh-workspace
+                // resume at `split`.
+                let (mut state, mut cstate, mut export) = h.init();
                 let mut aws = AtmWorkspace::new(&h.model);
                 let mut cws = h.coupler.workspace();
                 let mut forcing = AtmForcing {
@@ -188,20 +148,20 @@ fn workspace_path_is_bit_identical_across_resume_splits() {
                 for _ in 0..split {
                     h.step_ws(
                         comm,
-                        &mut state_b,
-                        &mut cstate_b,
-                        &mut export_b,
+                        &mut state,
+                        &mut cstate,
+                        &mut export,
                         &mut aws,
                         &mut cws,
                         &mut forcing,
                         &mut full_runoff,
                     );
                 }
-                let snapshot = encode_all(&state_b, &cstate_b, &export_b);
+                let snapshot = encode_all(&state, &cstate, &export);
                 let mut r = foam_ckpt::ByteReader::new(&snapshot);
-                let mut state_b = AtmState::decode(&mut r).expect("atm state round-trips");
-                let mut cstate_b = CouplerState::decode(&mut r).expect("coupler state round-trips");
-                let mut export_b = AtmExport::decode(&mut r).expect("export round-trips");
+                let mut state = AtmState::decode(&mut r).expect("atm state round-trips");
+                let mut cstate = CouplerState::decode(&mut r).expect("coupler state round-trips");
+                let mut export = AtmExport::decode(&mut r).expect("export round-trips");
                 let mut aws = AtmWorkspace::new(&h.model);
                 let mut cws = h.coupler.workspace();
                 let mut forcing = AtmForcing {
@@ -213,9 +173,9 @@ fn workspace_path_is_bit_identical_across_resume_splits() {
                 for _ in split..N_STEPS {
                     h.step_ws(
                         comm,
-                        &mut state_b,
-                        &mut cstate_b,
-                        &mut export_b,
+                        &mut state,
+                        &mut cstate,
+                        &mut export,
                         &mut aws,
                         &mut cws,
                         &mut forcing,
@@ -223,15 +183,10 @@ fn workspace_path_is_bit_identical_across_resume_splits() {
                     );
                 }
 
-                assert_eq!(
-                    encode_all(&state_a, &cstate_a, &export_a),
-                    encode_all(&state_b, &cstate_b, &export_b),
-                    "seed {seed}, split {split}: workspace path diverged from the reference"
-                );
-                let got = digest(&state_a, &cstate_a, &export_a);
+                let got = digest(&state, &cstate, &export);
                 assert_eq!(
                     got, pinned,
-                    "seed {seed}: reference digest {got:#018x}, pinned {pinned:#018x}"
+                    "seed {seed}, split {split}: digest {got:#018x}, pinned {pinned:#018x}"
                 );
             });
         }
