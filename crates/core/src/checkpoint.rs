@@ -44,6 +44,7 @@ use foam_ocean::{OceanForcing, OceanState, SplitScheme};
 use foam_physics::{Forcings, RadCache};
 
 use crate::config::{CouplingMode, FoamConfig};
+use crate::stepper::{AtmStepper, RootLog};
 use crate::stream::DriverStream;
 
 /// The complete model state at a coupling-interval boundary, reassembled
@@ -97,12 +98,9 @@ pub struct GlobalSnapshot {
 }
 
 /// Root-only extras of an atmosphere shard.
-pub struct RootShardExtras<'a> {
-    pub exchange: &'a ExchangeBuffers,
-    pub series: &'a [f64],
-    pub monthly: &'a [Field2],
-    pub month_acc: &'a Option<(Field2, usize)>,
-    pub stream: &'a Option<DriverStream>,
+pub(crate) struct RootShardExtras<'a> {
+    pub exchange: ExchangeBuffers,
+    pub log: &'a RootLog,
     pub emergency: bool,
 }
 
@@ -148,42 +146,37 @@ fn config_dts(cfg: &FoamConfig) -> Vec<f64> {
 }
 
 /// Write one atmosphere rank's shard into the staging directory.
-pub fn write_atm_shard(
+pub(crate) fn write_atm_shard(
     dir: &Path,
     rank: usize,
-    rows: (usize, usize),
-    nlon: usize,
-    state: &AtmState,
-    export: &AtmExport,
-    cs: &CouplerState,
-    work: usize,
+    atm: &AtmStepper,
     root: Option<RootShardExtras<'_>>,
 ) -> Result<(), CkptError> {
     // Timed by the caller's "checkpoint" scope (the rendezvous).
-    let (j0, j1) = rows;
-    let (ka0, ka1) = (j0 * nlon, j1 * nlon);
+    let cells = atm.cells();
+    let cs = &atm.coupler_state;
     let mut w = SnapshotWriter::new();
     w.put("meta/role", &"atm".to_string());
     w.put("meta/rank", &rank);
-    w.put("meta/rows", &rows);
-    w.put("atm/state", state);
-    w.put("atm/export", export);
-    w.put("coupler/soil", &cs.soil[ka0..ka1].to_vec());
-    w.put("coupler/bucket", &cs.bucket[ka0..ka1].to_vec());
-    w.put("coupler/ice_col", &cs.ice_col[ka0..ka1].to_vec());
+    w.put("meta/rows", &atm.rows());
+    w.put("atm/state", &atm.state);
+    w.put("atm/export", &atm.export);
+    w.put("coupler/soil", &cs.soil[cells.clone()].to_vec());
+    w.put("coupler/bucket", &cs.bucket[cells.clone()].to_vec());
+    w.put("coupler/ice_col", &cs.ice_col[cells].to_vec());
     w.put("coupler/acc", &cs.acc);
-    w.put("driver/work", &work);
+    w.put("driver/work", &atm.work());
     if let Some(r) = root {
         w.put("coupler/river", &cs.river);
         w.put("coupler/ice", &cs.ice);
         w.put("coupler/acc_shared", &cs.acc_shared);
         w.put("coupler/acc_seconds", &cs.acc_seconds);
         w.put("coupler/fw_oneshot", &cs.fw_oneshot);
-        w.put("exchange", r.exchange);
-        w.put("driver/series", &r.series.to_vec());
-        w.put("driver/monthly", &r.monthly.to_vec());
-        w.put("driver/month_acc", r.month_acc);
-        w.put("driver/stream", r.stream);
+        w.put("exchange", &r.exchange);
+        w.put("driver/series", &r.log.mean_sst_series);
+        w.put("driver/monthly", &r.log.monthly_sst);
+        w.put("driver/month_acc", &r.log.month_acc);
+        w.put("driver/stream", &r.log.stream);
         w.put("driver/emergency", &r.emergency);
     }
     let path = CheckpointStore::shard_path(dir, rank);
@@ -204,7 +197,7 @@ fn count_shard_bytes(path: &Path) {
 }
 
 /// Write the ocean rank's shard into the staging directory.
-pub fn write_ocean_shard(
+pub(crate) fn write_ocean_shard(
     dir: &Path,
     rank: usize,
     state: &OceanState,
@@ -224,7 +217,7 @@ pub fn write_ocean_shard(
 
 /// Write the manifest — always last, so its presence marks a complete
 /// snapshot.
-pub fn write_manifest(
+pub(crate) fn write_manifest(
     dir: &Path,
     cfg: &FoamConfig,
     interval: usize,
@@ -566,6 +559,20 @@ pub fn load_latest(store: &CheckpointStore, cfg: &FoamConfig) -> Result<GlobalSn
     Err(last_err)
 }
 
+/// The newest readable snapshot under `cfg.ckpt.dir`; `Ok(None)` when no
+/// directory is configured or the store holds no checkpoint at all (a
+/// fresh start, not a fault).
+pub(crate) fn latest_for(cfg: &FoamConfig) -> Result<Option<GlobalSnapshot>, CkptError> {
+    let Some(dir) = cfg.ckpt.dir.as_deref() else {
+        return Ok(None);
+    };
+    match load_latest(&CheckpointStore::open(dir)?, cfg) {
+        Ok(snap) => Ok(Some(snap)),
+        Err(CkptError::NoCheckpoint) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 fn rows_of(f: &Field2, j0: usize, j1: usize) -> Field2 {
     let nx = f.nx();
     Field2::from_vec(nx, j1 - j0, f.as_slice()[j0 * nx..j1 * nx].to_vec())
@@ -573,7 +580,7 @@ fn rows_of(f: &Field2, j0: usize, j1: usize) -> Field2 {
 
 impl GlobalSnapshot {
     /// This rank's slice of the atmosphere state (rows `j0..j1`).
-    pub fn atm_state_for_rows(&self, j0: usize, j1: usize) -> AtmState {
+    pub(crate) fn atm_state_for_rows(&self, j0: usize, j1: usize) -> AtmState {
         let nlon = self.export.t_low.nx();
         AtmState {
             qg: self.qg.clone(),
@@ -586,7 +593,7 @@ impl GlobalSnapshot {
     }
 
     /// This rank's slice of the last atmosphere export.
-    pub fn export_for_rows(&self, j0: usize, j1: usize) -> AtmExport {
+    pub(crate) fn export_for_rows(&self, j0: usize, j1: usize) -> AtmExport {
         let nlon = self.export.t_low.nx();
         AtmExport {
             t_low: rows_of(&self.export.t_low, j0, j1),
@@ -605,7 +612,7 @@ impl GlobalSnapshot {
     /// every rank (each touches only its rows); the row-local forcing
     /// accumulator total goes to the owner (atmosphere rank 0), zeros
     /// elsewhere, so the restart reduction reproduces the same sum.
-    pub fn coupler_state_for_rank(&self, acc_owner: bool) -> CouplerState {
+    pub(crate) fn coupler_state_for_rank(&self, acc_owner: bool) -> CouplerState {
         let (onx, ony) = (self.fw_oneshot.nx(), self.fw_oneshot.ny());
         let acc = if acc_owner {
             self.acc_total.clone()
@@ -633,7 +640,7 @@ impl GlobalSnapshot {
     /// The restored physics-work counter for one rank: exact when the
     /// rank count matches the snapshot's, otherwise the total lands on
     /// rank 0 (the per-rank split is a diagnostic, not model state).
-    pub fn work_for_rank(&self, rank: usize, n_ranks: usize) -> usize {
+    pub(crate) fn work_for_rank(&self, rank: usize, n_ranks: usize) -> usize {
         if self.work_rows.len() == n_ranks {
             self.work_rows[rank].2
         } else if rank == 0 {

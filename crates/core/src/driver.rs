@@ -39,22 +39,20 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use foam_atm::{AtmExport, AtmForcing, AtmModel, AtmState, AtmWorkspace};
 use foam_ckpt::{CheckpointStore, CkptError, FaultyStore};
 use foam_coupler::tags::{TAG_CKPT, TAG_DONE, TAG_FORCING, TAG_SST, TAG_SST_RETRY};
-use foam_coupler::{AtmSurfaceView, Coupler, CouplerState, CouplerWorkspace, ExchangeBuffers};
+use foam_coupler::ExchangeBuffers;
 use foam_grid::constants::SECONDS_PER_DAY;
-use foam_grid::{Field2, OceanGrid, World};
+use foam_grid::Field2;
 use foam_mpi::{Backoff, Comm, CommLint, RankTrace, RunConfig, Universe};
-use foam_ocean::{OceanForcing, OceanModel, SplitScheme};
+use foam_ocean::{OceanForcing, SplitScheme};
 use foam_telemetry::{TelemetryRegistry, TelemetryReport};
 
 use crate::checkpoint::{self, GlobalSnapshot, RootShardExtras};
-use crate::config::{
-    ConfigError, CouplingMode, FoamConfig, PhysicsFaultKind, RuntimeConfig, SentinelConfig,
-};
+use crate::config::{ConfigError, CouplingMode, FoamConfig, PhysicsFaultKind, SentinelConfig};
 use crate::observer::{ProgressEvent, RunObserver};
-use crate::stream::{sea_area_weights, DriverStream};
+use crate::stepper::{AtmParts, AtmStepper, OceanStepper, RootLog};
+use crate::stream::DriverStream;
 
 /// Kelvin → Celsius offset for the soil-temperature sentinel (soil
 /// columns integrate in K, the sentinel bounds are configured in °C).
@@ -200,18 +198,15 @@ impl CoupledOutput {
 }
 
 /// Per-rank result carried out of the SPMD closure.
-#[derive(Debug, Default, Clone)]
+#[derive(Default)]
 struct RankResult {
-    mean_sst_series: Vec<f64>,
-    monthly_sst: Vec<Field2>,
-    final_sst: Option<Field2>,
+    /// The run's log and final SST (atmosphere root only).
+    root: Option<(RootLog, Field2)>,
     wall_seconds: f64,
     work: usize,
     /// This rank's harvested registry (boxed: it is much larger than the
     /// rest of the struct and absent unless telemetry is enabled).
     telemetry: Option<Box<TelemetryRegistry>>,
-    /// Root-only streaming statistics (when configured).
-    stream: Option<DriverStream>,
 }
 
 /// The baseline ("CSM-like") variant of a configuration: identical
@@ -240,9 +235,7 @@ pub fn run_coupled(cfg: &FoamConfig, days: f64) -> CoupledOutput {
 /// cleanly first, so the returned error is accompanied by an orderly
 /// teardown rather than a poisoned job.
 pub fn try_run_coupled(cfg: &FoamConfig, days: f64) -> Result<CoupledOutput, CoupledError> {
-    cfg.validate()?;
-    validate_days(days)?;
-    run_inner(cfg, days, None, None)
+    start(cfg, days, None, None)
 }
 
 /// [`try_run_coupled`] with a live [`RunObserver`]: the root rank
@@ -254,23 +247,7 @@ pub fn try_run_coupled_observed(
     days: f64,
     obs: &dyn RunObserver,
 ) -> Result<CoupledOutput, CoupledError> {
-    cfg.validate()?;
-    validate_days(days)?;
-    run_inner(cfg, days, None, Some(obs))
-}
-
-/// A zero-day (or negative, or NaN) run would integrate nothing and
-/// hand back an empty `mean_sst_series` that downstream diagnostics
-/// trip over — reject it up front as a typed error instead.
-fn validate_days(days: f64) -> Result<(), CoupledError> {
-    if days > 0.0 && days.is_finite() {
-        Ok(())
-    } else {
-        Err(CoupledError::Config(ConfigError::NonPositive {
-            what: "days",
-            value: days,
-        }))
-    }
+    start(cfg, days, None, Some(obs))
 }
 
 /// Resume the coupled model from the newest readable checkpoint under
@@ -287,48 +264,26 @@ fn validate_days(days: f64) -> Result<(), CoupledError> {
 /// restart on a *different* rank count resumes the same model state but
 /// reassociates the forcing reduction, so it matches only to rounding.
 pub fn try_resume_coupled(cfg: &FoamConfig, days: f64) -> Result<CoupledOutput, CoupledError> {
-    cfg.validate()?;
-    validate_days(days)?;
-    let dir = cfg
-        .ckpt
-        .dir
-        .as_deref()
-        .ok_or(CoupledError::Ckpt(CkptError::NoCheckpoint))?;
-    let store = CheckpointStore::open(dir)?;
-    let snap = checkpoint::load_latest(&store, cfg)?;
-    run_inner(cfg, days, Some(snap), None)
+    // A bad request is refused before the store is touched.
+    validate(cfg, days)?;
+    let snap = checkpoint::latest_for(cfg)?.ok_or(CkptError::NoCheckpoint)?;
+    start(cfg, days, Some(snap), None)
 }
 
-/// [`try_resume_coupled`] with a live [`RunObserver`] (see
-/// [`try_run_coupled_observed`]). Progress events resume from the
-/// snapshot's interval.
-pub fn try_resume_coupled_observed(
-    cfg: &FoamConfig,
-    days: f64,
-    obs: &dyn RunObserver,
-) -> Result<CoupledOutput, CoupledError> {
+/// [`FoamConfig::validate`], plus the run length: a zero-day (or
+/// negative, or NaN) run would integrate nothing and hand back an empty
+/// `mean_sst_series` that downstream diagnostics trip over — reject it
+/// up front as a typed error instead.
+fn validate(cfg: &FoamConfig, days: f64) -> Result<(), CoupledError> {
     cfg.validate()?;
-    validate_days(days)?;
-    let dir = cfg
-        .ckpt
-        .dir
-        .as_deref()
-        .ok_or(CoupledError::Ckpt(CkptError::NoCheckpoint))?;
-    let store = CheckpointStore::open(dir)?;
-    let snap = checkpoint::load_latest(&store, cfg)?;
-    run_inner(cfg, days, Some(snap), Some(obs))
-}
-
-/// Validate-then-run, fresh start, optional observer — the shape the
-/// supervisor needs for its restart attempts.
-pub(crate) fn run_validated(
-    cfg: &FoamConfig,
-    days: f64,
-    obs: Option<&dyn RunObserver>,
-) -> Result<CoupledOutput, CoupledError> {
-    cfg.validate()?;
-    validate_days(days)?;
-    run_inner(cfg, days, None, obs)
+    if days > 0.0 && days.is_finite() {
+        Ok(())
+    } else {
+        Err(CoupledError::Config(ConfigError::NonPositive {
+            what: "days",
+            value: days,
+        }))
+    }
 }
 
 /// Number of coupling intervals a `days`-day run of `cfg` integrates
@@ -339,12 +294,16 @@ pub(crate) fn n_couple_for(cfg: &FoamConfig, days: f64) -> usize {
     ((days * SECONDS_PER_DAY) / cfg.dt_couple).round().max(1.0) as usize
 }
 
-pub(crate) fn run_inner(
+/// The one way into a run: validate, launch the SPMD job from the
+/// initial condition or from `resume`, and assemble the output. Every
+/// public entry point and the supervisor's attempts come through here.
+pub(crate) fn start(
     cfg: &FoamConfig,
     days: f64,
     resume: Option<GlobalSnapshot>,
     obs: Option<&dyn RunObserver>,
 ) -> Result<CoupledOutput, CoupledError> {
+    validate(cfg, days)?;
     let n_couple = n_couple_for(cfg, days);
     if let Some(snap) = &resume {
         if snap.interval >= n_couple {
@@ -409,25 +368,18 @@ pub(crate) fn run_inner(
     results.remove(0)?; // the ocean rank
     let sim_seconds = n_couple as f64 * cfg.dt_couple;
     let wall = r0.wall_seconds.max(1e-9);
-    let final_sst = r0.final_sst.ok_or_else(|| CoupledError::Internal {
-        what: "rank 0 completed without producing a final SST".to_string(),
-    })?;
+    let Some((log, final_sst)) = r0.root else {
+        return Err(CoupledError::Internal {
+            what: "rank 0 completed without producing a final SST".to_string(),
+        });
+    };
     // Ice fraction diagnosed from the clamp on the final field.
-    let world_obj = World::earthlike();
-    let mask = OceanModel::effective_sea_mask(&cfg.ocean, &world_obj);
     let icy: Vec<f64> = final_sst
         .as_slice()
         .iter()
-        .map(|&t| {
-            if t <= foam_grid::constants::SEAWATER_FREEZE_C + 1e-6 {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        .map(|&t| f64::from(t <= foam_grid::constants::SEAWATER_FREEZE_C + 1e-6))
         .collect();
-    let grid = foam_grid::OceanGrid::mercator(cfg.ocean.nx, cfg.ocean.ny, cfg.ocean.lat_max_deg);
-    let ice_fraction = grid.masked_mean(&icy, &mask);
+    let ice_fraction = log.sea_mean(&icy);
     let telemetry = if collect_telemetry {
         // Fold each rank's communication counters (collected by the
         // runtime regardless of telemetry) into its registry, so the
@@ -458,15 +410,15 @@ pub(crate) fn run_inner(
         sim_seconds,
         wall_seconds: wall,
         model_speedup: sim_seconds / wall,
-        mean_sst_series: r0.mean_sst_series,
-        monthly_sst: r0.monthly_sst,
+        mean_sst_series: log.mean_sst_series,
+        monthly_sst: log.monthly_sst,
         final_sst,
         ice_fraction,
         traces: out.traces,
         comm_lint: out.lint,
         work_per_rank,
         telemetry,
-        stream: r0.stream,
+        stream: log.stream,
     })
 }
 
@@ -492,120 +444,42 @@ fn fold_comm_stats(reg: &mut TelemetryRegistry, stats: &foam_mpi::CommStats) {
     }
 }
 
-/// Receive the SST with sequence number `expected`, driving the retry
-/// protocol: deadline → NACK → exponential backoff; stale answers
-/// trigger a forcing retransmission from `recent` (the forcings the
-/// root still holds). With `sst_retry_max == 0` this is a plain
-/// blocking receive, classic-MPI style.
-fn recv_sst(
-    world: &Comm,
-    rt: &RuntimeConfig,
-    ocean: usize,
-    expected: usize,
-    recent: &[(usize, OceanForcing)],
-) -> Result<(usize, Field2), CoupledError> {
-    // Time blocked on the exchange (nests under "coupler" when the call
-    // comes from inside a coupler region).
-    let _t = foam_telemetry::scope("sst_wait");
-    if rt.sst_retry_max == 0 {
-        loop {
-            let (seq, sst): (usize, Field2) = world.recv(ocean, TAG_SST);
-            if seq >= expected {
-                return Ok((seq, sst));
-            }
-        }
+/// The physics sentinel: the first non-finite or out-of-range value
+/// (°C) among `values` becomes a typed error naming `field`. Runs on
+/// the root before a field is accepted or sent on, so a blown-up
+/// component never contaminates the model state, the diagnostics, or a
+/// checkpoint.
+fn sentinel(
+    s: &SentinelConfig,
+    field: &'static str,
+    mut values: impl Iterator<Item = f64>,
+    (min_c, max_c): (f64, f64),
+    interval: usize,
+) -> Result<(), CoupledError> {
+    if !s.enabled {
+        return Ok(());
     }
-    let timeout = Duration::from_secs_f64(rt.sst_retry_timeout_secs);
-    let backoff = Backoff::new(rt.sst_retry_backoff_secs);
-    let mut retries = 0u32;
-    loop {
-        match world.recv_deadline::<(usize, Field2)>(ocean, TAG_SST, timeout) {
-            Ok((seq, sst)) if seq >= expected => return Ok((seq, sst)),
-            Ok((stale_seq, _)) => {
-                // A retransmission from before the integration we need:
-                // the ocean is still waiting for the forcing of interval
-                // `stale_seq`. Resend it if we still hold it (the ocean
-                // recognizes duplicates by index).
-                for f in recent.iter().filter(|(idx, _)| *idx == stale_seq) {
-                    world.send(ocean, TAG_FORCING, f.clone());
-                }
-            }
-            Err(_) => {
-                if retries >= rt.sst_retry_max {
-                    return Err(CoupledError::SstExchange {
-                        expected_seq: expected,
-                        retries,
-                    });
-                }
-                retries += 1;
-                foam_telemetry::count("coupler.sst_retries", 1);
-                world.send(ocean, TAG_SST_RETRY, expected);
-                std::thread::sleep(backoff.delay(retries));
-            }
-        }
+    match values.find(|t| !t.is_finite() || *t < min_c || *t > max_c) {
+        Some(value) => Err(CoupledError::Sentinel {
+            interval,
+            field,
+            value,
+        }),
+        None => Ok(()),
     }
 }
 
-/// Tell the ocean the exchange is over and clear retransmitted
-/// duplicates from the mailbox. The ocean's ack is ordered after any
-/// SST it sent earlier, so after it arrives the drain leaves nothing
-/// behind for teardown lint to flag.
-fn shutdown_ocean(world: &Comm, ocean: usize) {
-    world.send(ocean, TAG_DONE, ());
-    let () = world.recv(ocean, TAG_DONE);
-    let _ = world.drain::<(usize, Field2)>(ocean, TAG_SST);
-    let _ = world.drain::<(usize, bool)>(ocean, TAG_CKPT);
-}
-
-/// Scan a just-received SST field for non-finite or out-of-range
-/// sea-cell values. Runs on the root (the one rank that holds the full
-/// field) before the SST is accepted, so a blown-up ocean never
-/// contaminates the model state, the diagnostics, or a checkpoint.
+/// The sentinel over the sea cells of a just-received SST field (the
+/// root is the one rank that holds the full field).
 fn sentinel_sst(
     s: &SentinelConfig,
     sst: &Field2,
     sea_mask: &[bool],
     interval: usize,
-) -> Option<CoupledError> {
-    if !s.enabled {
-        return None;
-    }
-    for (k, &t) in sst.as_slice().iter().enumerate() {
-        if sea_mask[k] && (!t.is_finite() || t < s.sst_min_c || t > s.sst_max_c) {
-            return Some(CoupledError::Sentinel {
-                interval,
-                field: "sst",
-                value: t,
-            });
-        }
-    }
-    None
-}
-
-/// Scan the root's soil-column skin temperatures (handed over in K,
-/// checked against the °C bounds) before the root posts its forcing.
-/// Scope: the root's latitude rows — the sentinel is a blow-up tripwire,
-/// not a global audit, and the SST check above already covers the whole
-/// ocean.
-fn sentinel_soil(
-    s: &SentinelConfig,
-    skins_kelvin: impl Iterator<Item = f64>,
-    interval: usize,
-) -> Option<CoupledError> {
-    if !s.enabled {
-        return None;
-    }
-    for t_k in skins_kelvin {
-        let t = t_k - KELVIN_OFFSET;
-        if !t.is_finite() || t < s.soil_min_c || t > s.soil_max_c {
-            return Some(CoupledError::Sentinel {
-                interval,
-                field: "soil",
-                value: t,
-            });
-        }
-    }
-    None
+) -> Result<(), CoupledError> {
+    let sea = sst.as_slice().iter().zip(sea_mask).filter(|(_, &m)| m);
+    let bounds = (s.sst_min_c, s.sst_max_c);
+    sentinel(s, "sst", sea.map(|(&t, _)| t), bounds, interval)
 }
 
 /// Inject a physics fault ([`crate::PhysicsFault`]) into a received SST
@@ -621,181 +495,50 @@ fn poison_sst(sst: &mut Field2, kind: PhysicsFaultKind, sea_mask: &[bool]) {
     };
 }
 
-/// Root bookkeeping for one completed coupling interval: the mean-SST
-/// series entry and, when either consumer wants months, the
-/// monthly-mean accumulation — pushed into the retained history
-/// (`collect_monthly`) and/or folded into the streaming statistics. The
-/// monthly mean is computed once, so when both paths are on they see
-/// bit-identical fields.
-#[allow(clippy::too_many_arguments)]
-fn record_interval(
-    series: &mut Vec<f64>,
-    monthly: &mut Vec<Field2>,
-    month_acc: &mut Option<(Field2, usize)>,
-    stream: &mut Option<DriverStream>,
-    sst: &Field2,
-    ocn_grid: &OceanGrid,
-    sea_mask: &[bool],
-    collect_monthly: bool,
-    intervals_per_month: usize,
-) -> Result<(), CoupledError> {
-    series.push(ocn_grid.masked_mean(sst.as_slice(), sea_mask));
-    if collect_monthly || stream.is_some() {
-        let (acc, n) =
-            month_acc.get_or_insert_with(|| (Field2::zeros(ocn_grid.nx, ocn_grid.ny), 0usize));
-        acc.axpy(1.0, sst);
-        *n += 1;
-        if *n == intervals_per_month {
-            let mut mean_field = acc.clone();
-            mean_field.scale(1.0 / *n as f64);
-            if let Some(ds) = stream {
-                // Unreachable on a correctly built stream (it was sized
-                // from this very grid), but surfaced as data, not a
-                // panic.
-                ds.push_month(mean_field.as_slice())
-                    .map_err(|e| CoupledError::Internal {
-                        what: format!("streaming statistics rejected a monthly mean: {e}"),
-                    })?;
-            }
-            if collect_monthly {
-                monthly.push(mean_field);
-            }
-            *month_acc = None;
+/// Deterministic rank-death injection ([`crate::RankKill`]): die on
+/// entering the scheduled interval, before any model step, so the last
+/// committed checkpoint lies exactly on the fault-free trajectory —
+/// which is what makes supervised recovery bit-identical to an
+/// unfaulted run.
+fn inject_rank_death(cfg: &FoamConfig, world: &Comm, interval: usize) {
+    if let Some(k) = cfg.runtime.kill_rank {
+        if k.rank == world.rank() && k.interval == interval {
+            panic!(
+                "injected rank death: rank {} at coupling interval {interval}",
+                k.rank
+            );
         }
-    }
-    Ok(())
-}
-
-/// One checkpoint attempt, coordinated across the atmosphere ranks and
-/// the ocean: the root opens a staging directory and broadcasts it,
-/// every rank writes its shard, the ocean is asked for its own via
-/// `TAG_CKPT` (FIFO ordering behind the target interval's forcing
-/// guarantees its state matches), and the root commits with an atomic
-/// rename only when every ack is positive. Any failure abandons the
-/// snapshot — never the run. Returns whether this rank's part succeeded.
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_rendezvous(
-    world: &Comm,
-    atm_comm: &Comm,
-    cfg: &FoamConfig,
-    store: Option<&FaultyStore>,
-    ocean: usize,
-    target: usize,
-    model: &AtmModel,
-    atm_state: &AtmState,
-    export: &AtmExport,
-    coupler_state: &CouplerState,
-    work: usize,
-    root_extras: Option<RootShardExtras<'_>>,
-    recent: &[(usize, OceanForcing)],
-    resend_forcings: bool,
-) -> bool {
-    let _t = foam_telemetry::scope("checkpoint");
-    let is_root = atm_comm.rank() == 0;
-    let emergency = root_extras.as_ref().map(|r| r.emergency).unwrap_or(false);
-    let mut pending = None;
-    let staging: Option<String> = if is_root {
-        pending = store.and_then(|s| s.begin(target as u64).ok());
-        let dir = pending
-            .as_ref()
-            .map(|p| p.staging_dir().to_string_lossy().into_owned());
-        atm_comm.bcast(0, Some(dir))
-    } else {
-        atm_comm.bcast::<Option<String>>(0, None)
-    };
-    let Some(dir) = staging else {
-        return false;
-    };
-    let ok = checkpoint::write_atm_shard(
-        Path::new(&dir),
-        atm_comm.rank(),
-        model.rows(),
-        model.grid().nlon,
-        atm_state,
-        export,
-        coupler_state,
-        work,
-        root_extras,
-    )
-    .is_ok();
-    let oks = atm_comm.gather(ok, 0);
-    if !is_root {
-        return ok;
-    }
-    // On the emergency path the ocean may still be waiting for lost
-    // forcings; retransmit what we hold so it can reach the target
-    // interval before the shard request (same-tag FIFO) lands.
-    if resend_forcings {
-        for f in recent {
-            world.send(ocean, TAG_FORCING, f.clone());
-        }
-    }
-    world.send(ocean, TAG_CKPT, (target, dir));
-    let deadline = Duration::from_secs_f64(CKPT_ACK_TIMEOUT_SECS);
-    let ocean_ok = loop {
-        match world.recv_deadline::<(usize, bool)>(ocean, TAG_CKPT, deadline) {
-            Ok((t, o)) if t == target => break o,
-            Ok(_) => continue, // stale ack of an earlier abandoned attempt
-            Err(_) => break false,
-        }
-    };
-    let all_ok = ocean_ok && oks.map(|v| v.iter().all(|&b| b)).unwrap_or(false);
-    let Some(p) = pending else {
-        return false;
-    };
-    if all_ok
-        && checkpoint::write_manifest(p.staging_dir(), cfg, target, atm_comm.size(), emergency)
-            .is_ok()
-    {
-        let committed = p.commit().is_ok();
-        if committed {
-            if let Some(s) = store {
-                let _ = s.retain(cfg.ckpt.keep);
-            }
-        }
-        committed
-    } else {
-        p.abort();
-        false
     }
 }
 
-/// Per-rank scratch for the coupled hot loop, created once per run and
-/// reused across every step and coupling interval (the zero-churn rule;
-/// see PERFORMANCE.md and DESIGN.md §14). Holding these buffers here —
-/// instead of allocating them inside the atmosphere and coupler steps —
-/// removes essentially all steady-state allocation from the driver; the
-/// bits the steps produce are pinned by digests in `foam-atm` and
-/// `foam-tests`.
-struct StepWorkspace {
-    /// Spectral/physics scratch for [`AtmModel::step_ws`].
-    atm: AtmWorkspace,
-    /// Accumulators and outputs for [`Coupler::step_rows_ws`].
-    coupler: CouplerWorkspace,
-    /// Row-local coupler→atmosphere forcing, refilled in place each
-    /// step (`clear` + `extend_from_slice` never reallocates once the
-    /// capacity is established).
-    forcing: AtmForcing,
-    /// Flat `[tau_x | tau_y | heat | freshwater]` buffer for the
-    /// per-interval ocean-forcing reduction via
-    /// [`Comm::allreduce_mut`].
-    flat: Vec<f64>,
-}
+/// What the root tells the other atmosphere ranks after each exchange.
+const NO_UPDATE: u8 = 0;
+const SST_FOLLOWS: u8 = 1;
+const ABORT: u8 = 2;
+/// Write an emergency checkpoint shard, then abort.
+const EMERGENCY: u8 = 3;
 
-impl StepWorkspace {
-    fn new(model: &AtmModel, coupler: &Coupler) -> Self {
-        let n_local = model.n_local();
-        StepWorkspace {
-            atm: AtmWorkspace::new(model),
-            coupler: coupler.workspace(),
-            forcing: AtmForcing {
-                fluxes: Vec::with_capacity(n_local),
-                t_sfc: Vec::with_capacity(n_local),
-                albedo: Vec::with_capacity(n_local),
-            },
-            flat: Vec::new(),
-        }
-    }
+/// The services of one atmosphere rank of the coupled job: everything
+/// the protocol needs around the stepping core. Only the root (rank 0
+/// of `atm_comm`) talks to the ocean, keeps the log and coordinates
+/// checkpoints; on the other ranks `store` and `log` are `None` and
+/// the exchange bookkeeping stays empty.
+struct AtmRank<'a> {
+    cfg: &'a FoamConfig,
+    world: &'a Comm,
+    atm_comm: Comm,
+    obs: Option<&'a dyn RunObserver>,
+    /// Snapshots are best-effort: a store that cannot open disables them
+    /// quietly, the run itself must not die for one. Always routed
+    /// through the fault-injection wrapper; with no plan configured it
+    /// is transparent.
+    store: Option<FaultyStore>,
+    log: Option<RootLog>,
+    /// Sequence number of the SST the stepper holds.
+    sst_seq: usize,
+    /// The forcings kept for retransmission (lagged mode can be asked
+    /// for the previous interval's, so the last two).
+    recent: Vec<(usize, OceanForcing)>,
 }
 
 fn atm_rank(
@@ -805,496 +548,378 @@ fn atm_rank(
     resume: Option<&GlobalSnapshot>,
     obs: Option<&dyn RunObserver>,
 ) -> Result<RankResult, CoupledError> {
-    let n_atm = cfg.n_atm_ranks;
-    let ocean_rank_id = n_atm;
     let atm_comm = world
         .split(0, world.rank() as i64)
         .expect("atmosphere rank must join the atmosphere communicator");
+    let parts = AtmParts::new(cfg, &atm_comm);
     let is_root = atm_comm.rank() == 0;
-
-    let planet = World::earthlike();
-    let mut model = AtmModel::new(cfg.atm.clone(), &atm_comm);
-    // Scenario forcings apply identically on every atmosphere rank (a
-    // pure function of static config + simulated day, so no exchange is
-    // ever needed to keep ranks consistent).
-    model.set_forcings(cfg.forcings.clone());
-    let model = model;
-    let nlon = model.grid().nlon;
-    let sea_mask = OceanModel::effective_sea_mask(&cfg.ocean, &planet);
-    let ocn_grid =
-        foam_grid::OceanGrid::mercator(cfg.ocean.nx, cfg.ocean.ny, cfg.ocean.lat_max_deg);
-    let coupler = Coupler::new(
-        model.grid().clone(),
-        ocn_grid.clone(),
-        sea_mask.clone(),
-        &planet,
-        cfg.atm.physics,
-    );
-    // Only the root coordinates checkpoints. A store that cannot open
-    // disables them quietly: snapshots are best-effort, the run itself
-    // must not die for one. The store is always routed through the
-    // fault-injection wrapper; with no plan configured it is
-    // transparent.
-    let ckpt_store = if is_root {
-        cfg.ckpt
+    let coupler = parts.coupler();
+    let mut rank = AtmRank {
+        cfg,
+        world,
+        obs,
+        store: cfg
+            .ckpt
             .dir
             .as_deref()
+            .filter(|_| is_root)
             .and_then(|d| CheckpointStore::open(d).ok())
-            .map(|s| FaultyStore::wrap(s, cfg.ckpt.fault_plan.clone().unwrap_or_default()))
-    } else {
-        None
+            .map(|s| FaultyStore::wrap(s, cfg.ckpt.fault_plan.clone().unwrap_or_default())),
+        log: is_root.then(|| RootLog::new(cfg, &coupler.ocn_grid, &coupler.sea_mask, resume)),
+        sst_seq: resume.map_or(0, |s| s.exchange.sst_seq),
+        recent: resume
+            .filter(|_| is_root)
+            .map_or_else(Vec::new, |s| s.exchange.recent.clone()),
+        atm_comm,
     };
+    // A restart restores the SST from the shared snapshot on every rank
+    // directly, no messages needed.
+    let mut atm = match resume {
+        Some(snap) => AtmStepper::from_snapshot(parts, snap),
+        None => AtmStepper::fresh(parts, rank.initial_sst()?),
+    };
+    let t_start = world.now();
+    for c in resume.map_or(0, |s| s.interval)..n_couple {
+        rank.interval(&mut atm, c, n_couple)?;
+    }
+    let final_sst = rank.finish(&atm, n_couple)?;
+    Ok(RankResult {
+        root: rank.log.zip(final_sst),
+        wall_seconds: world.now() - t_start,
+        work: atm.work(),
+        telemetry: None,
+    })
+}
 
-    // Initial SST. A fresh run receives sequence 0 from the ocean (the
-    // root broadcasts `None` to signal an abort to the other ranks); a
-    // restart restores the exchange buffers from the shared snapshot on
-    // every rank directly, no messages needed.
-    let mut sst_seq = resume.map(|s| s.exchange.sst_seq).unwrap_or(0);
-    let mut sst = match resume {
-        Some(snap) => snap.exchange.sst.clone(),
-        None if is_root => match recv_sst(world, &cfg.runtime, ocean_rank_id, 0, &[]) {
-            Ok((seq, s)) => {
-                sst_seq = seq;
-                match atm_comm.bcast(0, Some(Some(s))) {
-                    Some(s) => s,
-                    // Structurally unreachable: a broadcast returns the
-                    // root's own value to the root. Abort typed rather
-                    // than panic if it ever isn't.
-                    None => {
-                        shutdown_ocean(world, ocean_rank_id);
-                        return Err(CoupledError::Internal {
-                            what: "root broadcast of the initial SST came back empty".to_string(),
-                        });
-                    }
-                }
+impl AtmRank<'_> {
+    fn is_root(&self) -> bool {
+        self.atm_comm.rank() == 0
+    }
+
+    /// World rank of the ocean.
+    fn ocean(&self) -> usize {
+        self.cfg.n_atm_ranks
+    }
+
+    /// The first SST of a fresh run: the root receives sequence 0 from
+    /// the ocean and broadcasts it; `None` tells the other ranks the run
+    /// is over before it began.
+    fn initial_sst(&mut self) -> Result<Field2, CoupledError> {
+        if !self.is_root() {
+            let sst = self.atm_comm.bcast::<Option<Field2>>(0, None);
+            return sst.ok_or(CoupledError::Aborted);
+        }
+        match self.recv_sst(0) {
+            Ok((seq, sst)) => {
+                self.sst_seq = seq;
+                let back = self.atm_comm.bcast(0, Some(Some(sst)));
+                Ok(back.expect("a broadcast hands the root its own value back"))
             }
             Err(e) => {
-                atm_comm.bcast::<Option<Field2>>(0, Some(None));
-                shutdown_ocean(world, ocean_rank_id);
-                return Err(e);
+                self.atm_comm.bcast::<Option<Field2>>(0, Some(None));
+                self.shutdown_ocean();
+                Err(e)
             }
-        },
-        None => match atm_comm.bcast::<Option<Field2>>(0, None) {
-            Some(s) => s,
-            None => return Err(CoupledError::Aborted),
-        },
-    };
-
-    let (j0, j1) = model.rows();
-    let start_c = resume.map(|s| s.interval).unwrap_or(0);
-    let mut atm_state = match resume {
-        Some(snap) => snap.atm_state_for_rows(j0, j1),
-        None => model.init_state(),
-    };
-    let mut coupler_state = match resume {
-        Some(snap) => snap.coupler_state_for_rank(is_root),
-        None => coupler.init_state(&sst, AtmModel::t_init),
-    };
-    let mut export = match resume {
-        Some(snap) => snap.export_for_rows(j0, j1),
-        None => model.initial_export(&atm_state),
-    };
-
-    let steps_per_couple = cfg.atm_steps_per_couple();
-    let intervals_per_month = ((30.0 * SECONDS_PER_DAY) / cfg.dt_couple).round() as usize;
-    let mut res = RankResult::default();
-    let mut month_acc: Option<(Field2, usize)> = None;
-    // Root-only streaming statistics: restored from the snapshot when
-    // it carries them, started fresh otherwise (a pre-stream snapshot
-    // resumes with the stream counting from the resume point).
-    let mut stream: Option<DriverStream> = if is_root && cfg.stream.is_some() {
-        resume.and_then(|s| s.stream.clone()).or_else(|| {
-            cfg.stream
-                .as_ref()
-                .map(|s| DriverStream::new(sea_area_weights(&ocn_grid, &sea_mask), s.eof_rank))
-        })
-    } else {
-        None
-    };
-    // The forcings the root keeps for retransmission (lagged mode can
-    // be asked for the previous interval's, so hold the last two).
-    let mut recent: Vec<(usize, OceanForcing)> = Vec::new();
-    if let Some(snap) = resume {
-        res.work = snap.work_for_rank(atm_comm.rank(), atm_comm.size());
-        if is_root {
-            res.mean_sst_series = snap.mean_sst_series.clone();
-            res.monthly_sst = snap.monthly_sst.clone();
-            month_acc = snap.month_acc.clone();
-            recent = snap.exchange.recent.clone();
         }
     }
-    // All hot-loop scratch, allocated once here; the loop below runs
-    // allocation-free in steady state (PERFORMANCE.md).
-    let mut ws = StepWorkspace::new(&model, &coupler);
-    let t_start = world.now();
 
-    for c in start_c..n_couple {
-        // Deterministic rank-death injection: die at the *start* of the
-        // scheduled interval, before any physics step — the last
-        // committed checkpoint is then exactly on the fault-free
-        // trajectory, which is what makes supervised recovery
-        // bit-identical to an unfaulted run.
-        if let Some(k) = cfg.runtime.kill_rank {
-            if k.rank == world.rank() && k.interval == c {
-                panic!(
-                    "injected rank death: rank {} at coupling interval {c}",
-                    k.rank
-                );
+    /// Receive the SST with sequence number `expected`, driving the
+    /// retry protocol: deadline → NACK → exponential backoff; stale
+    /// answers trigger a retransmission of the forcing the ocean is
+    /// still waiting for. With `sst_retry_max == 0` this is a plain
+    /// blocking receive, classic-MPI style.
+    fn recv_sst(&self, expected: usize) -> Result<(usize, Field2), CoupledError> {
+        // Time blocked on the exchange (nests under "coupler" when the
+        // call comes from inside a coupler region).
+        let _t = foam_telemetry::scope("sst_wait");
+        let (world, ocean, rt) = (self.world, self.ocean(), &self.cfg.runtime);
+        if rt.sst_retry_max == 0 {
+            loop {
+                let (seq, sst): (usize, Field2) = world.recv(ocean, TAG_SST);
+                if seq >= expected {
+                    return Ok((seq, sst));
+                }
             }
         }
-        for _ in 0..steps_per_couple {
-            // ---- Coupler, distributed by latitude rows (co-located
-            //      with the atmosphere decomposition, as in the paper).
-            world.region("coupler", || {
-                let _t = foam_telemetry::scope("coupler");
-                let (j0, j1) = model.rows();
-                let (ka0, ka1) = (j0 * nlon, j1 * nlon);
-                // The export fields already hold exactly this rank's
-                // rows; borrow them instead of cloning seven fields.
-                let view = AtmSurfaceView {
-                    t_low: &export.t_low,
-                    q_low: &export.q_low,
-                    u_low: &export.u_low,
-                    v_low: &export.v_low,
-                    precip: &export.precip,
-                    sw_sfc: &export.sw_sfc,
-                    lw_down: &export.lw_down,
-                };
-                coupler.step_rows_ws(
-                    &mut coupler_state,
-                    view,
-                    &sst,
-                    cfg.atm.dt,
-                    ka0,
-                    ka1,
-                    ka0,
-                    &mut ws.coupler,
-                );
-                // Rivers need the global runoff; they are cheap, so they
-                // run replicated from the allgathered field. (This
-                // gather is the one small per-step allocation left in
-                // the loop — see PERFORMANCE.md's steady-state budget.)
-                let local_runoff = ws.coupler.runoff[ka0..ka1].to_vec();
-                let full_runoff: Vec<f64> = atm_comm
-                    .allgather(local_runoff)
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                coupler.route_rivers_ws(
-                    &mut coupler_state,
-                    &full_runoff,
-                    cfg.atm.dt,
-                    &mut ws.coupler,
-                );
-                // Refill (never reallocate) the row-local forcing slice.
-                let out = &ws.coupler.out;
-                ws.forcing.fluxes.clear();
-                ws.forcing.fluxes.extend_from_slice(&out.fluxes[ka0..ka1]);
-                ws.forcing.t_sfc.clear();
-                ws.forcing.t_sfc.extend_from_slice(&out.t_sfc[ka0..ka1]);
-                ws.forcing.albedo.clear();
-                ws.forcing.albedo.extend_from_slice(&out.albedo[ka0..ka1]);
-            });
-            // ---- Atmosphere step, writing into the reused export. ----
-            world.region("atmosphere", || {
-                let _t = foam_telemetry::scope("atmosphere");
-                let StepWorkspace { atm, forcing, .. } = &mut ws;
-                model.step_ws(&mut atm_state, &atm_comm, forcing, atm, &mut export);
-            });
-            res.work += export.work.iter().sum::<usize>();
+        let timeout = Duration::from_secs_f64(rt.sst_retry_timeout_secs);
+        let backoff = Backoff::new(rt.sst_retry_backoff_secs);
+        let mut retries = 0u32;
+        loop {
+            match world.recv_deadline::<(usize, Field2)>(ocean, TAG_SST, timeout) {
+                Ok((seq, sst)) if seq >= expected => return Ok((seq, sst)),
+                Ok((stale_seq, _)) => {
+                    // A retransmission from before the integration we
+                    // need: the ocean is still waiting for the forcing
+                    // of interval `stale_seq`. Resend it if we still
+                    // hold it (the ocean recognizes duplicates by
+                    // index).
+                    for f in self.recent.iter().filter(|(idx, _)| *idx == stale_seq) {
+                        world.send(ocean, TAG_FORCING, f.clone());
+                    }
+                }
+                Err(_) => {
+                    if retries >= rt.sst_retry_max {
+                        return Err(CoupledError::SstExchange {
+                            expected_seq: expected,
+                            retries,
+                        });
+                    }
+                    retries += 1;
+                    foam_telemetry::count("coupler.sst_retries", 1);
+                    world.send(ocean, TAG_SST_RETRY, expected);
+                    std::thread::sleep(backoff.delay(retries));
+                }
+            }
         }
+    }
 
-        // ---- Ocean exchange: sum the row-local forcing parts across
-        //      the atmosphere ranks, add the replicated part once. -----
-        let forcing = world.region("coupler", || {
+    /// Tell the ocean the exchange is over and clear retransmitted
+    /// duplicates from the mailbox. The ocean's ack is ordered after any
+    /// SST it sent earlier, so after it arrives the drain leaves nothing
+    /// behind for teardown lint to flag.
+    fn shutdown_ocean(&self) {
+        let (world, ocean) = (self.world, self.ocean());
+        world.send(ocean, TAG_DONE, ());
+        let () = world.recv(ocean, TAG_DONE);
+        let _ = world.drain::<(usize, Field2)>(ocean, TAG_SST);
+        let _ = world.drain::<(usize, bool)>(ocean, TAG_CKPT);
+    }
+
+    /// End the run from the root mid-protocol: the other atmosphere
+    /// ranks learn it from the status broadcast they are waiting on, the
+    /// ocean from the shutdown handshake.
+    fn abort(&self, e: CoupledError) -> CoupledError {
+        self.atm_comm.bcast(0, Some(ABORT));
+        self.shutdown_ocean();
+        e
+    }
+
+    /// Coupling interval `c`: integrate it, trade the forcing for an SST,
+    /// log, checkpoint at the configured cadence.
+    fn interval(
+        &mut self,
+        atm: &mut AtmStepper,
+        c: usize,
+        n_couple: usize,
+    ) -> Result<(), CoupledError> {
+        inject_rank_death(self.cfg, self.world, c);
+        let forcing = atm.advance_interval(&self.atm_comm);
+        let received = self.world.region("coupler", || {
             let _t = foam_telemetry::scope("coupler");
-            let (local, shared) = coupler.take_ocean_forcing_parts(&mut coupler_state);
-            let n_o = local.heat.as_slice().len();
-            // Reduce through the reused flat buffer: `allreduce_mut` is
-            // bit-identical to `allreduce` (same fold order) but
-            // allocation-free in steady state. The `OceanForcing` built
-            // below is owned by the exchange message, so it (alone)
-            // still allocates — once per coupling interval, not per
-            // step.
-            let flat = &mut ws.flat;
-            flat.clear();
-            flat.extend_from_slice(local.tau_x.as_slice());
-            flat.extend_from_slice(local.tau_y.as_slice());
-            flat.extend_from_slice(local.heat.as_slice());
-            flat.extend_from_slice(local.freshwater.as_slice());
-            atm_comm.allreduce_mut(flat, foam_mpi::ReduceOp::Sum);
-            let (onx, ony) = (ocn_grid.nx, ocn_grid.ny);
-            let mut f = foam_ocean::OceanForcing {
-                tau_x: Field2::from_vec(onx, ony, flat[..n_o].to_vec()),
-                tau_y: Field2::from_vec(onx, ony, flat[n_o..2 * n_o].to_vec()),
-                heat: Field2::from_vec(onx, ony, flat[2 * n_o..3 * n_o].to_vec()),
-                freshwater: Field2::from_vec(onx, ony, flat[3 * n_o..].to_vec()),
-            };
-            f.tau_x.axpy(1.0, &shared.tau_x);
-            f.tau_y.axpy(1.0, &shared.tau_y);
-            f.heat.axpy(1.0, &shared.heat);
-            f.freshwater.axpy(1.0, &shared.freshwater);
-            f
-        });
-        let received: Option<Field2> = world.region("coupler", || {
-            let _t = foam_telemetry::scope("coupler");
-            if is_root {
-                // Cooperative cancellation, polled at the same
-                // coordination point the sentinels use: every other
-                // rank is already waiting on the status broadcast, so
-                // the abort tears the whole job down cleanly and any
-                // committed checkpoint stays resumable.
-                if obs.is_some_and(|o| o.should_stop()) {
-                    atm_comm.bcast(0, Some(2u8));
-                    shutdown_ocean(world, ocean_rank_id);
-                    return Err(CoupledError::Aborted);
-                }
-                // Physics sentinel, land side: check the root's soil
-                // rows before committing this interval's forcing to the
-                // ocean.
-                if let Some(e) = sentinel_soil(
-                    &cfg.runtime.sentinel,
-                    coupler_state.soil[j0 * nlon..j1 * nlon]
-                        .iter()
-                        .map(|col| col.skin()),
-                    c,
-                ) {
-                    atm_comm.bcast(0, Some(2u8));
-                    shutdown_ocean(world, ocean_rank_id);
-                    return Err(e);
-                }
-                let tagged = (c, forcing);
-                world.send(ocean_rank_id, TAG_FORCING, tagged.clone());
-                recent.push(tagged);
-                if recent.len() > 2 {
-                    recent.remove(0);
-                }
-                // When is the ocean's answer due? Sequentially: right
-                // now, producing sequence c+1. Lagged: the SST from the
-                // *previous* forcing (sequence c), overlapping the
-                // ocean's work with the interval we just integrated.
-                let due = match cfg.coupling {
-                    CouplingMode::Sequential => Some(c + 1),
-                    CouplingMode::Lagged => (c >= 1).then_some(c),
-                };
-                let got = match due {
-                    Some(expected) => {
-                        match recv_sst(world, &cfg.runtime, ocean_rank_id, expected, &recent) {
-                            Ok((seq, mut s)) => {
-                                // Injected physics fault: poison the
-                                // received SST exactly as a blown-up
-                                // ocean would, *before* the sentinel
-                                // scan.
-                                if let Some(pf) = cfg.runtime.physics_fault {
-                                    if pf.interval == c {
-                                        poison_sst(&mut s, pf.kind, &sea_mask);
-                                    }
-                                }
-                                // Physics sentinel, ocean side: refuse
-                                // the field before it can reach the
-                                // model state or a checkpoint.
-                                if let Some(e) =
-                                    sentinel_sst(&cfg.runtime.sentinel, &s, &sea_mask, c)
-                                {
-                                    atm_comm.bcast(0, Some(2u8));
-                                    shutdown_ocean(world, ocean_rank_id);
-                                    return Err(e);
-                                }
-                                sst_seq = seq;
-                                Some(s)
-                            }
-                            Err(e) => {
-                                // Abort — but first, when configured, a
-                                // best-effort emergency checkpoint so the
-                                // run is resumable from this interval. It
-                                // records the last *accepted* SST (by now
-                                // stale), so it lies off the failure-free
-                                // trajectory; the manifest marks it.
-                                if cfg.ckpt.on_error && ckpt_store.is_some() {
-                                    atm_comm.bcast(0, Some(3u8));
-                                    let mut series = res.mean_sst_series.clone();
-                                    let mut monthly = res.monthly_sst.clone();
-                                    let mut macc = month_acc.clone();
-                                    let mut strm = stream.clone();
-                                    // Best effort: the emergency
-                                    // snapshot is already off the
-                                    // failure-free trajectory.
-                                    let _ = record_interval(
-                                        &mut series,
-                                        &mut monthly,
-                                        &mut macc,
-                                        &mut strm,
-                                        &sst,
-                                        &ocn_grid,
-                                        &sea_mask,
-                                        cfg.collect_monthly_sst,
-                                        intervals_per_month,
-                                    );
-                                    let exchange = ExchangeBuffers {
-                                        sst_seq,
-                                        sst: sst.clone(),
-                                        recent: recent.clone(),
-                                    };
-                                    checkpoint_rendezvous(
-                                        world,
-                                        &atm_comm,
-                                        cfg,
-                                        ckpt_store.as_ref(),
-                                        ocean_rank_id,
-                                        c + 1,
-                                        &model,
-                                        &atm_state,
-                                        &export,
-                                        &coupler_state,
-                                        res.work,
-                                        Some(RootShardExtras {
-                                            exchange: &exchange,
-                                            series: &series,
-                                            monthly: &monthly,
-                                            month_acc: &macc,
-                                            stream: &strm,
-                                            emergency: true,
-                                        }),
-                                        &recent,
-                                        true,
-                                    );
-                                } else {
-                                    atm_comm.bcast(0, Some(2u8));
-                                }
-                                shutdown_ocean(world, ocean_rank_id);
-                                return Err(e);
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                // Status to the other atmosphere ranks: 0 = no update,
-                // 1 = update follows, 2 = abort, 3 = emergency
-                // checkpoint, then abort.
-                let status = u8::from(got.is_some());
-                atm_comm.bcast(0, Some(status));
-                match got {
-                    Some(s) => Ok(Some(atm_comm.bcast(0, Some(s)))),
-                    None => Ok(None),
-                }
+            if self.is_root() {
+                self.lead(atm, c, forcing)
             } else {
-                match atm_comm.bcast::<u8>(0, None) {
-                    3 => {
-                        checkpoint_rendezvous(
-                            world,
-                            &atm_comm,
-                            cfg,
-                            None,
-                            ocean_rank_id,
-                            c + 1,
-                            &model,
-                            &atm_state,
-                            &export,
-                            &coupler_state,
-                            res.work,
-                            None,
-                            &[],
-                            false,
-                        );
-                        Err(CoupledError::Aborted)
-                    }
-                    2 => Err(CoupledError::Aborted),
-                    1 => Ok(Some(atm_comm.bcast(0, None))),
-                    _ => Ok(None),
-                }
+                self.follow(atm, c)
             }
         })?;
-        if let Some(new_sst) = received {
-            sst = new_sst;
-            coupler.update_ice(&mut coupler_state, &sst);
+        if let Some(sst) = received {
+            atm.accept_sst(sst);
         }
-
-        // ---- Bookkeeping on the root. --------------------------------
-        if is_root {
-            record_interval(
-                &mut res.mean_sst_series,
-                &mut res.monthly_sst,
-                &mut month_acc,
-                &mut stream,
-                &sst,
-                &ocn_grid,
-                &sea_mask,
-                cfg.collect_monthly_sst,
-                intervals_per_month,
-            )?;
-            if let Some(o) = obs {
+        if let Some(log) = &mut self.log {
+            log.record(atm.sst())?;
+            if let Some(o) = self.obs {
                 o.on_interval(&ProgressEvent {
                     interval: c + 1,
                     n_intervals: n_couple,
-                    day: ((c + 1) as f64) * cfg.dt_couple / SECONDS_PER_DAY,
-                    mean_sst: res.mean_sst_series.last().copied().unwrap_or(f64::NAN),
+                    day: ((c + 1) as f64) * self.cfg.dt_couple / SECONDS_PER_DAY,
+                    mean_sst: log.mean_sst_series.last().copied().unwrap_or(f64::NAN),
                 });
             }
         }
+        if self.cfg.ckpt.dir.is_some() && (c + 1).is_multiple_of(self.cfg.ckpt.interval) {
+            self.checkpoint(atm, c + 1, false);
+        }
+        Ok(())
+    }
 
-        // ---- Periodic checkpoint at the configured cadence. ----------
-        if cfg.ckpt.dir.is_some() && (c + 1) % cfg.ckpt.interval == 0 {
-            let exchange = is_root.then(|| ExchangeBuffers {
-                sst_seq,
-                sst: sst.clone(),
-                recent: recent.clone(),
-            });
-            let extras = exchange.as_ref().map(|x| RootShardExtras {
-                exchange: x,
-                series: &res.mean_sst_series,
-                monthly: &res.monthly_sst,
-                month_acc: &month_acc,
-                stream: &stream,
-                emergency: false,
-            });
-            checkpoint_rendezvous(
-                world,
-                &atm_comm,
-                cfg,
-                ckpt_store.as_ref(),
-                ocean_rank_id,
-                c + 1,
-                &model,
-                &atm_state,
-                &export,
-                &coupler_state,
-                res.work,
-                extras,
-                &recent,
-                false,
-            );
+    /// The root's side of interval `c`'s exchange: cancellation and
+    /// sentinel checks, post the forcing, collect the SST that is due,
+    /// tell the other ranks what happened.
+    fn lead(
+        &mut self,
+        atm: &AtmStepper,
+        c: usize,
+        forcing: OceanForcing,
+    ) -> Result<Option<Field2>, CoupledError> {
+        let (cfg, sentinels) = (self.cfg, &self.cfg.runtime.sentinel);
+        // Cooperative cancellation, polled at the coordination point the
+        // sentinels use: every other rank is already waiting on the
+        // status broadcast, so the abort tears the whole job down
+        // cleanly and any committed checkpoint stays resumable.
+        if self.obs.is_some_and(|o| o.should_stop()) {
+            return Err(self.abort(CoupledError::Aborted));
+        }
+        // Land side, before this interval's forcing is committed to the
+        // ocean: the root's soil-column skin temperatures (K, checked
+        // against the °C bounds). Its own rows only — the sentinel is a
+        // blow-up tripwire, not a global audit, and the SST check covers
+        // the whole ocean.
+        let skins = atm.coupler_state.soil[atm.cells()].iter();
+        let skins = skins.map(|col| col.skin() - KELVIN_OFFSET);
+        let bounds = (sentinels.soil_min_c, sentinels.soil_max_c);
+        sentinel(sentinels, "soil", skins, bounds, c).map_err(|e| self.abort(e))?;
+        let tagged = (c, forcing);
+        self.world.send(self.ocean(), TAG_FORCING, tagged.clone());
+        self.recent.push(tagged);
+        if self.recent.len() > 2 {
+            self.recent.remove(0);
+        }
+        // When is the ocean's answer due? Sequentially: right now,
+        // producing sequence c+1. Lagged: the SST from the *previous*
+        // forcing (sequence c), overlapping the ocean's work with the
+        // interval we just integrated.
+        let due = match cfg.coupling {
+            CouplingMode::Sequential => Some(c + 1),
+            CouplingMode::Lagged => (c >= 1).then_some(c),
+        };
+        let Some(expected) = due else {
+            self.atm_comm.bcast(0, Some(NO_UPDATE));
+            return Ok(None);
+        };
+        match self.recv_sst(expected) {
+            Ok((seq, mut sst)) => {
+                // An injected physics fault poisons the field exactly as
+                // a blown-up ocean would, *before* the sentinel scan;
+                // the sentinel refuses it before it can reach the model
+                // state or a checkpoint.
+                if let Some(pf) = cfg.runtime.physics_fault.filter(|pf| pf.interval == c) {
+                    poison_sst(&mut sst, pf.kind, atm.sea_mask());
+                }
+                sentinel_sst(sentinels, &sst, atm.sea_mask(), c).map_err(|e| self.abort(e))?;
+                self.sst_seq = seq;
+                self.atm_comm.bcast(0, Some(SST_FOLLOWS));
+                Ok(Some(self.atm_comm.bcast(0, Some(sst))))
+            }
+            Err(e) if cfg.ckpt.on_error && self.store.is_some() => {
+                // Abort — but first a best-effort emergency checkpoint,
+                // so the run is resumable from this interval. It logs
+                // and records the last *accepted* SST (by now stale), so
+                // it lies off the failure-free trajectory; the manifest
+                // marks it.
+                if let Some(log) = &mut self.log {
+                    let _ = log.record(atm.sst());
+                }
+                self.atm_comm.bcast(0, Some(EMERGENCY));
+                self.checkpoint(atm, c + 1, true);
+                self.shutdown_ocean();
+                Err(e)
+            }
+            Err(e) => Err(self.abort(e)),
         }
     }
 
-    // Drain the final SST in lagged mode (the ocean produces one per
-    // forcing), then run the shutdown handshake so retransmitted
-    // duplicates don't dirty the teardown lint.
-    if is_root {
-        if cfg.coupling == CouplingMode::Lagged {
-            match recv_sst(world, &cfg.runtime, ocean_rank_id, n_couple, &recent) {
-                Ok((_, s)) => {
-                    // The final drained SST feeds `final_sst`; a blown-up
-                    // field is refused like any mid-run one.
-                    if let Some(e) = sentinel_sst(&cfg.runtime.sentinel, &s, &sea_mask, n_couple) {
-                        shutdown_ocean(world, ocean_rank_id);
-                        return Err(e);
-                    }
-                    sst = s;
-                }
-                Err(e) => {
-                    shutdown_ocean(world, ocean_rank_id);
-                    return Err(e);
-                }
+    /// Every other atmosphere rank's side: do what the root's status
+    /// says.
+    fn follow(&self, atm: &AtmStepper, c: usize) -> Result<Option<Field2>, CoupledError> {
+        match self.atm_comm.bcast::<u8>(0, None) {
+            EMERGENCY => {
+                self.checkpoint(atm, c + 1, true);
+                Err(CoupledError::Aborted)
+            }
+            ABORT => Err(CoupledError::Aborted),
+            SST_FOLLOWS => Ok(Some(self.atm_comm.bcast(0, None))),
+            _ => Ok(None),
+        }
+    }
+
+    /// One checkpoint attempt at interval boundary `target`, coordinated
+    /// across the atmosphere ranks and the ocean: the root opens a
+    /// staging directory and broadcasts it, every rank writes its shard,
+    /// the ocean is asked for its own via `TAG_CKPT` (FIFO ordering
+    /// behind the target interval's forcing guarantees its state
+    /// matches), and the root commits with an atomic rename only when
+    /// every ack is positive. Any failure abandons the snapshot — never
+    /// the run.
+    fn checkpoint(&self, atm: &AtmStepper, target: usize, emergency: bool) {
+        let _t = foam_telemetry::scope("checkpoint");
+        let mut pending = None;
+        let staging: Option<String> = if self.is_root() {
+            pending = self
+                .store
+                .as_ref()
+                .and_then(|s| s.begin(target as u64).ok());
+            let dir = pending
+                .as_ref()
+                .map(|p| p.staging_dir().to_string_lossy().into_owned());
+            self.atm_comm.bcast(0, Some(dir))
+        } else {
+            self.atm_comm.bcast(0, None)
+        };
+        let Some(dir) = staging else {
+            return;
+        };
+        let extras = self.log.as_ref().map(|log| RootShardExtras {
+            exchange: ExchangeBuffers {
+                sst_seq: self.sst_seq,
+                sst: atm.sst().clone(),
+                recent: self.recent.clone(),
+            },
+            log,
+            emergency,
+        });
+        let ok =
+            checkpoint::write_atm_shard(Path::new(&dir), self.atm_comm.rank(), atm, extras).is_ok();
+        let (Some(oks), Some(pending)) = (self.atm_comm.gather(ok, 0), pending) else {
+            return;
+        };
+        let (world, ocean) = (self.world, self.ocean());
+        // On the emergency path the ocean may still be waiting for lost
+        // forcings; retransmit what we hold so it can reach the target
+        // interval before the shard request (same-tag FIFO) lands.
+        if emergency {
+            for f in &self.recent {
+                world.send(ocean, TAG_FORCING, f.clone());
             }
         }
-        shutdown_ocean(world, ocean_rank_id);
+        world.send(ocean, TAG_CKPT, (target, dir));
+        let deadline = Duration::from_secs_f64(CKPT_ACK_TIMEOUT_SECS);
+        let ocean_ok = loop {
+            match world.recv_deadline::<(usize, bool)>(ocean, TAG_CKPT, deadline) {
+                Ok((t, o)) if t == target => break o,
+                Ok(_) => continue, // stale ack of an earlier abandoned attempt
+                Err(_) => break false,
+            }
+        };
+        let n_atm = self.atm_comm.size();
+        let staged = ocean_ok
+            && oks.iter().all(|&b| b)
+            && checkpoint::write_manifest(
+                pending.staging_dir(),
+                self.cfg,
+                target,
+                n_atm,
+                emergency,
+            )
+            .is_ok();
+        if !staged {
+            pending.abort();
+        } else if pending.commit().is_ok() {
+            if let Some(s) = &self.store {
+                let _ = s.retain(self.cfg.ckpt.keep);
+            }
+        }
     }
-    res.wall_seconds = world.now() - t_start;
-    if is_root {
-        res.final_sst = Some(sst);
-        res.stream = stream;
+
+    /// After the last interval, on the root: in lagged mode drain the
+    /// final SST (the ocean produces one per forcing; a blown-up field
+    /// is refused like any mid-run one), then run the shutdown handshake
+    /// so retransmitted duplicates don't dirty the teardown lint. The
+    /// other atmosphere ranks are already done, so only the ocean is
+    /// told.
+    fn finish(&self, atm: &AtmStepper, n_couple: usize) -> Result<Option<Field2>, CoupledError> {
+        if !self.is_root() {
+            return Ok(None);
+        }
+        let final_sst = match self.cfg.coupling {
+            CouplingMode::Sequential => Ok(atm.sst().clone()),
+            CouplingMode::Lagged => self.recv_sst(n_couple).and_then(|(_, sst)| {
+                let sentinels = &self.cfg.runtime.sentinel;
+                sentinel_sst(sentinels, &sst, atm.sea_mask(), n_couple).map(|()| sst)
+            }),
+        };
+        self.shutdown_ocean();
+        final_sst.map(Some)
     }
-    Ok(res)
 }
 
 fn ocean_rank(
@@ -1304,20 +929,13 @@ fn ocean_rank(
 ) -> Result<RankResult, CoupledError> {
     // Participate in the split even though the ocean keeps no sub-comm.
     let _ = world.split(-1, 0);
-    let planet = World::earthlike();
-    let model = OceanModel::new(cfg.ocean.clone(), &planet);
+    let mut ocean = OceanStepper::new(cfg, resume);
     let atm_root = 0usize;
 
-    // `completed` counts integrated coupling intervals; the SST carrying
-    // sequence number k is the state after k integrations. Announcing
-    // the latest SST up front serves fresh starts (the initial
-    // condition, sequence 0) and restarts (the root either consumes it
-    // or absorbs it as a stale duplicate) identically.
-    let (mut state, mut completed) = match resume {
-        Some(snap) => (snap.ocean.clone(), snap.interval),
-        None => (model.init_state(&planet), 0usize),
-    };
-    let mut latest: (usize, Field2) = (completed, model.sst(&state));
+    // Announcing the latest SST up front serves fresh starts (the
+    // initial condition, sequence 0) and restarts (the root either
+    // consumes it or absorbs it as a stale duplicate) identically.
+    let mut latest: (usize, Field2) = (ocean.completed(), ocean.sst());
     world.send(atm_root, TAG_SST, latest.clone());
 
     // Serve the exchange protocol until the root says we are done: step
@@ -1331,32 +949,16 @@ fn ocean_rank(
                 // Only the forcing for the next interval advances the
                 // model; duplicates (idx < completed) and early
                 // retransmissions (idx > completed) are ignored.
-                if idx == completed {
-                    // Injected rank death for the ocean: die on accepting
-                    // the scheduled interval's forcing, before stepping —
-                    // the ocean state is still exactly the fault-free
-                    // interval-boundary state.
-                    if let Some(k) = cfg.runtime.kill_rank {
-                        if k.rank == world.rank() && k.interval == idx {
-                            panic!(
-                                "injected rank death: rank {} at coupling interval {idx}",
-                                k.rank
-                            );
-                        }
-                    }
+                if idx == ocean.completed() {
+                    // The ocean dies on accepting the scheduled
+                    // interval's forcing: its state is still exactly the
+                    // fault-free interval-boundary state.
+                    inject_rank_death(cfg, world, idx);
                     world.region("ocean", || {
                         let _t = foam_telemetry::scope("ocean");
-                        match cfg.ocean_scheme {
-                            SplitScheme::FoamSplit => {
-                                model.step_coupled(&mut state, &forcing, cfg.dt_couple)
-                            }
-                            SplitScheme::Unsplit => {
-                                model.step_unsplit(&mut state, &forcing, cfg.dt_couple)
-                            }
-                        }
+                        ocean.step(&forcing);
                     });
-                    completed += 1;
-                    latest = (completed, model.sst(&state));
+                    latest = (ocean.completed(), ocean.sst());
                     world.send(atm_root, TAG_SST, latest.clone());
                 }
             }
@@ -1371,12 +973,12 @@ fn ocean_rank(
                 // forcings on the emergency path) aborts the attempt
                 // via a negative ack.
                 let (target, dir) = msg.downcast::<(usize, String)>();
-                let ok = completed == target
+                let ok = ocean.completed() == target
                     && checkpoint::write_ocean_shard(
                         Path::new(&dir),
                         world.rank(),
-                        &state,
-                        completed,
+                        ocean.state(),
+                        ocean.completed(),
                     )
                     .is_ok();
                 world.send(atm_root, TAG_CKPT, (target, ok));

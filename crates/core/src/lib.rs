@@ -47,8 +47,8 @@ mod config;
 pub mod diagnostics;
 pub mod digest;
 mod driver;
-pub mod history;
 pub mod observer;
+pub mod stepper;
 pub mod stream;
 pub mod supervisor;
 
@@ -59,13 +59,12 @@ pub use config::{
 };
 pub use digest::CanonicalHasher;
 pub use driver::{
-    baseline_config, run_coupled, try_resume_coupled, try_resume_coupled_observed, try_run_coupled,
-    try_run_coupled_observed, CoupledError, CoupledOutput,
+    baseline_config, run_coupled, try_resume_coupled, try_run_coupled, try_run_coupled_observed,
+    CoupledError, CoupledOutput,
 };
 pub use foam_ckpt::{
     CheckpointStore, CkptError, FaultyStore, Snapshot, StoreFault, StoreFaultKind, StoreFaultPlan,
 };
-pub use history::{HistoryReader, HistoryWriter};
 pub use observer::{NullObserver, ProgressEvent, RunObserver};
 pub use stream::{sea_area_weights, DriverStream};
 pub use supervisor::{

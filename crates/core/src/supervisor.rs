@@ -28,9 +28,6 @@
 //! [`RecoveryReport`] — every run. The report carries no wall-clock or
 //! heartbeat counts for exactly that reason.
 
-use std::path::Path;
-
-use foam_ckpt::{CheckpointStore, CkptError};
 use foam_mpi::Backoff;
 use foam_telemetry::json::Value;
 
@@ -360,36 +357,26 @@ fn supervise_inner(
     let mut cfg = cfg.clone();
     cfg.ckpt.on_error = false;
     let n_couple = driver::n_couple_for(&cfg, days);
-    let mut events: Vec<RecoveryEvent> = Vec::new();
-    let mut sim_days_replayed = 0.0f64;
+    let mut recovery = RecoveryReport::default();
     let mut recoveries = 0u32;
     // A resumable start is *tolerant* of an unreadable store (it is an
     // optimization, not a contract): fall back to a fresh run and let
     // the recovery loop handle any store fault that persists.
-    let first_snapshot = if resume_first {
-        cfg.ckpt
-            .dir
-            .as_deref()
-            .and_then(|dir| load_snapshot(dir, &cfg).ok().flatten())
-            .filter(|s| s.interval < n_couple)
-    } else {
-        None
-    };
-    let resumed_from = first_snapshot.as_ref().map(|s| s.interval);
-    let mut result = match first_snapshot {
-        Some(snap) => cfg
-            .validate()
-            .map_err(CoupledError::from)
-            .and_then(|()| driver::run_inner(&cfg, days, Some(snap), obs)),
-        None => driver::run_validated(&cfg, days, obs),
+    let mut snapshot = resume_first
+        .then(|| checkpoint::latest_for(&cfg).ok().flatten())
+        .flatten()
+        .filter(|s| s.interval < n_couple);
+    let resumed_from = snapshot.as_ref().map(|s| s.interval);
+    let give_up = |kind, last_error, recovery| {
+        Err(SupervisorError {
+            kind,
+            last_error,
+            recovery,
+        })
     };
     loop {
-        let err = match result {
+        let err = match driver::start(&cfg, days, snapshot.take(), obs) {
             Ok(mut output) => {
-                let recovery = RecoveryReport {
-                    events,
-                    sim_days_replayed,
-                };
                 attach_recovery(&mut output, &cfg, &recovery);
                 return Ok(SupervisedOutput {
                     output,
@@ -400,24 +387,11 @@ fn supervise_inner(
             Err(e) => e,
         };
         let Some(fault) = RunFault::classify(&err) else {
-            return Err(SupervisorError {
-                kind: SupervisorErrorKind::Unrecoverable,
-                last_error: err,
-                recovery: RecoveryReport {
-                    events,
-                    sim_days_replayed,
-                },
-            });
+            return give_up(SupervisorErrorKind::Unrecoverable, err, recovery);
         };
         if recoveries >= sup.max_recoveries {
-            return Err(SupervisorError {
-                kind: SupervisorErrorKind::BudgetExhausted { recoveries },
-                last_error: err,
-                recovery: RecoveryReport {
-                    events,
-                    sim_days_replayed,
-                },
-            });
+            let kind = SupervisorErrorKind::BudgetExhausted { recoveries };
+            return give_up(kind, err, recovery);
         }
         recoveries += 1;
         std::thread::sleep(sup.backoff.delay(recoveries));
@@ -441,15 +415,12 @@ fn supervise_inner(
         // storage-side fault — recorded, then recovered from by
         // restarting.
         let mut store_error = None;
-        let snapshot = match cfg.ckpt.dir.as_deref() {
-            Some(dir) => match load_snapshot(dir, &cfg) {
-                Ok(s) => s.filter(|s| s.interval < n_couple),
-                Err(e) => {
-                    store_error = Some(e.to_string());
-                    None
-                }
-            },
-            None => None,
+        snapshot = match checkpoint::latest_for(&cfg) {
+            Ok(s) => s.filter(|s| s.interval < n_couple),
+            Err(e) => {
+                store_error = Some(e.to_string());
+                None
+            }
         };
         let (action, replayed) = match &snapshot {
             Some(s) => (
@@ -460,34 +431,16 @@ fn supervise_inner(
             ),
             None => (RecoveryAction::Restarted, fault_interval),
         };
-        sim_days_replayed += replayed as f64 * cfg.dt_couple / 86_400.0;
-        events.push(RecoveryEvent {
+        recovery.sim_days_replayed += replayed as f64 * cfg.dt_couple / 86_400.0;
+        recovery.events.push(RecoveryEvent {
             fault,
             action,
             replayed_intervals: replayed,
             store_error,
         });
-        if let (Some(o), Some(ev)) = (obs, events.last()) {
+        if let (Some(o), Some(ev)) = (obs, recovery.events.last()) {
             o.on_recovery(ev);
         }
-        result = match snapshot {
-            Some(snap) => driver::run_inner(&cfg, days, Some(snap), obs),
-            None => driver::run_validated(&cfg, days, obs),
-        };
-    }
-}
-
-/// Load the newest readable snapshot under `dir`; `Ok(None)` when the
-/// store holds no checkpoint at all (a fresh start, not a fault).
-fn load_snapshot(
-    dir: &Path,
-    cfg: &FoamConfig,
-) -> Result<Option<checkpoint::GlobalSnapshot>, CkptError> {
-    let store = CheckpointStore::open(dir)?;
-    match checkpoint::load_latest(&store, cfg) {
-        Ok(snap) => Ok(Some(snap)),
-        Err(CkptError::NoCheckpoint) => Ok(None),
-        Err(e) => Err(e),
     }
 }
 
@@ -529,6 +482,7 @@ fn attach_recovery(output: &mut CoupledOutput, cfg: &FoamConfig, recovery: &Reco
 mod tests {
     use super::*;
     use crate::config::{PhysicsFault, PhysicsFaultKind, RankKill};
+    use foam_ckpt::CkptError;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -381,7 +381,7 @@ impl Coupler {
     /// `ka_offset` the flat index of its first entry. Leaves the surface
     /// in `ws.out` (full-length vectors, entries filled in the range)
     /// and the local runoff \[m over the step\] in `ws.runoff`
-    /// (full-length; allgather it and call
+    /// (full-length; gather every rank's rows and call
     /// [`Coupler::route_rivers_ws`]).
     ///
     /// ```
@@ -658,7 +658,7 @@ impl Coupler {
 
     /// Route runoff through the river network and book the mouth inflow
     /// into the *shared* ocean-forcing accumulator. `runoff` must be the
-    /// full-grid field (allgather the per-rank pieces first when
+    /// full-grid field (gather the per-rank pieces first when
     /// distributed); every rank calls this with identical inputs so the
     /// replicated river state stays in lockstep. The routing scratch
     /// comes from `ws`.

@@ -7,8 +7,8 @@
 //! science. This crate adds the missing layer above
 //! [`foam::try_run_coupled`]: take an [`EnsembleSpec`] (a base
 //! [`foam::FoamConfig`] plus per-member perturbations of seeds,
-//! parameters, and fault plans), execute the members across a
-//! work-stealing pool of OS workers, retry members that die with a
+//! parameters, and fault plans), execute the members across a pool of
+//! OS workers ([`scheduler`]), retry members that die with a
 //! [`foam::CoupledError`] from their own checkpoint store, and reduce
 //! everything into one deterministic `foam-ensemble/1` JSON report.
 //!

@@ -1,4 +1,4 @@
-//! Execution of an [`EnsembleSpec`]: the work-stealing pool, the
+//! Execution of an [`EnsembleSpec`]: the worker pool, the
 //! per-member retry loop, and the final reduction into an
 //! [`EnsembleReport`].
 
@@ -84,7 +84,7 @@ pub struct EnsembleOutput {
 }
 
 /// Execute the ensemble: validate the spec, prepare the output
-/// directory, run every member across the work-stealing pool (retrying
+/// directory, run every member across the worker pool (retrying
 /// failures per the spec's [`crate::RetryPolicy`]), and reduce the
 /// results into the deterministic aggregate report.
 ///

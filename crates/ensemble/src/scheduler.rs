@@ -1,17 +1,21 @@
-//! Deterministic work-stealing execution of independent jobs.
+//! Deterministic execution of a fixed list of independent jobs.
 //!
 //! The scheduler runs `n` independent jobs (ensemble members, here)
-//! across a pool of OS worker threads. Jobs are dealt round-robin onto
-//! per-worker deques in submission order; each worker pops from the
-//! front of its own deque and, when empty, steals from the *back* of a
-//! sibling's. Which worker executes which job — and in what order —
-//! therefore depends on timing, but the *results* do not: every job's
-//! output lands in the slot keyed by its job index, so
-//! [`execute`] returns the same `Vec` for any worker count and any
-//! interleaving. That slot-indexed result vector is the foundation of
-//! the ensemble's byte-identical-report guarantee.
+//! across a pool of OS worker threads. The whole list is known up
+//! front, so the policy is one shared counter: a worker that goes idle
+//! claims the next unclaimed position of the submission order. Jobs run
+//! for seconds each, so the one atomic per job is free and no worker
+//! idles while work remains. Which worker executes which job depends on
+//! timing, but the *results* do not: every job's output lands in the
+//! slot keyed by its job index, so [`execute`] returns the same `Vec`
+//! for any worker count and any interleaving. That slot-indexed result
+//! vector is the foundation of the ensemble's byte-identical-report
+//! guarantee.
+//!
+//! Jobs that arrive over time, from several tenants, go through
+//! [`FairShareQueue`](crate::FairShareQueue) instead; the crate has
+//! these two policies and no third.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
@@ -19,12 +23,12 @@ use parking_lot::Mutex;
 /// Run `f(job)` for every job index in `order` across `workers` OS
 /// threads, returning results indexed by job id (`0..n_slots`).
 ///
-/// * `order` — job indices in submission order (dealt round-robin onto
-///   the worker deques). Indices must be unique and `< n_slots`.
+/// * `order` — job indices in submission order (jobs start in this
+///   order). Indices must be unique and `< n_slots`.
 /// * `n_slots` — length of the result vector; slots whose index never
 ///   appears in `order` stay `None`.
 /// * `workers` — worker threads (clamped to at least 1; spawning more
-///   workers than jobs is allowed, the extras find nothing to steal).
+///   workers than jobs is allowed, the extras find nothing to claim).
 ///
 /// `f` runs on the worker threads, so it must be `Sync` (shared by
 /// reference) and the results `Send`.
@@ -43,72 +47,28 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = workers.max(1);
-
-    // Deal jobs round-robin onto the worker deques in submission
-    // order. Worker w's own work is thus deterministic; only *stolen*
-    // work depends on timing.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                order
-                    .iter()
-                    .copied()
-                    .skip(w)
-                    .step_by(workers)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-
     // Result slots, keyed by job index. Each slot is written at most
     // once (job indices are unique), so a Mutex per slot is contention
     // free; it exists to make the sharing safe, not to serialize.
     let slots: Vec<Mutex<Option<T>>> = (0..n_slots).map(|_| Mutex::new(None)).collect();
-    let remaining = AtomicUsize::new(order.len());
+    // The next unclaimed position of `order`. `Relaxed` is enough: the
+    // counter publishes no other data (`order` is read-only, and the
+    // scope's join is what publishes the slots).
+    let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let remaining = &remaining;
-            let f = &f;
-            scope.spawn(move || {
-                loop {
-                    // Own work first (front), then steal (back) —
-                    // scanning siblings from the next worker around.
-                    // The own-deque guard must drop before stealing:
-                    // holding it while locking a sibling's deque is a
-                    // circular wait when two workers go idle at once.
-                    let own = deques[w].lock().pop_front();
-                    let job = own.or_else(|| {
-                        (1..workers).find_map(|d| deques[(w + d) % workers].lock().pop_back())
-                    });
-                    match job {
-                        Some(job) => {
-                            let result = f(job);
-                            let mut slot = slots[job].lock();
-                            assert!(slot.is_none(), "job index {job} executed twice");
-                            *slot = Some(result);
-                            remaining.fetch_sub(1, Ordering::Release);
-                        }
-                        // All deques empty. Jobs are never re-enqueued,
-                        // so empty-everywhere means every job has been
-                        // *claimed*; workers still finishing theirs
-                        // write into their own slots, which this worker
-                        // no longer touches. Safe to exit.
-                        None => break,
-                    }
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| {
+                while let Some(&job) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let result = f(job);
+                    let mut slot = slots[job].lock();
+                    assert!(slot.is_none(), "job index {job} executed twice");
+                    *slot = Some(result);
                 }
             });
         }
     });
 
-    assert_eq!(
-        remaining.load(Ordering::Acquire),
-        0,
-        "scheduler exited with unexecuted jobs"
-    );
     slots.into_iter().map(|s| s.into_inner()).collect()
 }
 
@@ -134,7 +94,8 @@ mod tests {
 
     #[test]
     fn uneven_job_durations_still_fill_every_slot() {
-        // Long and short jobs interleaved: stealing must redistribute.
+        // Long and short jobs interleaved: idle workers must pick up the
+        // rest.
         let order: Vec<usize> = (0..12).collect();
         let got = execute(&order, 12, 4, |job| {
             if job % 3 == 0 {

@@ -33,17 +33,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): exponential from
-    /// [`backoff_secs`](RetryPolicy::backoff_secs), capped. Delegates
-    /// to the shared deterministic [`foam_mpi::Backoff`] schedule —
-    /// the same one the driver's exchange retries and the run
-    /// supervisor use.
-    pub fn backoff_for(&self, retry: u32) -> std::time::Duration {
-        foam_mpi::Backoff::capped(self.backoff_secs, self.backoff_max_secs).delay(retry)
-    }
-}
-
 /// A scalar physics parameter a member (or a scenario sweep axis) sets
 /// to an absolute value, overriding the base configuration.
 ///
@@ -337,18 +326,5 @@ mod tests {
             spec.validate(),
             Err(EnsembleError::Member { id: 1, .. })
         ));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            backoff_secs: 0.1,
-            backoff_max_secs: 0.35,
-        };
-        assert_eq!(p.backoff_for(1).as_secs_f64(), 0.1);
-        assert_eq!(p.backoff_for(2).as_secs_f64(), 0.2);
-        assert_eq!(p.backoff_for(3).as_secs_f64(), 0.35, "capped");
-        assert_eq!(p.backoff_for(60).as_secs_f64(), 0.35, "shift clamped");
     }
 }

@@ -246,11 +246,6 @@ impl OverlapGrid {
             .sum()
     }
 
-    /// Sea overlap area of atmosphere cell with flat index `ka` \[m²\].
-    pub fn atm_sea_area(&self, ka: usize) -> f64 {
-        self.sea_frac_atm[ka] * self.atm_area[ka]
-    }
-
     /// Full area of atmosphere cell `ka` \[m²\].
     pub fn atm_cell_area(&self, ka: usize) -> f64 {
         self.atm_area[ka]

@@ -276,11 +276,6 @@ impl Comm {
         self.endpoint.borrow().tracer.now()
     }
 
-    /// Enable or disable activity tracing on this rank.
-    pub fn set_tracing(&self, on: bool) {
-        self.endpoint.borrow_mut().tracer.set_enabled(on);
-    }
-
     /// Set the deadline applied to every blocking receive on this rank
     /// (including collectives). `None` waits forever. A plain
     /// [`Comm::recv`] whose deadline expires panics with a mailbox
@@ -308,15 +303,6 @@ impl Comm {
         let out = f();
         self.endpoint.borrow_mut().tracer.close_region();
         out
-    }
-
-    /// Extract the trace recorded so far, resetting the recorder. The
-    /// trace carries a snapshot of the comm statistics.
-    pub fn take_trace(&self) -> RankTrace {
-        let mut ep = self.endpoint.borrow_mut();
-        let mut trace = ep.tracer.take();
-        trace.stats = ep.stats.clone();
-        trace
     }
 
     /// Teardown hook: pull everything still in the mailbox into a lint
@@ -840,12 +826,6 @@ impl Comm {
         }
     }
 
-    /// Gather delivered to every rank.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let g = self.gather(value, 0);
-        self.bcast(0, g)
-    }
-
     /// Scatter one `T` to each rank from `root` (which supplies
     /// `Some(vec)` of length `size()`).
     pub fn scatter<T: Send + 'static>(&self, values: Option<Vec<T>>, root: usize) -> T {
@@ -1078,8 +1058,12 @@ mod tests {
 
     #[test]
     fn gather_and_allgather_preserve_rank_order() {
+        // An allgather is a gather to rank 0 and a broadcast of the
+        // result (what `split` and the coupled stepper's runoff do).
         Universe::run(6, |comm| {
-            let all = comm.allgather(comm.rank() * 2);
+            let gathered = comm.gather(comm.rank() * 2, 0);
+            assert_eq!(gathered.is_some(), comm.rank() == 0);
+            let all = comm.bcast(0, gathered);
             assert_eq!(all, vec![0, 2, 4, 6, 8, 10]);
         });
     }
@@ -1201,7 +1185,11 @@ mod tests {
 
     #[test]
     fn wait_time_is_recorded_when_tracing() {
-        let out = Universe::run_traced(2, true, |comm| {
+        let traced = RunConfig {
+            tracing: true,
+            ..Default::default()
+        };
+        let out = Universe::run_cfg(2, traced, |comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
                 comm.send(1, 0, ());

@@ -9,7 +9,7 @@
 //!   MPI-style (source, tag) matching and out-of-order message stashing,
 //! * the collectives FOAM needs: [`Comm::barrier`], [`Comm::bcast`],
 //!   [`Comm::reduce`], [`Comm::allreduce`], [`Comm::gather`],
-//!   [`Comm::allgather`], [`Comm::alltoallv`], [`Comm::scatter`],
+//!   [`Comm::alltoallv`], [`Comm::scatter`],
 //! * communicator splitting ([`Comm::split`]) so the atmosphere, ocean and
 //!   coupler can each own a sub-communicator exactly as in the paper,
 //! * built-in activity tracing ([`Comm::region`]) so the per-processor time

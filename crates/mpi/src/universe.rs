@@ -165,23 +165,6 @@ impl Universe {
         Self::run_cfg(n, RunConfig::default(), f)
     }
 
-    /// Like [`Universe::run`] but with activity tracing enabled from the
-    /// start on every rank (used to regenerate the paper's Figure 2).
-    pub fn run_traced<R, F>(n: usize, tracing: bool, f: F) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(&Comm) -> R + Send + Sync,
-    {
-        Self::run_cfg(
-            n,
-            RunConfig {
-                tracing,
-                ..Default::default()
-            },
-            f,
-        )
-    }
-
     /// The fully configurable launcher: tracing, receive deadlines, and
     /// fault injection. Every rank runs under `catch_unwind` so that even
     /// when a rank panics (deadline expiry, type mismatch, application
@@ -396,7 +379,11 @@ mod tests {
 
     #[test]
     fn traces_come_back_per_rank() {
-        let out = Universe::run_traced(3, true, |comm| {
+        let traced = RunConfig {
+            tracing: true,
+            ..Default::default()
+        };
+        let out = Universe::run_cfg(3, traced, |comm| {
             comm.region("alpha", || {
                 std::thread::sleep(std::time::Duration::from_millis(5))
             });

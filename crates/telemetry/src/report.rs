@@ -300,21 +300,6 @@ impl TelemetryReport {
         })
     }
 
-    /// The busiest rank's busy time — the projected parallel wall clock
-    /// on a machine with one core per rank (the Figure-2 accounting the
-    /// scaling table reports alongside measured wall time).
-    pub fn projected_wall_seconds(&self) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| r.busy_seconds)
-            .fold(0.0, f64::max)
-    }
-
-    /// Model speedup under the projected parallel wall clock.
-    pub fn projected_speedup(&self) -> f64 {
-        self.sim_seconds / self.projected_wall_seconds().max(1e-9)
-    }
-
     /// Check the timing tree: on every rank, the children of each phase
     /// must not sum to more than the parent plus `tol` seconds (timers
     /// are inclusive, so children ≤ parent by construction — a violation
@@ -486,7 +471,6 @@ mod tests {
         let imb = r.load_imbalance().unwrap();
         assert_eq!((imb.min, imb.mean, imb.max), (2.0, 3.0, 4.0));
         assert_eq!(r.model_speedup, 86_400.0 / 4.0);
-        assert_eq!(r.projected_wall_seconds(), 4.0);
     }
 
     #[test]

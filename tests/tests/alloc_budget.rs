@@ -1,22 +1,21 @@
 //! The allocation budget of the hot loop, enforced (PERFORMANCE.md):
 //! with [`CountingAlloc`] installed as this binary's global allocator,
-//! a warmed-up atmosphere + coupler workspace step must make **zero**
-//! heap allocations. This is the unit-level teeth behind the CI
-//! century-smoke gate on `alloc.steady_allocs_per_year` — if a change
-//! reintroduces per-step churn anywhere under `step_ws` /
-//! `step_rows_ws` (spectral transforms, physics columns, tracer
-//! advection, flux aggregation), this test names it long before the
-//! bench notices.
+//! a warmed-up [`AtmStepper::step`] — the atmosphere + coupler step the
+//! coupled driver itself runs — must make **zero** heap allocations.
+//! This is the unit-level teeth behind the CI century-smoke gate on
+//! `alloc.steady_allocs_per_year` — if a change reintroduces per-step
+//! churn anywhere under `step_ws` / `step_rows_ws` (spectral
+//! transforms, physics columns, tracer advection, flux aggregation) or
+//! in the step around them (the runoff hand-over, the forcing refill),
+//! this test names it long before the bench notices.
 //!
 //! This file stays a single-test binary on purpose: the counters are
 //! process-wide, so a sibling test allocating concurrently would make
 //! the zero assertion racy.
 
-use foam::{FoamConfig, World};
-use foam_atm::{AtmForcing, AtmModel, AtmWorkspace};
-use foam_coupler::{AtmSurfaceView, Coupler};
+use foam::stepper::{AtmParts, AtmStepper, OceanStepper};
+use foam::FoamConfig;
 use foam_mpi::Universe;
-use foam_ocean::OceanModel;
 use foam_telemetry::alloc::{CountingAlloc, SteadyMeter};
 
 #[global_allocator]
@@ -26,93 +25,19 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 fn warmed_up_workspace_step_allocates_nothing() {
     let cfg = FoamConfig::tiny(7);
     Universe::run(1, move |comm| {
-        let planet = World::earthlike();
-        let model = AtmModel::new(cfg.atm.clone(), comm);
-        let sea_mask = OceanModel::effective_sea_mask(&cfg.ocean, &planet);
-        let ocn_grid =
-            foam_grid::OceanGrid::mercator(cfg.ocean.nx, cfg.ocean.ny, cfg.ocean.lat_max_deg);
-        let coupler = Coupler::new(
-            model.grid().clone(),
-            ocn_grid,
-            sea_mask,
-            &planet,
-            cfg.atm.physics,
-        );
-        let ocean = OceanModel::new(cfg.ocean.clone(), &planet);
-        let sst = ocean.sst(&ocean.init_state(&planet));
-
-        let mut state = model.init_state();
-        let mut cstate = coupler.init_state(&sst, AtmModel::t_init);
-        let mut export = model.initial_export(&state);
-        let mut aws = AtmWorkspace::new(&model);
-        let mut cws = coupler.workspace();
-        let mut forcing = AtmForcing {
-            fluxes: Vec::new(),
-            t_sfc: Vec::new(),
-            albedo: Vec::new(),
-        };
-        let mut full_runoff: Vec<f64> = Vec::new();
-        let (j0, j1) = model.rows();
-        let nlon = model.grid().nlon;
-        let (ka0, ka1) = (j0 * nlon, j1 * nlon);
-
-        let full_step = |state: &mut foam_atm::AtmState,
-                         cstate: &mut foam_coupler::CouplerState,
-                         export: &mut foam_atm::AtmExport,
-                         aws: &mut AtmWorkspace,
-                         cws: &mut foam_coupler::CouplerWorkspace,
-                         forcing: &mut AtmForcing,
-                         full_runoff: &mut Vec<f64>| {
-            let view = AtmSurfaceView {
-                t_low: &export.t_low,
-                q_low: &export.q_low,
-                u_low: &export.u_low,
-                v_low: &export.v_low,
-                precip: &export.precip,
-                sw_sfc: &export.sw_sfc,
-                lw_down: &export.lw_down,
-            };
-            coupler.step_rows_ws(cstate, view, &sst, cfg.atm.dt, ka0, ka1, ka0, cws);
-            // Mirrors the driver: the (allgathered) global runoff lives
-            // in its own reused buffer.
-            full_runoff.clear();
-            full_runoff.extend_from_slice(&cws.runoff[ka0..ka1]);
-            coupler.route_rivers_ws(cstate, full_runoff, cfg.atm.dt, cws);
-            forcing.fluxes.clear();
-            forcing.fluxes.extend_from_slice(&cws.out.fluxes[ka0..ka1]);
-            forcing.t_sfc.clear();
-            forcing.t_sfc.extend_from_slice(&cws.out.t_sfc[ka0..ka1]);
-            forcing.albedo.clear();
-            forcing.albedo.extend_from_slice(&cws.out.albedo[ka0..ka1]);
-            model.step_ws(state, comm, forcing, aws, export);
-        };
+        let sst = OceanStepper::new(&cfg, None).sst();
+        let mut atm = AtmStepper::fresh(AtmParts::new(&cfg, comm), sst);
 
         // Warm up: first steps may still grow buffers to their final
-        // capacity (e.g. the forcing vectors, physics scratch).
+        // capacity (e.g. the physics scratch).
         for _ in 0..3 {
-            full_step(
-                &mut state,
-                &mut cstate,
-                &mut export,
-                &mut aws,
-                &mut cws,
-                &mut forcing,
-                &mut full_runoff,
-            );
+            atm.step(comm);
         }
 
         // Steady state: the zero-churn rule, enforced literally.
         let meter = SteadyMeter::begin();
         for _ in 0..5 {
-            full_step(
-                &mut state,
-                &mut cstate,
-                &mut export,
-                &mut aws,
-                &mut cws,
-                &mut forcing,
-                &mut full_runoff,
-            );
+            atm.step(comm);
         }
         let d = meter.so_far();
         assert_eq!(

@@ -152,27 +152,6 @@ fn slowdown_factor_buys_the_expected_barotropic_step() {
 }
 
 #[test]
-fn history_file_roundtrips_a_coupled_run() {
-    // End-to-end: write monthly SST to a history file during analysis,
-    // read it back identically (the dataset-output path of the paper's
-    // outlook section).
-    let mut cfg = FoamConfig::tiny(44);
-    cfg.collect_monthly_sst = false;
-    let out = run_coupled(&cfg, 1.0);
-    let path = std::env::temp_dir().join(format!("foam_e2e_{}.hist", std::process::id()));
-    {
-        let mut w = foam::HistoryWriter::create(&path, cfg.ocean.nx, cfg.ocean.ny).unwrap();
-        w.write_frame(out.sim_seconds, &out.final_sst).unwrap();
-        w.finish().unwrap();
-    }
-    let mut r = foam::HistoryReader::open(&path).unwrap();
-    let frames = r.read_all().unwrap();
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].1, out.final_sst);
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
 fn ccm2_and_ccm3_coupled_climates_differ() {
     // §6 shape: the physics vintage changes the coupled climate (the
     // tropical hydrological cycle especially) within days.
