@@ -227,11 +227,6 @@ impl AtmModel {
         self.forcings = forcings;
     }
 
-    /// The installed scenario forcings.
-    pub fn forcings(&self) -> &Forcings {
-        &self.forcings
-    }
-
     /// The column-physics engine in effect at simulated time `sim_t`:
     /// the configured engine with any scenario forcing for that
     /// simulated day folded in. `PhysicsConfig` is `Copy`, so this is

@@ -66,11 +66,6 @@ impl StoreFaultPlan {
         Self::default()
     }
 
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// Schedule a torn shard write at checkpoint `interval`.
     pub fn torn_write(mut self, interval: u64) -> Self {
         self.faults.push(StoreFault {
@@ -123,12 +118,6 @@ impl FaultyStore {
             inner,
             plan: Mutex::new(plan),
         }
-    }
-
-    /// The wrapped store (for read paths — loading is never sabotaged;
-    /// the corruption already happened at commit time).
-    pub fn store(&self) -> &CheckpointStore {
-        &self.inner
     }
 
     /// Like [`CheckpointStore::begin`], but a scheduled

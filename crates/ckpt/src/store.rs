@@ -74,12 +74,6 @@ impl CheckpointStore {
         root.join(format!("member-{member:04}"))
     }
 
-    /// Open (creating if needed) member `member`'s store under the
-    /// shared ensemble root `root`.
-    pub fn open_member(root: &Path, member: usize) -> Result<Self, CkptError> {
-        Self::open(&Self::member_root(root, member))
-    }
-
     /// Directory of job `job`'s own checkpoint store under a shared
     /// server root: `<root>/job-<id>`. Job ids are caller-chosen
     /// (content digests, in practice); only `[A-Za-z0-9._-]` survive,
@@ -90,12 +84,6 @@ impl CheckpointStore {
             .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
             .collect();
         root.join(format!("job-{safe}"))
-    }
-
-    /// Open (creating if needed) job `job`'s store under the shared
-    /// root `root`.
-    pub fn open_job(root: &Path, job: &str) -> Result<Self, CkptError> {
-        Self::open(&Self::job_root(root, job))
     }
 
     /// Enumerate the per-member (`member-NNNN`) and per-job
@@ -344,8 +332,8 @@ mod tests {
     #[test]
     fn member_stores_are_disjoint() {
         let root = scratch("members");
-        let a = CheckpointStore::open_member(&root, 0).unwrap();
-        let b = CheckpointStore::open_member(&root, 1).unwrap();
+        let a = CheckpointStore::open(&CheckpointStore::member_root(&root, 0)).unwrap();
+        let b = CheckpointStore::open(&CheckpointStore::member_root(&root, 1)).unwrap();
         assert_ne!(a.root(), b.root());
         assert_eq!(a.root(), CheckpointStore::member_root(&root, 0));
         commit_one(&a, 4);
@@ -358,9 +346,9 @@ mod tests {
     #[test]
     fn reopened_root_enumerates_prior_jobs_and_members() {
         let root = scratch("reopen");
-        let a = CheckpointStore::open_member(&root, 3).unwrap();
+        let a = CheckpointStore::open(&CheckpointStore::member_root(&root, 3)).unwrap();
         commit_one(&a, 2);
-        let b = CheckpointStore::open_job(&root, "deadbeef01").unwrap();
+        let b = CheckpointStore::open(&CheckpointStore::job_root(&root, "deadbeef01")).unwrap();
         commit_one(&b, 6);
         // Unrelated files and directories are not store roots.
         std::fs::write(root.join("cache.json"), b"{}").unwrap();
@@ -385,7 +373,7 @@ mod tests {
     fn sweep_roots_applies_the_retention_policy() {
         let root = scratch("sweep");
         for job in ["aa", "bb", "cc"] {
-            let s = CheckpointStore::open_job(&root, job).unwrap();
+            let s = CheckpointStore::open(&CheckpointStore::job_root(&root, job)).unwrap();
             commit_one(&s, 1);
         }
         let removed = CheckpointStore::sweep_roots(&root, |name| name == "job-bb").unwrap();
@@ -397,7 +385,7 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["job-bb"]);
         // The kept root's snapshots are untouched.
-        let kept = CheckpointStore::open_job(&root, "bb").unwrap();
+        let kept = CheckpointStore::open(&CheckpointStore::job_root(&root, "bb")).unwrap();
         assert_eq!(kept.latest().unwrap().unwrap().0, 1);
         std::fs::remove_dir_all(&root).unwrap();
     }

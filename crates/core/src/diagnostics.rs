@@ -1,9 +1,6 @@
-//! Climate diagnostics computed from model output: zonal means, basin
-//! means, and the summary numbers the examples and experiments print —
-//! plus the communication-statistics report that accompanies the
-//! Figure 2 timeline.
+//! The communication-statistics report that accompanies the Figure 2
+//! timeline.
 
-use foam_grid::{Basin, Field2, OceanGrid, World};
 use foam_mpi::RankTrace;
 
 /// Render the per-tag communication counters carried on a run's traces
@@ -66,126 +63,9 @@ pub fn comm_stats_report(traces: &[RankTrace]) -> String {
     out
 }
 
-/// Zonal mean of a field per latitude row (simple arithmetic mean over
-/// longitudes; pass a mask to restrict to sea or land points).
-pub fn zonal_mean(f: &Field2, mask: Option<&[bool]>) -> Vec<f64> {
-    let (nx, ny) = (f.nx(), f.ny());
-    (0..ny)
-        .map(|j| {
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for i in 0..nx {
-                if mask.map(|m| m[j * nx + i]).unwrap_or(true) {
-                    num += f.get(i, j);
-                    den += 1.0;
-                }
-            }
-            if den > 0.0 {
-                num / den
-            } else {
-                f64::NAN
-            }
-        })
-        .collect()
-}
-
-/// Area-weighted mean of an ocean-grid field over one basin within a
-/// latitude band \[deg\].
-pub fn basin_mean(
-    f: &Field2,
-    grid: &OceanGrid,
-    mask: &[bool],
-    world: &World,
-    basin: Basin,
-    lat_band: (f64, f64),
-) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for j in 0..grid.ny {
-        let latd = grid.lats[j].to_degrees();
-        if latd < lat_band.0 || latd > lat_band.1 {
-            continue;
-        }
-        for i in 0..grid.nx {
-            let k = grid.idx(i, j);
-            if mask[k] && world.basin(grid.lons[i], grid.lats[j]) == basin {
-                let a = grid.cell_area(i, j);
-                num += a * f.get(i, j);
-                den += a;
-            }
-        }
-    }
-    if den > 0.0 {
-        num / den
-    } else {
-        f64::NAN
-    }
-}
-
-/// Equator-to-pole SST contrast \[°C\]: mean within ±10° minus the mean
-/// poleward of 55° (both hemispheres) — a one-number circulation check.
-pub fn equator_pole_contrast(sst: &Field2, grid: &OceanGrid, mask: &[bool]) -> f64 {
-    let mut eq = (0.0, 0.0);
-    let mut po = (0.0, 0.0);
-    for j in 0..grid.ny {
-        let latd = grid.lats[j].to_degrees().abs();
-        for i in 0..grid.nx {
-            let k = grid.idx(i, j);
-            if !mask[k] {
-                continue;
-            }
-            let a = grid.cell_area(i, j);
-            if latd < 10.0 {
-                eq.0 += a * sst.get(i, j);
-                eq.1 += a;
-            } else if latd > 55.0 {
-                po.0 += a * sst.get(i, j);
-                po.1 += a;
-            }
-        }
-    }
-    eq.0 / eq.1.max(1e-9) - po.0 / po.1.max(1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foam_ocean::{OceanConfig, OceanModel};
-
-    fn setup() -> (OceanGrid, Vec<bool>, World) {
-        let world = World::earthlike();
-        let cfg = OceanConfig::tiny();
-        let grid = OceanGrid::mercator(cfg.nx, cfg.ny, cfg.lat_max_deg);
-        let mask = OceanModel::effective_sea_mask(&cfg, &world);
-        (grid, mask, world)
-    }
-
-    #[test]
-    fn zonal_mean_of_zonally_uniform_field_is_exact() {
-        let f = Field2::from_fn(10, 6, |_i, j| j as f64 * 2.0);
-        let zm = zonal_mean(&f, None);
-        for (j, v) in zm.iter().enumerate() {
-            assert!((v - j as f64 * 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn zonal_mean_respects_mask() {
-        let f = Field2::from_fn(4, 1, |i, _| i as f64);
-        let mask = vec![true, false, true, false];
-        let zm = zonal_mean(&f, Some(&mask));
-        assert!((zm[0] - 1.0).abs() < 1e-12); // mean of {0, 2}
-    }
-
-    #[test]
-    fn climatology_has_positive_equator_pole_contrast() {
-        let (grid, mask, world) = setup();
-        let sst = Field2::from_fn(grid.nx, grid.ny, |i, j| {
-            world.sst_climatology(grid.lons[i], grid.lats[j])
-        });
-        let c = equator_pole_contrast(&sst, &grid, &mask);
-        assert!((15.0..35.0).contains(&c), "contrast {c} °C");
-    }
 
     #[test]
     fn comm_stats_report_names_protocol_tags() {
@@ -194,18 +74,5 @@ mod tests {
         assert!(report.contains("forcing (10)"), "{report}");
         assert!(report.contains("sst (11)"), "{report}");
         assert!(report.contains("(collectives)"), "{report}");
-    }
-
-    #[test]
-    fn basin_means_are_finite_for_both_northern_basins() {
-        let (grid, mask, world) = setup();
-        let sst = Field2::from_fn(grid.nx, grid.ny, |i, j| {
-            world.sst_climatology(grid.lons[i], grid.lats[j])
-        });
-        let atl = basin_mean(&sst, &grid, &mask, &world, Basin::Atlantic, (25.0, 60.0));
-        let pac = basin_mean(&sst, &grid, &mask, &world, Basin::Pacific, (25.0, 60.0));
-        assert!(atl.is_finite() && pac.is_finite());
-        assert!((0.0..25.0).contains(&atl), "N.Atl {atl}");
-        assert!((0.0..25.0).contains(&pac), "N.Pac {pac}");
     }
 }

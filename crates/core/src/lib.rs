@@ -65,7 +65,7 @@ pub use driver::{
 pub use foam_ckpt::{
     CheckpointStore, CkptError, FaultyStore, Snapshot, StoreFault, StoreFaultKind, StoreFaultPlan,
 };
-pub use observer::{NullObserver, ProgressEvent, RunObserver};
+pub use observer::{ProgressEvent, RunObserver};
 pub use stream::{sea_area_weights, DriverStream};
 pub use supervisor::{
     supervise_run, supervise_run_resumable, RecoveryAction, RecoveryEvent, RecoveryReport,
@@ -75,6 +75,6 @@ pub use supervisor::{
 pub use foam_atm::{AtmConfig, AtmModel};
 pub use foam_coupler::Coupler;
 pub use foam_grid::{Field2, World};
-pub use foam_mpi::{Backoff, CommLint, CommStats, FaultPlan, RankTrace, TraceSummary, Universe};
+pub use foam_mpi::{Backoff, CommLint, CommStats, FaultPlan, RankTrace, Universe};
 pub use foam_ocean::{OceanConfig, OceanModel, SplitScheme};
 pub use foam_telemetry::{TelemetryRegistry, TelemetryReport};

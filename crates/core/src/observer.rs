@@ -65,9 +65,3 @@ pub trait RunObserver: Sync {
     /// [`supervise_run_resumable`]: crate::supervisor::supervise_run_resumable
     fn on_recovery(&self, _ev: &RecoveryEvent) {}
 }
-
-/// The do-nothing observer; useful as a default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl RunObserver for NullObserver {}

@@ -768,12 +768,6 @@ impl Coupler {
             }
         }
     }
-
-    /// Ice fraction of the ocean's sea area (diagnostic).
-    pub fn ice_fraction(&self, st: &CouplerState) -> f64 {
-        let f: Vec<f64> = st.ice.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-        self.ocn_grid.masked_mean(&f, &self.sea_mask)
-    }
 }
 
 #[cfg(test)]

@@ -62,26 +62,6 @@ impl ParamOverride {
             ParamOverride::ObliquityDeg(v) => cfg.atm.physics.obliquity_deg = v,
         }
     }
-
-    /// The overridden value (for reports and range checks).
-    pub fn value(self) -> f64 {
-        match self {
-            ParamOverride::SolarScale(v)
-            | ParamOverride::Co2Factor(v)
-            | ParamOverride::AerosolOd(v)
-            | ParamOverride::ObliquityDeg(v) => v,
-        }
-    }
-
-    /// The name of the knob (for reports and error messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            ParamOverride::SolarScale(_) => "solar_scale",
-            ParamOverride::Co2Factor(_) => "co2_factor",
-            ParamOverride::AerosolOd(_) => "aerosol_od",
-            ParamOverride::ObliquityDeg(_) => "obliquity_deg",
-        }
-    }
 }
 
 /// One ensemble member: an id (keys its checkpoint root and its report

@@ -77,14 +77,6 @@ impl Field2 {
         self.data[k] = v;
     }
 
-    /// Zonal neighbour with periodic wraparound in `i`.
-    #[inline]
-    pub fn get_wrap(&self, i: isize, j: usize) -> f64 {
-        let n = self.nx as isize;
-        let iw = ((i % n) + n) % n;
-        self.get(iw as usize, j)
-    }
-
     /// Row `j` as a slice.
     #[inline]
     pub fn row(&self, j: usize) -> &[f64] {
@@ -137,15 +129,6 @@ impl Field2 {
     /// Maximum absolute value (0 for an empty field).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
-
-    /// Unweighted mean of all entries.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f64>() / self.data.len() as f64
-        }
     }
 
     /// True if every entry is finite — the standard integrity check after
@@ -208,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn wraparound_indexing() {
-        let f = Field2::from_fn(4, 1, |i, _| i as f64);
-        assert_eq!(f.get_wrap(-1, 0), 3.0);
-        assert_eq!(f.get_wrap(4, 0), 0.0);
-        assert_eq!(f.get_wrap(-5, 0), 3.0);
-    }
-
-    #[test]
     fn axpy_and_scale() {
         let mut a = Field2::filled(2, 2, 1.0);
         let b = Field2::filled(2, 2, 2.0);
@@ -229,7 +204,6 @@ mod tests {
     fn stats_helpers() {
         let f = Field2::from_vec(2, 2, vec![1.0, -3.0, 2.0, 0.0]);
         assert_eq!(f.max_abs(), 3.0);
-        assert_eq!(f.mean(), 0.0);
         assert!(f.all_finite());
         let g = Field2::from_vec(1, 2, vec![f64::NAN, 1.0]);
         assert!(!g.all_finite());

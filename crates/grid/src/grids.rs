@@ -250,14 +250,13 @@ pub fn inverse_mercator_y(y: f64) -> f64 {
     2.0 * y.exp().atan() - std::f64::consts::FRAC_PI_2
 }
 
-/// A vertical coordinate: interfaces, layer centres and thicknesses.
-/// Used for the ocean's 16 stretched z-levels (finest near the surface,
-/// where coupling happens) and for the atmosphere's pressure levels.
+/// A vertical coordinate: interfaces, layer centres and thicknesses —
+/// the ocean's 16 stretched z-levels (finest near the surface, where
+/// coupling happens).
 #[derive(Debug, Clone)]
 pub struct VerticalGrid {
-    /// Interface positions, length `n + 1`. Ocean: depth \[m\], 0 at the
-    /// surface, increasing downward. Atmosphere: pressure \[Pa\],
-    /// increasing downward.
+    /// Interface positions, length `n + 1`: depth \[m\], 0 at the
+    /// surface, increasing downward.
     pub interfaces: Vec<f64>,
     /// Layer centres, length `n`.
     pub centers: Vec<f64>,
@@ -277,31 +276,8 @@ impl VerticalGrid {
         Self::from_thickness(thickness)
     }
 
-    /// FOAM's default ocean column: 16 layers over 5000 m, top layer
-    /// ≈ 25 m.
-    pub fn foam_ocean() -> Self {
-        Self::ocean_stretched(16, 5000.0, 1.29)
-    }
-
-    /// Equally spaced pressure layers from the model top (`p_top` \[Pa\])
-    /// to the surface (100 kPa).
-    pub fn atm_pressure(nl: usize, p_top: f64) -> Self {
-        assert!(nl >= 1);
-        let p_bot = 1.0e5;
-        let d = (p_bot - p_top) / nl as f64;
-        let thickness = vec![d; nl];
-        let mut v = Self::from_thickness(thickness);
-        for x in v.interfaces.iter_mut() {
-            *x += p_top;
-        }
-        for x in v.centers.iter_mut() {
-            *x += p_top;
-        }
-        v
-    }
-
     /// Build from explicit thicknesses.
-    pub fn from_thickness(thickness: Vec<f64>) -> Self {
+    fn from_thickness(thickness: Vec<f64>) -> Self {
         let n = thickness.len();
         let mut interfaces = Vec::with_capacity(n + 1);
         interfaces.push(0.0);
@@ -318,17 +294,6 @@ impl VerticalGrid {
             centers,
             thickness,
         }
-    }
-
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.thickness.len()
-    }
-
-    /// Total column extent.
-    #[inline]
-    pub fn depth(&self) -> f64 {
-        *self.interfaces.last().unwrap() - self.interfaces[0]
     }
 }
 
@@ -438,25 +403,15 @@ mod tests {
 
     #[test]
     fn stretched_ocean_levels() {
-        let v = VerticalGrid::foam_ocean();
-        assert_eq!(v.n(), 16);
-        assert!((v.depth() - 5000.0).abs() < 1e-9);
+        // FOAM's default ocean column: 16 layers over 5000 m.
+        let v = VerticalGrid::ocean_stretched(16, 5000.0, 1.29);
+        assert_eq!(v.thickness.len(), 16);
+        assert!((v.interfaces[16] - v.interfaces[0] - 5000.0).abs() < 1e-9);
         // Monotone increasing thickness with depth.
         for w in v.thickness.windows(2) {
             assert!(w[0] < w[1]);
         }
         // Fine surface resolution (paper: resolution maximized near top).
         assert!(v.thickness[0] < 30.0, "top layer {} m", v.thickness[0]);
-    }
-
-    #[test]
-    fn atm_pressure_levels() {
-        let v = VerticalGrid::atm_pressure(18, 2000.0);
-        assert_eq!(v.n(), 18);
-        assert!((v.interfaces[0] - 2000.0).abs() < 1e-9);
-        assert!((v.interfaces[18] - 1.0e5).abs() < 1e-6);
-        for k in 0..18 {
-            assert!(v.centers[k] > v.interfaces[k] && v.centers[k] < v.interfaces[k + 1]);
-        }
     }
 }

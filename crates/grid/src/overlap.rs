@@ -28,7 +28,6 @@ pub struct OverlapGrid {
     sea_frac_atm: Vec<f64>,
     /// Full area of each atmosphere cell.
     atm_area: Vec<f64>,
-    n_pairs: usize,
 }
 
 impl OverlapGrid {
@@ -75,7 +74,6 @@ impl OverlapGrid {
 
         let mut atm_entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); atm.len()];
         let mut ocn_entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); ocn.len()];
-        let mut n_pairs = 0;
         for ja in 0..atm.nlat {
             for ia in 0..atm.nlon {
                 let ka = atm.idx(ia, ja);
@@ -88,7 +86,6 @@ impl OverlapGrid {
                         let area = r2 * dlam * dmu;
                         atm_entries[ka].push((ko as u32, area));
                         ocn_entries[ko].push((ka as u32, area));
-                        n_pairs += 1;
                     }
                 }
             }
@@ -113,13 +110,7 @@ impl OverlapGrid {
             ocn_entries,
             sea_frac_atm,
             atm_area,
-            n_pairs,
         }
-    }
-
-    /// Number of overlap cells (pairs).
-    pub fn n_pairs(&self) -> usize {
-        self.n_pairs
     }
 
     /// Sea fraction of each atmosphere cell, as a field.
@@ -182,49 +173,6 @@ impl OverlapGrid {
         }
     }
 
-    /// Evaluate a flux on every overlap cell (as a function of the two
-    /// parent flat indices) and area-average it to both grids at once —
-    /// the core coupler operation of Figure 1(b). Returns
-    /// `(atm_sea_average, ocean_average)`; the two fields carry the same
-    /// global integral over their respective sea areas by construction.
-    pub fn compute_on_overlap(
-        &self,
-        mut flux: impl FnMut(usize, usize) -> f64,
-    ) -> (Field2, Field2) {
-        let mut atm_num = vec![0.0; self.atm_nx * self.atm_ny];
-        let mut atm_den = vec![0.0; atm_num.len()];
-        let mut ocn_num = vec![0.0; self.ocn_nx * self.ocn_ny];
-        let mut ocn_den = vec![0.0; ocn_num.len()];
-        for (ko, entries) in self.ocn_entries.iter().enumerate() {
-            for &(ka, a) in entries {
-                let f = flux(ka as usize, ko);
-                atm_num[ka as usize] += a * f;
-                atm_den[ka as usize] += a;
-                ocn_num[ko] += a * f;
-                ocn_den[ko] += a;
-            }
-        }
-        let atm = Field2::from_vec(
-            self.atm_nx,
-            self.atm_ny,
-            atm_num
-                .iter()
-                .zip(&atm_den)
-                .map(|(&n, &d)| if d > 0.0 { n / d } else { 0.0 })
-                .collect(),
-        );
-        let ocn = Field2::from_vec(
-            self.ocn_nx,
-            self.ocn_ny,
-            ocn_num
-                .iter()
-                .zip(&ocn_den)
-                .map(|(&n, &d)| if d > 0.0 { n / d } else { 0.0 })
-                .collect(),
-        );
-        (atm, ocn)
-    }
-
     /// Global integral (flux × area) of an atmosphere-grid field over its
     /// sea overlap area \[unit·m²\].
     pub fn integral_atm_sea(&self, f: &Field2) -> f64 {
@@ -276,8 +224,6 @@ impl OverlapGrid {
 pub struct NearestNeighbour {
     /// For each atm cell: nearest sea ocean cell, if any.
     atm_to_ocn: Vec<Option<u32>>,
-    /// For each ocean sea cell: nearest atm cell.
-    ocn_to_atm: Vec<Option<u32>>,
     atm_nx: usize,
     atm_ny: usize,
     ocn_nx: usize,
@@ -301,29 +247,8 @@ impl NearestNeighbour {
                 atm_to_ocn[atm.idx(ia, ja)] = best.map(|(k, _)| k as u32);
             }
         }
-        let mut ocn_to_atm = vec![None; ocn.len()];
-        for jo in 0..ocn.ny {
-            for io in 0..ocn.nx {
-                let k = ocn.idx(io, jo);
-                if !sea_mask[k] {
-                    continue;
-                }
-                let (lo, la) = (ocn.lons[io], ocn.lats[jo]);
-                let mut best = (0usize, f64::INFINITY);
-                for ja in 0..atm.nlat {
-                    for ia in 0..atm.nlon {
-                        let d = sphere_dist2(lo, la, atm.lons[ia], atm.lats[ja]);
-                        if d < best.1 {
-                            best = (atm.idx(ia, ja), d);
-                        }
-                    }
-                }
-                ocn_to_atm[k] = Some(best.0 as u32);
-            }
-        }
         NearestNeighbour {
             atm_to_ocn,
-            ocn_to_atm,
             atm_nx: atm.nlon,
             atm_ny: atm.nlat,
             ocn_nx: ocn.nx,
@@ -341,21 +266,6 @@ impl NearestNeighbour {
             self.atm_to_ocn
                 .iter()
                 .map(|o| o.map_or(0.0, |k| fo[k as usize]))
-                .collect(),
-        )
-    }
-
-    /// Sample an atmosphere field at each sea ocean cell's nearest atm
-    /// point.
-    pub fn atm_to_ocean(&self, f: &Field2) -> Field2 {
-        assert_eq!((f.nx(), f.ny()), (self.atm_nx, self.atm_ny));
-        let fa = f.as_slice();
-        Field2::from_vec(
-            self.ocn_nx,
-            self.ocn_ny,
-            self.ocn_to_atm
-                .iter()
-                .map(|o| o.map_or(0.0, |k| fa[k as usize]))
                 .collect(),
         )
     }
@@ -424,15 +334,25 @@ mod tests {
     fn overlap_flux_is_conservative_both_ways() {
         let (atm, ocn, mask) = small_setup();
         let ov = OverlapGrid::build(&atm, &ocn, &mask);
-        // An arbitrary smooth "flux" of both indices.
-        let (fa, fo) =
-            ov.compute_on_overlap(|ka, ko| (ka as f64 * 0.01).sin() + (ko as f64 * 0.003).cos());
-        let ia = ov.integral_atm_sea(&fa);
-        let io = ov.integral_ocean(&fo);
-        assert!(
-            (ia - io).abs() <= 1e-9 * ia.abs().max(io.abs()).max(1.0),
-            "atm integral {ia} vs ocean integral {io}"
-        );
+        // Arbitrary smooth fluxes, one per grid, each sent across.
+        let fa = Field2::from_fn(atm.nlon, atm.nlat, |i, j| {
+            (atm.idx(i, j) as f64 * 0.01).sin()
+        });
+        let fo = Field2::from_fn(ocn.nx, ocn.ny, |i, j| (ocn.idx(i, j) as f64 * 0.003).cos());
+        let mut on_ocn = Field2::zeros(ocn.nx, ocn.ny);
+        ov.atm_to_ocean_into(&fa, &mut on_ocn);
+        for (sent, got) in [
+            (ov.integral_atm_sea(&fa), ov.integral_ocean(&on_ocn)),
+            (
+                ov.integral_ocean(&fo),
+                ov.integral_atm_sea(&ov.ocean_to_atm(&fo)),
+            ),
+        ] {
+            assert!(
+                (sent - got).abs() <= 1e-9 * sent.abs().max(got.abs()).max(1.0),
+                "integral sent {sent} vs received {got}"
+            );
+        }
     }
 
     #[test]

@@ -214,13 +214,6 @@ impl World {
         }
         m
     }
-
-    /// Land fraction of the planet by area on the given atmosphere grid.
-    pub fn land_fraction(&self, g: &AtmGrid) -> f64 {
-        let mask = self.atm_land_mask(g);
-        let f: Vec<f64> = mask.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
-        g.global_mean(&f)
-    }
 }
 
 /// Continent inventory (degrees; boxes may wrap in longitude).
@@ -329,7 +322,12 @@ mod tests {
     #[test]
     fn land_fraction_is_earthlike() {
         let g = AtmGrid::r15();
-        let f = w().land_fraction(&g);
+        let land: Vec<f64> = w()
+            .atm_land_mask(&g)
+            .iter()
+            .map(|&l| f64::from(u8::from(l)))
+            .collect();
+        let f = g.global_mean(&land);
         assert!(
             (0.22..0.42).contains(&f),
             "land fraction {f} outside Earth-like band"

@@ -1,5 +1,6 @@
-//! The communicator: tagged typed point-to-point messaging, collectives,
-//! and communicator splitting, in the style of MPI — instrumented with
+//! The communicator: tagged typed point-to-point messaging, the three
+//! collectives FOAM runs (`bcast`, `gather`, `allreduce_mut`), and
+//! communicator splitting, in the style of MPI — instrumented with
 //! per-tag statistics, configurable receive deadlines, and deterministic
 //! fault injection.
 
@@ -18,7 +19,7 @@ use crate::stats::{tag_label, CommStats, INTERNAL_TAG};
 use crate::trace::{RankTrace, Tracer};
 use crate::universe::JobControl;
 
-/// Reduction operators supported by [`Comm::reduce`] and friends.
+/// Reduction operators supported by [`Comm::allreduce_mut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     Sum,
@@ -48,14 +49,11 @@ pub(crate) struct Envelope {
     payload: Box<dyn Any + Send>,
 }
 
-const TAG_BARRIER_UP: u32 = INTERNAL_TAG;
-const TAG_BARRIER_DOWN: u32 = INTERNAL_TAG + 1;
+// The gaps are deliberate: `tag_label` and the pinned per-tag message
+// tables key on these values.
 const TAG_BCAST: u32 = INTERNAL_TAG + 2;
 const TAG_REDUCE: u32 = INTERNAL_TAG + 3;
 const TAG_GATHER: u32 = INTERNAL_TAG + 4;
-const TAG_SCATTER: u32 = INTERNAL_TAG + 5;
-const TAG_ALLTOALL: u32 = INTERNAL_TAG + 6;
-const TAG_SPLIT: u32 = INTERNAL_TAG + 7;
 /// Job-abort broadcast injected by the universe when a rank dies: any
 /// rank that sees it parks itself with a [`Quiesced`] panic so the job
 /// can tear down instead of hanging in a receive that will never match.
@@ -135,11 +133,6 @@ pub struct Message {
 impl Message {
     pub fn tag(&self) -> u32 {
         self.env.tag
-    }
-
-    /// World rank of the sender.
-    pub fn src_world(&self) -> usize {
-        self.env.src
     }
 
     /// Extract the payload.
@@ -265,34 +258,15 @@ impl Comm {
         self.group[self.rank]
     }
 
-    /// Translate a rank of this communicator into a world rank.
-    #[inline]
-    pub fn translate(&self, rank: usize) -> usize {
-        self.group[rank]
-    }
-
     /// Seconds since the universe epoch.
     pub fn now(&self) -> f64 {
         self.endpoint.borrow().tracer.now()
     }
 
-    /// Set the deadline applied to every blocking receive on this rank
-    /// (including collectives). `None` waits forever. A plain
-    /// [`Comm::recv`] whose deadline expires panics with a mailbox
-    /// diagnostic instead of hanging; use [`Comm::recv_deadline`] for a
-    /// recoverable error.
-    pub fn set_default_deadline(&self, deadline: Option<Duration>) {
-        self.endpoint.borrow_mut().deadline = deadline;
-    }
-
-    /// The deadline currently applied to blocking receives.
-    pub fn default_deadline(&self) -> Option<Duration> {
+    /// The deadline applied to blocking receives on this rank
+    /// ([`crate::RunConfig::deadline`]; `None` waits forever).
+    fn default_deadline(&self) -> Option<Duration> {
         self.endpoint.borrow().deadline
-    }
-
-    /// Snapshot of this rank's per-tag communication counters.
-    pub fn stats(&self) -> CommStats {
-        self.endpoint.borrow().stats.clone()
     }
 
     /// Run `f` inside a named work region (for Figure 2-style traces).
@@ -420,7 +394,7 @@ impl Comm {
     ///
     /// # Panics
     /// Panics if the matched message's payload is not a `T`, or if the
-    /// rank's default deadline (see [`Comm::set_default_deadline`])
+    /// job's default deadline (see [`crate::RunConfig::deadline`])
     /// expires first.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
         assert!(tag < INTERNAL_TAG, "user tags must be < 2^31");
@@ -442,32 +416,20 @@ impl Comm {
     }
 
     /// Block until a message from `src` carrying *any* of `tags`
-    /// arrives, honoring the rank's default deadline. Use this to serve
+    /// arrives, honoring the job's default deadline. Use this to serve
     /// several protocol tags from one wait loop without busy-polling.
     ///
     /// # Panics
     /// Panics if the default deadline expires.
     pub fn recv_match(&self, src: usize, tags: &[u32]) -> Message {
-        match self.recv_match_deadline(src, tags, self.default_deadline()) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Comm::recv_match`] with an explicit deadline (`None`
-    /// waits forever).
-    pub fn recv_match_deadline(
-        &self,
-        src: usize,
-        tags: &[u32],
-        deadline: Option<Duration>,
-    ) -> Result<Message, RecvTimeout> {
         assert!(!tags.is_empty(), "recv_match needs at least one tag");
         for t in tags {
             assert!(*t < INTERNAL_TAG, "user tags must be < 2^31");
         }
-        self.recv_matching(src, tags, deadline)
-            .map(|env| Message { env })
+        match self.recv_matching(src, tags, self.default_deadline()) {
+            Ok(env) => Message { env },
+            Err(e) => panic!("{e}"),
+        }
     }
 
     fn recv_internal<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
@@ -575,21 +537,6 @@ impl Comm {
         }
     }
 
-    /// Non-blocking probe: is a message from `src` with `tag` available?
-    pub fn probe(&self, src: usize, tag: u32) -> bool {
-        let src_world = self.group[src];
-        let mut ep = self.endpoint.borrow_mut();
-        while let Ok(env) = ep.rx.try_recv() {
-            if env.tag == TAG_ABORT {
-                std::panic::panic_any(Quiesced);
-            }
-            ep.pending.push_back(env);
-        }
-        ep.pending
-            .iter()
-            .any(|e| e.ctx == self.ctx && e.src == src_world && e.tag == tag)
-    }
-
     /// Consume every currently-delivered message from `src` with `tag`,
     /// in delivery order, without blocking. Used to clear duplicates a
     /// retry protocol may have produced before teardown lint runs.
@@ -621,33 +568,6 @@ impl Comm {
     // ------------------------------------------------------------------
     // Collectives (binomial trees; all ranks of the comm must call)
     // ------------------------------------------------------------------
-
-    /// Block until every rank of this communicator has entered.
-    /// Implemented as a binomial-tree fan-in to rank 0 followed by a
-    /// tree broadcast release (O(log p) rounds).
-    pub fn barrier(&self) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        // Fan-in to rank 0.
-        let r = self.rank;
-        let mut mask = 1usize;
-        while mask < p {
-            if r & mask != 0 {
-                self.send_internal(r - mask, TAG_BARRIER_UP, ());
-                break;
-            }
-            if r + mask < p {
-                let () = self.recv_internal(r + mask, TAG_BARRIER_UP);
-            }
-            mask <<= 1;
-        }
-        // Release via the bcast tree.
-        let _ = TAG_BARRIER_DOWN;
-        let v = if r == 0 { Some(()) } else { None };
-        self.bcast(0, v);
-    }
 
     /// Broadcast from `root`. `value` must be `Some` on the root and is
     /// ignored elsewhere; every rank returns the root's value.
@@ -688,46 +608,12 @@ impl Comm {
         v
     }
 
-    /// Element-wise reduction of `data` to `root`. Returns `Some(result)`
-    /// on the root and `None` elsewhere. All ranks must pass slices of the
-    /// same length.
-    pub fn reduce(&self, data: &[f64], op: ReduceOp, root: usize) -> Option<Vec<f64>> {
-        let p = self.size();
-        let vr = (self.rank + p - root) % p;
-        let mut acc = data.to_vec();
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask != 0 {
-                let parent = ((vr - mask) + root) % p;
-                self.send_internal(parent, TAG_REDUCE, acc);
-                return None;
-            } else if vr + mask < p {
-                let src = (vr + mask + root) % p;
-                let other: Vec<f64> = self.recv_internal(src, TAG_REDUCE);
-                assert_eq!(
-                    other.len(),
-                    acc.len(),
-                    "reduce called with mismatched lengths"
-                );
-                for (a, b) in acc.iter_mut().zip(other.iter()) {
-                    *a = op.apply(*a, *b);
-                }
-            }
-            mask <<= 1;
-        }
-        Some(acc)
-    }
-
-    /// Reduction delivered to every rank.
-    pub fn allreduce(&self, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        let r = self.reduce(data, op, 0);
-        self.bcast(0, r)
-    }
-
-    /// In-place, allocation-recycling [`Comm::allreduce`]: every rank's
-    /// `data` is overwritten with the element-wise reduction over all
-    /// ranks. Bit-identical to `allreduce` (same binomial-tree fold
-    /// order rooted at rank 0), but steady-state allocation-free: on one
+    /// In-place all-reduce: every rank's `data` is overwritten with the
+    /// element-wise reduction over all ranks — the global sum behind the
+    /// spectral transform. The fold is a binomial tree rooted at rank 0
+    /// (rank `r` absorbs `r + 1`, `r + 2`, `r + 4`, ... in that order),
+    /// then a tree broadcast, so the result is the same bits on every
+    /// rank and from run to run. Steady-state allocation-free: on one
     /// rank it is a pure no-op, and on several ranks message payloads
     /// are drawn from and returned to the per-thread [`crate::pool`],
     /// so repeated calls with the same length stop touching the heap.
@@ -747,12 +633,9 @@ impl Comm {
     pub fn allreduce_mut(&self, data: &mut [f64], op: ReduceOp) {
         let p = self.size();
         if p == 1 {
-            // reduce(root=0) at p = 1 returns the input unchanged, so
-            // the in-place form has nothing to do.
             return;
         }
-        // Fan-in reduce to rank 0 (virtual rank == rank), accumulating
-        // into `data` with exactly the fold order of [`Comm::reduce`].
+        // Fan-in reduce to rank 0, accumulating into `data`.
         let vr = self.rank;
         let mut mask = 1usize;
         while mask < p {
@@ -804,11 +687,6 @@ impl Comm {
         }
     }
 
-    /// Scalar convenience wrapper over [`Comm::allreduce`].
-    pub fn allreduce_scalar(&self, x: f64, op: ReduceOp) -> f64 {
-        self.allreduce(&[x], op)[0]
-    }
-
     /// Gather one `T` from each rank to `root`, in rank order.
     pub fn gather<T: Send + 'static>(&self, value: T, root: usize) -> Option<Vec<T>> {
         if self.rank == root {
@@ -826,38 +704,6 @@ impl Comm {
         }
     }
 
-    /// Scatter one `T` to each rank from `root` (which supplies
-    /// `Some(vec)` of length `size()`).
-    pub fn scatter<T: Send + 'static>(&self, values: Option<Vec<T>>, root: usize) -> T {
-        if self.rank == root {
-            let values = values.expect("scatter root must supply values");
-            assert_eq!(values.len(), self.size(), "scatter length != comm size");
-            let mut mine: Option<T> = None;
-            for (r, v) in values.into_iter().enumerate() {
-                if r == root {
-                    mine = Some(v);
-                } else {
-                    self.send_internal(r, TAG_SCATTER, v);
-                }
-            }
-            mine.unwrap()
-        } else {
-            self.recv_internal(root, TAG_SCATTER)
-        }
-    }
-
-    /// Variable all-to-all: rank `i` sends `sends[j]` to rank `j`; returns
-    /// the vector received from each rank, in rank order.
-    pub fn alltoallv(&self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        assert_eq!(sends.len(), self.size(), "alltoallv length != comm size");
-        for (j, buf) in sends.into_iter().enumerate() {
-            self.send_internal(j, TAG_ALLTOALL, buf);
-        }
-        (0..self.size())
-            .map(|j| self.recv_internal::<Vec<f64>>(j, TAG_ALLTOALL))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Splitting
     // ------------------------------------------------------------------
@@ -869,7 +715,9 @@ impl Comm {
     pub fn split(&self, color: i64, key: i64) -> Option<Comm> {
         // Agree on a fresh context id: max of everyone's allocator, +1.
         let my_next = self.endpoint.borrow().next_ctx;
-        let new_ctx = self.allreduce_scalar(my_next as f64, ReduceOp::Max) as u32;
+        let mut agreed = [my_next as f64];
+        self.allreduce_mut(&mut agreed, ReduceOp::Max);
+        let new_ctx = agreed[0] as u32;
         self.endpoint.borrow_mut().next_ctx = new_ctx + 1;
 
         // Share (color, key, world_rank) with everyone.
@@ -879,9 +727,6 @@ impl Comm {
             let g = self.gather(mine, 0);
             self.bcast(0, g)
         };
-        // Explicit sync point so no one reuses TAG_SPLIT traffic across
-        // overlapping splits on the same parent.
-        let _ = TAG_SPLIT;
 
         if color < 0 {
             return None;
@@ -906,13 +751,6 @@ impl Comm {
             group: Rc::new(group),
             rank,
         })
-    }
-
-    /// Duplicate this communicator with a fresh context id (like
-    /// `MPI_Comm_dup`): same group, isolated traffic.
-    pub fn dup(&self) -> Comm {
-        self.split(0, self.rank as i64)
-            .expect("dup split cannot fail")
     }
 }
 
@@ -986,17 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_all_sizes() {
-        for p in 1..=9 {
-            Universe::run(p, |comm| {
-                for _ in 0..5 {
-                    comm.barrier();
-                }
-            });
-        }
-    }
-
-    #[test]
     fn bcast_from_every_root() {
         for p in 1..=6 {
             Universe::run(p, move |comm| {
@@ -1017,41 +844,14 @@ mod tests {
     fn reduce_sum_min_max() {
         Universe::run(7, |comm| {
             let x = comm.rank() as f64;
-            let s = comm.allreduce_scalar(x, ReduceOp::Sum);
-            let mn = comm.allreduce_scalar(x, ReduceOp::Min);
-            let mx = comm.allreduce_scalar(x, ReduceOp::Max);
-            assert_eq!(s, 21.0);
-            assert_eq!(mn, 0.0);
-            assert_eq!(mx, 6.0);
-        });
-    }
-
-    #[test]
-    fn allreduce_mut_is_bit_identical_to_allreduce() {
-        for p in 1..=6 {
-            Universe::run(p, move |comm| {
-                let data: Vec<f64> = (0..5)
-                    .map(|i| (comm.rank() * 5 + i) as f64 * 0.37 - 3.0)
-                    .collect();
-                for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
-                    let expect = comm.allreduce(&data, op);
-                    let mut got = data.clone();
-                    comm.allreduce_mut(&mut got, op);
-                    assert_eq!(got, expect, "p={p} op={op:?}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn reduce_vector_to_nonzero_root() {
-        Universe::run(5, |comm| {
-            let data = vec![comm.rank() as f64, 1.0];
-            let out = comm.reduce(&data, ReduceOp::Sum, 3);
-            if comm.rank() == 3 {
-                assert_eq!(out.unwrap(), vec![10.0, 5.0]);
-            } else {
-                assert!(out.is_none());
+            for (op, expect) in [
+                (ReduceOp::Sum, 21.0),
+                (ReduceOp::Min, 0.0),
+                (ReduceOp::Max, 6.0),
+            ] {
+                let mut v = [x];
+                comm.allreduce_mut(&mut v, op);
+                assert_eq!(v[0], expect, "{op:?}");
             }
         });
     }
@@ -1069,32 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes_in_rank_order() {
-        Universe::run(4, |comm| {
-            let vals = if comm.rank() == 0 {
-                Some(vec![10, 11, 12, 13])
-            } else {
-                None
-            };
-            let mine = comm.scatter(vals, 0);
-            assert_eq!(mine, 10 + comm.rank());
-        });
-    }
-
-    #[test]
-    fn alltoallv_exchanges_all_pairs() {
-        Universe::run(4, |comm| {
-            let sends: Vec<Vec<f64>> = (0..4)
-                .map(|j| vec![(comm.rank() * 10 + j) as f64])
-                .collect();
-            let recvd = comm.alltoallv(sends);
-            for (j, buf) in recvd.iter().enumerate() {
-                assert_eq!(buf, &vec![(j * 10 + comm.rank()) as f64]);
-            }
-        });
-    }
-
-    #[test]
     fn split_into_even_odd_groups() {
         Universe::run(6, |comm| {
             let color = (comm.rank() % 2) as i64;
@@ -1102,11 +876,12 @@ mod tests {
             assert_eq!(sub.size(), 3);
             // Sum of ranks within each sub-comm is over world ranks with
             // the same parity.
-            let s = sub.allreduce_scalar(comm.rank() as f64, ReduceOp::Sum);
+            let mut s = [comm.rank() as f64];
+            sub.allreduce_mut(&mut s, ReduceOp::Sum);
             if color == 0 {
-                assert_eq!(s, 0.0 + 2.0 + 4.0);
+                assert_eq!(s[0], 0.0 + 2.0 + 4.0);
             } else {
-                assert_eq!(s, 1.0 + 3.0 + 5.0);
+                assert_eq!(s[0], 1.0 + 3.0 + 5.0);
             }
         });
     }
@@ -1121,7 +896,9 @@ mod tests {
             } else {
                 let sub = sub.unwrap();
                 assert_eq!(sub.size(), 3);
-                sub.barrier();
+                let mut n = [1.0];
+                sub.allreduce_mut(&mut n, ReduceOp::Sum);
+                assert_eq!(n[0], 3.0);
             }
         });
     }
@@ -1144,42 +921,12 @@ mod tests {
     }
 
     #[test]
-    fn dup_isolates_traffic() {
-        Universe::run(2, |comm| {
-            let d = comm.dup();
-            if comm.rank() == 0 {
-                d.send(1, 9, 1u8);
-                comm.send(1, 9, 2u8);
-            } else {
-                let b: u8 = comm.recv(0, 9);
-                let a: u8 = d.recv(0, 9);
-                assert_eq!((a, b), (1, 2));
-            }
-        });
-    }
-
-    #[test]
     fn split_key_reorders_ranks() {
         Universe::run(4, |comm| {
             // Reverse order via descending keys.
             let sub = comm.split(0, -(comm.rank() as i64)).unwrap();
             assert_eq!(sub.rank(), 3 - comm.rank());
-            assert_eq!(sub.translate(sub.rank()), comm.rank());
-        });
-    }
-
-    #[test]
-    fn probe_sees_pending_message() {
-        Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, 5i32);
-                comm.barrier();
-            } else {
-                comm.barrier();
-                assert!(comm.probe(0, 4));
-                assert!(!comm.probe(0, 99));
-                let _: i32 = comm.recv(0, 4);
-            }
+            assert_eq!(sub.world_rank(), comm.rank());
         });
     }
 
@@ -1268,7 +1015,8 @@ mod tests {
             let left = (comm.rank() + 2) % 3;
             comm.send(right, 5, comm.rank());
             let _: usize = comm.recv(left, 5);
-            comm.barrier();
+            let mut n = [1.0];
+            comm.allreduce_mut(&mut n, ReduceOp::Sum);
         });
         assert!(out.lint.is_clean(), "{}", out.lint);
         assert!(out.lint.unbalanced_tags.is_empty());
@@ -1380,7 +1128,10 @@ mod tests {
             if comm.rank() == 0 {
                 comm.send(1, 31, 9i64);
             }
-            comm.barrier();
+            // Rank 1 leaves only after hearing from rank 0, so the stray
+            // message is in its mailbox at teardown.
+            let mut n = [1.0];
+            comm.allreduce_mut(&mut n, ReduceOp::Sum);
         });
         assert!(!out.lint.is_clean());
         assert_eq!(out.lint.leaked_pairs(), vec![(0, 31)]);

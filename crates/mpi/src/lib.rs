@@ -1,24 +1,30 @@
-//! `foam-mpi` — a message-passing runtime standing in for MPI.
+//! `foam-mpi` — the message-passing runtime FOAM runs on, standing in
+//! for MPI.
 //!
 //! The SC'97 FOAM paper runs its coupled climate model as an SPMD program
 //! over MPI on IBM SP distributed-memory nodes. Rust has no mature MPI
 //! bindings, so this crate provides the same programming model with one OS
-//! thread per rank and channel-based communication:
+//! thread per rank and channel-based communication — cut to the
+//! communication *pattern* of the original, not to MPI's catalogue:
 //!
 //! * tagged, typed point-to-point [`Comm::send`] / [`Comm::recv`] with
 //!   MPI-style (source, tag) matching and out-of-order message stashing,
-//! * the collectives FOAM needs: [`Comm::barrier`], [`Comm::bcast`],
-//!   [`Comm::reduce`], [`Comm::allreduce`], [`Comm::gather`],
-//!   [`Comm::alltoallv`], [`Comm::scatter`],
+//!   plus [`Comm::recv_deadline`], [`Comm::recv_match`] and
+//!   [`Comm::drain`] for the SST/forcing exchange with the ocean node,
+//! * three collectives: [`Comm::allreduce_mut`] (the global sums of the
+//!   spectral transform and of the ocean forcing), [`Comm::gather`] and
+//!   [`Comm::bcast`] (the coupler boundary; together an allgather),
 //! * communicator splitting ([`Comm::split`]) so the atmosphere, ocean and
 //!   coupler can each own a sub-communicator exactly as in the paper,
 //! * built-in activity tracing ([`Comm::region`]) so the per-processor time
 //!   allocation of the paper's Figure 2 can be regenerated: time blocked in
 //!   `recv`/collectives is recorded as *wait* (idle) time.
 //!
-//! The communication *pattern* of the original — global sums for the
-//! spectral transform, gather/scatter at the coupler boundary, idle time
-//! from load imbalance — is preserved; only the transport differs.
+//! Nothing else of MPI is here. Barriers, scatter, all-to-all, probes,
+//! communicator duplication and rooted or allocating reductions had no
+//! caller in the model, the figure binaries or the benchmark, so they
+//! were deleted rather than kept in step: every collective that remains
+//! is one a coupled run executes and the property tests exercise.
 //!
 //! # Failure-aware runtime
 //!
@@ -64,8 +70,9 @@
 //!
 //! let out = Universe::run(4, |comm| {
 //!     // Each rank contributes its rank id; everyone learns the sum.
-//!     let total = comm.allreduce_scalar(comm.rank() as f64, foam_mpi::ReduceOp::Sum);
-//!     total as usize
+//!     let mut total = [comm.rank() as f64];
+//!     comm.allreduce_mut(&mut total, foam_mpi::ReduceOp::Sum);
+//!     total[0] as usize
 //! });
 //! assert_eq!(out.results, vec![6, 6, 6, 6]);
 //! ```
@@ -86,7 +93,7 @@ pub use heartbeat::{HeartbeatBoard, RankState};
 pub use stats::{
     tag_label, CommLint, CommStats, LeakedMessage, TagImbalance, TagStats, WaitHistogram,
 };
-pub use trace::{RankTrace, Segment, SegmentKind, TraceSummary};
+pub use trace::{RankTrace, Segment, SegmentKind};
 pub use universe::{RankFailure, RunConfig, RunOutput, Universe};
 
 #[cfg(test)]

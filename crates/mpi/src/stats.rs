@@ -14,22 +14,17 @@
 
 use std::collections::BTreeMap;
 
-/// Tags at or above this bound are internal to the runtime (barriers,
-/// broadcast trees, ...); user tags stay below it.
+/// Tags at or above this bound are internal to the runtime (broadcast
+/// and reduction trees, gathers, the job abort); user tags stay below it.
 pub(crate) const INTERNAL_TAG: u32 = 0x8000_0000;
 
 /// Human-readable name for a tag: internal tags get their protocol name,
 /// user tags are shown numerically.
 pub fn tag_label(tag: u32) -> String {
     match tag.checked_sub(INTERNAL_TAG) {
-        Some(0) => "internal:barrier".to_string(),
-        Some(1) => "internal:barrier-release".to_string(),
         Some(2) => "internal:bcast".to_string(),
         Some(3) => "internal:reduce".to_string(),
         Some(4) => "internal:gather".to_string(),
-        Some(5) => "internal:scatter".to_string(),
-        Some(6) => "internal:alltoall".to_string(),
-        Some(7) => "internal:split".to_string(),
         Some(n) => format!("internal:{n}"),
         None => format!("tag {tag}"),
     }
@@ -141,15 +136,6 @@ impl CommStats {
     /// Counters for one tag (zeros if the tag never appeared).
     pub fn tag(&self, tag: u32) -> TagStats {
         self.by_tag.get(&tag).cloned().unwrap_or_default()
-    }
-
-    /// Tags in the user range only.
-    pub fn user_tags(&self) -> impl Iterator<Item = (&u32, &TagStats)> {
-        self.by_tag.iter().filter(|(t, _)| **t < INTERNAL_TAG)
-    }
-
-    pub fn total_msgs_sent(&self) -> u64 {
-        self.by_tag.values().map(|t| t.msgs_sent).sum()
     }
 
     /// Fold another rank's counters into this one.
@@ -311,13 +297,12 @@ mod tests {
 
     #[test]
     fn internal_tags_are_named_and_filtered() {
-        assert_eq!(tag_label(INTERNAL_TAG), "internal:barrier");
+        assert_eq!(tag_label(INTERNAL_TAG + 2), "internal:bcast");
+        assert_eq!(tag_label(INTERNAL_TAG + 3), "internal:reduce");
+        assert_eq!(tag_label(INTERNAL_TAG + 4), "internal:gather");
+        assert_eq!(tag_label(INTERNAL_TAG + 8), "internal:8");
         assert_eq!(tag_label(5), "tag 5");
-        let mut s = CommStats::default();
-        s.on_send(3, 1);
-        s.on_send(INTERNAL_TAG, 1);
-        assert_eq!(s.user_tags().count(), 1);
-        assert_eq!(s.total_msgs_sent(), 2);
+        assert_eq!(tag_label(INTERNAL_TAG - 1), "tag 2147483647");
     }
 
     #[test]

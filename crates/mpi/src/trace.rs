@@ -62,26 +62,6 @@ impl RankTrace {
             .sum()
     }
 
-    /// Wall-clock span covered by the trace (first start to last end).
-    pub fn span(&self) -> f64 {
-        let start = self.segments.first().map_or(0.0, |s| s.start);
-        let end = self.segments.iter().map(|s| s.end).fold(start, f64::max);
-        end - start
-    }
-
-    /// Distinct work labels in first-appearance order.
-    pub fn labels(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.segments {
-            if let SegmentKind::Work(l) = &s.kind {
-                if !out.iter().any(|x| x == l) {
-                    out.push(l.clone());
-                }
-            }
-        }
-        out
-    }
-
     /// Render this rank's timeline as a fixed-width ASCII bar over
     /// `[t0, t1]` using `width` character cells. Each work label is drawn
     /// with the first letter of its name; waits are drawn as `.` and
@@ -101,47 +81,6 @@ impl RankTrace {
             }
         }
         bar.into_iter().collect()
-    }
-}
-
-/// Aggregate percentages across a set of rank traces — the summary table
-/// printed next to the Figure 2 Gantt chart.
-#[derive(Debug, Clone)]
-pub struct TraceSummary {
-    /// (label, total seconds) over all ranks, plus the special "wait" row.
-    pub rows: Vec<(String, f64)>,
-    pub total: f64,
-}
-
-impl TraceSummary {
-    pub fn from_traces(traces: &[RankTrace]) -> Self {
-        let mut rows: Vec<(String, f64)> = Vec::new();
-        let mut total = 0.0;
-        for t in traces {
-            for s in &t.segments {
-                let label = match &s.kind {
-                    SegmentKind::Work(l) => l.clone(),
-                    SegmentKind::Wait => "wait".to_string(),
-                };
-                total += s.duration();
-                match rows.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, acc)) => *acc += s.duration(),
-                    None => rows.push((label, s.duration())),
-                }
-            }
-        }
-        TraceSummary { rows, total }
-    }
-
-    /// Fraction of traced time spent under `label` (or "wait").
-    pub fn fraction(&self, label: &str) -> f64 {
-        if self.total <= 0.0 {
-            return 0.0;
-        }
-        self.rows
-            .iter()
-            .find(|(l, _)| l == label)
-            .map_or(0.0, |(_, v)| v / self.total)
     }
 }
 
@@ -259,8 +198,6 @@ mod tests {
         assert!((t.work_time("atm") - 2.0).abs() < 1e-12);
         assert!((t.work_time("ocean") - 0.5).abs() < 1e-12);
         assert!((t.wait_time() - 0.5).abs() < 1e-12);
-        assert!((t.span() - 3.0).abs() < 1e-12);
-        assert_eq!(t.labels(), vec!["atm".to_string(), "ocean".to_string()]);
     }
 
     #[test]
@@ -277,22 +214,6 @@ mod tests {
         assert_eq!(bar.len(), 10);
         assert!(bar.starts_with("AAAA"));
         assert!(bar.ends_with("...."));
-    }
-
-    #[test]
-    fn summary_fractions_sum_to_one() {
-        let t = RankTrace {
-            rank: 0,
-            segments: vec![
-                seg(SegmentKind::Work("atm".into()), 0.0, 3.0),
-                seg(SegmentKind::Wait, 3.0, 4.0),
-            ],
-            ..Default::default()
-        };
-        let s = TraceSummary::from_traces(&[t]);
-        let f = s.fraction("atm") + s.fraction("wait");
-        assert!((f - 1.0).abs() < 1e-12);
-        assert!((s.fraction("atm") - 0.75).abs() < 1e-12);
     }
 
     #[test]

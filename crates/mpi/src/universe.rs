@@ -447,7 +447,6 @@ mod tests {
             } else {
                 let _: i32 = comm.recv(0, 0);
             }
-            comm.barrier();
         })
         .unwrap();
         assert_eq!(out.heartbeats.len(), 2);
@@ -477,8 +476,9 @@ mod tests {
     #[test]
     fn clean_job_reports_clean_lint() {
         let out = Universe::run(4, |comm| {
-            comm.barrier();
-            comm.allreduce_scalar(1.0, crate::ReduceOp::Sum)
+            let mut n = [1.0];
+            comm.allreduce_mut(&mut n, crate::ReduceOp::Sum);
+            n[0]
         });
         assert!(out.lint.is_clean(), "{}", out.lint);
         assert_eq!(out.lint.injected_drops, 0);
@@ -504,11 +504,13 @@ mod stress_tests {
                 let from_left: f64 = comm.recv(left, round);
                 acc += from_left;
                 if round % 7 == 0 {
-                    let total = comm.allreduce_scalar(acc, ReduceOp::Sum);
-                    assert!(total.is_finite());
+                    let mut total = [acc];
+                    comm.allreduce_mut(&mut total, ReduceOp::Sum);
+                    assert!(total[0].is_finite());
                 }
                 if round % 11 == 0 {
-                    comm.barrier();
+                    let everyone = comm.gather(comm.rank(), 0);
+                    assert_eq!(comm.bcast(0, everyone).len(), p);
                 }
             }
             // Everyone survived with a finite accumulator.
@@ -527,10 +529,12 @@ mod stress_tests {
             // Sum ranks at each level; sizes must be consistent.
             assert_eq!(half.size(), 3);
             assert!(pair.size() == 1 || pair.size() == 2);
-            let s = half.allreduce_scalar(1.0, ReduceOp::Sum);
-            assert_eq!(s, 3.0);
-            let s2 = pair.allreduce_scalar(1.0, ReduceOp::Sum);
-            assert_eq!(s2, pair.size() as f64);
+            let mut s = [1.0];
+            half.allreduce_mut(&mut s, ReduceOp::Sum);
+            assert_eq!(s[0], 3.0);
+            let mut s2 = [1.0];
+            pair.allreduce_mut(&mut s2, ReduceOp::Sum);
+            assert_eq!(s2[0], pair.size() as f64);
         });
     }
 

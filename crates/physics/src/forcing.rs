@@ -43,11 +43,6 @@ pub struct ForcingSeries {
 }
 
 impl ForcingSeries {
-    /// An empty (identity) series.
-    pub fn none() -> Self {
-        ForcingSeries::default()
-    }
-
     /// A series pinned at one value for all time.
     pub fn constant(value: f64) -> Self {
         ForcingSeries {
@@ -276,7 +271,7 @@ mod tests {
     fn codec_round_trips() {
         let f = Forcings {
             co2: ForcingSeries::from_points(vec![(0.0, 1.0), (70.0 * 360.0, 2.0)]).unwrap(),
-            solar: ForcingSeries::none(),
+            solar: ForcingSeries::default(),
             aerosol: ForcingSeries::constant(0.15),
         };
         let mut buf = Vec::new();

@@ -44,15 +44,9 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Open (creating if needed) the cache directory under `root`,
-    /// with no size bound.
-    pub fn open(root: &Path) -> io::Result<ResultCache> {
-        ResultCache::open_with_budget(root, None)
-    }
-
-    /// Open the cache with an optional LRU byte budget over the stored
-    /// report bytes (sidecar stamps are not counted; they are tens of
-    /// bytes per entry).
+    /// Open (creating if needed) the cache directory under `root`, with
+    /// an optional LRU byte budget over the stored report bytes (sidecar
+    /// stamps are not counted; they are tens of bytes per entry).
     pub fn open_with_budget(root: &Path, budget: Option<u64>) -> io::Result<ResultCache> {
         let dir = root.join("cache");
         fs::create_dir_all(&dir)?;
@@ -218,7 +212,7 @@ mod tests {
     #[test]
     fn put_get_round_trips_exact_bytes() {
         let dir = tmp_dir("rt");
-        let cache = ResultCache::open(&dir).unwrap();
+        let cache = ResultCache::open_with_budget(&dir, None).unwrap();
         assert!(cache.get("00ff00ff00ff00ff").is_none());
         let payload = b"{\"x\": 0.30000000000000004}\n".to_vec();
         cache.put("00ff00ff00ff00ff", &payload).unwrap();
@@ -226,7 +220,7 @@ mod tests {
         assert!(cache.contains("00ff00ff00ff00ff"));
         assert_eq!(cache.digests(), vec!["00ff00ff00ff00ff".to_string()]);
         // Reopening sees the same content (it is all on disk).
-        let reopened = ResultCache::open(&dir).unwrap();
+        let reopened = ResultCache::open_with_budget(&dir, None).unwrap();
         assert_eq!(reopened.get("00ff00ff00ff00ff").unwrap(), payload);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -345,7 +339,7 @@ mod tests {
     #[test]
     fn unbounded_cache_never_evicts() {
         let dir = tmp_dir("unbounded");
-        let cache = ResultCache::open(&dir).unwrap();
+        let cache = ResultCache::open_with_budget(&dir, None).unwrap();
         for i in 0..8 {
             cache.put(&format!("{i:016x}"), &[b'x'; 1000]).unwrap();
         }

@@ -88,16 +88,57 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-fn get_u64(obj: &Value, key: &str, default: u64) -> Result<u64, SpecError> {
+/// `key` as a number, `default` when absent. A present value of another
+/// JSON type is an error naming the key, never the default in disguise.
+fn get_f64(obj: &Value, key: &str, default: f64) -> Result<f64, SpecError> {
     match obj.get(key) {
         None => Ok(default),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .ok_or_else(|| SpecError(format!("{key} must be a non-negative integer")))?;
-            Ok(n as u64)
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| SpecError(format!("{key} must be a number"))),
+    }
+}
+
+fn get_u64(obj: &Value, key: &str, default: u64) -> Result<u64, SpecError> {
+    let n = get_f64(obj, key, default as f64)?;
+    if n.fract() == 0.0 && n >= 0.0 {
+        Ok(n as u64)
+    } else {
+        Err(SpecError(format!("{key} must be a non-negative integer")))
+    }
+}
+
+fn get_str<'a>(obj: &'a Value, key: &str, default: &'a str) -> Result<&'a str, SpecError> {
+    match obj.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_str()
+            .ok_or_else(|| SpecError(format!("{key} must be a string"))),
+    }
+}
+
+/// The placement half of a submission — who is asking and how the
+/// service schedules and protects the work — read the same way whether
+/// the content half is spelled out or comes from a scenario.
+struct Placement {
+    tenant: String,
+    priority: i32,
+    workers: usize,
+    ckpt_interval: usize,
+}
+
+impl Placement {
+    fn parse(v: &Value, default_workers: u64) -> Result<Placement, SpecError> {
+        let tenant = get_str(v, "tenant", "anonymous")?;
+        if tenant.is_empty() || tenant.len() > 64 {
+            return Err(SpecError("tenant must be 1..=64 characters".to_string()));
         }
+        Ok(Placement {
+            tenant: tenant.to_string(),
+            priority: get_f64(v, "priority", 0.0)?.clamp(-1_000.0, 1_000.0) as i32,
+            workers: get_u64(v, "workers", default_workers)?.clamp(1, 64) as usize,
+            ckpt_interval: get_u64(v, "ckpt_interval", 4)?.max(1) as usize,
+        })
     }
 }
 
@@ -141,50 +182,33 @@ impl JobSpec {
             }
             return Self::parse_scenario_job(src, &v);
         }
-        let kind = match v.get("kind").and_then(Value::as_str).unwrap_or("run") {
+        let kind = match get_str(&v, "kind", "run")? {
             "run" => JobKind::Run,
             "ensemble" => JobKind::Ensemble,
             other => return Err(SpecError(format!("unknown kind {other:?}"))),
         };
-        let preset = v
-            .get("preset")
-            .and_then(Value::as_str)
-            .unwrap_or("tiny")
-            .to_string();
-        if !matches!(preset.as_str(), "tiny" | "century" | "paper") {
+        let preset = get_str(&v, "preset", "tiny")?;
+        if !matches!(preset, "tiny" | "century" | "paper") {
             return Err(SpecError(format!("unknown preset {preset:?}")));
         }
-        let days = v.get("days").and_then(Value::as_f64).unwrap_or(1.0);
+        let days = get_f64(&v, "days", 1.0)?;
         if !(days > 0.0 && days.is_finite()) {
             return Err(SpecError("days must be positive and finite".to_string()));
         }
-        let tenant = v
-            .get("tenant")
-            .and_then(Value::as_str)
-            .unwrap_or("anonymous")
-            .to_string();
-        if tenant.is_empty() || tenant.len() > 64 {
-            return Err(SpecError("tenant must be 1..=64 characters".to_string()));
-        }
-        let priority = v
-            .get("priority")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-            .clamp(-1_000.0, 1_000.0) as i32;
-        let spec = JobSpec {
+        let placement = Placement::parse(&v, 2)?;
+        Ok(JobSpec {
             kind,
-            preset,
+            preset: preset.to_string(),
             seed: get_u64(&v, "seed", 42)?,
             days,
             ranks: get_u64(&v, "ranks", 4)?.clamp(1, 64) as usize,
             members: get_u64(&v, "members", 2)?.clamp(1, 256) as usize,
-            workers: get_u64(&v, "workers", 2)?.clamp(1, 64) as usize,
-            tenant,
-            priority,
-            ckpt_interval: get_u64(&v, "ckpt_interval", 4)?.max(1) as usize,
+            workers: placement.workers,
+            tenant: placement.tenant,
+            priority: placement.priority,
+            ckpt_interval: placement.ckpt_interval,
             scenario: None,
-        };
-        Ok(spec)
+        })
     }
 
     /// Build a spec from a scenario-file submission: parse + validate
@@ -201,31 +225,13 @@ impl JobSpec {
         let lowered = scenario
             .ensemble()
             .map_err(|e| SpecError(format!("scenario: {e}")))?;
-        let tenant = v
-            .get("tenant")
-            .and_then(Value::as_str)
-            .unwrap_or("anonymous")
-            .to_string();
-        if tenant.is_empty() || tenant.len() > 64 {
-            return Err(SpecError("tenant must be 1..=64 characters".to_string()));
-        }
-        let priority = v
-            .get("priority")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-            .clamp(-1_000.0, 1_000.0) as i32;
-        let (kind, members, workers) = match (&scenario.sweep, lowered) {
-            (Some(sweep), Some(spec)) => (
-                JobKind::Ensemble,
-                spec.members.len(),
-                get_u64(v, "workers", sweep.workers as u64)?.clamp(1, 64) as usize,
-            ),
-            _ => (
-                JobKind::Run,
-                1,
-                get_u64(v, "workers", 2)?.clamp(1, 64) as usize,
-            ),
+        let (kind, members, default_workers) = match (&scenario.sweep, lowered) {
+            (Some(sweep), Some(spec)) => {
+                (JobKind::Ensemble, spec.members.len(), sweep.workers as u64)
+            }
+            _ => (JobKind::Run, 1, 2),
         };
+        let placement = Placement::parse(v, default_workers)?;
         Ok(JobSpec {
             kind,
             preset: scenario.preset.clone(),
@@ -233,10 +239,10 @@ impl JobSpec {
             days: scenario.days,
             ranks: 4,
             members,
-            workers,
-            tenant,
-            priority,
-            ckpt_interval: get_u64(v, "ckpt_interval", 4)?.max(1) as usize,
+            workers: placement.workers,
+            tenant: placement.tenant,
+            priority: placement.priority,
+            ckpt_interval: placement.ckpt_interval,
             scenario: Some(ScenarioJob {
                 src: src.to_string(),
                 scenario,
@@ -454,5 +460,34 @@ mod tests {
         assert!(JobSpec::parse(r#"{"seed":1.5}"#).is_err());
         assert!(JobSpec::parse("[]").is_err());
         assert!(JobSpec::parse("not json").is_err());
+        // A present key of the wrong JSON type names itself instead of
+        // silently running the default.
+        for (body, key) in [
+            (r#"{"days":"30"}"#, "days"),
+            (r#"{"preset":7}"#, "preset"),
+            (r#"{"tenant":5}"#, "tenant"),
+            (r#"{"priority":"high"}"#, "priority"),
+            (r#"{"kind":3}"#, "kind"),
+        ] {
+            let err = JobSpec::parse(body).unwrap_err();
+            assert!(err.0.starts_with(key), "{body}: {err}");
+        }
+    }
+
+    #[test]
+    fn placement_is_checked_the_same_with_and_without_a_scenario() {
+        let long = "t".repeat(65);
+        let plain = Value::object([("tenant".to_string(), Value::from(long.as_str()))]);
+        let with_scenario = Value::object([
+            ("tenant".to_string(), Value::from(long.as_str())),
+            (
+                "scenario".to_string(),
+                Value::from("[scenario]\nname = \"x\"\n"),
+            ),
+        ]);
+        let a = JobSpec::parse(&plain.to_string_pretty()).unwrap_err();
+        let b = JobSpec::parse(&with_scenario.to_string_pretty()).unwrap_err();
+        assert_eq!(a, b);
+        assert!(a.0.contains("tenant"), "{a}");
     }
 }

@@ -16,7 +16,6 @@
 pub struct LegendreTable {
     pub m: usize,
     pub n_max: usize,
-    n_nodes: usize,
     p: Vec<f64>,
     h: Vec<f64>,
 }
@@ -49,32 +48,12 @@ impl LegendreTable {
                 h[j * width + (n - m)] = term1 + term2;
             }
         }
-        LegendreTable {
-            m,
-            n_max,
-            n_nodes,
-            p,
-            h,
-        }
+        LegendreTable { m, n_max, p, h }
     }
 
     #[inline]
     fn width(&self) -> usize {
         self.n_max - self.m + 1
-    }
-
-    /// P̄ₙᵐ at node `j`.
-    #[inline]
-    pub fn p(&self, j: usize, n: usize) -> f64 {
-        debug_assert!(j < self.n_nodes && n >= self.m && n <= self.n_max);
-        self.p[j * self.width() + (n - self.m)]
-    }
-
-    /// (1 − μ²) dP̄ₙᵐ/dμ at node `j`.
-    #[inline]
-    pub fn h(&self, j: usize, n: usize) -> f64 {
-        debug_assert!(j < self.n_nodes && n >= self.m && n <= self.n_max);
-        self.h[j * self.width() + (n - self.m)]
     }
 
     /// Row of P̄ values at node `j` (degrees m..=n_max).
@@ -157,7 +136,7 @@ mod tests {
             for n1 in m..=n_max {
                 for n2 in m..=n_max {
                     let s: f64 = (0..nlat)
-                        .map(|j| q.weights[j] * t.p(j, n1) * t.p(j, n2))
+                        .map(|j| q.weights[j] * t.p_row(j)[n1 - m] * t.p_row(j)[n2 - m])
                         .sum();
                     let expect = if n1 == n2 { 1.0 } else { 0.0 };
                     assert!((s - expect).abs() < 1e-11, "m={m} n1={n1} n2={n2}: {s}");
@@ -178,7 +157,7 @@ mod tests {
             let hi = pbar_column(m, n_max, x + dh);
             for n in m..=n_max {
                 let fd = (hi[n - m] - lo[n - m]) / (2.0 * dh);
-                let analytic = t.h(0, n) / (1.0 - x * x);
+                let analytic = t.h_row(0)[n - m] / (1.0 - x * x);
                 assert!(
                     (fd - analytic).abs() < 1e-5 * (1.0 + analytic.abs()),
                     "m={m} n={n} x={x}: fd={fd} vs {analytic}"

@@ -80,23 +80,6 @@ impl SpectralField {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Inverse Laplacian; the (0,0) (global mean) component, which is in
-    /// the Laplacian's null space, is set to zero.
-    pub fn inv_laplacian(&self) -> SpectralField {
-        let mut out = self.clone();
-        let a2 = EARTH_RADIUS * EARTH_RADIUS;
-        for (m, n) in self.trunc.pairs() {
-            let k = self.trunc.idx(m, n);
-            if n == 0 {
-                out.data[k] = Complex::ZERO;
-            } else {
-                let eig = -((n * (n + 1)) as f64) / a2;
-                out.data[k] = self.data[k].scale(1.0 / eig);
-            }
-        }
-        out
-    }
-
     /// Implicit ∇⁴ hyperdiffusion over a step `dt`:
     /// a ← a / (1 + dt ν₄ (n(n+1)/a²)²). Unconditionally stable — the
     /// standard spectral-model damping (the ocean uses an explicit ∇⁴ on
@@ -440,18 +423,6 @@ mod tests {
         let eig = -((n * (n + 1)) as f64) / (EARTH_RADIUS * EARTH_RADIUS);
         for (a, b) in f.as_slice().iter().zip(lap.as_slice()) {
             assert!((b - eig * a).abs() < 1e-18);
-        }
-    }
-
-    #[test]
-    fn inv_laplacian_inverts_away_from_nullspace() {
-        let t = small();
-        let mut spec = rand_spec(&t, 9);
-        spec.set(0, 0, Complex::ZERO);
-        let roundtrip = spec.laplacian().inv_laplacian();
-        for (m, n) in t.trunc.pairs() {
-            let d = roundtrip.get(m, n) - spec.get(m, n);
-            assert!(d.abs() < 1e-12);
         }
     }
 

@@ -65,17 +65,6 @@ impl Truncation {
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..=self.m_max).flat_map(move |m| (m..=self.n_max(m)).map(move |n| (m, n)))
     }
-
-    /// Minimum longitudes for alias-free quadratic products: 3M + 1.
-    pub fn min_nlon(&self) -> usize {
-        3 * self.m_max + 1
-    }
-
-    /// Minimum Gaussian latitudes for alias-free quadratic products under
-    /// rhomboidal truncation: (5M + 1) / 2, rounded up.
-    pub fn min_nlat(&self) -> usize {
-        (5 * self.m_max + 1).div_ceil(2)
-    }
 }
 
 impl Codec for Truncation {
@@ -101,9 +90,11 @@ mod tests {
         assert_eq!(t.n_max(0), 15);
         assert_eq!(t.n_max(15), 30);
         assert_eq!(t.n_max_overall(), 30);
-        // The paper's 48 × 40 grid satisfies the alias-free bounds.
-        assert!(t.min_nlon() <= 48);
-        assert!(t.min_nlat() <= 40);
+        // The paper's 48 × 40 grid satisfies the alias-free bounds for
+        // quadratic products: more than 3M longitudes, at least
+        // (5M + 1) / 2 Gaussian latitudes.
+        assert!(48 > 3 * t.m_max);
+        assert!(40 >= (5 * t.m_max + 1).div_ceil(2));
     }
 
     #[test]

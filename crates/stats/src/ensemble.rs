@@ -11,11 +11,9 @@
 //! Degenerate inputs (zero members, mismatched series lengths) come
 //! back as a typed [`StatsError`] instead of a panic — an orchestrator
 //! that lost every member should report that failure, not abort while
-//! reporting it. The batch reductions here hold all member series at
-//! once; [`StreamEnsemble`] is the single-pass variant that folds one
-//! member in at a time.
+//! reporting it.
 
-use crate::stream::{FieldMoments, StatsError};
+use crate::stream::StatsError;
 
 /// Per-time-step ensemble mean over members.
 ///
@@ -124,84 +122,10 @@ pub fn ensemble_mean_field(fields: &[&[f64]]) -> Result<Vec<f64>, StatsError> {
     Ok(mean)
 }
 
-/// Streaming ensemble reduction: fold one member's series in at a time
-/// and read the mean/spread at any point — the orchestrator never holds
-/// more than one member's series plus `O(series length)` state.
-///
-/// The mean accumulates in arrival order exactly like [`ensemble_mean`]
-/// accumulates in slice order, so feeding members in the same order is
-/// **bit-identical** to the batch reduction; the spread uses Welford
-/// updates and matches [`ensemble_spread`] to ~1e-10 relative.
-///
-/// ```
-/// use foam_stats::ensemble::StreamEnsemble;
-///
-/// let mut e = StreamEnsemble::new(2);
-/// e.push_member(&[1.0, 0.0]).unwrap();
-/// e.push_member(&[3.0, 0.0]).unwrap();
-/// assert_eq!(e.mean().unwrap(), vec![2.0, 0.0]);
-/// assert_eq!(e.spread().unwrap(), vec![1.0, 0.0]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamEnsemble {
-    moments: FieldMoments,
-}
-
-impl StreamEnsemble {
-    /// A reduction over series of length `n_t`.
-    pub fn new(n_t: usize) -> Self {
-        StreamEnsemble {
-            moments: FieldMoments::new(n_t),
-        }
-    }
-
-    /// Fold one member's series in; rejects a length mismatch.
-    pub fn push_member(&mut self, series: &[f64]) -> Result<(), StatsError> {
-        self.moments
-            .push(series)
-            .map_err(|_| StatsError::LengthMismatch {
-                what: "ensemble member series",
-                expected: self.moments.len(),
-                got: series.len(),
-            })
-    }
-
-    /// Members folded in so far.
-    pub fn members(&self) -> u64 {
-        self.moments.count()
-    }
-
-    /// Per-time-step ensemble mean; [`StatsError::Empty`] before the
-    /// first member arrives.
-    pub fn mean(&self) -> Result<Vec<f64>, StatsError> {
-        if self.moments.is_empty() {
-            return Err(StatsError::Empty {
-                what: "ensemble mean",
-            });
-        }
-        Ok(self.moments.mean_field())
-    }
-
-    /// Per-time-step ensemble spread (population standard deviation).
-    pub fn spread(&self) -> Result<Vec<f64>, StatsError> {
-        if self.moments.is_empty() {
-            return Err(StatsError::Empty {
-                what: "ensemble spread",
-            });
-        }
-        Ok(self.moments.std_field())
-    }
-
-    /// Merge another partial reduction in (Chan's update) — for
-    /// tree-shaped or resumed reductions.
-    pub fn merge(&mut self, other: &StreamEnsemble) -> Result<(), StatsError> {
-        self.moments.merge(&other.moments)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::FieldMoments;
 
     #[test]
     fn one_member_has_zero_spread_and_is_its_own_mean() {
@@ -246,9 +170,6 @@ mod tests {
                 what: "ensemble mean field"
             }
         );
-        let e = StreamEnsemble::new(4);
-        assert!(e.mean().is_err());
-        assert!(e.spread().is_err());
     }
 
     #[test]
@@ -266,9 +187,6 @@ mod tests {
         let a = [0.0, 4.0];
         let b = [2.0];
         assert!(ensemble_mean_field(&[&a, &b]).is_err());
-        let mut e = StreamEnsemble::new(2);
-        e.push_member(&[0.0, 1.0]).unwrap();
-        assert!(e.push_member(&[0.0]).is_err());
     }
 
     #[test]
@@ -282,16 +200,18 @@ mod tests {
             .collect();
         let batch_mean = ensemble_mean(&members).unwrap();
         let batch_spread = ensemble_spread(&members).unwrap();
-        let mut e = StreamEnsemble::new(40);
+        // The streaming moments fold members in slice order, exactly as
+        // the batch reductions do.
+        let mut e = FieldMoments::new(40);
         for m in &members {
-            e.push_member(m).unwrap();
+            e.push(m).unwrap();
         }
-        assert_eq!(e.members(), 7);
-        let sm = e.mean().unwrap();
-        let ss = e.spread().unwrap();
+        assert_eq!(e.count(), 7);
+        let sm = e.mean_field();
+        let sv = e.variance_field();
         for t in 0..40 {
             assert_eq!(sm[t].to_bits(), batch_mean[t].to_bits(), "t={t}");
-            assert!((ss[t] - batch_spread[t]).abs() < 1e-10, "t={t}");
+            assert!((sv[t].sqrt() - batch_spread[t]).abs() < 1e-10, "t={t}");
         }
     }
 }

@@ -247,7 +247,8 @@ fn varimax_rotated_loadings(
 /// For data whose true rank is `≤ r_max` the sketch is **exact**: the
 /// spectrum of the coefficient Gram `CᵀC` (size `r × r`) equals the
 /// non-zero spectrum of the batch snapshot Gram `X̃X̃ᵀ`, so
-/// [`finish`] reproduces [`eof_analysis`] to rounding — the invariant
+/// [`analyze`] with the identity transform reproduces [`eof_analysis`]
+/// to rounding — the invariant
 /// the property-test layer checks. For full-rank geophysical data the
 /// result is the best rank-`r_max` approximation the greedy update
 /// retains, with the lost energy reported, not hidden.
@@ -260,7 +261,6 @@ fn varimax_rotated_loadings(
 /// Figure 4 without ever materializing per-point histories.
 ///
 /// [`discarded_fraction`]: StreamingEof::discarded_fraction
-/// [`finish`]: StreamingEof::finish
 /// [`analyze`]: StreamingEof::analyze
 ///
 /// ```
@@ -278,7 +278,7 @@ fn varimax_rotated_loadings(
 /// for row in &data {
 ///     se.push(row).unwrap();
 /// }
-/// let stream = se.finish(1);
+/// let stream = se.analyze(1, |series| series).eof;
 /// let batch = eof_analysis(&data, &w, 1);
 /// assert!((stream.variance_fraction[0] - batch.variance_fraction[0]).abs() < 1e-10);
 /// assert_eq!(se.rank(), 1); // the sketch found exactly one direction
@@ -398,16 +398,12 @@ impl StreamingEof {
     }
 
     /// Finish the stream: EOF decomposition of everything pushed,
-    /// keeping `k_keep` modes. Equivalent to [`eof_analysis`] on the
-    /// full data for rank `≤ r_max` input.
-    pub fn finish(&self, k_keep: usize) -> Eof {
-        self.analyze(k_keep, |col| col).eof
-    }
-
-    /// Finish the stream after applying a **linear time-axis
+    /// keeping `k_keep` modes, after applying a **linear time-axis
     /// transform** (e.g. monthly anomalies → detrend → low-pass) to the
-    /// data. `transform` receives one length-`samples()` series and
-    /// must return one of the same length; it is applied to each of the
+    /// data. With the identity transform this is [`eof_analysis`] on the
+    /// full data for rank `≤ r_max` input. `transform` receives one
+    /// length-`samples()` series and must return one of the same length;
+    /// it is applied to each of the
     /// `rank()` coefficient columns, which — by linearity — equals
     /// applying it to every grid point's series of the original data.
     /// Returns a [`StreamedAnalysis`] carrying the EOF plus the reduced
@@ -677,11 +673,6 @@ impl StreamedAnalysis {
             .map(|row| row.iter().zip(&proj).map(|(a, b)| a * b).sum())
             .collect()
     }
-
-    /// Samples in the analysis window.
-    pub fn samples(&self) -> usize {
-        self.coeffs.len()
-    }
 }
 
 #[cfg(test)]
@@ -864,7 +855,7 @@ mod tests {
         }
         assert_eq!(se.rank(), 2, "rank-2 data must yield a rank-2 sketch");
         assert_eq!(se.discarded_fraction(), 0.0);
-        let stream = se.finish(2);
+        let stream = se.analyze(2, |series| series).eof;
         assert_eq!(stream.patterns.len(), batch.patterns.len());
         for k in 0..2 {
             assert!(
@@ -986,7 +977,7 @@ mod tests {
         assert!(se.discarded_fraction() > 0.1, "{}", se.discarded_fraction());
         assert!(se.discarded_fraction() < 1.0);
         // Variance fractions stay a sub-partition of 1.
-        let eof = se.finish(2);
+        let eof = se.analyze(2, |series| series).eof;
         let s: f64 = eof.variance_fraction.iter().sum();
         assert!(s > 0.0 && s <= 1.0 + 1e-9);
     }

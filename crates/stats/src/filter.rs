@@ -1,8 +1,5 @@
 //! Lanczos low-pass filtering — the "60 month low-pass" of Figure 4.
 
-use foam_ckpt::{ByteReader, CkptError, Codec};
-use std::collections::VecDeque;
-
 /// Lanczos low-pass weights: cutoff `fc` in cycles per sample, `n_half`
 /// weights each side (total `2 n_half + 1`), normalized to unit sum.
 pub fn lanczos_weights(fc: f64, n_half: usize) -> Vec<f64> {
@@ -52,163 +49,6 @@ pub fn lanczos_lowpass(x: &[f64], period: f64) -> Vec<f64> {
         out[t] = if wsum.abs() > 1e-12 { acc / wsum } else { 0.0 };
     }
     out
-}
-
-/// One-sample-at-a-time variant of [`lanczos_lowpass`]: push samples as
-/// they are produced, collect filtered values with a delay of
-/// `n_half` samples, and drain the tail with [`finish`]. The
-/// concatenation of everything [`push`] and [`finish`] return is
-/// **bit-identical** to `lanczos_lowpass` on the full series (the tap
-/// accumulation order is the same), while only `2·n_half + 1` samples
-/// are ever buffered — `O(filter width)`, not `O(series length)`.
-///
-/// [`push`]: StreamingLanczos::push
-/// [`finish`]: StreamingLanczos::finish
-///
-/// ```
-/// use foam_stats::filter::{lanczos_lowpass, StreamingLanczos};
-///
-/// let x: Vec<f64> = (0..100).map(|t| (t as f64 * 0.4).sin()).collect();
-/// let mut f = StreamingLanczos::new(12.0);
-/// let mut out: Vec<f64> = x.iter().filter_map(|&v| f.push(v)).collect();
-/// out.extend(f.finish());
-/// let batch = lanczos_lowpass(&x, 12.0);
-/// assert_eq!(out.len(), batch.len());
-/// assert!(out.iter().zip(&batch).all(|(a, b)| a.to_bits() == b.to_bits()));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingLanczos {
-    period: f64,
-    n_half: usize,
-    weights: Vec<f64>,
-    /// Sliding window of raw samples; `buf[0]` is sample `buf_start`.
-    buf: VecDeque<f64>,
-    buf_start: usize,
-    pushed: usize,
-    emitted: usize,
-}
-
-impl StreamingLanczos {
-    /// A streaming low-pass filter with cutoff period `period` (in
-    /// samples), using the same kernel as [`lanczos_lowpass`].
-    pub fn new(period: f64) -> Self {
-        let n_half = (1.3 * period).ceil() as usize;
-        StreamingLanczos {
-            period,
-            n_half,
-            weights: lanczos_weights(1.0 / period, n_half),
-            buf: VecDeque::new(),
-            buf_start: 0,
-            pushed: 0,
-            emitted: 0,
-        }
-    }
-
-    /// The filter's group delay: output `t` emerges `n_half` pushes
-    /// after input `t`.
-    pub fn delay(&self) -> usize {
-        self.n_half
-    }
-
-    /// Samples consumed so far.
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Filtered values produced so far (push-time and finish-time).
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// Output value at index `t`, computed exactly like the batch loop:
-    /// taps in ascending kernel order, edge taps clipped to `[0, n)`
-    /// and the kernel renormalized.
-    fn emit(&self, t: usize, n: usize) -> f64 {
-        let mut acc = 0.0;
-        let mut wsum = 0.0;
-        for (kidx, &wk) in self.weights.iter().enumerate() {
-            let k = kidx as isize - self.n_half as isize;
-            let tt = t as isize + k;
-            if tt >= 0 && (tt as usize) < n {
-                acc += wk * self.buf[tt as usize - self.buf_start];
-                wsum += wk;
-            }
-        }
-        if wsum.abs() > 1e-12 {
-            acc / wsum
-        } else {
-            0.0
-        }
-    }
-
-    /// Consume one sample; returns the next filtered value once the
-    /// look-ahead window is full (`None` during the first `n_half`
-    /// pushes).
-    pub fn push(&mut self, x: f64) -> Option<f64> {
-        self.buf.push_back(x);
-        self.pushed += 1;
-        // Output t needs inputs up to t + n_half, so t = pushed-1-n_half
-        // is the newest emittable index. The right-edge clip never
-        // engages here (every tap ≤ pushed-1 exists), matching the
-        // batch loop's interior case.
-        if self.pushed < self.n_half + 1 + self.emitted {
-            return None;
-        }
-        let t = self.emitted;
-        let y = self.emit(t, self.pushed);
-        self.emitted += 1;
-        // Output t+1 reaches back to t+1-n_half; older samples are done.
-        while self.buf_start < self.emitted.saturating_sub(self.n_half) {
-            self.buf.pop_front();
-            self.buf_start += 1;
-        }
-        Some(y)
-    }
-
-    /// The end of the series: drain the remaining `≤ n_half` outputs,
-    /// whose right edge uses the truncated renormalized kernel exactly
-    /// like the batch filter. The filter is consumed.
-    pub fn finish(self) -> Vec<f64> {
-        (self.emitted..self.pushed)
-            .map(|t| self.emit(t, self.pushed))
-            .collect()
-    }
-}
-
-impl Codec for StreamingLanczos {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.period.encode(buf);
-        self.pushed.encode(buf);
-        self.emitted.encode(buf);
-        self.buf_start.encode(buf);
-        let window: Vec<f64> = self.buf.iter().copied().collect();
-        window.encode(buf);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
-        let period = f64::decode(r)?;
-        if !(period.is_finite() && period > 0.0) {
-            return Err(CkptError::Corrupt(format!(
-                "streaming filter period {period} is not positive"
-            )));
-        }
-        let pushed = usize::decode(r)?;
-        let emitted = usize::decode(r)?;
-        let buf_start = usize::decode(r)?;
-        let window = Vec::<f64>::decode(r)?;
-        if buf_start + window.len() != pushed || emitted > pushed {
-            return Err(CkptError::Corrupt(
-                "streaming filter window is inconsistent with its counters".into(),
-            ));
-        }
-        // The kernel is a pure function of the period; recomputing it is
-        // deterministic, so the resumed filter is bit-identical.
-        let mut f = StreamingLanczos::new(period);
-        f.pushed = pushed;
-        f.emitted = emitted;
-        f.buf_start = buf_start;
-        f.buf = window.into();
-        Ok(f)
-    }
 }
 
 #[cfg(test)]
@@ -262,55 +102,5 @@ mod tests {
     fn output_length_matches_input() {
         let x: Vec<f64> = (0..250).map(|t| (t as f64).cos()).collect();
         assert_eq!(lanczos_lowpass(&x, 60.0).len(), 250);
-    }
-
-    fn run_streaming(x: &[f64], period: f64) -> Vec<f64> {
-        let mut f = StreamingLanczos::new(period);
-        let mut out: Vec<f64> = x.iter().filter_map(|&v| f.push(v)).collect();
-        out.extend(f.finish());
-        out
-    }
-
-    #[test]
-    fn streaming_matches_batch_bit_for_bit() {
-        for n in [0usize, 1, 5, 40, 90, 333] {
-            for period in [6.0, 12.0, 60.0] {
-                let x: Vec<f64> = (0..n)
-                    .map(|t| (t as f64 * 0.31).sin() + 0.2 * (t as f64 * 2.1).cos())
-                    .collect();
-                let batch = lanczos_lowpass(&x, period);
-                let stream = run_streaming(&x, period);
-                assert_eq!(stream.len(), batch.len(), "n={n} period={period}");
-                for (t, (a, b)) in stream.iter().zip(&batch).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "n={n} period={period} t={t}: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_codec_checkpoint_resume_is_bit_identical() {
-        let x: Vec<f64> = (0..120).map(|t| (t as f64 * 0.17).sin()).collect();
-        let period = 12.0;
-        for split in [0usize, 3, 17, 60, 119, 120] {
-            let mut f = StreamingLanczos::new(period);
-            let mut out: Vec<f64> = x[..split].iter().filter_map(|&v| f.push(v)).collect();
-            let bytes = f.to_bytes();
-            let mut r = ByteReader::new(&bytes);
-            let mut g = StreamingLanczos::decode(&mut r).unwrap();
-            out.extend(x[split..].iter().filter_map(|&v| g.push(v)));
-            out.extend(g.finish());
-            let batch = lanczos_lowpass(&x, period);
-            assert!(
-                out.iter()
-                    .zip(&batch)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "split at {split} diverged"
-            );
-        }
     }
 }

@@ -11,26 +11,32 @@
 //! pattern correlation) and map rendering; the ASCII map renderer here
 //! is the terminal stand-in for the paper's colour plates.
 //!
-//! Every batch analysis has a **streaming** counterpart sized for
-//! century runs — state `O(grid)`, one sample consumed at a time, and a
-//! `foam_ckpt::Codec` implementation so a checkpointed stream resumes
-//! bit-identically: [`stream::OnlineMoments`]/[`stream::FieldMoments`]
-//! (Welford moments), [`filter::StreamingLanczos`] (bit-identical to the
-//! batch filter), [`eof::StreamingEof`] (incremental rank-k subspace
-//! sketch, exact on rank-≤-k data), and [`ensemble::StreamEnsemble`].
-//! The equivalence with the batch path is proven by the property-test
-//! suite in `tests/stream_stats_props.rs`.
+//! One estimator per statistic, and it is the one the model calls.
+//! Century runs cannot hold `O(grid × months)` of history, so the two
+//! statistics taken over the whole grid stream — state `O(grid)`, one
+//! sample at a time, `foam_ckpt::Codec` so a checkpointed stream resumes
+//! bit-identically: [`stream::FieldMoments`] (Welford moments with Chan
+//! merge; sequential means bit-identical to batch) and
+//! [`eof::StreamingEof`] (incremental rank-k subspace sketch, exact on
+//! rank-≤-k data, checked against the batch [`eof_analysis`]). The
+//! time-axis transforms stay batch — [`lanczos_lowpass`],
+//! [`anomalies_monthly`], [`detrend`] run on the sketch's short
+//! coefficient columns — and so do the cross-member reductions
+//! [`ensemble_mean`] / [`ensemble_spread`], which see a handful of
+//! series (DESIGN.md §11 records why they have no streaming twins). The
+//! equivalence of the streaming estimators with the batch path is proven
+//! by the property-test suite in `tests/stream_stats_props.rs`.
 
 pub mod ascii;
 pub mod ensemble;
 pub mod eof;
 pub mod filter;
-pub mod linalg;
+mod linalg;
 pub mod series;
 pub mod stream;
 
-pub use ensemble::{ensemble_mean, ensemble_mean_field, ensemble_spread, StreamEnsemble};
+pub use ensemble::{ensemble_mean, ensemble_mean_field, ensemble_spread};
 pub use eof::{eof_analysis, varimax, Eof, StreamedAnalysis, StreamingEof};
-pub use filter::{lanczos_lowpass, StreamingLanczos};
+pub use filter::lanczos_lowpass;
 pub use series::{anomalies_monthly, correlation, detrend, pattern_stats, FieldStats};
-pub use stream::{FieldMoments, OnlineMoments, StatsError};
+pub use stream::{FieldMoments, StatsError};

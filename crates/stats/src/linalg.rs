@@ -5,7 +5,7 @@
 /// Eigen-decomposition of a symmetric matrix (row-major `n × n`).
 /// Returns `(eigenvalues, eigenvectors)` sorted by descending eigenvalue;
 /// eigenvector `k` is `vectors[k]` (length `n`, unit norm).
-pub fn symmetric_eigen(a: &[f64], n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+pub(crate) fn symmetric_eigen(a: &[f64], n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
     assert_eq!(a.len(), n * n);
     let mut m = a.to_vec();
     // v = identity; accumulates rotations (columns are eigenvectors).

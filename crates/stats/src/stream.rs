@@ -11,14 +11,13 @@
 //! Equivalence with the batch implementations is part of the contract,
 //! proven by the property-test layer (`tests/stream_stats_props.rs`):
 //!
-//! * running sums ([`OnlineMoments::mean`], [`FieldMoments::mean_field`])
-//!   accumulate in the same order as the batch code, so sequential
-//!   streaming is **bit-identical** to batch;
+//! * running sums ([`FieldMoments::mean_field`]) accumulate in the same
+//!   order as the batch code, so sequential streaming is
+//!   **bit-identical** to batch;
 //! * variances use Welford's update, which matches the two-pass batch
 //!   computation to ~1e-10 relative;
-//! * [`OnlineMoments::merge`]/[`FieldMoments::merge`] (Chan's parallel
-//!   update) support "split anywhere, merge, continue" for
-//!   checkpoint/resume and ensemble reduction.
+//! * [`FieldMoments::merge`] (Chan's parallel update) supports "split
+//!   anywhere, merge, continue".
 //!
 //! All streaming state implements `foam_ckpt::Codec` with raw IEEE-754
 //! bits, so a checkpointed stream resumes bit-identically.
@@ -54,149 +53,12 @@ impl std::fmt::Display for StatsError {
 
 impl std::error::Error for StatsError {}
 
-/// Online mean/variance of a scalar series (Welford's algorithm), plus
-/// a running sum so the mean reproduces the batch `Σx / n` bit-for-bit.
-///
-/// ```
-/// use foam_stats::stream::OnlineMoments;
-///
-/// let mut m = OnlineMoments::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     m.push(x);
-/// }
-/// assert_eq!(m.count(), 4);
-/// assert_eq!(m.mean(), 2.5);
-/// assert!((m.variance() - 1.25).abs() < 1e-15);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineMoments {
-    n: u64,
-    sum: f64,
-    mean_w: f64,
-    m2: f64,
-}
-
-impl OnlineMoments {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consume one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        let delta = x - self.mean_w;
-        self.mean_w += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean_w);
-    }
-
-    /// Samples consumed so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// True until the first sample arrives.
-    ///
-    /// ```
-    /// assert!(foam_stats::stream::OnlineMoments::new().is_empty());
-    /// ```
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Running sum Σx (the batch accumulation order).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean as `Σx / n` — bit-identical to the batch
-    /// `iter().sum::<f64>() / n`. `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        self.sum / self.n as f64
-    }
-
-    /// Population variance (Welford `M2 / n`); `0.0` when fewer than two
-    /// samples have arrived.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    ///
-    /// ```
-    /// use foam_stats::stream::OnlineMoments;
-    ///
-    /// let mut m = OnlineMoments::new();
-    /// m.push(1.0);
-    /// m.push(3.0);
-    /// assert_eq!(m.std(), 1.0);
-    /// ```
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Fold another accumulator in (Chan's parallel update) — the
-    /// "split anywhere, merge, continue" primitive.
-    ///
-    /// ```
-    /// use foam_stats::stream::OnlineMoments;
-    ///
-    /// let mut a = OnlineMoments::new();
-    /// let mut b = OnlineMoments::new();
-    /// a.push(1.0);
-    /// b.push(3.0);
-    /// a.merge(&b);
-    /// assert_eq!(a.count(), 2);
-    /// assert_eq!(a.mean(), 2.0);
-    /// ```
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean_w - self.mean_w;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
-        self.mean_w += delta * other.n as f64 / n;
-        self.sum += other.sum;
-        self.n += other.n;
-    }
-}
-
-impl Codec for OnlineMoments {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.n.encode(buf);
-        self.sum.encode(buf);
-        self.mean_w.encode(buf);
-        self.m2.encode(buf);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
-        Ok(OnlineMoments {
-            n: u64::decode(r)?,
-            sum: f64::decode(r)?,
-            mean_w: f64::decode(r)?,
-            m2: f64::decode(r)?,
-        })
-    }
-}
-
 /// Per-element online mean/variance of a stream of equal-length vectors
-/// — one [`OnlineMoments`] per grid point (stored struct-of-arrays), so
-/// the memory footprint is `O(grid)` regardless of how many samples
-/// flow through.
-///
-/// Used two ways: per-gridpoint moments of monthly SST fields over time
-/// (the Figure-3 time mean), and per-timestep moments of diagnostic
-/// series across ensemble members (the streaming mean/spread
-/// reduction).
+/// (Welford's algorithm, stored struct-of-arrays), plus a running sum so
+/// the mean reproduces the batch `Σx / n` bit-for-bit. The memory
+/// footprint is `O(grid)` regardless of how many samples flow through:
+/// the per-gridpoint moments of monthly SST fields over time (the
+/// Figure-3 time mean) that `foam::DriverStream` carries.
 ///
 /// ```
 /// use foam_stats::stream::FieldMoments;
@@ -205,7 +67,7 @@ impl Codec for OnlineMoments {
 /// m.push(&[1.0, 10.0]).unwrap();
 /// m.push(&[3.0, 10.0]).unwrap();
 /// assert_eq!(m.mean_field(), vec![2.0, 10.0]);
-/// assert_eq!(m.std_field(), vec![1.0, 0.0]);
+/// assert_eq!(m.variance_field(), vec![1.0, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldMoments {
@@ -283,12 +145,6 @@ impl FieldMoments {
         self.m2.iter().map(|m| m / nf).collect()
     }
 
-    /// Element-wise population standard deviation — the ensemble
-    /// *spread* when the samples are member series.
-    pub fn std_field(&self) -> Vec<f64> {
-        self.variance_field().into_iter().map(f64::sqrt).collect()
-    }
-
     /// Fold another accumulator in (element-wise Chan update); rejects a
     /// length mismatch.
     ///
@@ -355,49 +211,57 @@ impl Codec for FieldMoments {
 mod tests {
     use super::*;
 
+    /// Two-element rows `(x, 3 - x/2)` so every property is checked on
+    /// two independent columns at once.
+    fn rows(xs: &[f64]) -> Vec<[f64; 2]> {
+        xs.iter().map(|&x| [x, 3.0 - 0.5 * x]).collect()
+    }
+
+    fn moments_of(rows: &[[f64; 2]]) -> FieldMoments {
+        let mut m = FieldMoments::new(2);
+        for r in rows {
+            m.push(r).unwrap();
+        }
+        m
+    }
+
     #[test]
     fn sequential_mean_is_bit_identical_to_batch() {
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.7).sin() * 1e3).collect();
-        let mut m = OnlineMoments::new();
-        for &x in &xs {
-            m.push(x);
+        let rows = rows(&xs);
+        let mean = moments_of(&rows).mean_field();
+        for c in 0..2 {
+            let batch = rows.iter().map(|r| r[c]).sum::<f64>() / rows.len() as f64;
+            assert_eq!(mean[c].to_bits(), batch.to_bits());
         }
-        let batch = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert_eq!(m.mean().to_bits(), batch.to_bits());
     }
 
     #[test]
     fn welford_variance_matches_two_pass() {
         let xs: Vec<f64> = (0..500).map(|i| 20.0 + (i as f64 * 0.3).cos()).collect();
-        let mut m = OnlineMoments::new();
-        for &x in &xs {
-            m.push(x);
+        let rows = rows(&xs);
+        let got = moments_of(&rows).variance_field();
+        let n = rows.len() as f64;
+        for c in 0..2 {
+            let mean = rows.iter().map(|r| r[c]).sum::<f64>() / n;
+            let var = rows.iter().map(|r| (r[c] - mean).powi(2)).sum::<f64>() / n;
+            assert!((got[c] - var).abs() < 1e-10 * var.max(1.0));
         }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        assert!((m.variance() - var).abs() < 1e-10 * var.max(1.0));
     }
 
     #[test]
     fn merge_equals_sequential_to_tolerance() {
         let xs: Vec<f64> = (0..300).map(|i| (i as f64).sqrt() - 8.0).collect();
-        let mut whole = OnlineMoments::new();
-        for &x in &xs {
-            whole.push(x);
-        }
+        let rows = rows(&xs);
+        let whole = moments_of(&rows);
         for split in [0, 1, 150, 299, 300] {
-            let mut a = OnlineMoments::new();
-            let mut b = OnlineMoments::new();
-            for &x in &xs[..split] {
-                a.push(x);
-            }
-            for &x in &xs[split..] {
-                b.push(x);
-            }
-            a.merge(&b);
+            let mut a = moments_of(&rows[..split]);
+            a.merge(&moments_of(&rows[split..])).unwrap();
             assert_eq!(a.count(), whole.count());
-            assert!((a.mean() - whole.mean()).abs() < 1e-12);
-            assert!((a.variance() - whole.variance()).abs() < 1e-10);
+            for c in 0..2 {
+                assert!((a.mean_field()[c] - whole.mean_field()[c]).abs() < 1e-12);
+                assert!((a.variance_field()[c] - whole.variance_field()[c]).abs() < 1e-10);
+            }
         }
     }
 

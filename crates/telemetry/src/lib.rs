@@ -92,11 +92,6 @@ pub fn harvest() -> Option<TelemetryRegistry> {
     })
 }
 
-/// Run `f` with mutable access to the installed registry, if any.
-pub fn with<R>(f: impl FnOnce(&mut TelemetryRegistry) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow_mut().as_mut().map(f))
-}
-
 /// Add `n` to the named monotonic counter (no-op when disabled).
 pub fn count(counter: &str, n: u64) {
     CURRENT.with(|c| {

@@ -147,31 +147,11 @@ impl TelemetryRegistry {
         stat.seconds += seconds;
     }
 
-    /// Set the rank's wall-clock span explicitly (tests and offline
-    /// tooling).
-    pub fn set_wall_seconds(&mut self, seconds: f64) {
-        self.wall_seconds = seconds;
-    }
-
     /// Close any dangling scopes and stamp the rank's wall-clock span.
     /// Called when the rank finishes; harvesting does it for you.
     pub fn finish(&mut self) {
         self.close_to(0);
         self.wall_seconds = self.epoch.elapsed().as_secs_f64();
-    }
-
-    /// Fold another registry *of the same rank* (e.g. a resumed segment)
-    /// into this one: counters and phase times add, the wall span adds.
-    /// Cross-*rank* aggregation lives in
-    /// [`crate::TelemetryReport::from_ranks`], which keeps ranks apart.
-    pub fn merge(&mut self, other: &TelemetryRegistry) {
-        for (path, stat) in &other.phases {
-            self.phases.entry(path.clone()).or_default().merge(stat);
-        }
-        for (name, n) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += *n;
-        }
-        self.wall_seconds += other.wall_seconds;
     }
 
     /// Seconds spent in top-level phases (paths with no `/`) — the
@@ -266,24 +246,6 @@ mod tests {
         r.finish();
         assert!(r.phases().contains_key("left-open"));
         assert!(r.wall_seconds() > 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_phases() {
-        let mut a = TelemetryRegistry::new(0);
-        a.record_phase("x", 1.0);
-        a.add("n", 2);
-        let mut b = TelemetryRegistry::new(0);
-        b.record_phase("x", 0.5);
-        b.record_phase("y", 0.25);
-        b.add("n", 3);
-        b.add("m", 1);
-        a.merge(&b);
-        assert_eq!(a.phases()["x"].seconds, 1.5);
-        assert_eq!(a.phases()["x"].calls, 2);
-        assert_eq!(a.phases()["y"].calls, 1);
-        assert_eq!(a.counters()["n"], 5);
-        assert_eq!(a.counters()["m"], 1);
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl RankReport {
     /// Fold another run's slice of the *same rank* into this one:
     /// wall/busy seconds add, phase stats and counters sum. This is the
     /// per-rank half of the cross-run report merge
-    /// ([`TelemetryReport::merged`]); like the in-registry merge it is
-    /// commutative and associative.
+    /// ([`TelemetryReport::merged`]); it is commutative and associative.
     pub fn merge(&mut self, other: &RankReport) {
         debug_assert_eq!(self.rank, other.rank, "merging different ranks");
         self.wall_seconds += other.wall_seconds;
@@ -439,7 +438,6 @@ mod tests {
         for (c, n) in counters {
             r.add(c, *n);
         }
-        r.set_wall_seconds(phases.iter().map(|(_, s)| *s).sum());
         r
     }
 

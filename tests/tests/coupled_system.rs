@@ -3,7 +3,7 @@
 
 use foam::{run_coupled, CouplingMode, FoamConfig, OceanModel, World};
 use foam_grid::constants::SEAWATER_FREEZE_C;
-use foam_grid::OverlapGrid;
+use foam_grid::{Field2, OverlapGrid};
 
 #[test]
 fn two_day_coupled_run_keeps_all_invariants() {
@@ -101,17 +101,27 @@ fn overlap_grid_conserves_fluxes_at_production_resolution() {
     let ocn = foam_grid::OceanGrid::foam_default();
     let mask = world.ocean_sea_mask(&ocn);
     let ov = OverlapGrid::build(&atm, &ocn, &mask);
-    let (fa, fo) =
-        ov.compute_on_overlap(|ka, ko| ((ka % 13) as f64 - 6.0) * 10.0 + ((ko % 7) as f64) * 3.0);
-    let ia = ov.integral_atm_sea(&fa);
-    let io = ov.integral_ocean(&fo);
-    assert!(
-        (ia - io).abs() < 1e-8 * ia.abs().max(io.abs()),
-        "conservation violated at production resolution: {ia} vs {io}"
-    );
+    let fa = Field2::from_fn(atm.nlon, atm.nlat, |i, j| {
+        ((atm.idx(i, j) % 13) as f64 - 6.0) * 10.0
+    });
+    let fo = Field2::from_fn(ocn.nx, ocn.ny, |i, j| ((ocn.idx(i, j) % 7) as f64) * 3.0);
+    let mut on_ocn = Field2::zeros(ocn.nx, ocn.ny);
+    ov.atm_to_ocean_into(&fa, &mut on_ocn);
+    for (sent, got) in [
+        (ov.integral_atm_sea(&fa), ov.integral_ocean(&on_ocn)),
+        (
+            ov.integral_ocean(&fo),
+            ov.integral_atm_sea(&ov.ocean_to_atm(&fo)),
+        ),
+    ] {
+        assert!(
+            (sent - got).abs() < 1e-8 * sent.abs().max(got.abs()),
+            "conservation violated at production resolution: {sent} vs {got}"
+        );
+    }
     // Every ocean sea cell is covered by the atmosphere.
-    let ones = foam_grid::Field2::filled(atm.nlon, atm.nlat, 1.0);
-    let mut cover = foam_grid::Field2::zeros(ocn.nx, ocn.ny);
+    let ones = Field2::filled(atm.nlon, atm.nlat, 1.0);
+    let mut cover = Field2::zeros(ocn.nx, ocn.ny);
     ov.atm_to_ocean_into(&ones, &mut cover);
     for (k, &sea) in mask.iter().enumerate() {
         if sea {

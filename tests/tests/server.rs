@@ -114,6 +114,14 @@ fn submit_stream_report_end_to_end() {
         post(&addr, "/v1/jobs", "{\"dayz\": 1}").unwrap().status,
         400
     );
+    // A wrong-typed value is refused by name, not run as the default.
+    let typed = post(&addr, "/v1/jobs", "{\"days\": \"30\"}").unwrap();
+    assert_eq!(typed.status, 400);
+    assert!(
+        typed.text().contains("days must be a number"),
+        "{}",
+        typed.text()
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -6,8 +6,7 @@
 //!
 //! Equivalence tiers, matching what the algebra guarantees:
 //! * **bit-identical** — streaming mean (same accumulation order as the
-//!   batch sum), the streaming Lanczos filter (same tap order), and
-//!   every checkpoint/resume split;
+//!   batch sum) and every checkpoint/resume split;
 //! * **1e-10 relative** — Welford variance vs the two-pass batch
 //!   variance, merged (chunked) moments, and streaming-EOF spectra on
 //!   data within the sketch's rank budget (different but equivalent
@@ -16,8 +15,7 @@
 use foam::DriverStream;
 use foam_ckpt::{ByteReader, Codec};
 use foam_stats::{
-    anomalies_monthly, detrend, eof_analysis, lanczos_lowpass, FieldMoments, OnlineMoments,
-    StreamingEof, StreamingLanczos,
+    anomalies_monthly, detrend, eof_analysis, lanczos_lowpass, FieldMoments, StreamingEof,
 };
 use proptest::prelude::*;
 
@@ -41,39 +39,53 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Streaming mean is bit-identical to the batch `sum/n`; streaming
-    /// variance matches the two-pass batch variance to 1e-10 relative.
+    /// variance matches the two-pass batch variance to 1e-10 relative —
+    /// per column, for any field width.
     #[test]
-    fn online_moments_match_batch(xs in series(1..200)) {
-        let mut m = OnlineMoments::new();
-        for &x in &xs {
-            m.push(x);
+    fn online_moments_match_batch(xs in series(6..200), width in 1usize..6) {
+        let rows: Vec<&[f64]> = xs.chunks_exact(width).collect();
+        let mut m = FieldMoments::new(width);
+        for row in &rows {
+            m.push(row).unwrap();
         }
-        let n = xs.len() as f64;
-        let batch_mean = xs.iter().sum::<f64>() / n;
-        prop_assert_eq!(m.mean().to_bits(), batch_mean.to_bits());
-        if xs.len() >= 2 {
-            let batch_var = xs.iter().map(|x| (x - batch_mean).powi(2)).sum::<f64>() / n;
-            let scale = xs.iter().map(|x| x * x).sum::<f64>() / n;
-            prop_assert!(close(m.variance(), batch_var, scale));
+        let n = rows.len() as f64;
+        let (mean, var) = (m.mean_field(), m.variance_field());
+        for c in 0..width {
+            let col = || rows.iter().map(|r| r[c]);
+            let batch_mean = col().sum::<f64>() / n;
+            prop_assert_eq!(mean[c].to_bits(), batch_mean.to_bits());
+            if rows.len() >= 2 {
+                let batch_var = col().map(|x| (x - batch_mean).powi(2)).sum::<f64>() / n;
+                let scale = col().map(|x| x * x).sum::<f64>() / n;
+                prop_assert!(close(var[c], batch_var, scale));
+            }
         }
     }
 
     /// Splitting the stream into two chunks and merging (Chan's update)
     /// agrees with the unsplit stream to 1e-10 relative.
     #[test]
-    fn chunked_merge_matches_single_stream(xs in series(2..200), cut_frac in 0.0..1.0f64) {
-        let cut = ((xs.len() as f64 * cut_frac) as usize).min(xs.len());
-        let mut whole = OnlineMoments::new();
-        let (mut a, mut b) = (OnlineMoments::new(), OnlineMoments::new());
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            if i < cut { a.push(x) } else { b.push(x) }
+    fn chunked_merge_matches_single_stream(
+        xs in series(6..200),
+        width in 1usize..6,
+        cut_frac in 0.0..1.0f64,
+    ) {
+        let rows: Vec<&[f64]> = xs.chunks_exact(width).collect();
+        let cut = ((rows.len() as f64 * cut_frac) as usize).min(rows.len());
+        let mut whole = FieldMoments::new(width);
+        let (mut a, mut b) = (FieldMoments::new(width), FieldMoments::new(width));
+        for (i, row) in rows.iter().enumerate() {
+            whole.push(row).unwrap();
+            if i < cut { a.push(row).unwrap() } else { b.push(row).unwrap() }
         }
-        a.merge(&b);
+        a.merge(&b).unwrap();
         prop_assert_eq!(a.count(), whole.count());
         let scale = xs.iter().map(|x| x.abs()).fold(0.0f64, f64::max);
-        prop_assert!(close(a.mean(), whole.mean(), scale));
-        prop_assert!(close(a.variance(), whole.variance(), scale * scale));
+        let (mean, var) = (a.mean_field(), a.variance_field());
+        for c in 0..width {
+            prop_assert!(close(mean[c], whole.mean_field()[c], scale));
+            prop_assert!(close(var[c], whole.variance_field()[c], scale * scale));
+        }
     }
 
     /// Checkpointing field moments at any point — encode, decode,
@@ -99,32 +111,6 @@ proptest! {
             }
         }
         prop_assert_eq!(whole, split);
-    }
-
-    /// The streaming Lanczos filter emits exactly the batch filter's
-    /// output, bit for bit, for arbitrary lengths and cutoffs — and a
-    /// checkpoint/resume at any point changes nothing.
-    #[test]
-    fn streaming_lanczos_is_bit_identical_and_resumable(
-        xs in series(0..150),
-        period in 2.0..40.0f64,
-        cut_frac in 0.0..1.0f64,
-    ) {
-        let batch = lanczos_lowpass(&xs, period);
-        let cut = (xs.len() as f64 * cut_frac) as usize;
-        let mut sl = StreamingLanczos::new(period);
-        let mut got = Vec::new();
-        for (t, &x) in xs.iter().enumerate() {
-            if t == cut {
-                sl = roundtrip(&sl);
-            }
-            got.extend(sl.push(x));
-        }
-        got.extend(sl.finish());
-        prop_assert_eq!(got.len(), batch.len());
-        for (a, b) in got.iter().zip(&batch) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     /// On data within the sketch's rank budget the streaming EOF
@@ -159,7 +145,7 @@ proptest! {
         }
         prop_assert_eq!(&se, &uninterrupted);
         prop_assert!(se.discarded_fraction() < 1e-12);
-        let stream = se.finish(2);
+        let stream = se.analyze(2, |series| series).eof;
         let batch = eof_analysis(&data, &weights, 2);
         prop_assert!(close(stream.total_variance, batch.total_variance, batch.total_variance));
         for k in 0..stream.variance_fraction.len().min(batch.variance_fraction.len()) {

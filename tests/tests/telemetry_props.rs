@@ -1,7 +1,9 @@
 //! Property-based tests of the telemetry reduction: the cross-rank
 //! reduce must be independent of the order ranks are harvested in, and
-//! same-rank registry merging must be commutative and associative — the
-//! algebra that makes the end-of-run reduction safe to reorder.
+//! folding one run's report into another (`TelemetryReport::absorb`, what
+//! the supervisor and the ensemble do with resumed segments and members)
+//! must be commutative and associative — the algebra that makes the
+//! end-of-run reduction safe to reorder.
 
 use proptest::prelude::*;
 
@@ -31,8 +33,13 @@ fn build(rank: usize, (phases, counters): &Spec) -> TelemetryRegistry {
     for &(c, n) in counters {
         r.add(COUNTERS[c], n as u64);
     }
-    r.set_wall_seconds(phases.iter().map(|(_, s)| *s).sum());
     r
+}
+
+/// A one-rank run's report; the wall clock is the sum of its phases.
+fn report(s: &Spec) -> TelemetryReport {
+    let wall = s.0.iter().map(|(_, secs)| *secs).sum();
+    TelemetryReport::from_ranks(3_600.0, wall, vec![build(0, s)])
 }
 
 proptest! {
@@ -65,35 +72,36 @@ proptest! {
         );
     }
 
-    /// Same-rank merging is commutative: a ∪ b == b ∪ a.
+    /// Absorbing is commutative: a ∪ b == b ∪ a.
     #[test]
     fn merge_is_commutative(sa in spec(), sb in spec()) {
-        let (a, b) = (build(0, &sa), build(0, &sb));
+        let (a, b) = (report(&sa), report(&sb));
         let mut ab = a.clone();
-        ab.merge(&b);
+        ab.absorb(&b);
         let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab.phases(), ba.phases());
-        prop_assert_eq!(ab.counters(), ba.counters());
+        ba.absorb(&a);
+        prop_assert_eq!(&ab.ranks[0].phases, &ba.ranks[0].phases);
+        prop_assert_eq!(&ab.counters, &ba.counters);
+        prop_assert_eq!(ab.wall_seconds, ba.wall_seconds);
     }
 
-    /// Same-rank merging is associative: (a ∪ b) ∪ c == a ∪ (b ∪ c).
+    /// Absorbing is associative: (a ∪ b) ∪ c == a ∪ (b ∪ c).
     #[test]
     fn merge_is_associative(sa in spec(), sb in spec(), sc in spec()) {
-        let (a, b, c) = (build(0, &sa), build(0, &sb), build(0, &sc));
+        let (a, b, c) = (report(&sa), report(&sb), report(&sc));
         let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
+        left.absorb(&b);
+        left.absorb(&c);
         let mut bc = b.clone();
-        bc.merge(&c);
+        bc.absorb(&c);
         let mut right = a.clone();
-        right.merge(&bc);
+        right.absorb(&bc);
         // Phase seconds are f64 sums; a different association can differ
         // by rounding, so seconds compare with a tolerance while counts
         // (integers) must match exactly.
-        prop_assert_eq!(left.counters(), right.counters());
-        let lp = left.phases();
-        let rp = right.phases();
+        prop_assert_eq!(&left.counters, &right.counters);
+        let lp = &left.ranks[0].phases;
+        let rp = &right.ranks[0].phases;
         prop_assert_eq!(lp.len(), rp.len());
         for (path, stat) in lp {
             let other = &rp[path];
