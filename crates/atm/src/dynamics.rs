@@ -213,7 +213,7 @@ impl QgCore {
         comm: &Comm,
         state_q: &[SpectralField],
         dpsi_eq: &[SpectralField],
-        orog_grad: Option<&Gradient>,
+        orog_grad: &Gradient,
         dw: &mut DynWorkspace,
     ) {
         let nl = self.cfg.nlev;
@@ -230,7 +230,7 @@ impl QgCore {
             rossby_r,
             ..
         } = dw;
-        batch.begin(nl + usize::from(orog_grad.is_some()));
+        batch.begin(nl + 1);
         for k in 0..nl {
             // Nonlinear advection: −J(ψ, q), via the transform method.
             x_grad.synthesize(par, &state_q[k], spec);
@@ -238,10 +238,8 @@ impl QgCore {
             par.accumulate(gj, spec, batch, k);
         }
         // Orographic forcing of the bottom level: −J(ψ_b, f h/H).
-        if let Some(h) = orog_grad {
-            jacobian_on_rows(par, &psi_grad[nl - 1], h, gj);
-            par.accumulate(gj, spec, batch, nl);
-        }
+        jacobian_on_rows(par, &psi_grad[nl - 1], orog_grad, gj);
+        par.accumulate(gj, spec, batch, nl);
         par.reduce(comm, batch);
         for k in 0..nl {
             batch.read(k, &mut tend[k]);
@@ -259,13 +257,11 @@ impl QgCore {
                 tend[k].data[idx] += beta;
             }
         }
-        if orog_grad.is_some() {
-            batch.read(nl, jac);
-            jac.scale(-1.0);
-            for (m, n) in self.trunc.pairs() {
-                let idx = self.trunc.idx(m, n);
-                tend[nl - 1].data[idx] += jac.data[idx];
-            }
+        batch.read(nl, jac);
+        jac.scale(-1.0);
+        for (m, n) in self.trunc.pairs() {
+            let idx = self.trunc.idx(m, n);
+            tend[nl - 1].data[idx] += jac.data[idx];
         }
         // Ekman drag on the bottom level: −∇²ψ/τ_E.
         psi[nl - 1].laplacian_into(drag);
@@ -447,8 +443,8 @@ mod tests {
 
     const DT: f64 = 1800.0;
 
-    /// Advance `state` by `steps` of `DT` with no orography:
-    /// Euler bootstrap, then leapfrog.
+    /// Advance `state` by `steps` of `DT` over a flat bottom (a zero
+    /// orographic gradient): Euler bootstrap, then leapfrog.
     fn integrate(
         c: &QgCore,
         par: &ParTransform,
@@ -458,9 +454,10 @@ mod tests {
         steps: usize,
     ) {
         let mut dw = DynWorkspace::new(par, c.cfg.nlev, 0);
+        let flat = Gradient::zeros(par);
         for s in 0..steps {
             c.streamfunction_ws(par, &state.q_now, &mut dw);
-            c.tendencies_ws(par, comm, &state.q_now, dpsi_eq, None, &mut dw);
+            c.tendencies_ws(par, comm, &state.q_now, dpsi_eq, &flat, &mut dw);
             if s == 0 {
                 c.step_euler_ws(state, DT, &mut dw);
             } else {

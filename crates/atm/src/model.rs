@@ -38,9 +38,6 @@ pub struct AtmConfig {
     pub physics: PhysicsConfig,
     /// Tracer hyperdiffusion \[m⁴/s\].
     pub tracer_nu4: f64,
-    /// Include orographic forcing of the bottom dynamic level
-    /// (stationary waves from the synthetic topography).
-    pub orography: bool,
     /// Seed for the initial perturbation.
     pub seed: u64,
 }
@@ -56,7 +53,6 @@ impl Default for AtmConfig {
             dynamics: QgConfig::default(),
             physics: PhysicsConfig::default(),
             tracer_nu4: 1.0e16,
-            orography: true,
             seed: 7,
         }
     }
@@ -178,9 +174,10 @@ pub struct AtmModel {
     core: QgCore,
     pub phys: ColumnPhysics,
     /// Gradient slabs of the orographic PV (f·h/H) on this rank's rows,
-    /// if enabled: constant, so built once here instead of once per
-    /// step.
-    orog_grad: Option<Gradient>,
+    /// whose flow forces the bottom dynamic level (stationary waves from
+    /// the synthetic topography): constant, so built once here instead
+    /// of once per step.
+    orog_grad: Gradient,
     /// Scenario forcings (CO₂ / solar / aerosol time series) folded
     /// into the column physics once per simulated day; empty = identity.
     forcings: Forcings,
@@ -193,23 +190,20 @@ impl AtmModel {
         let par = ParTransform::new(SphericalTransform::new(grid, trunc), comm);
         let core = QgCore::new(cfg.dynamics.clone(), trunc);
         let phys = ColumnPhysics::new(cfg.physics);
-        let orog_grad = cfg.orography.then(|| {
-            // f·h/H with H = 8 km scale height, from the synthetic planet,
-            // analyzed on the full grid (identical on every rank).
-            let world = foam_grid::World::earthlike();
-            let grid = &par.base.grid;
-            let f = Field2::from_fn(grid.nlon, grid.nlat, |i, j| {
-                let h = world.elevation(grid.lons[i], grid.lats[j]);
-                foam_grid::constants::coriolis(grid.lats[j]) * h / 8000.0
-            });
-            let mut grad = Gradient::zeros(&par);
-            grad.synthesize(
-                &par,
-                &par.base.analyze(&f),
-                &mut SpectralWorkspace::new(&par.base),
-            );
-            grad
+        // f·h/H with H = 8 km scale height, from the synthetic planet,
+        // analyzed on the full grid (identical on every rank).
+        let world = foam_grid::World::earthlike();
+        let grid = &par.base.grid;
+        let f = Field2::from_fn(grid.nlon, grid.nlat, |i, j| {
+            let h = world.elevation(grid.lons[i], grid.lats[j]);
+            foam_grid::constants::coriolis(grid.lats[j]) * h / 8000.0
         });
+        let mut orog_grad = Gradient::zeros(&par);
+        orog_grad.synthesize(
+            &par,
+            &par.base.analyze(&f),
+            &mut SpectralWorkspace::new(&par.base),
+        );
         AtmModel {
             cfg,
             par,
@@ -586,7 +580,7 @@ impl AtmModel {
             comm,
             &state.qg.q_now,
             dpsi_eq,
-            self.orog_grad.as_ref(),
+            &self.orog_grad,
             inner,
         );
         if state.step_count == 0 {

@@ -31,7 +31,7 @@ use crate::model::AtmModel;
 /// kernels read it.
 ///
 /// ```
-/// use foam_atm::dynamics::{QgConfig, QgCore, QgState};
+/// use foam_atm::dynamics::{Gradient, QgConfig, QgCore, QgState};
 /// use foam_atm::workspace::DynWorkspace;
 /// use foam_grid::AtmGrid;
 /// use foam_mpi::Universe;
@@ -49,9 +49,10 @@ use crate::model::AtmModel;
 ///         (0..2).map(|_| SpectralField::zeros(par.base.trunc)).collect();
 ///     dpsi_eq[0].set(0, 2, Complex::new(5.0e6, 0.0));
 ///     let mut dw = DynWorkspace::new(&par, 3, 0);
+///     let flat = Gradient::zeros(&par); // no orography
 ///     for step in 0..4 {
 ///         core.streamfunction_ws(&par, &state.q_now, &mut dw);
-///         core.tendencies_ws(&par, comm, &state.q_now, &dpsi_eq, None, &mut dw);
+///         core.tendencies_ws(&par, comm, &state.q_now, &dpsi_eq, &flat, &mut dw);
 ///         if step == 0 {
 ///             core.step_euler_ws(&mut state, 1800.0, &mut dw);
 ///         } else {

@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cargo run --release -p foam-bench --bin century \
-//!     [--years Y] [--seed S] [--eof-rank R] [--out PATH]
+//!     [--years Y] [--seed S] [--out PATH]
 //! ```
 //!
 //! The artifact records wall-clock, model speedup, the streamed month
@@ -104,14 +104,10 @@ fn ocean_interval_allocations(cfg: &FoamConfig) -> u64 {
 fn main() {
     let years: f64 = flag_or("--years", 100.0);
     let seed: u64 = flag_or("--seed", 1914);
-    let eof_rank: usize = flag_or("--eof-rank", 8);
     let out_path: String = flag_or("--out", "BENCH_century.json".to_string());
 
     println!("=== century-throughput bench ({years} simulated years, streaming statistics) ===\n");
     let mut cfg = FoamConfig::century(seed);
-    if let Some(s) = cfg.stream.as_mut() {
-        s.eof_rank = eof_rank;
-    }
     cfg.telemetry = TelemetryConfig {
         enabled: true,
         path: None,

@@ -14,25 +14,56 @@
 //!
 //! Shared helpers for the binaries live here.
 
+use std::str::FromStr;
+
 use foam_grid::{Field2, OceanGrid, World};
 use foam_ocean::{OceanConfig, OceanModel};
 
-/// Parse a CLI argument by position with a default.
-pub fn arg_or<T: std::str::FromStr>(n: usize, default: T) -> T {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// The positional CLI argument `n` parsed as a `T`, or `default` when
+/// it is absent. A present value that does not parse ends the program
+/// with status 2 and a message naming the argument — it never silently
+/// runs the default.
+pub fn arg_or<T: FromStr>(n: usize, default: T) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    parse_arg(&args, n, default).unwrap_or_else(|e| exit_usage(&e))
 }
 
-/// Parse a `--name <value>` CLI flag with a default.
-pub fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// The value of a `--name <value>` CLI flag parsed as a `T`, or
+/// `default` when the flag is absent; a malformed value exits as in
+/// [`arg_or`].
+pub fn flag_or<T: FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    parse_flag(&args, name, default).unwrap_or_else(|e| exit_usage(&e))
+}
+
+fn parse_arg<T: FromStr>(args: &[String], n: usize, default: T) -> Result<T, String> {
+    parse_or(&format!("argument {n}"), args.get(n), default)
+}
+
+fn parse_flag<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let value = args.iter().position(|a| a == name).map(|i| args.get(i + 1));
+    match value {
+        Some(None) => Err(format!("{name}: missing value")),
+        Some(value) => parse_or(name, value, default),
+        None => Ok(default),
+    }
+}
+
+fn parse_or<T: FromStr>(what: &str, value: Option<&String>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| {
+            format!(
+                "{what}: cannot parse {s:?} as {}",
+                std::any::type_name::<T>()
+            )
+        }),
+    }
+}
+
+fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The synthetic observed-SST field ("Figure 3b") on the ocean grid.
@@ -82,12 +113,33 @@ mod tests {
         assert!(saw);
     }
 
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
     fn flag_or_falls_back_when_flag_is_absent() {
         // The test harness's argv carries no such flag, so the default
         // must come back (and must not panic on a flag-less argv tail).
         assert_eq!(flag_or("--no-such-flag", 1914u64), 1914);
         assert_eq!(flag_or("--no-such-flag", 2.5f64), 2.5);
+        assert_eq!(
+            parse_flag(&argv(&["century", "--years", "3"]), "--years", 1.0),
+            Ok(3.0)
+        );
+        assert_eq!(parse_arg(&argv(&["figure3_sst"]), 1, 60.0), Ok(60.0));
+    }
+
+    #[test]
+    fn malformed_values_are_refused_by_name() {
+        let err = parse_flag(&argv(&["century", "--years", "1y"]), "--years", 100.0).unwrap_err();
+        assert!(err.starts_with("--years: cannot parse \"1y\""), "{err}");
+        let err = parse_flag(&argv(&["century", "--seed"]), "--seed", 1914u64).unwrap_err();
+        assert_eq!(err, "--seed: missing value");
+        let err = parse_arg(&argv(&["figure3_sst", "6O"]), 1, 60.0).unwrap_err();
+        assert!(err.starts_with("argument 1: cannot parse \"6O\""), "{err}");
+        let err = parse_arg(&argv(&["table1_scaling", "0.5", "-2"]), 2, 8usize).unwrap_err();
+        assert!(err.starts_with("argument 2: "), "{err}");
     }
 
     #[test]

@@ -139,10 +139,6 @@ impl TelemetryConfig {
 /// the science configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Default deadline \[s\] applied to every blocking receive on every
-    /// rank. `None` (the default) waits forever, like classic MPI; set
-    /// it to turn communication deadlocks into diagnosable aborts.
-    pub recv_deadline_secs: Option<f64>,
     /// How long the atmosphere root waits for an expected SST before
     /// sending a retry request to the ocean \[s\]. The protocol is
     /// idempotent, so a premature retry is absorbed — but keep this
@@ -150,19 +146,13 @@ pub struct RuntimeConfig {
     /// avoid spurious retry traffic.
     pub sst_retry_timeout_secs: f64,
     /// Retry requests per SST exchange before giving up with a
-    /// [`crate::CoupledError`]. `0` disables the retry protocol (a lost
-    /// message then hangs until `recv_deadline_secs`, if set).
+    /// [`crate::CoupledError`] (at least 1).
     pub sst_retry_max: u32,
     /// Base backoff between retry requests \[s\]; doubles per attempt.
     pub sst_retry_backoff_secs: f64,
     /// Deterministic fault-injection plan for point-to-point messages
     /// (testing only).
     pub fault_plan: Option<FaultPlan>,
-    /// Physics sentinel: validates exchanged fields on the atmosphere
-    /// root and turns a numerical blow-up into a recoverable
-    /// [`crate::CoupledError::Sentinel`] instead of silently
-    /// propagating NaN through the rest of the run.
-    pub sentinel: SentinelConfig,
     /// Deterministically kill one rank at a coupling interval (testing
     /// only) — the chaos matrix's "node death" entry.
     pub kill_rank: Option<RankKill>,
@@ -175,51 +165,12 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            recv_deadline_secs: None,
             sst_retry_timeout_secs: 2.0,
             sst_retry_max: 3,
             sst_retry_backoff_secs: 0.05,
             fault_plan: None,
-            sentinel: SentinelConfig::default(),
             kill_rank: None,
             physics_fault: None,
-        }
-    }
-}
-
-/// Physics-sentinel thresholds. The sentinel checks the fields crossing
-/// the coupler boundary on the atmosphere root — every accepted SST
-/// field (sea-masked cells) and the root's own soil-column skin
-/// temperatures — for NaN/Inf and out-of-physical-range values. The
-/// default bounds are far outside anything a healthy run produces, so
-/// false trips cost nothing while a genuine blow-up is caught at the
-/// interval it happens.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentinelConfig {
-    /// Check exchanged fields at all (on by default).
-    pub enabled: bool,
-    /// Coldest plausible SST \[°C\] (sea water freezes near −1.92 °C).
-    pub sst_min_c: f64,
-    /// Warmest plausible SST \[°C\].
-    pub sst_max_c: f64,
-    /// Coldest plausible soil skin temperature \[°C\]. The default sits
-    /// just above absolute zero: coarse polar columns in this model
-    /// legitimately reach −230 °C during spin-up, so the soil bound is a
-    /// NaN/absolute-zero tripwire, not a climatological range. Tighten
-    /// per experiment when the resolution supports it.
-    pub soil_min_c: f64,
-    /// Warmest plausible soil skin temperature \[°C\].
-    pub soil_max_c: f64,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            enabled: true,
-            sst_min_c: -5.0,
-            sst_max_c: 60.0,
-            soil_min_c: -270.0,
-            soil_max_c: 200.0,
         }
     }
 }
@@ -325,7 +276,7 @@ pub struct FoamConfig {
     /// a resume under different forcings is rejected instead of
     /// silently diverging.
     pub forcings: Forcings,
-    /// Failure-handling knobs (deadlines, retries, fault injection).
+    /// Failure-handling knobs (SST retries, fault injection).
     pub runtime: RuntimeConfig,
     /// Checkpoint/restart knobs (off unless a directory is set).
     pub ckpt: CkptConfig,
@@ -502,17 +453,17 @@ impl FoamConfig {
                 value: obl,
             });
         }
-        if self.runtime.sentinel.enabled {
-            let s = &self.runtime.sentinel;
-            positive(
-                "runtime.sentinel SST range width",
-                s.sst_max_c - s.sst_min_c,
-            )?;
-            positive(
-                "runtime.sentinel soil range width",
-                s.soil_max_c - s.soil_min_c,
-            )?;
+        // The SST retry protocol: the timings reach `Duration` on the
+        // root rank, where a bad value would panic mid-run.
+        let rt = &self.runtime;
+        positive("runtime.sst_retry_timeout_secs", rt.sst_retry_timeout_secs)?;
+        if !(rt.sst_retry_backoff_secs >= 0.0 && rt.sst_retry_backoff_secs.is_finite()) {
+            return Err(ConfigError::NonPositive {
+                what: "runtime.sst_retry_backoff_secs",
+                value: rt.sst_retry_backoff_secs,
+            });
         }
+        at_least_one("runtime.sst_retry_max", rt.sst_retry_max as usize)?;
         if let Some(path) = &self.telemetry.path {
             // The file itself is created at the end of the run; what must
             // already exist is the directory it lands in.
@@ -631,6 +582,34 @@ mod tests {
                 ..
             })
         ));
+        // Retry timings that would panic the root rank's `Duration`.
+        let timeout = "runtime.sst_retry_timeout_secs";
+        let backoff = "runtime.sst_retry_backoff_secs";
+        for (what, bad) in [
+            (timeout, f64::NAN),
+            (timeout, -1.0),
+            (timeout, f64::INFINITY),
+            (timeout, 0.0),
+            (backoff, f64::NAN),
+            (backoff, -0.05),
+            (backoff, f64::INFINITY),
+        ] {
+            let mut c = FoamConfig::tiny(1);
+            if what == timeout {
+                c.runtime.sst_retry_timeout_secs = bad;
+            } else {
+                c.runtime.sst_retry_backoff_secs = bad;
+            }
+            let err = c.validate();
+            assert!(
+                matches!(err, Err(ConfigError::NonPositive { what: w, .. }) if w == what),
+                "{what} = {bad}: {err:?}"
+            );
+        }
+        // No backoff at all is a valid schedule.
+        let mut c = FoamConfig::tiny(1);
+        c.runtime.sst_retry_backoff_secs = 0.0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -649,6 +628,14 @@ mod tests {
             c.validate(),
             Err(ConfigError::ZeroCount {
                 what: "n_atm_ranks"
+            })
+        );
+        let mut c = FoamConfig::tiny(1);
+        c.runtime.sst_retry_max = 0;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroCount {
+                what: "runtime.sst_retry_max"
             })
         );
         let mut c = FoamConfig::tiny(1);

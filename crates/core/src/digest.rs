@@ -169,13 +169,16 @@ impl FoamConfig {
             .field_f64("cloud_lw", phys.rad.cloud_lw)
             .field_f64("solar_scale", phys.rad.solar_scale)
             .field_f64("aerosol_od", phys.rad.aerosol_od);
+        // The vintage decides what convection runs; hash the effective
+        // switches under the names they had as fields.
+        let (deep_enabled, evap_eff) = phys.conv.switches(phys.vintage);
         let mut conv_h = CanonicalHasher::new();
         conv_h
-            .field_bool("deep_enabled", phys.conv.deep_enabled)
+            .field_bool("deep_enabled", deep_enabled)
             .field_f64("cape_threshold", phys.conv.cape_threshold)
             .field_f64("tau_deep", phys.conv.tau_deep)
             .field_u64("max_iters", phys.conv.max_iters as u64)
-            .field_f64("evap_eff", phys.conv.evap_eff);
+            .field_f64("evap_eff", evap_eff);
         let mut phys_h = CanonicalHasher::new();
         phys_h
             .field_digest("rad", &rad_h.finish())
@@ -185,7 +188,9 @@ impl FoamConfig {
             .field_f64("k_pbl_stable", phys.k_pbl_stable)
             .field_f64("pbl_depth", phys.pbl_depth)
             .field_f64("z_ref", phys.z_ref)
-            .field_bool("diurnal", phys.diurnal)
+            // Constants that were once settable keep their place in the
+            // digest, so no cache key moved when they stopped being.
+            .field_bool("diurnal", true)
             .field_str("vintage", &format!("{:?}", phys.vintage))
             .field_f64("obliquity_deg", phys.obliquity_deg);
 
@@ -199,7 +204,7 @@ impl FoamConfig {
             .field_digest("dynamics", &qg_h.finish())
             .field_digest("physics", &phys_h.finish())
             .field_f64("tracer_nu4", self.atm.tracer_nu4)
-            .field_bool("orography", self.atm.orography)
+            .field_bool("orography", true)
             .field_u64("seed", self.atm.seed);
 
         let o = &self.ocean;
@@ -225,7 +230,7 @@ impl FoamConfig {
             .field_f64("upwind", o.upwind)
             .field_digest("pp", &pp_h.finish())
             .field_f64("polar_lat", o.polar_lat)
-            .field_bool("polar_filter_on", o.polar_filter_on);
+            .field_bool("polar_filter_on", true);
 
         let mut h = CanonicalHasher::new();
         h.field_str("crate_version", env!("CARGO_PKG_VERSION"))

@@ -55,7 +55,7 @@ pub mod supervisor;
 pub use checkpoint::GlobalSnapshot;
 pub use config::{
     CkptConfig, ConfigError, CouplingMode, FoamConfig, PhysicsFault, PhysicsFaultKind, RankKill,
-    RuntimeConfig, SentinelConfig, StreamStatsConfig, TelemetryConfig,
+    RuntimeConfig, StreamStatsConfig, TelemetryConfig,
 };
 pub use digest::CanonicalHasher;
 pub use driver::{

@@ -654,6 +654,15 @@ mod tests {
         let err = supervise_run(&cfg, 1.0, &SupervisorConfig::default()).unwrap_err();
         assert_eq!(err.kind, SupervisorErrorKind::Unrecoverable);
         assert!(matches!(err.last_error, CoupledError::Config(_)));
+
+        // A NaN retry timeout would panic the root rank's `Duration` and
+        // pass for a recoverable rank death; it is refused up front.
+        let mut cfg = FoamConfig::tiny(26);
+        cfg.runtime.sst_retry_timeout_secs = f64::NAN;
+        let err = supervise_run(&cfg, 1.0, &SupervisorConfig::default()).unwrap_err();
+        assert_eq!(err.kind, SupervisorErrorKind::Unrecoverable);
+        assert!(matches!(err.last_error, CoupledError::Config(_)));
+        assert_eq!(err.recovery.rollbacks(), 0);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   are deliberately kept *out* of the report; they live on
 //!   [`EnsembleOutput`] and in the merged telemetry instead.
 //! * **Fault tolerance.** A member that fails with a retryable
-//!   [`foam::CoupledError`] is retried under a bounded exponential
-//!   backoff ([`RetryPolicy`]); when the ensemble has an output
+//!   [`foam::CoupledError`] is recovered by the run supervisor under a
+//!   bounded budget and exponential backoff
+//!   ([`EnsembleSpec::supervisor`]); when the ensemble has an output
 //!   directory, each member checkpoints periodically into its own
 //!   store root ([`foam_ckpt::CheckpointStore::member_root`]) and the
 //!   retry resumes via [`foam::try_resume_coupled`] — landing on the
@@ -54,7 +55,7 @@ mod spec;
 pub use queue::FairShareQueue;
 pub use report::{EnsembleReport, MemberDigest, SCHEMA};
 pub use runner::{run_ensemble, EnsembleOutput, MemberOutput, MemberRecord};
-pub use spec::{EnsembleSpec, MemberSpec, ParamOverride, RetryPolicy};
+pub use spec::{EnsembleSpec, MemberSpec, ParamOverride};
 
 // Re-export the driver/config vocabulary an ensemble user needs, so
 // `foam_ensemble` works as a single front door.

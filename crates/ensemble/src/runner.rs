@@ -4,8 +4,8 @@
 
 use std::time::Instant;
 
-use foam::supervisor::{supervise_run, SupervisorConfig};
-use foam::{Backoff, CoupledError, CoupledOutput};
+use foam::supervisor::supervise_run;
+use foam::{CoupledError, CoupledOutput};
 use foam_grid::Field2;
 use foam_telemetry::TelemetryReport;
 
@@ -84,8 +84,8 @@ pub struct EnsembleOutput {
 }
 
 /// Execute the ensemble: validate the spec, prepare the output
-/// directory, run every member across the worker pool (retrying
-/// failures per the spec's [`crate::RetryPolicy`]), and reduce the
+/// directory, run every member across the worker pool (recovering
+/// failures per the spec's supervisor policy), and reduce the
 /// results into the deterministic aggregate report.
 ///
 /// Member failures do not fail the ensemble — they are recorded on the
@@ -137,9 +137,8 @@ pub fn run_ensemble(spec: &EnsembleSpec) -> Result<EnsembleOutput, EnsembleError
 ///
 /// The member always starts from a clean checkpoint store (stale
 /// snapshots from a previous ensemble in the same directory must not
-/// leak into this one). The spec's [`crate::RetryPolicy`] maps onto the
-/// supervisor's budget: `max_retries` bounds the rollback-and-resume
-/// attempts and the backoff knobs pace them. The supervisor classifies
+/// leak into this one). The spec's [`foam::SupervisorConfig`] bounds the
+/// rollback-and-resume attempts and paces them. The supervisor classifies
 /// each failure, disarms the injected fault class that fired (the
 /// transient-fault model), rolls back to the member's newest committed
 /// snapshot, and resumes — periodic snapshots lie on the failure-free
@@ -152,12 +151,7 @@ fn run_member(spec: &EnsembleSpec, m: &MemberSpec) -> MemberRecord {
         // can only ever see snapshots from *this* member run.
         let _ = std::fs::remove_dir_all(dir);
     }
-
-    let sup = SupervisorConfig {
-        max_recoveries: spec.retry.max_retries,
-        backoff: Backoff::capped(spec.retry.backoff_secs, spec.retry.backoff_max_secs),
-    };
-    match supervise_run(&cfg, spec.days, &sup) {
+    match supervise_run(&cfg, spec.days, &spec.supervisor) {
         Ok(out) => MemberRecord {
             spec: m.clone(),
             retries: out.recovery.rollbacks() as u32,

@@ -167,9 +167,6 @@ pub(crate) struct Endpoint {
     pub(crate) tracer: Tracer,
     next_ctx: u32,
     stats: CommStats,
-    /// Default deadline applied to every blocking receive (None = wait
-    /// forever, like classic MPI).
-    deadline: Option<Duration>,
     faults: Option<Arc<ActiveFaults>>,
     /// Messages held back by a reorder fault, keyed by destination
     /// world rank; released after the next send to that destination.
@@ -210,7 +207,6 @@ impl Comm {
         senders: Arc<Vec<Sender<Envelope>>>,
         epoch: Instant,
         tracing: bool,
-        deadline: Option<Duration>,
         faults: Option<Arc<ActiveFaults>>,
         board: Arc<HeartbeatBoard>,
         ctl: Arc<JobControl>,
@@ -225,7 +221,6 @@ impl Comm {
                 tracer,
                 next_ctx: 1,
                 stats: CommStats::default(),
-                deadline,
                 faults,
                 held: Vec::new(),
                 send_seq: HashMap::new(),
@@ -261,12 +256,6 @@ impl Comm {
     /// Seconds since the universe epoch.
     pub fn now(&self) -> f64 {
         self.endpoint.borrow().tracer.now()
-    }
-
-    /// The deadline applied to blocking receives on this rank
-    /// ([`crate::RunConfig::deadline`]; `None` waits forever).
-    fn default_deadline(&self) -> Option<Duration> {
-        self.endpoint.borrow().deadline
     }
 
     /// Run `f` inside a named work region (for Figure 2-style traces).
@@ -393,9 +382,7 @@ impl Comm {
     /// tag) triple are delivered in send order.
     ///
     /// # Panics
-    /// Panics if the matched message's payload is not a `T`, or if the
-    /// job's default deadline (see [`crate::RunConfig::deadline`])
-    /// expires first.
+    /// Panics if the matched message's payload is not a `T`.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
         assert!(tag < INTERNAL_TAG, "user tags must be < 2^31");
         self.recv_internal(src, tag)
@@ -416,28 +403,27 @@ impl Comm {
     }
 
     /// Block until a message from `src` carrying *any* of `tags`
-    /// arrives, honoring the job's default deadline. Use this to serve
-    /// several protocol tags from one wait loop without busy-polling.
-    ///
-    /// # Panics
-    /// Panics if the default deadline expires.
+    /// arrives. Use this to serve several protocol tags from one wait
+    /// loop without busy-polling.
     pub fn recv_match(&self, src: usize, tags: &[u32]) -> Message {
         assert!(!tags.is_empty(), "recv_match needs at least one tag");
         for t in tags {
             assert!(*t < INTERNAL_TAG, "user tags must be < 2^31");
         }
-        match self.recv_matching(src, tags, self.default_deadline()) {
-            Ok(env) => Message { env },
-            Err(e) => panic!("{e}"),
+        Message {
+            env: self.recv_blocking(src, tags),
         }
     }
 
     fn recv_internal<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
-        let deadline = self.default_deadline();
-        match self.recv_matching(src, &[tag], deadline) {
-            Ok(env) => downcast(env),
-            Err(e) => panic!("{e}"),
-        }
+        downcast(self.recv_blocking(src, &[tag]))
+    }
+
+    /// [`Comm::recv_matching`] without a deadline: it can only come back
+    /// with a match (a job abort parks the rank instead).
+    fn recv_blocking(&self, src: usize, tags: &[u32]) -> Envelope {
+        self.recv_matching(src, tags, None)
+            .unwrap_or_else(|e| unreachable!("no deadline, yet {e}"))
     }
 
     /// The receive engine: match the stash, then drain the channel, then
@@ -988,24 +974,6 @@ mod tests {
         assert!(!out.lint.is_clean());
         assert_eq!(out.lint.leaked_pairs(), vec![(0, 7)]);
         assert_eq!(out.lint.timed_out_ranks, vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadline expired")]
-    fn default_deadline_panics_instead_of_hanging() {
-        Universe::run_cfg(
-            2,
-            RunConfig {
-                deadline: Some(Duration::from_millis(40)),
-                ..Default::default()
-            },
-            |comm| {
-                if comm.rank() == 1 {
-                    // No one ever sends tag 3.
-                    let _: i32 = comm.recv(0, 3);
-                }
-            },
-        );
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //! On top of the MPI model, the runtime is instrumented for debugging
 //! coupled-model communication bugs:
 //!
-//! * **Deadlines instead of deadlocks** — [`Comm::recv_deadline`] and the
-//!   job-wide default in [`RunConfig::deadline`] turn a mismatched tag
-//!   from an infinite hang into a [`RecvTimeout`] (or a panic carrying
-//!   the same diagnosis) that names the unmatched messages sitting in
-//!   the mailbox.
+//! * **Deadlines instead of deadlocks** — [`Comm::recv_deadline`] turns
+//!   a mismatched tag from an infinite hang into a [`RecvTimeout`] that
+//!   names the unmatched messages sitting in the mailbox. The driver
+//!   sets one where an answer may legitimately never come (the SST
+//!   exchange, the checkpoint acknowledgement); every other receive
+//!   blocks.
 //! * **Comm-lint at teardown** — every [`Universe`] run returns a
 //!   [`CommLint`]: leaked (sent-but-never-received) messages by
 //!   `(source, tag)`, per-tag send/receive imbalances, and ranks whose
@@ -60,8 +61,8 @@
 //!   PERFORMANCE.md).
 //! * **Shared deterministic backoff** — [`Backoff`], the jitter-free
 //!   exponential schedule reused by every retry loop in the workspace
-//!   (driver SST retries, ensemble member retries, supervisor
-//!   rollback-and-resume).
+//!   (driver SST retries and supervisor rollback-and-resume, which
+//!   ensemble members run under).
 //!
 //! # Example
 //!

@@ -8,7 +8,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel;
 use parking_lot::Mutex;
@@ -24,11 +24,6 @@ use crate::trace::RankTrace;
 pub struct RunConfig {
     /// Record per-rank activity traces from the start (Figure 2).
     pub tracing: bool,
-    /// Default deadline applied to every blocking receive on every rank
-    /// (`None` = wait forever, like classic MPI). A receive that trips
-    /// the deadline panics with a mailbox diagnostic; the job then
-    /// aborts with a comm-lint report instead of hanging.
-    pub deadline: Option<Duration>,
     /// Deterministic fault-injection plan for point-to-point traffic.
     pub faults: Option<FaultPlan>,
 }
@@ -165,10 +160,9 @@ impl Universe {
         Self::run_cfg(n, RunConfig::default(), f)
     }
 
-    /// The fully configurable launcher: tracing, receive deadlines, and
-    /// fault injection. Every rank runs under `catch_unwind` so that even
-    /// when a rank panics (deadline expiry, type mismatch, application
-    /// bug) the teardown lint still runs and is printed to stderr before
+    /// The fully configurable launcher: tracing and fault injection.
+    /// Every rank runs under `catch_unwind` so that even when a rank
+    /// panics (type mismatch, application bug) the teardown lint still runs and is printed to stderr before
     /// the panic is propagated.
     pub fn run_cfg<R, F>(n: usize, cfg: RunConfig, f: F) -> RunOutput<R>
     where
@@ -234,7 +228,6 @@ impl Universe {
                 let ctl = Arc::clone(&ctl);
                 let f = &f;
                 let slot = &slots[rank];
-                let deadline = cfg.deadline;
                 let tracing = cfg.tracing;
                 let handle = std::thread::Builder::new()
                     .name(format!("foam-rank-{rank}"))
@@ -246,7 +239,6 @@ impl Universe {
                             Arc::clone(&senders),
                             epoch,
                             tracing,
-                            deadline,
                             faults,
                             Arc::clone(&board),
                             Arc::clone(&ctl),

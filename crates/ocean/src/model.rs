@@ -51,8 +51,6 @@ pub struct OceanConfig {
     pub pp: PpParams,
     /// Latitude poleward of which the Fourier filter acts \[deg\].
     pub polar_lat: f64,
-    /// Apply the polar filter at all (ablation hook).
-    pub polar_filter_on: bool,
 }
 
 impl Default for OceanConfig {
@@ -72,7 +70,6 @@ impl Default for OceanConfig {
             upwind: 0.15,
             pp: PpParams::default(),
             polar_lat: 64.0,
-            polar_filter_on: true,
         }
     }
 }
@@ -667,9 +664,6 @@ impl OceanModel {
     }
 
     fn apply_polar_filter(&self, state: &mut OceanState) {
-        if !self.cfg.polar_filter_on {
-            return;
-        }
         let OceanState { u, v, baro, .. } = state;
         self.filter.apply(&mut baro.eta);
         // Filtering smears across coastlines; re-zero land velocities.
@@ -1206,18 +1200,6 @@ mod tests {
             work_unsplit > 5 * work_split,
             "unsplit {work_unsplit} vs split {work_split}"
         );
-    }
-
-    #[test]
-    fn polar_filter_can_be_disabled() {
-        let world = World::earthlike();
-        let mut cfg = OceanConfig::tiny();
-        cfg.polar_filter_on = false;
-        let model = OceanModel::new(cfg, &world);
-        let mut state = model.init_state(&world);
-        let forcing = OceanForcing::zeros(&model.grid);
-        model.step_coupled(&mut state, &forcing, 21_600.0);
-        assert!(model.is_finite(&state));
     }
 
     #[test]

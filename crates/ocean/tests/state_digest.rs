@@ -76,20 +76,6 @@ fn default_step_coupled() {
 }
 
 #[test]
-fn tiny_without_polar_filter() {
-    let cfg = OceanConfig {
-        polar_filter_on: false,
-        ..OceanConfig::tiny()
-    };
-    let (d4, d12) = coupled_digests(cfg);
-    check(
-        "tiny, no polar filter, 4 and 12 calls",
-        [d4, d12],
-        [0xa3c5_a9bd_f9ee_bf41, 0x0c70_4d8f_360c_257e],
-    );
-}
-
-#[test]
 fn tiny_with_tracers_every_step() {
     let cfg = OceanConfig {
         n_trac: 1,

@@ -22,15 +22,12 @@
 use foam_grid::constants::{CP_DRY, L_VAP, R_DRY};
 
 use crate::column::{moist_adiabat_from_dry, saturation_humidity, AtmColumn};
+use crate::driver::PhysicsVintage;
 use crate::workspace::{fit, PhysicsWorkspace};
 
 /// Tunable parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvectionParams {
-    /// Enable the Zhang–McFarlane-style deep convection (a CCM3
-    /// addition; CCM2 relied on the Hack scheme alone — the paper's §6
-    /// traces its early tropical-Pacific problems to exactly this).
-    pub deep_enabled: bool,
     /// CAPE needed to trigger deep convection \[J/kg\].
     pub cape_threshold: f64,
     /// Deep-convective adjustment timescale \[s\].
@@ -38,18 +35,20 @@ pub struct ConvectionParams {
     /// Maximum dry/shallow adjustment sweeps.
     pub max_iters: usize,
     /// Fraction of falling stratiform precip that may re-evaporate per
-    /// subsaturated layer.
+    /// subsaturated layer (CCM3).
     pub evap_eff: f64,
 }
 
 impl ConvectionParams {
-    /// The CCM2-era configuration: Hack mass-flux/adjustment only, no
-    /// deep CAPE closure, no re-evaporation of falling precipitation.
-    pub fn ccm2() -> Self {
-        ConvectionParams {
-            deep_enabled: false,
-            evap_eff: 0.0,
-            ..Default::default()
+    /// What `vintage` runs: whether the Zhang–McFarlane-style deep
+    /// convection is on, and the re-evaporation efficiency of falling
+    /// precipitation. CCM3 has both; CCM2 relied on the Hack scheme
+    /// alone and let all rain reach the ground — the paper's §6 traces
+    /// its early tropical-Pacific problems to exactly this.
+    pub fn switches(&self, vintage: PhysicsVintage) -> (bool, f64) {
+        match vintage {
+            PhysicsVintage::Ccm3 => (true, self.evap_eff),
+            PhysicsVintage::Ccm2 => (false, 0.0),
         }
     }
 }
@@ -57,7 +56,6 @@ impl ConvectionParams {
 impl Default for ConvectionParams {
     fn default() -> Self {
         ConvectionParams {
-            deep_enabled: true,
             cape_threshold: 70.0,
             tau_deep: 7200.0,
             max_iters: 20,
@@ -162,9 +160,6 @@ pub fn deep_convection_ws(
     p: &ConvectionParams,
     ws: &mut PhysicsWorkspace,
 ) -> (f64, usize) {
-    if !p.deep_enabled {
-        return (0.0, 0);
-    }
     let cape = compute_cape_ws(col, ws);
     if cape < p.cape_threshold {
         return (0.0, 1);
@@ -235,9 +230,10 @@ pub fn shallow_convection(col: &mut AtmColumn) -> usize {
     1
 }
 
-/// Stratiform condensation with precipitation evaporation. Returns the
-/// precipitation reaching the surface \[kg/m²\].
-pub fn stratiform(col: &mut AtmColumn, p: &ConvectionParams) -> f64 {
+/// Stratiform condensation with evaporation of a fraction `evap_eff` of
+/// the falling precipitation into each subsaturated layer below. Returns
+/// the precipitation reaching the surface \[kg/m²\].
+pub fn stratiform(col: &mut AtmColumn, evap_eff: f64) -> f64 {
     let n = col.nlev();
     let mut falling = 0.0; // kg/m² of liquid falling into the layer below
     for k in 0..n {
@@ -255,7 +251,7 @@ pub fn stratiform(col: &mut AtmColumn, p: &ConvectionParams) -> f64 {
         } else if falling > 0.0 {
             // Evaporate some of the falling precip into subsaturated air.
             let deficit = (qs - col.q[k]) * col.layer_mass(k);
-            let evap = (p.evap_eff * falling).min(deficit).max(0.0);
+            let evap = (evap_eff * falling).min(deficit).max(0.0);
             col.q[k] += evap / col.layer_mass(k);
             col.t[k] -= L_VAP / CP_DRY * evap / col.layer_mass(k);
             falling -= evap;
@@ -264,29 +260,37 @@ pub fn stratiform(col: &mut AtmColumn, p: &ConvectionParams) -> f64 {
     falling
 }
 
-/// The full convection sequence for one step; deep-convection scratch
-/// and the pressure-grid factors are borrowed from `ws`.
+/// The full convection sequence of `vintage` for one step;
+/// deep-convection scratch and the pressure-grid factors are borrowed
+/// from `ws`.
 ///
 /// ```
 /// use foam_physics::convection::{convect_ws, ConvectionParams};
-/// use foam_physics::{AtmColumn, PhysicsWorkspace};
+/// use foam_physics::{AtmColumn, PhysicsVintage, PhysicsWorkspace};
 ///
 /// let mut ws = PhysicsWorkspace::new();
 /// let mut col = AtmColumn::standard(18, 302.0);
 /// col.t[17] += 3.0; // make it convect
-/// let r = convect_ws(&mut col, 1800.0, &ConvectionParams::default(), &mut ws);
+/// let p = ConvectionParams::default();
+/// let r = convect_ws(&mut col, 1800.0, &p, PhysicsVintage::Ccm3, &mut ws);
 /// assert!(r.total_precip() > 0.0 && r.iterations > 1);
 /// ```
 pub fn convect_ws(
     col: &mut AtmColumn,
     dt: f64,
     p: &ConvectionParams,
+    vintage: PhysicsVintage,
     ws: &mut PhysicsWorkspace,
 ) -> ConvectionResult {
+    let (deep, evap_eff) = p.switches(vintage);
     let it_dry = dry_adjustment_ws(col, p.max_iters, ws);
     let it_shallow = shallow_convection(col);
-    let (precip_deep, it_deep) = deep_convection_ws(col, dt, p, ws);
-    let precip_stratiform = stratiform(col, p);
+    let (precip_deep, it_deep) = if deep {
+        deep_convection_ws(col, dt, p, ws)
+    } else {
+        (0.0, 0)
+    };
+    let precip_stratiform = stratiform(col, evap_eff);
     ConvectionResult {
         precip_deep,
         precip_stratiform,
@@ -468,7 +472,7 @@ mod tests {
         c.q[8] = 1.3 * saturation_humidity(c.t[8], c.p[8]);
         let w0 = c.precipitable_water();
         let h0 = c.moist_enthalpy();
-        let precip = stratiform(&mut c, &ConvectionParams::default());
+        let precip = stratiform(&mut c, ConvectionParams::default().evap_eff);
         assert!(precip > 0.0);
         assert!(c.rel_humidity(8) <= 1.01);
         assert!((w0 - c.precipitable_water() - precip).abs() < 1e-9 * w0);
@@ -483,7 +487,7 @@ mod tests {
         // Make the layer below very dry.
         c.q[6] *= 0.1;
         let q6_before = c.q[6];
-        let _ = stratiform(&mut c, &ConvectionParams::default());
+        let _ = stratiform(&mut c, ConvectionParams::default().evap_eff);
         assert!(c.q[6] > q6_before, "falling rain should re-evaporate");
     }
 
@@ -492,8 +496,8 @@ mod tests {
         let mut stable = stable_col();
         let mut unstable = unstable_col();
         let p = ConvectionParams::default();
-        let r_stable = convect_ws(&mut stable, 1800.0, &p, &mut ws());
-        let r_unstable = convect_ws(&mut unstable, 1800.0, &p, &mut ws());
+        let r_stable = convect_ws(&mut stable, 1800.0, &p, PhysicsVintage::Ccm3, &mut ws());
+        let r_unstable = convect_ws(&mut unstable, 1800.0, &p, PhysicsVintage::Ccm3, &mut ws());
         assert!(
             r_unstable.iterations > r_stable.iterations,
             "load imbalance source: {} vs {}",
@@ -522,33 +526,37 @@ mod vintage_tests {
         c
     }
 
+    fn convect(c: &mut AtmColumn, vintage: PhysicsVintage) -> ConvectionResult {
+        convect_ws(c, 1800.0, &ConvectionParams::default(), vintage, &mut ws())
+    }
+
     #[test]
     fn ccm2_configuration_disables_deep_convection() {
-        let mut c = tropical_col();
-        let (precip, _) = deep_convection_ws(&mut c, 1800.0, &ConvectionParams::ccm2(), &mut ws());
-        assert_eq!(precip, 0.0);
-        let mut c2 = tropical_col();
-        let (precip3, _) =
-            deep_convection_ws(&mut c2, 1800.0, &ConvectionParams::default(), &mut ws());
-        assert!(precip3 > 0.0, "CCM3 config must convect deeply");
+        // Same column, same parameters: only the vintage differs, and
+        // only CCM3 spends the deep-convective sweeps.
+        let p = ConvectionParams::default();
+        assert_eq!(p.switches(PhysicsVintage::Ccm2), (false, 0.0));
+        let r2 = convect(&mut tropical_col(), PhysicsVintage::Ccm2);
+        let r3 = convect(&mut tropical_col(), PhysicsVintage::Ccm3);
+        assert_eq!(r2.precip_deep, 0.0);
+        assert!(r3.precip_deep > 0.0, "CCM3 config must convect deeply");
     }
 
     #[test]
     fn ccm2_configuration_disables_precip_evaporation() {
-        // Supersaturated layer above a dry one: with evap_eff = 0 all the
+        // Supersaturated layer above a dry one: with CCM2 all the
         // condensate reaches the surface.
-        let p2 = ConvectionParams::ccm2();
-        let p3 = ConvectionParams::default();
         let make = || {
             let mut c = AtmColumn::standard(18, 290.0);
             c.q[5] = 1.5 * saturation_humidity(c.t[5], c.p[5]);
             c.q[6] *= 0.1;
             c
         };
-        let mut a = make();
-        let rain2 = stratiform(&mut a, &p2);
-        let mut b = make();
-        let rain3 = stratiform(&mut b, &p3);
+        let p = ConvectionParams::default();
+        let (_, evap2) = p.switches(PhysicsVintage::Ccm2);
+        let (_, evap3) = p.switches(PhysicsVintage::Ccm3);
+        let rain2 = stratiform(&mut make(), evap2);
+        let rain3 = stratiform(&mut make(), evap3);
         assert!(rain2 > rain3, "CCM2 {rain2} should out-rain CCM3 {rain3}");
     }
 
@@ -562,9 +570,9 @@ mod vintage_tests {
             c
         };
         let mut a = make();
-        let ra = convect_ws(&mut a, 1800.0, &ConvectionParams::ccm2(), &mut ws());
+        let ra = convect(&mut a, PhysicsVintage::Ccm2);
         let mut b = make();
-        let rb = convect_ws(&mut b, 1800.0, &ConvectionParams::default(), &mut ws());
+        let rb = convect(&mut b, PhysicsVintage::Ccm3);
         assert_eq!(ra.total_precip(), rb.total_precip());
         assert_eq!(a.t, b.t);
     }

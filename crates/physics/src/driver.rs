@@ -81,9 +81,8 @@ pub struct PhysicsConfig {
     pub pbl_depth: f64,
     /// Reference height of the lowest model level \[m\].
     pub z_ref: f64,
-    /// Use the full diurnal cycle (true) or daily-mean insolation.
-    pub diurnal: bool,
-    /// CCM2 or CCM3 moist physics (paper §6).
+    /// CCM2 or CCM3 moist physics (paper §6): the one switch, from which
+    /// convection derives its own ([`ConvectionParams::switches`]).
     pub vintage: PhysicsVintage,
     /// Axial tilt \[deg\] driving the seasonal cycle (23.45 = present
     /// day; paleo scenarios set Milankovitch values).
@@ -94,7 +93,6 @@ impl PhysicsConfig {
     /// The CCM2-era configuration the paper started from.
     pub fn ccm2() -> Self {
         PhysicsConfig {
-            conv: crate::convection::ConvectionParams::ccm2(),
             vintage: PhysicsVintage::Ccm2,
             ..Default::default()
         }
@@ -111,7 +109,6 @@ impl Default for PhysicsConfig {
             k_pbl_stable: 5.0,
             pbl_depth: 1200.0,
             z_ref: 70.0,
-            diurnal: true,
             vintage: PhysicsVintage::Ccm3,
             obliquity_deg: crate::radiation::OBLIQUITY_PRESENT_DEG,
         }
@@ -232,16 +229,12 @@ impl ColumnPhysics {
     ) -> PhysicsTendencies {
         let n = col.nlev();
 
-        // 1. Radiation: expensive refresh on schedule, cheap solar
-        //    rescale otherwise.
+        // 1. Radiation: expensive refresh on schedule, cheap rescale to
+        //    the diurnal cycle's current solar geometry otherwise.
         if refresh {
             full_radiation_into(col, sfc.t_sfc, sfc.albedo, &self.cfg.rad, ws, cache);
         }
-        let cosz = if self.cfg.diurnal {
-            orb.cos_zenith(lon, lat)
-        } else {
-            orb.daily_mean_cosz(lat)
-        };
+        let cosz = orb.cos_zenith(lon, lat);
         for k in 0..n {
             col.t[k] += cache.heating(k, cosz) * dt;
         }
@@ -261,7 +254,7 @@ impl ColumnPhysics {
         vertical_diffusion_ws(col, dt, k_pbl, self.cfg.pbl_depth, ws);
 
         // 4. Convection + stratiform condensation.
-        let conv = convect_ws(col, dt, &self.cfg.conv, ws);
+        let conv = convect_ws(col, dt, &self.cfg.conv, self.cfg.vintage, ws);
 
         let net_sfc_heat = cache.sw_sfc(cosz) + cache.lw_down_sfc
             - STEFAN_BOLTZMANN * sfc.t_sfc.powi(4)
@@ -544,6 +537,5 @@ mod vintage_driver_tests {
     fn vintage_defaults_to_ccm3() {
         assert_eq!(PhysicsConfig::default().vintage, PhysicsVintage::Ccm3);
         assert_eq!(PhysicsConfig::ccm2().vintage, PhysicsVintage::Ccm2);
-        assert!(!PhysicsConfig::ccm2().conv.deep_enabled);
     }
 }

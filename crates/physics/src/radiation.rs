@@ -64,16 +64,6 @@ impl OrbitalState {
             - std::f64::consts::PI;
         (lat.sin() * delta.sin() + lat.cos() * delta.cos() * hour_angle.cos()).max(0.0)
     }
-
-    /// Diurnally averaged insolation factor at latitude `lat` (mean of
-    /// cos zenith over the day) — used by fast steps between full
-    /// radiation calls when configured for daily-mean solar forcing.
-    pub fn daily_mean_cosz(&self, lat: f64) -> f64 {
-        let delta = self.declination();
-        let cos_h0 = (-lat.tan() * delta.tan()).clamp(-1.0, 1.0);
-        let h0 = cos_h0.acos();
-        (h0 * lat.sin() * delta.sin() + lat.cos() * delta.cos() * h0.sin()) / std::f64::consts::PI
-    }
 }
 
 /// Output of the expensive full radiation computation, valid until the
@@ -340,19 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn daily_mean_cosz_polar_night_and_day() {
-        let summer = OrbitalState {
-            day_of_year: 171.0,
-            seconds_utc: 0.0,
-            obliquity_deg: OBLIQUITY_PRESENT_DEG,
-        };
-        // North pole in June: sun never sets; mean cosz ≈ sin δ > 0.35.
-        assert!(summer.daily_mean_cosz(1.55) > 0.3);
-        // South pole in June: polar night.
-        assert!(summer.daily_mean_cosz(-1.55) < 1e-9);
-    }
-
-    #[test]
     fn olr_is_earthlike_and_less_than_surface_emission() {
         let c = col();
         let r = full_radiation(&c, 288.0, 0.1, &RadParams::default());
@@ -486,8 +463,10 @@ mod tests {
             ..present
         };
         assert!(paleo.declination() < present.declination());
-        // Polar summer insolation drops with obliquity.
-        assert!(paleo.daily_mean_cosz(1.4) < present.daily_mean_cosz(1.4));
+        // Polar summer insolation drops with obliquity (local noon at
+        // longitude π: `seconds_utc` is 0).
+        let noon = std::f64::consts::PI;
+        assert!(paleo.cos_zenith(noon, 1.4) < present.cos_zenith(noon, 1.4));
         // `at` uses the present-day tilt.
         assert_eq!(OrbitalState::at(0.0).obliquity_deg, OBLIQUITY_PRESENT_DEG);
         assert_eq!(OrbitalState::at_with(0.0, 24.5).obliquity_deg, 24.5);

@@ -72,8 +72,6 @@ pub struct ServerConfig {
     /// Concurrent job executors (each job itself runs an SPMD pool of
     /// rank threads, so keep this modest).
     pub workers: usize,
-    /// Per-job recovery budget handed to [`foam::supervisor`].
-    pub max_recoveries: u32,
     /// LRU byte budget for the result cache (`None` = unbounded).
     /// Recency is persisted on disk, so the budget is enforced across
     /// server restarts, not just within one incarnation.
@@ -85,7 +83,6 @@ impl ServerConfig {
         ServerConfig {
             root: root.into(),
             workers: 2,
-            max_recoveries: 3,
             cache_budget_bytes: None,
         }
     }
@@ -313,7 +310,7 @@ fn execute_job(shared: &Shared, digest: &str) {
     let _ = fs::create_dir_all(&root);
 
     let report = match job.spec.kind {
-        JobKind::Run => run_job(shared, &job, &root),
+        JobKind::Run => run_job(&job, &root),
         JobKind::Ensemble => ensemble_job(&job, &root),
     };
     match report {
@@ -346,16 +343,13 @@ fn execute_job(shared: &Shared, digest: &str) {
 
 /// Execute a `kind: run` job under the supervisor, resuming from any
 /// snapshot a previous attempt (or previous server) committed.
-fn run_job(shared: &Shared, job: &Job, root: &std::path::Path) -> Result<Value, String> {
+fn run_job(job: &Job, root: &std::path::Path) -> Result<Value, String> {
     let mut cfg = job.spec.config();
     cfg.ckpt = CkptConfig::every(root, job.spec.ckpt_interval);
     cfg.telemetry.enabled = true;
     cfg.telemetry.path = Some(root.join("telemetry.json"));
-    let sup = SupervisorConfig {
-        max_recoveries: shared.cfg.max_recoveries,
-        ..SupervisorConfig::default()
-    };
     let obs = JobObserver { job };
+    let sup = SupervisorConfig::default();
     let out = supervise_run_resumable(&cfg, job.spec.days, &sup, Some(&obs))
         .map_err(|e| e.to_string())?;
     if let Some(from) = out.resumed_from {

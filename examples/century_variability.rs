@@ -15,11 +15,10 @@
 use foam::{run_coupled, FoamConfig, World};
 use foam_stats::ascii::{render_diff_map, sparkline};
 
+mod cli;
+
 fn main() {
-    let years: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10.0);
+    let years: f64 = cli::parse_or("years", std::env::args().nth(1).as_ref(), 10.0);
 
     let cfg = FoamConfig::century(11);
     println!("running {years} simulated years of the coupled model (streaming statistics)…");

@@ -13,13 +13,15 @@
 use foam::FoamConfig;
 use foam_ensemble::{kill_sst_after, run_ensemble, EnsembleSpec};
 
+mod cli;
+
 fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
+    let value = args
+        .iter()
         .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+        .and_then(|i| args.get(i + 1));
+    cli::parse_or(name, value, default)
 }
 
 fn main() {

@@ -12,11 +12,10 @@ use foam_land::hydrology::Bucket;
 use foam_land::river::RiverModel;
 use foam_stats::ascii::render_map;
 
+mod cli;
+
 fn main() {
-    let days: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
+    let days: usize = cli::parse_or("days", std::env::args().nth(1).as_ref(), 120);
 
     let world = World::earthlike();
     let grid = AtmGrid::r15();

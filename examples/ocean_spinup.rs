@@ -12,11 +12,10 @@ use foam_ocean::{OceanConfig, OceanForcing, OceanModel};
 use foam_stats::ascii::render_map;
 use std::time::Instant;
 
+mod cli;
+
 fn main() {
-    let days: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30.0);
+    let days: f64 = cli::parse_or("days", std::env::args().nth(1).as_ref(), 30.0);
 
     let world = World::earthlike();
     // The paper's full ocean resolution: 128 × 128 × 16.

@@ -11,13 +11,11 @@
 use foam::{run_coupled, FoamConfig, TelemetryConfig};
 use foam_stats::ascii::render_map;
 
+mod cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let days: f64 = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3.0);
+    let days: f64 = cli::parse_or("days", args.get(1).filter(|a| !a.starts_with("--")), 3.0);
     let telemetry_path = args
         .iter()
         .position(|a| a == "--telemetry")

@@ -24,6 +24,8 @@ use foam::run_coupled;
 use foam_scenario::{report, Scenario};
 use foam_stats::ascii::sparkline;
 
+mod cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
@@ -33,7 +35,9 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--days" => {
-                days_override = args.get(i + 1).and_then(|s| s.parse::<f64>().ok());
+                days_override = args
+                    .get(i + 1)
+                    .map(|s| cli::parse_or("--days", Some(s), 0.0));
                 i += 2;
             }
             "--check" => {

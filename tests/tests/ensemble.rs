@@ -11,9 +11,7 @@
 use std::path::PathBuf;
 
 use foam::FoamConfig;
-use foam_ensemble::{
-    kill_sst_after, run_ensemble, EnsembleError, EnsembleSpec, MemberOutput, RetryPolicy,
-};
+use foam_ensemble::{kill_sst_after, run_ensemble, EnsembleError, EnsembleSpec, MemberOutput};
 
 /// A fresh scratch directory under the system temp dir (the build has
 /// no `tempfile` crate); any debris from a previous run is removed.
@@ -131,8 +129,27 @@ fn report_is_byte_identical_across_worker_counts_and_orders() {
         run_ensemble(&s).unwrap()
     };
     let reference_json = reference.report.to_json().to_string_pretty();
-    assert_eq!(reference.report.n_ok, 3);
+    let report = &reference.report;
+    assert_eq!(report.n_ok, 3);
     assert!(reference_json.contains("\"schema\": \"foam-ensemble/1\""));
+    // Half a day is two coupling intervals: finite statistics of that
+    // length, and every member carries its phase breakdown and its
+    // pattern distance to the ensemble mean.
+    assert_eq!(report.sst_mean_series.len(), 2);
+    assert_eq!(report.sst_spread_series.len(), 2);
+    assert!(report.sst_mean_series.iter().all(|x| x.is_finite()));
+    assert!(report.sst_spread_series.iter().all(|&s| s >= 0.0));
+    for m in &report.members {
+        assert_eq!(m.status, "ok");
+        assert!(!m.phase_calls.is_empty(), "member {}: no phase calls", m.id);
+        let pattern = m.pattern_vs_ensemble_mean.as_ref().expect("three members");
+        assert!(
+            pattern.rmse >= 0.0,
+            "member {}: rmse {}",
+            m.id,
+            pattern.rmse
+        );
+    }
 
     for workers in [2, 8] {
         let mut s = mk_spec();
@@ -169,10 +186,7 @@ fn report_is_byte_identical_across_worker_counts_and_orders() {
 fn exhausted_member_is_marked_failed_without_failing_the_ensemble() {
     let mut spec = EnsembleSpec::seed_sweep(FoamConfig::tiny(9), 0.5, 2);
     spec.workers = 2;
-    spec.retry = RetryPolicy {
-        max_retries: 0,
-        ..Default::default()
-    };
+    spec.supervisor.max_recoveries = 0;
     // Fail fast: with retries disabled there is nothing to recover, so
     // shrink the exchange's own retry protocol too.
     spec.base.runtime.sst_retry_timeout_secs = 0.05;

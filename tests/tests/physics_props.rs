@@ -6,7 +6,7 @@ use foam_grid::constants::L_VAP;
 use foam_land::hydrology::{Bucket, RHO_WATER};
 use foam_physics::column::saturation_humidity;
 use foam_physics::convection::{compute_cape_ws, convect_ws, ConvectionParams};
-use foam_physics::{AtmColumn, PhysicsWorkspace};
+use foam_physics::{AtmColumn, PhysicsVintage, PhysicsWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a physically plausible 12-level column — surface
@@ -38,7 +38,7 @@ proptest! {
         let col_t_max = c.t.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let h0 = c.moist_enthalpy();
         let w0 = c.precipitable_water();
-        let out = convect_ws(&mut c, dt, &ConvectionParams::default(), &mut PhysicsWorkspace::new());
+        let out = convect_ws(&mut c, dt, &ConvectionParams::default(), PhysicsVintage::Ccm3, &mut PhysicsWorkspace::new());
         let h1 = c.moist_enthalpy();
         let w1 = c.precipitable_water();
         // Water: column loss equals surface precipitation.
@@ -69,7 +69,7 @@ proptest! {
     fn convection_reduces_or_keeps_cape(col in column_strategy()) {
         let mut c = col;
         let cape0 = compute_cape_ws(&c, &mut PhysicsWorkspace::new());
-        convect_ws(&mut c, 3600.0, &ConvectionParams::default(), &mut PhysicsWorkspace::new());
+        convect_ws(&mut c, 3600.0, &ConvectionParams::default(), PhysicsVintage::Ccm3, &mut PhysicsWorkspace::new());
         let cape1 = compute_cape_ws(&c, &mut PhysicsWorkspace::new());
         // Convection must never *create* instability (small tolerance
         // for the shallow-mixing moisture rearrangement).

@@ -85,26 +85,20 @@ fn assert_outputs_bit_equal(a: &CoupledOutput, b: &CoupledOutput, what: &str) {
 }
 
 /// A fault plan that delivers the first `hits` messages on `TAG_SST`
-/// untouched and silently drops every later one, including
+/// `delay` seconds late and silently drops every later one, including
 /// retransmissions — the exchange's retry protocol must give up.
-fn kill_sst_after(seed: u64, hits: u64) -> FaultPlan {
+fn kill_sst_after(seed: u64, hits: u64, delay: f64) -> FaultPlan {
+    let rule = |action, max_hits| FaultRule {
+        src: None,
+        dst: None,
+        tag: Some(TAG_SST),
+        action,
+        max_hits,
+        probability: 1.0,
+    };
     FaultPlan::new(seed)
-        .with_rule(FaultRule {
-            src: None,
-            dst: None,
-            tag: Some(TAG_SST),
-            action: FaultAction::Delay(0.0),
-            max_hits: Some(hits),
-            probability: 1.0,
-        })
-        .with_rule(FaultRule {
-            src: None,
-            dst: None,
-            tag: Some(TAG_SST),
-            action: FaultAction::Drop,
-            max_hits: None,
-            probability: 1.0,
-        })
+        .with_rule(rule(FaultAction::Delay(delay), Some(hits)))
+        .with_rule(rule(FaultAction::Drop, None))
 }
 
 /// The fault-free 2-day reference run, shared across tests (same seed
@@ -221,7 +215,7 @@ fn exchange_timeout_recovers_bit_identically() {
     cfg.runtime.sst_retry_max = 2;
     // Initial SST + intervals 0..=3 delivered, so the snapshots at 2
     // and 4 commit on the failure-free trajectory before the drop.
-    cfg.runtime.fault_plan = Some(kill_sst_after(7, 5));
+    cfg.runtime.fault_plan = Some(kill_sst_after(7, 5, 0.0));
 
     let out = supervise_run(&cfg, 2.0, &sup(2)).expect("supervised recovery");
     assert_outputs_bit_equal(&out.output, reference(), "timeout");
@@ -238,35 +232,63 @@ fn exchange_timeout_recovers_bit_identically() {
 }
 
 /// The recovery record of a faulted supervised run is byte-identical
-/// across reruns of the same seed + fault plan, and the telemetry
-/// report embeds exactly that record as its `recovery` section.
+/// across reruns of the same seed + fault plan, the run lands on the
+/// fault-free bits, and the telemetry report embeds exactly that record
+/// as its `recovery` section. Two fault schedules, both tearing the
+/// interval-4 snapshot: a rank death at interval 5, and the chaos
+/// combination — an SST exchange that delivers late and then drops
+/// everything from its sixth message, and a NaN blow-up at interval 6.
 #[test]
 fn recovery_report_is_byte_identical_across_reruns() {
-    let run = |tag: &str| {
-        let dir = scratch(tag);
-        let mut cfg = ckpt_tiny(91, &dir);
-        cfg.telemetry.enabled = true;
-        cfg.ckpt.fault_plan = Some(StoreFaultPlan::new().torn_write(4));
-        cfg.runtime.kill_rank = Some(RankKill {
-            rank: 1,
-            interval: 5,
-        });
-        let out = supervise_run(&cfg, 2.0, &sup(2)).expect("supervised recovery");
-        let _ = std::fs::remove_dir_all(&dir);
-        out
-    };
-    let a = run("rerun-a");
-    let b = run("rerun-b");
-    let ja = a.recovery.to_json().to_string_pretty();
-    let jb = b.recovery.to_json().to_string_pretty();
-    assert_eq!(ja, jb, "recovery record must not depend on wall clock");
-    assert!(ja.contains("\"schema\": \"foam-recovery/1\""), "{ja}");
-    assert!(ja.contains("\"rank_dead\""), "{ja}");
+    let schedules: [(&str, &[&str]); 2] = [
+        ("torn+death", &["rank_dead"]),
+        ("chaos", &["exchange_timeout", "physics_sentinel"]),
+    ];
+    for (name, kinds) in schedules {
+        let run = |tag: &str| {
+            let dir = scratch(&format!("{name}-{tag}"));
+            let mut cfg = ckpt_tiny(91, &dir);
+            cfg.telemetry.enabled = true;
+            cfg.ckpt.fault_plan = Some(StoreFaultPlan::new().torn_write(4));
+            if name == "chaos" {
+                cfg.runtime.sst_retry_timeout_secs = 0.3;
+                cfg.runtime.sst_retry_backoff_secs = 0.02;
+                cfg.runtime.sst_retry_max = 2;
+                cfg.runtime.fault_plan = Some(kill_sst_after(91, 5, 0.01));
+                cfg.runtime.physics_fault = Some(PhysicsFault {
+                    interval: 6,
+                    kind: PhysicsFaultKind::Nan,
+                });
+            } else {
+                cfg.runtime.kill_rank = Some(RankKill {
+                    rank: 1,
+                    interval: 5,
+                });
+            }
+            let out = supervise_run(&cfg, 2.0, &sup(4)).expect("supervised recovery");
+            let _ = std::fs::remove_dir_all(&dir);
+            out
+        };
+        let a = run("a");
+        let b = run("b");
+        assert_outputs_bit_equal(&a.output, reference(), name);
+        assert_outputs_bit_equal(&b.output, reference(), name);
+        let ja = a.recovery.to_json().to_string_pretty();
+        let jb = b.recovery.to_json().to_string_pretty();
+        assert_eq!(
+            ja, jb,
+            "{name}: recovery record must not depend on wall clock"
+        );
+        assert!(ja.contains("\"schema\": \"foam-recovery/1\""), "{ja}");
+        let fired: Vec<&str> = a.recovery.events.iter().map(|e| e.fault.kind()).collect();
+        assert_eq!(fired, kinds, "{name}: {ja}");
+        assert!(a.recovery.sim_days_replayed > 0.0, "{name}: {ja}");
 
-    // The telemetry report carries the identical section.
-    let report = a.output.telemetry.expect("telemetry on");
-    let section = report.extra.get("recovery").expect("recovery section");
-    assert_eq!(section.to_string_pretty(), ja);
+        // The telemetry report carries the identical section.
+        let report = a.output.telemetry.expect("telemetry on");
+        let section = report.extra.get("recovery").expect("recovery section");
+        assert_eq!(section.to_string_pretty(), ja);
+    }
 }
 
 /// A run that can never start (the checkpoint root is a regular file)
