@@ -211,6 +211,29 @@ fn exhausted_member_is_marked_failed_without_failing_the_ensemble() {
     assert!(json.contains("\"status\": \"failed\""));
 }
 
+/// FNV-1a of the compact `foam-ensemble/1` JSON of a two-member
+/// `tiny(13)` seed sweep over one simulated day.
+const TWO_MEMBER_REPORT: u64 = 0x0739_875f_1ce9_7fc3;
+
+/// The report's bytes are frozen across builds, not only across worker
+/// counts: a change to the member statistics or their weighting that
+/// moves one byte fails here.
+#[test]
+fn two_member_report_bytes_are_pinned() {
+    let mut spec = EnsembleSpec::seed_sweep(FoamConfig::tiny(13), 1.0, 2);
+    spec.output_dir = None;
+    let out = run_ensemble(&spec).unwrap();
+    assert_eq!(out.report.n_ok, 2);
+    let json = out.report.to_json().to_string();
+    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        digest, TWO_MEMBER_REPORT,
+        "report digest {digest:#018x}, pinned {TWO_MEMBER_REPORT:#018x}"
+    );
+}
+
 /// Orchestration-level failures (as opposed to member failures) are
 /// typed `EnsembleError`s, checked before any member starts.
 #[test]
