@@ -15,17 +15,18 @@
 //! [`foam_telemetry::alloc::CountingAlloc`] (installed as this binary's
 //! global allocator) together with the encoded size of the stream state
 //! itself — the number that must stay flat as `--years` grows. CI runs
-//! the 1-year scaled-down variant (`century-smoke`) and gates on a
-//! throughput regression against the committed 100-year artifact.
+//! the 2-year scaled-down variant (`century-smoke`), the shortest record
+//! the Figure-4 analysis accepts, and gates on a throughput regression
+//! against the committed 100-year artifact.
 
 use std::sync::Mutex;
 
 use foam::{
     try_run_coupled_observed, FoamConfig, ProgressEvent, RunObserver, TelemetryConfig, World,
 };
-use foam_bench::flag_or;
+use foam_bench::{flag_or, observed_sst, region_weights};
 use foam_ckpt::Codec;
-use foam_grid::{Basin, OceanGrid};
+use foam_grid::Basin;
 use foam_ocean::{OceanForcing, OceanModel};
 use foam_telemetry::alloc::{CountingAlloc, SteadyMeter};
 use foam_telemetry::json::Value;
@@ -53,35 +54,6 @@ impl RunObserver for SteadyWatch {
             }
         }
     }
-}
-
-/// Area-weighted box profile over one basin, 25–60°N (the Figure-4
-/// two-basin diagnostic), normalized to a box *mean*.
-fn basin_profile(
-    grid: &OceanGrid,
-    world: &World,
-    weights: &[f64],
-    basin: Basin,
-) -> Option<Vec<f64>> {
-    let mut profile = vec![0.0; weights.len()];
-    let mut den = 0.0;
-    for (s, p) in profile.iter_mut().enumerate() {
-        if weights[s] > 0.0 {
-            let (i, j) = (s % grid.nx, s / grid.nx);
-            if world.basin(grid.lons[i], grid.lats[j]) == basin
-                && (25.0..60.0).contains(&grid.lats[j].to_degrees())
-            {
-                *p = weights[s];
-                den += weights[s];
-            }
-        }
-    }
-    (den > 0.0).then(|| {
-        for p in profile.iter_mut() {
-            *p /= den;
-        }
-        profile
-    })
 }
 
 /// Heap allocations of one warmed-up `OceanModel::step_coupled` on
@@ -141,7 +113,8 @@ fn main() {
 
     let stream = out.stream.as_ref().expect("century config streams");
     let months = stream.months();
-    let grid = foam_grid::OceanGrid::mercator(cfg.ocean.nx, cfg.ocean.ny, cfg.ocean.lat_max_deg);
+    let world = World::earthlike();
+    let (grid, mask, _) = observed_sst(&cfg.ocean, &world);
     let stream_bytes = stream.to_bytes().len();
     println!(
         "integrated {:.1} years at {:.0}× real time ({:.1} s wall)",
@@ -184,13 +157,15 @@ fn main() {
             );
             leading_varfrac = rot.variance_fraction[0].into();
         }
-        let world = World::earthlike();
-        let w = stream.weights();
-        if let (Some(na), Some(np)) = (
-            basin_profile(&grid, &world, w, Basin::Atlantic),
-            basin_profile(&grid, &world, w, Basin::Pacific),
-        ) {
-            let r = foam_stats::correlation(&analysis.series(&na), &analysis.series(&np));
+        // The two-basin diagnostic: area-mean series of one basin's
+        // 25–60°N box, `None` when the box holds no sea.
+        let box_mean = |basin| {
+            let w = region_weights(&grid, &mask, &world, Some(basin), 25.0..60.0);
+            let den: f64 = w.iter().sum();
+            (den > 0.0).then(|| analysis.series(&w.iter().map(|v| v / den).collect::<Vec<_>>()))
+        };
+        if let (Some(na), Some(np)) = (box_mean(Basin::Atlantic), box_mean(Basin::Pacific)) {
+            let r = foam_stats::correlation(&na, &np);
             println!("North Atlantic × North Pacific low-passed SST correlation: r = {r:.2}");
             basin_corr = r.into();
         }

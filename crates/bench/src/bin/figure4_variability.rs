@@ -7,8 +7,11 @@
 //!
 //! The coupled model runs for the requested number of simulated years at
 //! the reduced resolution (wall time: roughly a couple of minutes per
-//! simulated year-decade on one core); monthly SST anomalies are
-//! detrended, low-pass filtered, decomposed and rotated.
+//! simulated year-decade on one core), folding each monthly-mean SST
+//! field into the driver's streaming statistics; the monthly anomalies
+//! are detrended, low-pass filtered, decomposed and rotated off the
+//! stream. At least two years are needed: a shorter run exits with
+//! status 2 before integrating anything.
 //!
 //! ```sh
 //! cargo run --release -p foam-bench --bin figure4_variability [years] [--seed N]
@@ -17,72 +20,51 @@
 //! `--seed` varies the atmosphere's initial perturbation, so ensembles
 //! of the variability analysis can be generated without editing code.
 
-use foam::{run_coupled, FoamConfig, OceanModel, World};
-use foam_bench::{arg_or, flag_or};
-use foam_grid::{Basin, Field2, OceanGrid};
+use foam::{run_coupled, FoamConfig, StreamStatsConfig, World};
+use foam_bench::{arg_or, flag_or, observed_sst, region_weights};
+use foam_grid::{Basin, Field2};
 use foam_stats::ascii::{render_diff_map, sparkline};
-use foam_stats::{anomalies_monthly, correlation, detrend, eof_analysis, lanczos_lowpass, varimax};
+use foam_stats::correlation;
 
 fn main() {
     let years: f64 = arg_or(1, 8.0);
     let seed: u64 = flag_or("--seed", 1914);
+    // Removing the annual cycle needs two years of months; refuse a
+    // shorter run before integrating it.
+    if years.is_nan() || years < 2.0 {
+        eprintln!("error: argument 1: {years} simulated years, the analysis needs at least 2");
+        std::process::exit(2);
+    }
     let mut cfg = FoamConfig::tiny(seed);
-    cfg.collect_monthly_sst = true;
+    // Each month adds at most one direction to the EOF sketch, so a rank
+    // budget of one per month keeps all of them: the streamed analysis
+    // is the batch EOF → VARIMAX pipeline on the full record.
+    cfg.stream = Some(StreamStatsConfig {
+        eof_rank: (years * 12.0).ceil() as usize,
+    });
 
     println!("=== Figure 4: two-basin low-frequency variability ===");
     println!("coupled run: {years} simulated years (reduced configuration, seed {seed})\n");
     let out = run_coupled(&cfg, years * 360.0);
-    let n_months = out.monthly_sst.len();
+    let stream = out.stream.as_ref().expect("the stream was configured");
+    let n_months = stream.months();
     println!(
-        "collected {n_months} monthly SST fields at {:.0}× real time",
+        "streamed {n_months} monthly SST fields at {:.0}× real time",
         out.model_speedup
     );
-    assert!(n_months >= 24, "need ≥ 2 simulated years");
 
-    let world = World::earthlike();
-    let grid = OceanGrid::mercator(cfg.ocean.nx, cfg.ocean.ny, cfg.ocean.lat_max_deg);
-    let mask = OceanModel::effective_sea_mask(&cfg.ocean, &world);
-    let n_s = grid.len();
-    let weights: Vec<f64> = (0..n_s)
-        .map(|k| {
-            if mask[k] {
-                grid.cell_area(k % grid.nx, k / grid.nx) / 1.0e12
-            } else {
-                0.0
-            }
-        })
-        .collect();
-
-    // Anomalies → detrend → low-pass. The filter period follows the
-    // paper (60 months) when the record supports it and shrinks
-    // gracefully for shorter demo runs.
-    let lp = (n_months as f64 / 4.0).clamp(6.0, 60.0);
-    println!("low-pass period: {lp:.0} months (paper: 60)\n");
-    let mut data = vec![vec![0.0; n_s]; n_months];
-    let mut total_var = 0.0;
-    let mut lp_var = 0.0;
-    for s in 0..n_s {
-        if weights[s] == 0.0 {
-            continue;
-        }
-        let series: Vec<f64> = out.monthly_sst.iter().map(|f| f.as_slice()[s]).collect();
-        let mut anom = anomalies_monthly(&series);
-        detrend(&mut anom);
-        let low = lanczos_lowpass(&anom, lp);
-        for t in 0..n_months {
-            total_var += weights[s] * anom[t] * anom[t];
-            lp_var += weights[s] * low[t] * low[t];
-            data[t][s] = low[t];
-        }
-    }
-    println!(
-        "low-passed variance fraction of total anomaly variance: {:.0} %",
-        100.0 * lp_var / total_var.max(1e-30)
-    );
+    // Anomalies → detrend → low-pass → EOF, straight off the stream. The
+    // filter period follows the paper (60 months) when the record
+    // supports it and shrinks gracefully for shorter demo runs.
+    let lp = foam::stream::lowpass_period(n_months);
+    println!("low-pass period: {lp:.0} months (paper: 60)");
 
     let k = 4;
-    let eof = eof_analysis(&data, &weights, k + 2);
-    let rot = varimax(&data, &weights, &eof, k.min(eof.patterns.len()));
+    let analysis = stream
+        .analyze_variability(k + 2)
+        .expect("two years of months streamed");
+    let eof = &analysis.eof;
+    let rot = analysis.varimax(k.min(eof.patterns.len()));
     println!(
         "\nEOF spectrum (unrotated): {:?}",
         &percent(&eof.variance_fraction)
@@ -97,6 +79,8 @@ fn main() {
     );
 
     // (a) spatial pattern
+    let world = World::earthlike();
+    let (grid, mask, _) = observed_sst(&cfg.ocean, &world);
     let pat = Field2::from_vec(grid.nx, grid.ny, rot.patterns[0].clone());
     println!(
         "\n{}",
@@ -110,49 +94,24 @@ fn main() {
     println!("(b) temporal pattern (PC 1):");
     println!("   {}", sparkline(&rot.pcs[0], 90));
 
-    // Two-basin diagnostics: mean loading per northern basin + box series
-    // correlation.
-    let basin_mean_loading = |basin: Basin| -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for s in 0..n_s {
-            if weights[s] > 0.0 {
-                let (i, j) = (s % grid.nx, s / grid.nx);
-                let latd = grid.lats[j].to_degrees();
-                if world.basin(grid.lons[i], grid.lats[j]) == basin && (25.0..60.0).contains(&latd)
-                {
-                    num += weights[s] * rot.patterns[0][s];
-                    den += weights[s];
-                }
-            }
-        }
-        num / den.max(1e-12)
+    // Two-basin diagnostics over the 25–60°N boxes: mode-1 mean loading
+    // per northern basin, and the correlation of the box-mean series.
+    let box_mean = |basin: Basin| -> Vec<f64> {
+        let w = region_weights(&grid, &mask, &world, Some(basin), 25.0..60.0);
+        let den = w.iter().sum::<f64>().max(1e-12);
+        w.into_iter().map(|v| v / den).collect()
     };
-    let box_series = |basin: Basin| -> Vec<f64> {
-        (0..n_months)
-            .map(|t| {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for s in 0..n_s {
-                    if weights[s] > 0.0 {
-                        let (i, j) = (s % grid.nx, s / grid.nx);
-                        let latd = grid.lats[j].to_degrees();
-                        if world.basin(grid.lons[i], grid.lats[j]) == basin
-                            && (25.0..60.0).contains(&latd)
-                        {
-                            num += weights[s] * data[t][s];
-                            den += weights[s];
-                        }
-                    }
-                }
-                num / den.max(1e-12)
-            })
-            .collect()
+    let (atl, pac) = (box_mean(Basin::Atlantic), box_mean(Basin::Pacific));
+    let loading = |profile: &[f64]| -> f64 {
+        profile
+            .iter()
+            .zip(&rot.patterns[0])
+            .map(|(w, p)| w * p)
+            .sum()
     };
-    let la = basin_mean_loading(Basin::Atlantic);
-    let lp_ = basin_mean_loading(Basin::Pacific);
-    let natl = box_series(Basin::Atlantic);
-    let npac = box_series(Basin::Pacific);
+    let (la, lp_) = (loading(&atl), loading(&pac));
+    let natl = analysis.series(&atl);
+    let npac = analysis.series(&pac);
     let r = correlation(&natl, &npac);
     println!("\ntwo-basin diagnostics (25–60°N boxes):");
     println!("  mode-1 mean loading: N. Atlantic {la:+.3}, N. Pacific {lp_:+.3}");

@@ -11,8 +11,8 @@
 //! cargo run --release -p foam-bench --bin results_refinements [days]
 //! ```
 
-use foam::{run_coupled, FoamConfig, OceanModel, World};
-use foam_bench::{arg_or, observed_sst};
+use foam::{run_coupled, FoamConfig, World};
+use foam_bench::{arg_or, observed_sst, region_weights};
 use foam_grid::Basin;
 use foam_physics::PhysicsConfig;
 use foam_stats::pattern_stats;
@@ -25,24 +25,11 @@ fn main() {
     let world = World::earthlike();
     let base = FoamConfig::paper(4, 1996);
     let (grid, mask, obs) = observed_sst(&base.ocean, &world);
-    let _ = OceanModel::effective_sea_mask(&base.ocean, &world);
 
     // Weights restricted to the tropical Pacific (the paper's region of
     // concern: the cold-tongue / warm-pool structure, El Niño country).
-    let w_tropical_pacific: Vec<f64> = (0..grid.len())
-        .map(|k| {
-            let (i, j) = (k % grid.nx, k / grid.nx);
-            let latd = grid.lats[j].to_degrees();
-            if mask[k]
-                && latd.abs() < 15.0
-                && world.basin(grid.lons[i], grid.lats[j]) == Basin::Pacific
-            {
-                grid.cell_area(i, j)
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let w_tropical_pacific =
+        region_weights(&grid, &mask, &world, Some(Basin::Pacific), -15.0..15.0);
 
     let mut report = Vec::new();
     for (label, phys) in [

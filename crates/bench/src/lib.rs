@@ -14,9 +14,11 @@
 //!
 //! Shared helpers for the binaries live here.
 
+use std::ops::Range;
 use std::str::FromStr;
 
-use foam_grid::{Field2, OceanGrid, World};
+use foam::sea_area_weights;
+use foam_grid::{Basin, Field2, OceanGrid, World};
 use foam_ocean::{OceanConfig, OceanModel};
 
 /// The positional CLI argument `n` parsed as a `T`, or `default` when
@@ -80,17 +82,26 @@ pub fn observed_sst(cfg: &OceanConfig, world: &World) -> (OceanGrid, Vec<bool>, 
     (grid, mask, f)
 }
 
-/// Area weights (0 on land) for statistics on the ocean grid.
-pub fn sea_weights(grid: &OceanGrid, mask: &[bool]) -> Vec<f64> {
-    (0..grid.len())
-        .map(|k| {
-            if mask[k] {
-                grid.cell_area(k % grid.nx, k / grid.nx)
-            } else {
-                0.0
-            }
-        })
-        .collect()
+/// [`sea_area_weights`] restricted to one region: sea cells of `basin`
+/// (any basin when `None`) whose latitude in degrees lies in `lat_deg`;
+/// zero everywhere else.
+pub fn region_weights(
+    grid: &OceanGrid,
+    mask: &[bool],
+    world: &World,
+    basin: Option<Basin>,
+    lat_deg: Range<f64>,
+) -> Vec<f64> {
+    let mut w = sea_area_weights(grid, mask);
+    for (k, wk) in w.iter_mut().enumerate() {
+        let (lon, lat) = (grid.lons[k % grid.nx], grid.lats[k / grid.nx]);
+        let inside =
+            lat_deg.contains(&lat.to_degrees()) && basin.is_none_or(|b| world.basin(lon, lat) == b);
+        if !inside {
+            *wk = 0.0;
+        }
+    }
+    w
 }
 
 #[cfg(test)]
@@ -143,13 +154,19 @@ mod tests {
     }
 
     #[test]
-    fn sea_weights_vanish_on_land() {
+    fn region_weights_vanish_on_land_and_outside_the_region() {
         let world = World::earthlike();
-        let cfg = OceanConfig::tiny();
-        let (grid, mask, _) = observed_sst(&cfg, &world);
-        let w = sea_weights(&grid, &mask);
+        let (grid, mask, _) = observed_sst(&OceanConfig::tiny(), &world);
+        let all = region_weights(&grid, &mask, &world, None, -90.0..90.0);
+        assert_eq!(all, sea_area_weights(&grid, &mask));
+        let pac = region_weights(&grid, &mask, &world, Some(Basin::Pacific), 25.0..60.0);
+        assert!(pac.iter().any(|&v| v > 0.0));
         for k in 0..grid.len() {
-            assert_eq!(w[k] > 0.0, mask[k]);
+            let (lon, lat) = (grid.lons[k % grid.nx], grid.lats[k / grid.nx]);
+            let inside =
+                (25.0..60.0).contains(&lat.to_degrees()) && world.basin(lon, lat) == Basin::Pacific;
+            assert_eq!(all[k] > 0.0, mask[k]);
+            assert_eq!(pac[k], if inside { all[k] } else { 0.0 });
         }
     }
 }

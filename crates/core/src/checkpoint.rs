@@ -86,7 +86,6 @@ pub struct GlobalSnapshot {
     /// forcings retained for retransmission.
     pub exchange: ExchangeBuffers,
     pub mean_sst_series: Vec<f64>,
-    pub monthly_sst: Vec<Field2>,
     pub month_acc: Option<(Field2, usize)>,
     /// Streaming-statistics state (section `driver/stream`; `None` for
     /// snapshots written before the section existed or by runs without
@@ -174,7 +173,6 @@ pub(crate) fn write_atm_shard(
         w.put("coupler/fw_oneshot", &cs.fw_oneshot);
         w.put("exchange", &r.exchange);
         w.put("driver/series", &r.log.mean_sst_series);
-        w.put("driver/monthly", &r.log.monthly_sst);
         w.put("driver/month_acc", &r.log.month_acc);
         w.put("driver/stream", &r.log.stream);
         w.put("driver/emergency", &r.emergency);
@@ -476,8 +474,9 @@ pub fn load_snapshot(dir: &Path, cfg: &FoamConfig) -> Result<GlobalSnapshot, Ckp
     let acc_seconds = root.snap.get::<f64>("coupler/acc_seconds")?;
     let fw_oneshot = root.snap.get::<Field2>("coupler/fw_oneshot")?;
     let exchange = root.snap.get::<ExchangeBuffers>("exchange")?;
+    // Sections are read by name, so the retained monthly history an
+    // older snapshot carries (`driver/monthly`) is simply never read.
     let mean_sst_series = root.snap.get::<Vec<f64>>("driver/series")?;
-    let monthly_sst = root.snap.get::<Vec<Field2>>("driver/monthly")?;
     let month_acc = root
         .snap
         .get::<Option<(Field2, usize)>>("driver/month_acc")?;
@@ -538,7 +537,6 @@ pub fn load_snapshot(dir: &Path, cfg: &FoamConfig) -> Result<GlobalSnapshot, Ckp
         fw_oneshot,
         exchange,
         mean_sst_series,
-        monthly_sst,
         month_acc,
         stream,
         work_rows,

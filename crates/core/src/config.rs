@@ -210,11 +210,10 @@ pub enum PhysicsFaultKind {
 
 /// In-run streaming statistics knobs. When [`FoamConfig::stream`] is
 /// set, the driver folds each completed monthly-mean SST field into an
-/// `O(grid)` streaming estimator ([`crate::DriverStream`]) instead of
-/// (or in addition to) retaining the `O(grid × months)` monthly history
-/// — the device that makes century-scale variability runs fit in
-/// memory. The stream state checkpoints and resumes bit-identically
-/// with the rest of the run.
+/// `O(grid)` streaming estimator ([`crate::DriverStream`]) rather than
+/// retaining an `O(grid × months)` monthly history — the device that
+/// makes century-scale variability runs fit in memory. The stream state
+/// checkpoints and resumes bit-identically with the rest of the run.
 #[derive(Debug, Clone)]
 pub struct StreamStatsConfig {
     /// Maximum spatial rank of the streaming EOF sketch
@@ -259,13 +258,9 @@ pub struct FoamConfig {
     pub ocean_scheme: SplitScheme,
     /// Record per-rank activity traces (Figure 2).
     pub tracing: bool,
-    /// Collect monthly-mean SST fields (needed by Figures 3–4; costs
-    /// memory on long runs).
-    pub collect_monthly_sst: bool,
     /// Fold monthly-mean SST into streaming statistics as the run goes
-    /// (`O(grid)` memory however long the run) — the century-scale
-    /// replacement for `collect_monthly_sst`. Both can be on at once,
-    /// which is how the equivalence tests compare the two paths.
+    /// (`O(grid)` memory however long the run) — the one source of the
+    /// Figure-3/4 monthly statistics.
     pub stream: Option<StreamStatsConfig>,
     /// Scenario forcings: piecewise-linear CO₂ / solar / aerosol time
     /// series (in simulated days) the atmosphere folds into its column
@@ -300,7 +295,6 @@ impl FoamConfig {
             coupling: CouplingMode::Lagged,
             ocean_scheme: SplitScheme::FoamSplit,
             tracing: false,
-            collect_monthly_sst: false,
             stream: None,
             forcings: Forcings::default(),
             runtime: RuntimeConfig::default(),
@@ -320,7 +314,6 @@ impl FoamConfig {
             coupling: CouplingMode::Lagged,
             ocean_scheme: SplitScheme::FoamSplit,
             tracing: false,
-            collect_monthly_sst: false,
             stream: None,
             forcings: Forcings::default(),
             runtime: RuntimeConfig::default(),
@@ -331,11 +324,10 @@ impl FoamConfig {
 
     /// The century-throughput configuration: a further-reduced grid (16×12
     /// R3 atmosphere on one rank, 24×16×4 ocean) with streaming
-    /// statistics on and monthly-history collection *off*, sized so a
-    /// single machine pushes 100 simulated years through the full
-    /// coupled pipeline in well under an hour while the statistics
-    /// memory stays `O(grid)`. This is what the `century` bench bin
-    /// runs.
+    /// statistics on, sized so a single machine pushes 100 simulated
+    /// years through the full coupled pipeline in well under an hour
+    /// while the statistics memory stays `O(grid)`. This is what the
+    /// `century` bench bin runs.
     pub fn century(seed: u64) -> Self {
         let mut atm = AtmConfig::tiny(seed);
         atm.nlon = 16;
@@ -357,7 +349,6 @@ impl FoamConfig {
             coupling: CouplingMode::Lagged,
             ocean_scheme: SplitScheme::FoamSplit,
             tracing: false,
-            collect_monthly_sst: false,
             stream: Some(StreamStatsConfig::default()),
             forcings: Forcings::default(),
             runtime: RuntimeConfig::default(),
@@ -528,7 +519,6 @@ mod tests {
     fn century_config_streams_instead_of_collecting() {
         let c = FoamConfig::century(9);
         assert!(c.validate().is_ok());
-        assert!(!c.collect_monthly_sst);
         let stream = c
             .stream
             .as_ref()

@@ -258,7 +258,9 @@ impl FoamConfig {
                 "stream_eof_rank",
                 self.stream.as_ref().map(|s| s.eof_rank as u64).unwrap_or(0),
             )
-            .field_bool("collect_monthly_sst", self.collect_monthly_sst)
+            // Once a setting; hashed as the constant it became so no
+            // cache key moved.
+            .field_bool("collect_monthly_sst", false)
             // Scenario forcings are content: a CO₂ ramp and a control
             // over the same base config are different experiments and
             // must never collide in a result cache.

@@ -167,16 +167,17 @@ impl From<CkptError> for CoupledError {
 /// Results of a coupled run.
 #[derive(Debug)]
 pub struct CoupledOutput {
-    /// Simulated span \[s\].
+    /// Simulated span from the original start \[s\], a resumed run's
+    /// earlier legs included.
     pub sim_seconds: f64,
     /// Wall-clock span of the integration \[s\].
     pub wall_seconds: f64,
-    /// The paper's headline metric: simulated time per wall-clock time.
+    /// The paper's headline metric: simulated time per wall-clock time,
+    /// over the intervals this run integrated (a resumed run is not
+    /// credited with the legs before its snapshot).
     pub model_speedup: f64,
     /// Area-mean SST after each coupling interval \[°C\].
     pub mean_sst_series: Vec<f64>,
-    /// Monthly-mean SST fields (ocean grid), if collection was enabled.
-    pub monthly_sst: Vec<Field2>,
     /// SST at the end of the run.
     pub final_sst: Field2,
     /// Sea-ice fraction of the ocean area at the end.
@@ -193,9 +194,9 @@ pub struct CoupledOutput {
     /// model speedup), when [`crate::TelemetryConfig`] enabled
     /// collection.
     pub telemetry: Option<TelemetryReport>,
-    /// Streaming per-month SST statistics, when [`crate::FoamConfig`]'s
-    /// `stream` was set — the `O(grid)` century-scale replacement for
-    /// `monthly_sst`.
+    /// Streaming per-month SST statistics (the Figure-3 time mean, the
+    /// Figure-4 EOF sketch), when [`crate::FoamConfig`]'s `stream` was
+    /// set.
     pub stream: Option<DriverStream>,
 }
 
@@ -377,6 +378,9 @@ pub(crate) fn start(
     }
     results.remove(0)?; // the ocean rank
     let sim_seconds = n_couple as f64 * cfg.dt_couple;
+    // The speedup window is what this run actually integrated — a
+    // resumed run is only charged for the intervals after its snapshot.
+    let window = (n_couple - start_c) as f64 * cfg.dt_couple;
     let wall = r0.wall_seconds.max(1e-9);
     let Some((log, final_sst)) = r0.root else {
         return Err(CoupledError::Internal {
@@ -399,10 +403,6 @@ pub(crate) fn start(
                 fold_comm_stats(reg, &t.stats);
             }
         }
-        // The speedup window is what this run actually integrated — a
-        // resumed run is only charged for the intervals after its
-        // snapshot.
-        let window = (n_couple - start_c) as f64 * cfg.dt_couple;
         let report = TelemetryReport::from_ranks(window, wall, regs);
         if let Some(path) = &cfg.telemetry.path {
             report
@@ -419,9 +419,8 @@ pub(crate) fn start(
     Ok(CoupledOutput {
         sim_seconds,
         wall_seconds: wall,
-        model_speedup: sim_seconds / wall,
+        model_speedup: window / wall,
         mean_sst_series: log.mean_sst_series,
-        monthly_sst: log.monthly_sst,
         final_sst,
         ice_fraction,
         traces: out.traces,
@@ -1000,6 +999,8 @@ mod tests {
         assert!(out.model_speedup > 1.0, "slower than real time?!");
         assert!((0.0..=1.0).contains(&out.ice_fraction));
         assert!(out.comm_lint.is_clean(), "{}", out.comm_lint);
+        // Streaming off by default: no stream state, no monthly cost.
+        assert!(out.stream.is_none());
     }
 
     #[test]
@@ -1038,39 +1039,6 @@ mod tests {
         // time.
         let to = &out.traces[cfg.n_atm_ranks];
         assert!(to.work_time("ocean") > 0.0);
-    }
-
-    #[test]
-    fn monthly_sst_collection_counts_months() {
-        let mut cfg = FoamConfig::tiny(4);
-        cfg.collect_monthly_sst = true;
-        // 1/4 month → 0 complete months; keep the test fast.
-        let out = run_coupled(&cfg, 7.5);
-        assert!(out.monthly_sst.is_empty());
-        assert_eq!(out.mean_sst_series.len(), 30);
-    }
-
-    #[test]
-    fn streaming_and_collected_months_agree_bit_for_bit() {
-        // Run with BOTH paths on: every completed month must land in the
-        // retained history and the stream as the same bits, and the
-        // stream's mean field must equal averaging the history. Two
-        // 30-day months on the century grid keeps this quick.
-        let mut cfg = FoamConfig::century(12);
-        cfg.collect_monthly_sst = true;
-        let out = run_coupled(&cfg, 60.0);
-        let ds = out.stream.expect("stream configured");
-        assert_eq!(out.monthly_sst.len(), 2);
-        assert_eq!(ds.months(), 2);
-        let mean = ds.mean_field().expect("two months streamed");
-        let n = out.monthly_sst.len() as f64;
-        for (s, m) in mean.iter().enumerate() {
-            let batch: f64 = out.monthly_sst.iter().map(|f| f.as_slice()[s]).sum::<f64>() / n;
-            assert_eq!(m.to_bits(), batch.to_bits(), "s={s}");
-        }
-        // Streaming off by default: no stream state, no monthly cost.
-        let plain = run_coupled(&FoamConfig::tiny(12), 1.0);
-        assert!(plain.stream.is_none());
     }
 
     #[test]

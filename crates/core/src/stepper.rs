@@ -354,15 +354,12 @@ impl OceanStepper {
 pub struct RootLog {
     /// Area-mean SST after each coupling interval \[°C\].
     pub mean_sst_series: Vec<f64>,
-    /// Monthly-mean SST fields, when `collect_monthly_sst` is set.
-    pub monthly_sst: Vec<Field2>,
     /// The running sum of the current month and its interval count.
     pub month_acc: Option<(Field2, usize)>,
     /// Streaming statistics, when [`FoamConfig::stream`] is set.
     pub stream: Option<DriverStream>,
     ocn_grid: OceanGrid,
     sea_mask: Vec<bool>,
-    collect_monthly: bool,
     intervals_per_month: usize,
 }
 
@@ -383,12 +380,10 @@ impl RootLog {
         });
         RootLog {
             mean_sst_series: resume.map_or_else(Vec::new, |r| r.mean_sst_series.clone()),
-            monthly_sst: resume.map_or_else(Vec::new, |r| r.monthly_sst.clone()),
             month_acc: resume.and_then(|r| r.month_acc.clone()),
             stream,
             ocn_grid: ocn_grid.clone(),
             sea_mask: sea_mask.to_vec(),
-            collect_monthly: cfg.collect_monthly_sst,
             intervals_per_month: ((30.0 * SECONDS_PER_DAY) / cfg.dt_couple).round() as usize,
         }
     }
@@ -399,14 +394,13 @@ impl RootLog {
     }
 
     /// Log one completed coupling interval that ended on `sst`: the
-    /// mean-SST series entry and, when either consumer wants months, the
-    /// monthly-mean accumulation. The monthly mean is computed once, so
-    /// the retained history and the stream see bit-identical fields.
+    /// mean-SST series entry and, when the stream is on, the monthly-mean
+    /// accumulation it folds in as each month completes.
     pub fn record(&mut self, sst: &Field2) -> Result<(), CoupledError> {
         self.mean_sst_series.push(self.sea_mean(sst.as_slice()));
-        if !self.collect_monthly && self.stream.is_none() {
+        let Some(ds) = &mut self.stream else {
             return Ok(());
-        }
+        };
         let (nx, ny) = (self.ocn_grid.nx, self.ocn_grid.ny);
         let (acc, n) = self
             .month_acc
@@ -416,19 +410,13 @@ impl RootLog {
         if *n != self.intervals_per_month {
             return Ok(());
         }
-        let mut mean_field = acc.clone();
-        mean_field.scale(1.0 / *n as f64);
-        if let Some(ds) = &mut self.stream {
-            // Unreachable on a correctly built stream (it was sized from
-            // this very grid), but surfaced as data, not a panic.
-            ds.push_month(mean_field.as_slice())
-                .map_err(|e| CoupledError::Internal {
-                    what: format!("streaming statistics rejected a monthly mean: {e}"),
-                })?;
-        }
-        if self.collect_monthly {
-            self.monthly_sst.push(mean_field);
-        }
+        acc.scale(1.0 / *n as f64);
+        // Unreachable on a correctly built stream (it was sized from this
+        // very grid), but surfaced as data, not a panic.
+        ds.push_month(acc.as_slice())
+            .map_err(|e| CoupledError::Internal {
+                what: format!("streaming statistics rejected a monthly mean: {e}"),
+            })?;
         self.month_acc = None;
         Ok(())
     }

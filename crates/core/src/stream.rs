@@ -5,18 +5,18 @@
 //! run integrates. The stream holds per-point Welford moments (the
 //! Figure-3 mean/variance climatology) and a rank-limited streaming EOF
 //! sketch (the Figure-4 variability decomposition) — together `O(grid)`
-//! state no matter how many centuries stream through, where the
-//! `collect_monthly_sst` history grows `O(grid × months)`.
+//! state no matter how many centuries stream through, where a retained
+//! monthly history would grow `O(grid × months)`.
 //!
 //! The whole struct implements [`foam_ckpt::Codec`], rides in the root
 //! checkpoint shard (section `driver/stream`), and resumes
 //! bit-identically; snapshots from before this section existed restart
 //! the stream from the resume point.
 //!
-//! The analysis replays the batch pipeline of `century_variability`
-//! exactly — monthly anomalies → detrend → Lanczos low-pass → EOF →
-//! VARIMAX — but applies the (linear) time-axis transforms to the
-//! sketch's `eof_rank` coefficient columns instead of every grid point,
+//! The analysis replays the batch per-point pipeline exactly — monthly
+//! anomalies → detrend → Lanczos low-pass → EOF → VARIMAX — but applies
+//! the (linear) time-axis transforms to the sketch's `eof_rank`
+//! coefficient columns instead of every grid point,
 //! which by linearity yields the same decomposition on data of rank
 //! ≤ `eof_rank` (property-tested in `tests/stream_stats_props.rs`).
 
@@ -27,8 +27,9 @@ use foam_stats::{
     StreamingEof,
 };
 
-/// The Figure-4 area weighting: cell area (in 10⁶ km²) on sea points,
-/// zero on land — the same weights the batch analyses build inline.
+/// The one sea-area weighting: cell area (in 10⁶ km²) on sea points,
+/// zero on land. The stream, the figure programs and the ensemble
+/// report all weight by it.
 ///
 /// ```
 /// use foam::{sea_area_weights, FoamConfig, OceanModel, World};
@@ -101,20 +102,15 @@ impl DriverStream {
         self.eof.samples()
     }
 
-    /// The area weights the stream was built with.
-    pub fn weights(&self) -> &[f64] {
-        self.eof.weights()
-    }
-
     /// Fold one monthly-mean field in; rejects a grid-size mismatch.
     pub fn push_month(&mut self, field: &[f64]) -> Result<(), StatsError> {
         self.moments.push(field)?;
         self.eof.push(field)
     }
 
-    /// Per-point time-mean SST — bit-identical to averaging the
-    /// collected monthly history. `None` before the first month
-    /// completes.
+    /// Per-point time-mean SST over every month streamed —
+    /// bit-identical to averaging those monthly fields in order. `None`
+    /// before the first month completes.
     pub fn mean_field(&self) -> Option<Vec<f64>> {
         (!self.moments.is_empty()).then(|| self.moments.mean_field())
     }

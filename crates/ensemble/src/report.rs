@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use foam::sea_area_weights;
 use foam_grid::{OceanGrid, World};
 use foam_ocean::OceanModel;
 use foam_stats::{ensemble_mean, ensemble_mean_field, ensemble_spread, FieldStats};
@@ -114,7 +115,12 @@ impl EnsembleReport {
                 ensemble_mean_field(&fields).ok()
             })
             .flatten();
-        let weights = mean_final.as_ref().map(|_| sea_weights(spec));
+        // Weighted by sea area over the base configuration's ocean grid.
+        let weights = mean_final.as_ref().map(|_| {
+            let o = &spec.base.ocean;
+            let mask = OceanModel::effective_sea_mask(o, &World::earthlike());
+            sea_area_weights(&OceanGrid::mercator(o.nx, o.ny, o.lat_max_deg), &mask)
+        });
 
         let digests = members
             .iter()
@@ -203,28 +209,6 @@ impl EnsembleReport {
 /// (safe for the byte-identical report) rather than a timing artifact.
 fn deterministic_counter(key: &str) -> bool {
     !key.starts_with("comm.") && key != "coupler.sst_retries"
-}
-
-/// Area weights over the base configuration's ocean grid: cell area on
-/// sea points, zero on land — the same weighting the Figure 4 analysis
-/// uses.
-fn sea_weights(spec: &EnsembleSpec) -> Vec<f64> {
-    let world = World::earthlike();
-    let grid = OceanGrid::mercator(
-        spec.base.ocean.nx,
-        spec.base.ocean.ny,
-        spec.base.ocean.lat_max_deg,
-    );
-    let mask = OceanModel::effective_sea_mask(&spec.base.ocean, &world);
-    (0..grid.len())
-        .map(|k| {
-            if mask[k] {
-                grid.cell_area(k % grid.nx, k / grid.nx) / 1.0e12
-            } else {
-                0.0
-            }
-        })
-        .collect()
 }
 
 fn numbers(values: impl Iterator<Item = f64>) -> Value {

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use foam::{
     try_resume_coupled, try_run_coupled, CheckpointStore, CkptConfig, CoupledOutput, CouplingMode,
-    FoamConfig, Snapshot,
+    FoamConfig, Snapshot, StreamStatsConfig,
 };
 use foam_ckpt::Codec;
 
@@ -149,10 +149,11 @@ fn section_names(path: &Path) -> Vec<String> {
 }
 
 /// File digests of snapshot `ckpt-4` of a lagged two-rank `tiny(41)`
-/// run: the root's shard, the other atmosphere shard, the ocean's, the
-/// manifest.
+/// run with the stream on: the root's shard (a live month accumulator
+/// and an empty stream among its sections), the other atmosphere shard,
+/// the ocean's, the manifest.
 const SNAPSHOT_FILES: [u64; 4] = [
-    0x3c67_5141_be61_b148,
+    0xf82d_9dd9_9586_367a,
     0x9416_e89c_ebf0_f688,
     0x10cf_831c_43cb_ee7e,
     0x924b_509a_6773_8b76,
@@ -162,7 +163,7 @@ const SNAPSHOT_FILES: [u64; 4] = [
 fn a_committed_snapshot_is_the_same_bytes() {
     let dir = scratch("bytes");
     let mut cfg = tiny(41, 2, CouplingMode::Lagged);
-    cfg.collect_monthly_sst = true;
+    cfg.stream = Some(StreamStatsConfig::default());
     cfg.ckpt = CkptConfig::every(&dir, 4);
     try_run_coupled(&cfg, 1.0).expect("fault-free run");
     let store = CheckpointStore::open(&dir).expect("store opens");
@@ -188,7 +189,6 @@ fn a_committed_snapshot_is_the_same_bytes() {
         "coupler/fw_oneshot",
         "exchange",
         "driver/series",
-        "driver/monthly",
         "driver/month_acc",
         "driver/stream",
         "driver/emergency",

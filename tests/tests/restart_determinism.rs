@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use foam::checkpoint::{load_latest, load_snapshot};
 use foam::{
     try_resume_coupled, try_run_coupled, CheckpointStore, CkptConfig, CkptError, CoupledError,
-    FoamConfig,
+    FoamConfig, StreamStatsConfig,
 };
 use foam_coupler::tags::TAG_SST;
 use foam_grid::Field2;
@@ -88,15 +88,16 @@ fn kill_tag_after(seed: u64, tag: u32, hits: u64) -> FaultPlan {
 
 #[test]
 fn restart_resumes_bit_identically() {
-    // N + M straight vs N → checkpoint → restart → M: every field and
-    // every diagnostic must agree to the last bit.
+    // N + M straight vs N → checkpoint → restart → M, with the stream on
+    // so the month accumulator and the stream cross the snapshot too:
+    // every field and every diagnostic must agree to the last bit.
     let dir = scratch("bitident");
     let mut straight_cfg = FoamConfig::tiny(31);
-    straight_cfg.collect_monthly_sst = true;
+    straight_cfg.stream = Some(StreamStatsConfig::default());
     let straight = try_run_coupled(&straight_cfg, 2.0).unwrap();
 
     let mut cfg = ckpt_tiny(31, &dir, 4);
-    cfg.collect_monthly_sst = true;
+    cfg.stream = Some(StreamStatsConfig::default());
     let part1 = try_run_coupled(&cfg, 1.0).unwrap(); // snapshots at interval 4
     assert_series_bit_equal(
         &part1.mean_sst_series,
@@ -116,7 +117,14 @@ fn restart_resumes_bit_identically() {
         straight.ice_fraction.to_bits(),
         "ice fraction"
     );
+    assert_eq!(resumed.stream, straight.stream, "stream state");
     assert_eq!(resumed.sim_seconds, straight.sim_seconds);
+    // The speedup counts only the four intervals the resumed leg ran.
+    let charged = resumed.model_speedup * resumed.wall_seconds;
+    assert!(
+        (charged / (4.0 * cfg.dt_couple) - 1.0).abs() < 1e-12,
+        "{charged} s"
+    );
 
     // Resuming a run the checkpoint has already finished is a typed
     // config mismatch, not a silent no-op.

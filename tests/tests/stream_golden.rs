@@ -1,9 +1,9 @@
 //! Golden regression of the Figure-3/4 diagnostics on the streaming
-//! path: a short deterministic coupled run with *both* statistics paths
-//! enabled must render byte-identical analysis text from the batch
-//! (retained-history) pipeline and the streaming pipeline — and that
-//! text must match the committed golden file, so a silent change to
-//! either estimator shows up as a diff.
+//! path: the F3 climatology of a short deterministic coupled run, and
+//! the F4 decomposition of a synthetic record, which must render
+//! byte-identical text from the batch per-point pipeline and the
+//! stream — and that text must match the committed golden file, so a
+//! silent change to either estimator shows up as a diff.
 //!
 //! Regenerate the golden after an *intentional* change with:
 //!
@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Layout: the F3 block (mean-SST series tail, time-mean field moments)
-//! is printed at full round-trip precision — the streaming mean is
-//! bit-identical to the batch average by construction. The F4 block
+//! is printed at full round-trip precision. The F4 block
 //! (EOF/VARIMAX spectra on a deterministic synthetic record) is printed
 //! at 6 significant digits, inside the 1e-10 agreement the subspace
 //! sketch guarantees.
@@ -58,12 +57,9 @@ fn synth_months(n_t: usize, n_s: usize) -> Vec<Vec<f64>> {
 fn streaming_f3_f4_text_matches_batch_and_golden() {
     let mut text = String::new();
 
-    // ---- F3 block: a 3-month coupled run, both paths on. -------------
-    let mut cfg = FoamConfig::century(1914);
-    cfg.collect_monthly_sst = true;
-    let out = run_coupled(&cfg, 90.0);
+    // ---- F3 block: a 3-month coupled run. ---------------------------
+    let out = run_coupled(&FoamConfig::century(1914), 90.0);
     let ds = out.stream.as_ref().expect("century config streams");
-    assert_eq!(out.monthly_sst.len(), 3);
     assert_eq!(ds.months(), 3);
 
     writeln!(text, "# F3: streaming vs batch monthly climatology").unwrap();
@@ -71,20 +67,11 @@ fn streaming_f3_f4_text_matches_batch_and_golden() {
     for (t, v) in out.mean_sst_series.iter().rev().take(4).enumerate() {
         writeln!(text, "series[-{}] = {v:.17e}", t + 1).unwrap();
     }
-    // The streaming time-mean must be *bit-identical* to averaging the
-    // retained history; render both paths through the same value.
-    let stream_mean = ds.mean_field().expect("three months streamed");
-    let n = out.monthly_sst.len() as f64;
-    let mut max_mean = f64::MIN;
-    for (s, &m) in stream_mean.iter().enumerate() {
-        let batch: f64 = out.monthly_sst.iter().map(|f| f.as_slice()[s]).sum::<f64>() / n;
-        assert_eq!(
-            m.to_bits(),
-            batch.to_bits(),
-            "stream/batch mean field differs at point {s}"
-        );
-        max_mean = max_mean.max(m);
-    }
+    let max_mean = ds
+        .mean_field()
+        .expect("three months streamed")
+        .into_iter()
+        .fold(f64::MIN, f64::max);
     writeln!(text, "mean_field_max = {max_mean:.17e}").unwrap();
     let var = ds.variance_field().unwrap();
     let total_var: f64 = var.iter().sum();

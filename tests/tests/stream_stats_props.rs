@@ -155,61 +155,76 @@ proptest! {
 
     /// The driver-level stream (moments + EOF + the Figure-4 transform
     /// pipeline) survives "split anywhere, resume, continue" with a
-    /// state bit-identical to the uninterrupted stream, and its analysis
-    /// equals the batch per-point pipeline on low-rank data.
+    /// state bit-identical to the uninterrupted stream, discards nothing,
+    /// and its analysis equals the batch per-point pipeline — on low-rank
+    /// data inside a rank-6 budget, and on full-rank noisy months over
+    /// more grid points than months with one direction per month (the
+    /// budget `figure4_variability` runs with).
     #[test]
     fn driver_stream_split_anywhere_analysis_matches_batch(
         coef in prop::collection::vec(-5.0..5.0f64, 26..80),
         cut_frac in 0.0..1.0f64,
+        seed in 1u32..1000,
     ) {
-        let n_s = 10;
-        let weights: Vec<f64> = (0..n_s).map(|s| 1.0 + 0.1 * s as f64).collect();
-        let pat: Vec<f64> = (0..n_s).map(|s| (s as f64 * 0.9).sin() + 1.5).collect();
-        let months: Vec<Vec<f64>> = coef
-            .iter()
-            .enumerate()
-            .map(|(t, a)| {
-                let annual = (2.0 * std::f64::consts::PI * t as f64 / 12.0).sin();
-                (0..n_s).map(|s| 10.0 + annual + a * pat[s]).collect()
-            })
-            .collect();
-        let cut = (months.len() as f64 * cut_frac) as usize;
-        let mut ds = DriverStream::new(weights.clone(), 6);
-        let mut uninterrupted = DriverStream::new(weights.clone(), 6);
-        for (t, m) in months.iter().enumerate() {
-            if t == cut {
-                ds = roundtrip(&ds);
+        let n_t = coef.len();
+        let cut = (n_t as f64 * cut_frac) as usize;
+        let mut state = u64::from(seed);
+        let mut noise = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let pat: Vec<f64> = (0..10).map(|s| (s as f64 * 0.9).sin() + 1.5).collect();
+        let noisy: Vec<Vec<f64>> = (0..n_t).map(|_| (0..n_t + 5).map(|_| noise()).collect()).collect();
+        for (n_s, rank, full_rank) in [(10, 6, false), (n_t + 5, n_t, true)] {
+            let weights: Vec<f64> = (0..n_s).map(|s| 1.0 + 0.05 * s as f64).collect();
+            let months: Vec<Vec<f64>> = coef
+                .iter()
+                .enumerate()
+                .map(|(t, a)| {
+                    let annual = (2.0 * std::f64::consts::PI * t as f64 / 12.0).sin();
+                    let p = if full_rank { &noisy[t] } else { &pat };
+                    p.iter().map(|p| 10.0 + annual + a * p).collect()
+                })
+                .collect();
+            let mut ds = DriverStream::new(weights.clone(), rank);
+            let mut uninterrupted = DriverStream::new(weights.clone(), rank);
+            for (t, m) in months.iter().enumerate() {
+                if t == cut {
+                    ds = roundtrip(&ds);
+                }
+                ds.push_month(m).unwrap();
+                uninterrupted.push_month(m).unwrap();
             }
-            ds.push_month(m).unwrap();
-            uninterrupted.push_month(m).unwrap();
-        }
-        prop_assert_eq!(&ds, &uninterrupted);
+            prop_assert_eq!(&ds, &uninterrupted);
+            prop_assert_eq!(ds.discarded_fraction(), 0.0);
 
-        // Batch Figure-4 pipeline, per grid point.
-        let n_t = months.len();
-        let lp = foam::stream::lowpass_period(n_t);
-        let mut data = vec![vec![0.0; n_s]; n_t];
-        for s in 0..n_s {
-            let col: Vec<f64> = months.iter().map(|m| m[s]).collect();
-            let mut a = anomalies_monthly(&col);
-            detrend(&mut a);
-            for (t, v) in lanczos_lowpass(&a, lp).into_iter().enumerate() {
-                data[t][s] = v;
+            // Batch Figure-4 pipeline, per grid point.
+            let lp = foam::stream::lowpass_period(n_t);
+            let mut data = vec![vec![0.0; n_s]; n_t];
+            for s in 0..n_s {
+                let col: Vec<f64> = months.iter().map(|m| m[s]).collect();
+                let mut a = anomalies_monthly(&col);
+                detrend(&mut a);
+                for (t, v) in lanczos_lowpass(&a, lp).into_iter().enumerate() {
+                    data[t][s] = v;
+                }
             }
-        }
-        let batch = eof_analysis(&data, &weights, 2);
-        let analysis = ds.analyze_variability(2).expect("≥ 24 months streamed");
-        prop_assert!(close(
-            analysis.eof.total_variance,
-            batch.total_variance,
-            batch.total_variance
-        ));
-        for k in 0..analysis.eof.variance_fraction.len().min(batch.variance_fraction.len()) {
+            let batch = eof_analysis(&data, &weights, 2);
+            let analysis = ds.analyze_variability(2).expect("≥ 24 months streamed");
             prop_assert!(close(
-                analysis.eof.variance_fraction[k],
-                batch.variance_fraction[k],
-                1.0
+                analysis.eof.total_variance,
+                batch.total_variance,
+                batch.total_variance
             ));
+            for k in 0..analysis.eof.variance_fraction.len().min(batch.variance_fraction.len()) {
+                prop_assert!(close(
+                    analysis.eof.variance_fraction[k],
+                    batch.variance_fraction[k],
+                    1.0
+                ));
+            }
         }
     }
 }
