@@ -425,7 +425,6 @@ impl Coupler {
         ws: &mut CouplerWorkspace,
     ) {
         let _t = foam_telemetry::scope("fluxes");
-        let n_atm = self.atm_grid.len();
         let at = |f: &Field2, ka: usize| f.as_slice()[ka - ka_offset];
 
         // ---------------- Overlap-grid air–sea fluxes. -----------------
@@ -525,7 +524,6 @@ impl Coupler {
         out.t_sfc.fill(288.0);
         out.albedo.fill(0.07);
         runoff.fill(0.0);
-        let _ = n_atm;
         for ka in ka0..ka1 {
             let sea_a = sea_area_atm[ka];
             let cell_a = self.overlap.atm_cell_area(ka);
@@ -577,8 +575,6 @@ impl Coupler {
             }
 
             // Ice-column thermodynamics for icy sea parts of this cell.
-            let icy_area: f64 = 0.0; // recomputed below if needed
-            let _ = icy_area;
             if sea_a > 0.0 {
                 // Advance the ice column with the cell's net surface
                 // energy when any of its overlap is icy.

@@ -118,28 +118,52 @@ pub fn saturation_humidity(t: f64, p: f64) -> f64 {
 /// Pseudo-adiabatic parcel ascent: the temperature a parcel with initial
 /// state `(t0, q0, p0)` reaches at pressure `p`, warming dry-adiabatically
 /// plus the latent heat of whatever vapour has condensed by that level.
-/// An entrainment efficiency < 1 dilutes the release, as in simple
-/// plume closures. Solved by damped fixed-point iteration.
-pub fn moist_adiabat(t0: f64, q0: f64, p0: f64, p: f64) -> f64 {
+/// The reference the cached-factor CAPE integral is checked against.
+#[cfg(test)]
+pub(crate) fn moist_adiabat(t0: f64, q0: f64, p0: f64, p: f64) -> f64 {
     let kappa = R_DRY / CP_DRY;
-    moist_adiabat_from_dry(t0 * (p / p0).powf(kappa), q0, p)
+    let [t] = moist_adiabat_lanes([t0 * (p / p0).powf(kappa)], q0, [p]);
+    t
 }
 
-/// [`moist_adiabat`] given the parcel's dry-adiabatic temperature
-/// `t_dry` at `p` (callers that lift through a fixed pressure grid have
-/// the `powf` factor cached).
-pub(crate) fn moist_adiabat_from_dry(t_dry: f64, q0: f64, p: f64) -> f64 {
+/// The moist adiabat at `W` levels at once: lane `l` is the temperature
+/// a parcel of humidity `q0`, whose dry-adiabatic temperature at
+/// `p[l]` is `t_dry[l]`, reaches there once the latent heat of what has
+/// condensed is added. An entrainment efficiency < 1 dilutes the
+/// release, as in simple plume closures.
+///
+/// Each lane is solved by the same damped fixed-point iteration, step
+/// for step, as if it were alone: a lane stops when an update moves it
+/// by less than 10⁻⁶ K (keeping that update) or after 25 updates, and
+/// the others carry on. The lanes share no arithmetic, so every lane
+/// gets the bits of `W = 1`; what the width buys is `W` independent
+/// `exp` → divide → compare chains in flight instead of one.
+pub(crate) fn moist_adiabat_lanes<const W: usize>(
+    t_dry: [f64; W],
+    q0: f64,
+    p: [f64; W],
+) -> [f64; W] {
     use foam_grid::constants::L_VAP;
     const ENTRAINMENT_EFF: f64 = 0.6;
     let mut t = t_dry;
+    let mut live = [true; W];
     for _ in 0..25 {
-        let qs = saturation_humidity(t, p);
-        let release = (q0 - qs).max(0.0);
-        let t_new = t_dry + ENTRAINMENT_EFF * L_VAP / CP_DRY * release;
-        if (t_new - t).abs() < 1e-6 {
-            return t_new;
+        for l in 0..W {
+            if live[l] {
+                let qs = saturation_humidity(t[l], p[l]);
+                let release = (q0 - qs).max(0.0);
+                let t_new = t_dry[l] + ENTRAINMENT_EFF * L_VAP / CP_DRY * release;
+                if (t_new - t[l]).abs() < 1e-6 {
+                    t[l] = t_new;
+                    live[l] = false;
+                } else {
+                    t[l] = 0.5 * (t[l] + t_new);
+                }
+            }
         }
-        t = 0.5 * (t + t_new);
+        if !live.contains(&true) {
+            break;
+        }
     }
     t
 }
@@ -147,6 +171,8 @@ pub(crate) fn moist_adiabat_from_dry(t_dry: f64, q0: f64, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn standard_column_is_plausible() {
@@ -217,6 +243,57 @@ mod tests {
         let kappa = R_DRY / CP_DRY;
         let t = moist_adiabat(t0, 0.0, 1.0e5, 6.0e4);
         assert!((t - t0 * (0.6f64).powf(kappa)).abs() < 1e-9);
+    }
+
+    /// The damped fixed-point iteration one level at a time, as written
+    /// before the lanes, with the number of updates it took (`None`:
+    /// stopped by the cap).
+    fn scalar_recurrence(t_dry: f64, q0: f64, p: f64) -> (f64, Option<usize>) {
+        let mut t = t_dry;
+        for it in 1..=25 {
+            let qs = saturation_humidity(t, p);
+            let release = (q0 - qs).max(0.0);
+            let t_new = t_dry + 0.6 * foam_grid::constants::L_VAP / CP_DRY * release;
+            if (t_new - t).abs() < 1e-6 {
+                return (t_new, Some(it));
+            }
+            t = 0.5 * (t + t_new);
+        }
+        (t, None)
+    }
+
+    /// `W` random lanes against `W` single-lane calls and the scalar
+    /// recurrence; the update counts of the lanes (`None`: capped).
+    fn check_lanes<const W: usize>(rng: &mut impl Rng) -> [Option<usize>; W] {
+        let q0 = rng.random_range(0.0..0.05);
+        let t_dry: [f64; W] = std::array::from_fn(|_| rng.random_range(150.0..330.0));
+        let p: [f64; W] = std::array::from_fn(|_| rng.random_range(1.0e3..1.05e5));
+        let lanes = moist_adiabat_lanes(t_dry, q0, p);
+        std::array::from_fn(|l| {
+            let [one] = moist_adiabat_lanes([t_dry[l]], q0, [p[l]]);
+            let (want, updates) = scalar_recurrence(t_dry[l], q0, p[l]);
+            let case = format!("t_dry {} q0 {q0} p {} (lane {l} of {W})", t_dry[l], p[l]);
+            assert_eq!(lanes[l].to_bits(), one.to_bits(), "{case}");
+            assert_eq!(one.to_bits(), want.to_bits(), "{case}");
+            updates
+        })
+    }
+
+    #[test]
+    fn lanes_equal_the_scalar_recurrence_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut staggered, mut capped) = (0, 0);
+        for _ in 0..2000 {
+            let counts = check_lanes::<8>(&mut rng);
+            staggered += usize::from(counts.iter().any(|c| *c != counts[0]));
+            capped += counts.iter().filter(|c| c.is_none()).count();
+            check_lanes::<4>(&mut rng);
+            check_lanes::<3>(&mut rng);
+        }
+        // The draws cover what the lanes must get right: neighbours that
+        // stop at different updates, and lanes stopped by the cap.
+        assert!(staggered > 1000, "{staggered} staggered groups");
+        assert!(capped > 1000, "{capped} capped lanes");
     }
 
     #[test]

@@ -45,11 +45,7 @@ pub fn vertical_diffusion_ws(
         g,
         theta,
         q,
-        band_a,
-        band_b,
-        band_c,
-        band_cp,
-        band_dp,
+        cp,
         ..
     } = ws;
 
@@ -93,60 +89,52 @@ pub fn vertical_diffusion_ws(
     for k in 0..n {
         theta[k] = col.t[k] / exner[k];
     }
-    solve_tridiag_diffusion(theta, g, m, dt, band_a, band_b, band_c, band_cp, band_dp);
     q.clear();
     q.extend_from_slice(&col.q);
-    solve_tridiag_diffusion(q, g, m, dt, band_a, band_b, band_c, band_cp, band_dp);
+    fit(cp, n);
+    solve_tridiag_diffusion_pair(theta, q, g, m, dt, cp);
     for k in 0..n {
         col.t[k] = theta[k] * exner[k];
         col.q[k] = q[k].max(0.0);
     }
 }
 
-/// Backward-Euler diffusion solve: (I − dt A) X^{n+1} = X^n where A is
-/// the conservative flux-divergence operator built from couplings `g`.
-/// The five band/sweep buffers are caller-provided scratch, fully
-/// rebuilt here.
-#[allow(clippy::too_many_arguments)]
-fn solve_tridiag_diffusion(
+/// Backward-Euler diffusion solve for two fields sharing the couplings
+/// `g`: (I − dt A) X^{n+1} = X^n, where A is the conservative
+/// flux-divergence operator. The matrix depends on `g`, `m` and `dt`
+/// alone, so it is eliminated once (Thomas algorithm, pivots divided
+/// by as before) and both right-hand sides ride the same sweeps; each
+/// gets the bits a solve of its own would. `cp` is scratch of length
+/// `x.len()`, fully rebuilt here.
+fn solve_tridiag_diffusion_pair(
     x: &mut [f64],
+    y: &mut [f64],
     g: &[f64],
     m: &[f64],
     dt: f64,
-    a: &mut Vec<f64>,
-    b: &mut Vec<f64>,
-    c: &mut Vec<f64>,
-    cp: &mut Vec<f64>,
-    dp: &mut Vec<f64>,
+    cp: &mut [f64],
 ) {
     let n = x.len();
-    fit(a, n); // sub-diagonal
-    fit(b, n); // diagonal
-    fit(c, n); // super-diagonal
     for k in 0..n {
         let up = if k > 0 { g[k - 1] } else { 0.0 };
         let dn = if k < n - 1 { g[k] } else { 0.0 };
-        b[k] = 1.0 + dt * (up + dn) / m[k];
-        if k > 0 {
-            a[k] = -dt * up / m[k];
-        }
-        if k < n - 1 {
-            c[k] = -dt * dn / m[k];
+        let b = 1.0 + dt * (up + dn) / m[k];
+        let c = if k < n - 1 { -dt * dn / m[k] } else { 0.0 };
+        if k == 0 {
+            cp[0] = c / b;
+            x[0] /= b;
+            y[0] /= b;
+        } else {
+            let a = -dt * up / m[k];
+            let denom = b - a * cp[k - 1];
+            cp[k] = c / denom;
+            x[k] = (x[k] - a * x[k - 1]) / denom;
+            y[k] = (y[k] - a * y[k - 1]) / denom;
         }
     }
-    // Thomas algorithm.
-    fit(cp, n);
-    fit(dp, n);
-    cp[0] = c[0] / b[0];
-    dp[0] = x[0] / b[0];
-    for k in 1..n {
-        let denom = b[k] - a[k] * cp[k - 1];
-        cp[k] = c[k] / denom;
-        dp[k] = (x[k] - a[k] * dp[k - 1]) / denom;
-    }
-    x[n - 1] = dp[n - 1];
     for k in (0..n - 1).rev() {
-        x[k] = dp[k] - cp[k] * x[k + 1];
+        x[k] -= cp[k] * x[k + 1];
+        y[k] -= cp[k] * y[k + 1];
     }
 }
 
@@ -154,6 +142,59 @@ fn solve_tridiag_diffusion(
 mod tests {
     use super::*;
     use foam_grid::constants::CP_DRY;
+
+    /// One field's solve with its own bands, as each of θ and q was
+    /// solved before they shared the elimination.
+    fn solve_single(x: &mut [f64], g: &[f64], m: &[f64], dt: f64) {
+        let n = x.len();
+        let (mut a, mut b, mut c) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        for k in 0..n {
+            let up = if k > 0 { g[k - 1] } else { 0.0 };
+            let dn = if k < n - 1 { g[k] } else { 0.0 };
+            b[k] = 1.0 + dt * (up + dn) / m[k];
+            if k > 0 {
+                a[k] = -dt * up / m[k];
+            }
+            if k < n - 1 {
+                c[k] = -dt * dn / m[k];
+            }
+        }
+        let (mut cp, mut dp) = (vec![0.0; n], vec![0.0; n]);
+        cp[0] = c[0] / b[0];
+        dp[0] = x[0] / b[0];
+        for k in 1..n {
+            let denom = b[k] - a[k] * cp[k - 1];
+            cp[k] = c[k] / denom;
+            dp[k] = (x[k] - a[k] * dp[k - 1]) / denom;
+        }
+        x[n - 1] = dp[n - 1];
+        for k in (0..n - 1).rev() {
+            x[k] = dp[k] - cp[k] * x[k + 1];
+        }
+    }
+
+    #[test]
+    fn pair_solve_matches_two_single_solves_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        for n in 2..=20 {
+            for _ in 0..50 {
+                let g: Vec<f64> = (0..n - 1).map(|_| rng.random_range(0.0..5.0)).collect();
+                let m: Vec<f64> = (0..n).map(|_| rng.random_range(50.0..1.0e4)).collect();
+                let dt = rng.random_range(60.0..86_400.0);
+                let x: Vec<f64> = (0..n).map(|_| rng.random_range(200.0..400.0)).collect();
+                let y: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..0.03)).collect();
+                let (mut xr, mut yr) = (x.clone(), y.clone());
+                solve_single(&mut xr, &g, &m, dt);
+                solve_single(&mut yr, &g, &m, dt);
+                let (mut xp, mut yp) = (x, y);
+                solve_tridiag_diffusion_pair(&mut xp, &mut yp, &g, &m, dt, &mut vec![0.0; n]);
+                let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&xp), bits(&xr), "n = {n}");
+                assert_eq!(bits(&yp), bits(&yr), "n = {n}");
+            }
+        }
+    }
 
     #[test]
     fn one_pass_heights_match_column_height_bit_for_bit() {
