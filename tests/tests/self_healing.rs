@@ -1,7 +1,7 @@
 //! The self-healing contract, end to end: a supervised run hit by the
-//! full fault matrix — rank death, exchange timeout, checkpoint-store
-//! sabotage (torn write, CRC corruption, ENOSPC), physics blow-up —
-//! must detect the fault, roll back to the newest *readable* snapshot,
+//! full fault matrix — rank death (the ocean's included), checkpoint-
+//! store sabotage (torn write, CRC corruption, ENOSPC), physics blow-up
+//! — must detect the fault, roll back to the newest *readable* snapshot,
 //! resume, and finish **bit-identical** to a fault-free run of the same
 //! configuration and seed. The recovery record must be byte-identical
 //! across reruns of the same seed + fault plan.
@@ -16,9 +16,7 @@ use foam::{
     FoamConfig, PhysicsFault, PhysicsFaultKind, RankKill, StoreFaultPlan,
 };
 use foam::{SupervisorError, SupervisorErrorKind};
-use foam_coupler::tags::TAG_SST;
 use foam_grid::Field2;
-use foam_mpi::{FaultAction, FaultPlan, FaultRule};
 use proptest::prelude::*;
 
 /// A fresh scratch directory under the system temp dir (the build has
@@ -30,16 +28,14 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Tiny config checkpointing into `dir` every 2 coupling intervals,
-/// periodic snapshots only (the supervisor forces `on_error` off
-/// anyway — emergency snapshots lie off the failure-free trajectory).
+/// keeping three snapshots.
 fn ckpt_tiny(seed: u64, dir: &Path) -> FoamConfig {
     let mut cfg = FoamConfig::tiny(seed);
     cfg.ckpt = CkptConfig {
         dir: Some(dir.to_path_buf()),
         interval: 2,
         keep: 3,
-        on_error: false,
-        fault_plan: None,
+        ..CkptConfig::default()
     };
     cfg
 }
@@ -82,23 +78,6 @@ fn assert_outputs_bit_equal(a: &CoupledOutput, b: &CoupledOutput, what: &str) {
         b.ice_fraction.to_bits(),
         "{what}: ice fraction"
     );
-}
-
-/// A fault plan that delivers the first `hits` messages on `TAG_SST`
-/// `delay` seconds late and silently drops every later one, including
-/// retransmissions — the exchange's retry protocol must give up.
-fn kill_sst_after(seed: u64, hits: u64, delay: f64) -> FaultPlan {
-    let rule = |action, max_hits| FaultRule {
-        src: None,
-        dst: None,
-        tag: Some(TAG_SST),
-        action,
-        max_hits,
-        probability: 1.0,
-    };
-    FaultPlan::new(seed)
-        .with_rule(rule(FaultAction::Delay(delay), Some(hits)))
-        .with_rule(rule(FaultAction::Drop, None))
 }
 
 /// The fault-free 2-day reference run, shared across tests (same seed
@@ -202,32 +181,26 @@ fn write_error_abandons_the_snapshot_not_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A lossy exchange past its retry budget is classified as an exchange
-/// timeout; the supervisor disarms the comm fault plan (the
-/// transient-fault model), resumes from the last snapshot, and the
-/// output is bit-identical to the fault-free run.
+/// The ocean rank dies on accepting the interval-5 forcing. Its death
+/// is classified like any other rank's, the supervisor resumes from the
+/// interval-4 snapshot, and the output is bit-identical to the
+/// fault-free run.
 #[test]
-fn exchange_timeout_recovers_bit_identically() {
-    let dir = scratch("timeout");
+fn ocean_death_recovers_bit_identically() {
+    let dir = scratch("ocean-death");
     let mut cfg = ckpt_tiny(91, &dir);
-    cfg.runtime.sst_retry_timeout_secs = 0.3;
-    cfg.runtime.sst_retry_backoff_secs = 0.02;
-    cfg.runtime.sst_retry_max = 2;
-    // Initial SST + intervals 0..=3 delivered, so the snapshots at 2
-    // and 4 commit on the failure-free trajectory before the drop.
-    cfg.runtime.fault_plan = Some(kill_sst_after(7, 5, 0.0));
+    let ocean = cfg.n_atm_ranks;
+    cfg.runtime.kill_rank = Some(RankKill {
+        rank: ocean,
+        interval: 5,
+    });
 
     let out = supervise_run(&cfg, 2.0, &sup(2)).expect("supervised recovery");
-    assert_outputs_bit_equal(&out.output, reference(), "timeout");
+    assert_outputs_bit_equal(&out.output, reference(), "ocean death");
     assert_eq!(out.recovery.rollbacks(), 1);
-    assert!(matches!(
-        out.recovery.events[0].fault,
-        RunFault::ExchangeTimeout { .. }
-    ));
-    assert_eq!(
-        out.recovery.events[0].action,
-        RecoveryAction::Resumed { from_interval: 4 }
-    );
+    let e = &out.recovery.events[0];
+    assert_eq!(e.fault.kind(), "rank_dead", "{:?}", e.fault);
+    assert_eq!(e.action, RecoveryAction::Resumed { from_interval: 4 });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -236,13 +209,13 @@ fn exchange_timeout_recovers_bit_identically() {
 /// fault-free bits, and the telemetry report embeds exactly that record
 /// as its `recovery` section. Two fault schedules, both tearing the
 /// interval-4 snapshot: a rank death at interval 5, and the chaos
-/// combination — an SST exchange that delivers late and then drops
-/// everything from its sixth message, and a NaN blow-up at interval 6.
+/// combination — the ocean's death at interval 5 and a NaN blow-up at
+/// interval 6.
 #[test]
 fn recovery_report_is_byte_identical_across_reruns() {
     let schedules: [(&str, &[&str]); 2] = [
         ("torn+death", &["rank_dead"]),
-        ("chaos", &["exchange_timeout", "physics_sentinel"]),
+        ("chaos", &["rank_dead", "physics_sentinel"]),
     ];
     for (name, kinds) in schedules {
         let run = |tag: &str| {
@@ -250,19 +223,14 @@ fn recovery_report_is_byte_identical_across_reruns() {
             let mut cfg = ckpt_tiny(91, &dir);
             cfg.telemetry.enabled = true;
             cfg.ckpt.fault_plan = Some(StoreFaultPlan::new().torn_write(4));
+            // The chaos schedule kills the ocean, the other one an
+            // atmosphere rank.
+            let rank = if name == "chaos" { cfg.n_atm_ranks } else { 1 };
+            cfg.runtime.kill_rank = Some(RankKill { rank, interval: 5 });
             if name == "chaos" {
-                cfg.runtime.sst_retry_timeout_secs = 0.3;
-                cfg.runtime.sst_retry_backoff_secs = 0.02;
-                cfg.runtime.sst_retry_max = 2;
-                cfg.runtime.fault_plan = Some(kill_sst_after(91, 5, 0.01));
                 cfg.runtime.physics_fault = Some(PhysicsFault {
                     interval: 6,
                     kind: PhysicsFaultKind::Nan,
-                });
-            } else {
-                cfg.runtime.kill_rank = Some(RankKill {
-                    rank: 1,
-                    interval: 5,
                 });
             }
             let out = supervise_run(&cfg, 2.0, &sup(4)).expect("supervised recovery");
@@ -306,8 +274,7 @@ fn unusable_store_exhausts_the_recovery_budget() {
         dir: Some(file),
         interval: 2,
         keep: 2,
-        on_error: false,
-        fault_plan: None,
+        ..CkptConfig::default()
     };
 
     let err: SupervisorError = supervise_run(&cfg, 0.5, &sup(2)).unwrap_err();
