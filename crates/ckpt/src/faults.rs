@@ -1,9 +1,9 @@
 //! Deterministic checkpoint-store fault injection.
 //!
-//! The comm layer's `FaultPlan` (in `foam-mpi`) exercises lost and
-//! reordered messages; this module is its storage counterpart, so the
-//! full fault matrix — comm, storage, physics — can be injected into one
-//! seeded run. A [`FaultyStore`] wraps a [`CheckpointStore`] and, at the
+//! The storage entry of the fault matrix the run supervisor recovers
+//! from, beside an injected rank death and a poisoned SST, so that
+//! storage, rank and physics faults can be injected into one seeded run.
+//! A [`FaultyStore`] wraps a [`CheckpointStore`] and, at the
 //! intervals named by its [`StoreFaultPlan`], produces exactly the
 //! failure modes real filesystems produce:
 //!
@@ -52,8 +52,7 @@ pub struct StoreFault {
 
 /// A deterministic schedule of checkpoint-store faults. Each entry
 /// fires at most once per [`FaultyStore`] instance (one sabotage per
-/// scheduled interval), mirroring how the comm `FaultPlan`'s
-/// `drop_first` rules are bounded.
+/// scheduled interval).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreFaultPlan {
     faults: Vec<StoreFault>,

@@ -4,7 +4,6 @@ use std::path::PathBuf;
 
 use foam_atm::AtmConfig;
 use foam_ckpt::StoreFaultPlan;
-use foam_mpi::FaultPlan;
 use foam_ocean::{OceanConfig, SplitScheme};
 use foam_physics::forcing::Forcings;
 
@@ -68,11 +67,6 @@ pub struct CkptConfig {
     pub interval: usize,
     /// Committed snapshots retained (older ones are deleted).
     pub keep: usize,
-    /// Also attempt a best-effort emergency checkpoint when the run
-    /// aborts with a [`crate::CoupledError`]. Emergency snapshots are
-    /// resumable but lie off the failure-free trajectory (the root
-    /// records its last *accepted* SST, which by then is stale).
-    pub on_error: bool,
     /// Deterministic checkpoint-store fault injection (testing only):
     /// torn writes, CRC corruption, ENOSPC-style write failures on a
     /// schedule (see [`foam_ckpt::FaultyStore`]).
@@ -87,7 +81,6 @@ impl CkptConfig {
             dir: Some(dir.into()),
             interval,
             keep: 2,
-            on_error: true,
             fault_plan: None,
         }
     }
@@ -135,24 +128,11 @@ impl TelemetryConfig {
     }
 }
 
-/// Failure-handling knobs of the message-passing runtime, separate from
-/// the science configuration.
-#[derive(Debug, Clone)]
+/// Fault injection into a run, separate from the science configuration
+/// (testing only): the faults a real run can meet, each on a schedule so
+/// that recovery from it is reproducible.
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
-    /// How long the atmosphere root waits for an expected SST before
-    /// sending a retry request to the ocean \[s\]. The protocol is
-    /// idempotent, so a premature retry is absorbed — but keep this
-    /// comfortably above one ocean coupling-interval integration to
-    /// avoid spurious retry traffic.
-    pub sst_retry_timeout_secs: f64,
-    /// Retry requests per SST exchange before giving up with a
-    /// [`crate::CoupledError`] (at least 1).
-    pub sst_retry_max: u32,
-    /// Base backoff between retry requests \[s\]; doubles per attempt.
-    pub sst_retry_backoff_secs: f64,
-    /// Deterministic fault-injection plan for point-to-point messages
-    /// (testing only).
-    pub fault_plan: Option<FaultPlan>,
     /// Deterministically kill one rank at a coupling interval (testing
     /// only) — the chaos matrix's "node death" entry.
     pub kill_rank: Option<RankKill>,
@@ -160,19 +140,6 @@ pub struct RuntimeConfig {
     /// — the chaos matrix's "physics blow-up" entry, caught by the
     /// sentinel.
     pub physics_fault: Option<PhysicsFault>,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            sst_retry_timeout_secs: 2.0,
-            sst_retry_max: 3,
-            sst_retry_backoff_secs: 0.05,
-            fault_plan: None,
-            kill_rank: None,
-            physics_fault: None,
-        }
-    }
 }
 
 /// Deterministic rank-death injection: `rank` panics at the top of
@@ -444,17 +411,6 @@ impl FoamConfig {
                 value: obl,
             });
         }
-        // The SST retry protocol: the timings reach `Duration` on the
-        // root rank, where a bad value would panic mid-run.
-        let rt = &self.runtime;
-        positive("runtime.sst_retry_timeout_secs", rt.sst_retry_timeout_secs)?;
-        if !(rt.sst_retry_backoff_secs >= 0.0 && rt.sst_retry_backoff_secs.is_finite()) {
-            return Err(ConfigError::NonPositive {
-                what: "runtime.sst_retry_backoff_secs",
-                value: rt.sst_retry_backoff_secs,
-            });
-        }
-        at_least_one("runtime.sst_retry_max", rt.sst_retry_max as usize)?;
         if let Some(path) = &self.telemetry.path {
             // The file itself is created at the end of the run; what must
             // already exist is the directory it lands in.
@@ -572,34 +528,6 @@ mod tests {
                 ..
             })
         ));
-        // Retry timings that would panic the root rank's `Duration`.
-        let timeout = "runtime.sst_retry_timeout_secs";
-        let backoff = "runtime.sst_retry_backoff_secs";
-        for (what, bad) in [
-            (timeout, f64::NAN),
-            (timeout, -1.0),
-            (timeout, f64::INFINITY),
-            (timeout, 0.0),
-            (backoff, f64::NAN),
-            (backoff, -0.05),
-            (backoff, f64::INFINITY),
-        ] {
-            let mut c = FoamConfig::tiny(1);
-            if what == timeout {
-                c.runtime.sst_retry_timeout_secs = bad;
-            } else {
-                c.runtime.sst_retry_backoff_secs = bad;
-            }
-            let err = c.validate();
-            assert!(
-                matches!(err, Err(ConfigError::NonPositive { what: w, .. }) if w == what),
-                "{what} = {bad}: {err:?}"
-            );
-        }
-        // No backoff at all is a valid schedule.
-        let mut c = FoamConfig::tiny(1);
-        c.runtime.sst_retry_backoff_secs = 0.0;
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -618,14 +546,6 @@ mod tests {
             c.validate(),
             Err(ConfigError::ZeroCount {
                 what: "n_atm_ranks"
-            })
-        );
-        let mut c = FoamConfig::tiny(1);
-        c.runtime.sst_retry_max = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::ZeroCount {
-                what: "runtime.sst_retry_max"
             })
         );
         let mut c = FoamConfig::tiny(1);

@@ -21,10 +21,10 @@
 //! of the rest of the codebase.
 //!
 //! What is *excluded* is as deliberate as what is included: wall-clock
-//! and observability knobs (telemetry, tracing, retry timeouts,
-//! checkpoint cadence) cannot change a simulated bit, and injected
-//! fault plans are excluded because a supervised run recovers from them
-//! bit-identically — the same trajectory, so the same digest.
+//! and observability knobs (telemetry, tracing, checkpoint cadence)
+//! cannot change a simulated bit, and injected fault plans are excluded
+//! because a supervised run recovers from them bit-identically — the
+//! same trajectory, so the same digest.
 //!
 //! ```
 //! use foam::FoamConfig;
@@ -361,7 +361,10 @@ mod tests {
         let mut c = base.clone();
         c.telemetry.enabled = true;
         c.tracing = true;
-        c.runtime.sst_retry_timeout_secs = 99.0;
+        c.runtime.kill_rank = Some(crate::RankKill {
+            rank: 1,
+            interval: 3,
+        });
         c.ckpt = crate::CkptConfig::every("/tmp/anywhere", 3);
         assert_eq!(d, c.canonical_digest());
     }

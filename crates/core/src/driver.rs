@@ -20,31 +20,30 @@
 //!
 //! # Failure semantics
 //!
-//! Every exchange message carries a sequence number (forcings count
-//! coupling intervals, SSTs count completed ocean integrations), which
-//! makes the protocol idempotent: duplicates and stale retransmissions
-//! are recognized and ignored. When the atmosphere root's SST receive
-//! misses its deadline ([`crate::RuntimeConfig::sst_retry_timeout_secs`])
-//! it sends a `TAG_SST_RETRY` NACK and backs off exponentially; the
-//! ocean answers by retransmitting its latest SST. A stale answer tells
-//! the root the *forcing* was lost, and it retransmits that instead. An
-//! exhausted retry budget aborts the run with a typed
-//! [`CoupledError`] — broadcast to the other atmosphere ranks and
-//! signalled to the ocean via the `TAG_DONE` handshake — rather than
-//! panicking or hanging. The same handshake ends clean runs: the root's
-//! final drain of retransmitted duplicates is what lets the runtime's
-//! teardown comm-lint come back clean even for faulty runs that
-//! recovered.
+//! Delivery is reliable and in order, so the exchange never resends.
+//! Every SST carries a sequence number (completed ocean integrations),
+//! and the root skips a stale one: a resumed ocean opens by announcing
+//! the SST it holds, which a sequential run has already restored from
+//! the snapshot. The root waits for each reply from the ocean at most
+//! [`OCEAN_REPLY_TIMEOUT`]. An SST that misses it ends the run with a
+//! typed [`CoupledError::SstExchange`], which the run supervisor
+//! recovers from by rollback like every other fault (a dead rank, a
+//! failing checkpoint store, a tripped sentinel). Every abort reaches
+//! the other atmosphere ranks through the status broadcast they wait on
+//! and the ocean through the `TAG_DONE` handshake, so the job tears down
+//! rather than panicking or hanging. The handshake ends clean runs too:
+//! the ocean's ack is ordered after anything it sent before, so the
+//! root's final drain leaves the teardown comm-lint clean.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use foam_ckpt::{CheckpointStore, CkptError, FaultyStore};
-use foam_coupler::tags::{TAG_CKPT, TAG_DONE, TAG_FORCING, TAG_SST, TAG_SST_RETRY};
+use foam_coupler::tags::{TAG_CKPT, TAG_DONE, TAG_FORCING, TAG_SST};
 use foam_coupler::ExchangeBuffers;
 use foam_grid::constants::SECONDS_PER_DAY;
 use foam_grid::Field2;
-use foam_mpi::{Backoff, Comm, CommLint, RankTrace, RunConfig, Universe};
+use foam_mpi::{Comm, CommLint, RankTrace, RunConfig, Universe};
 use foam_ocean::{OceanForcing, SplitScheme};
 use foam_telemetry::{TelemetryRegistry, TelemetryReport};
 
@@ -70,17 +69,20 @@ const SST_RANGE_C: (f64, f64) = (-5.0, 60.0);
 /// range.
 const SOIL_RANGE_C: (f64, f64) = (-270.0, 200.0);
 
-/// How long the root waits for the ocean's checkpoint acknowledgement
-/// before abandoning the snapshot attempt (never the run) \[s\].
-const CKPT_ACK_TIMEOUT_SECS: f64 = 30.0;
+/// How long the root waits for either reply from the ocean: the SST that
+/// is due (missing it ends the run with [`CoupledError::SstExchange`])
+/// or a checkpoint acknowledgement (missing it abandons the snapshot,
+/// never the run). Far above any ocean interval's integration time, so
+/// only a hung ocean reaches it.
+const OCEAN_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Typed failure of a coupled run — the graceful alternative to a
 /// panicking (or silently hanging) exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoupledError {
-    /// The atmosphere root exhausted its retry budget waiting for the
-    /// SST with sequence number `expected_seq`.
-    SstExchange { expected_seq: usize, retries: u32 },
+    /// The atmosphere root waited the driver's reply deadline (30 s)
+    /// for the SST with sequence number `expected_seq` and none came.
+    SstExchange { expected_seq: usize },
     /// This rank was told by the root that the run is aborting.
     Aborted,
     /// The configuration failed [`FoamConfig::validate`].
@@ -115,12 +117,9 @@ pub enum CoupledError {
 impl std::fmt::Display for CoupledError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoupledError::SstExchange {
-                expected_seq,
-                retries,
-            } => write!(
+            CoupledError::SstExchange { expected_seq } => write!(
                 f,
-                "SST exchange failed: sequence {expected_seq} never arrived after {retries} retries"
+                "SST exchange failed: sequence {expected_seq} never arrived"
             ),
             CoupledError::Aborted => write!(f, "run aborted by the atmosphere root"),
             CoupledError::Config(e) => write!(f, "invalid configuration: {e}"),
@@ -241,9 +240,8 @@ pub fn run_coupled(cfg: &FoamConfig, days: f64) -> CoupledOutput {
     }
 }
 
-/// Run the coupled model for `days` simulated days. Communication
-/// failures that survive the retry protocol surface as a typed
-/// [`CoupledError`]; every rank (including the ocean) shuts down
+/// Run the coupled model for `days` simulated days. Failures surface as
+/// a typed [`CoupledError`]; every rank (including the ocean) shuts down
 /// cleanly first, so the returned error is accompanied by an orderly
 /// teardown rather than a poisoned job.
 pub fn try_run_coupled(cfg: &FoamConfig, days: f64) -> Result<CoupledOutput, CoupledError> {
@@ -333,7 +331,6 @@ pub(crate) fn start(
     let n_atm = cfg.n_atm_ranks;
     let run_cfg = RunConfig {
         tracing: cfg.tracing,
-        faults: cfg.runtime.fault_plan.clone(),
     };
     let start_c = resume.as_ref().map(|s| s.interval).unwrap_or(0);
     let collect_telemetry = cfg.telemetry.collect();
@@ -448,7 +445,6 @@ fn fold_comm_stats(reg: &mut TelemetryRegistry, stats: &foam_mpi::CommStats) {
         put("msgs_recvd", t.msgs_recvd);
         put("bytes_sent", t.bytes_sent);
         put("bytes_recvd", t.bytes_recvd);
-        put("drops_injected", t.injected_drops);
         put("wait_us", (t.wait_seconds * 1e6) as u64);
     }
 }
@@ -510,12 +506,37 @@ fn inject_rank_death(cfg: &FoamConfig, world: &Comm, interval: usize) {
     }
 }
 
+/// Receive the SST with sequence number `expected` (or later) from the
+/// ocean at world rank `ocean`, skipping stale ones (the announce a
+/// resumed ocean opens with). No SST within `deadline` ends the run with
+/// a typed [`CoupledError::SstExchange`]; production passes
+/// [`OCEAN_REPLY_TIMEOUT`].
+fn recv_sst(
+    world: &Comm,
+    ocean: usize,
+    expected: usize,
+    deadline: Duration,
+) -> Result<(usize, Field2), CoupledError> {
+    // Time blocked on the exchange (nests under "coupler" when the call
+    // comes from inside a coupler region).
+    let _t = foam_telemetry::scope("sst_wait");
+    loop {
+        match world.recv_deadline::<(usize, Field2)>(ocean, TAG_SST, deadline) {
+            Ok((seq, sst)) if seq >= expected => return Ok((seq, sst)),
+            Ok(_) => continue,
+            Err(_) => {
+                return Err(CoupledError::SstExchange {
+                    expected_seq: expected,
+                })
+            }
+        }
+    }
+}
+
 /// What the root tells the other atmosphere ranks after each exchange.
 const NO_UPDATE: u8 = 0;
 const SST_FOLLOWS: u8 = 1;
 const ABORT: u8 = 2;
-/// Write an emergency checkpoint shard, then abort.
-const EMERGENCY: u8 = 3;
 
 /// The services of one atmosphere rank of the coupled job: everything
 /// the protocol needs around the stepping core. Only the root (rank 0
@@ -535,9 +556,6 @@ struct AtmRank<'a> {
     log: Option<RootLog>,
     /// Sequence number of the SST the stepper holds.
     sst_seq: usize,
-    /// The forcings kept for retransmission (lagged mode can be asked
-    /// for the previous interval's, so the last two).
-    recent: Vec<(usize, OceanForcing)>,
 }
 
 fn atm_rank(
@@ -566,9 +584,6 @@ fn atm_rank(
             .map(|s| FaultyStore::wrap(s, cfg.ckpt.fault_plan.clone().unwrap_or_default())),
         log: is_root.then(|| RootLog::new(cfg, &coupler.ocn_grid, &coupler.sea_mask, resume)),
         sst_seq: resume.map_or(0, |s| s.exchange.sst_seq),
-        recent: resume
-            .filter(|_| is_root)
-            .map_or_else(Vec::new, |s| s.exchange.recent.clone()),
         atm_comm,
     };
     // A restart restores the SST from the shared snapshot on every rank
@@ -608,7 +623,7 @@ impl AtmRank<'_> {
             let sst = self.atm_comm.bcast::<Option<Field2>>(0, None);
             return sst.ok_or(CoupledError::Aborted);
         }
-        match self.recv_sst(0) {
+        match recv_sst(self.world, self.ocean(), 0, OCEAN_REPLY_TIMEOUT) {
             Ok((seq, sst)) => {
                 self.sst_seq = seq;
                 let back = self.atm_comm.bcast(0, Some(Some(sst)));
@@ -622,51 +637,10 @@ impl AtmRank<'_> {
         }
     }
 
-    /// Receive the SST with sequence number `expected`, driving the
-    /// retry protocol: deadline → NACK → exponential backoff; stale
-    /// answers trigger a retransmission of the forcing the ocean is
-    /// still waiting for.
-    fn recv_sst(&self, expected: usize) -> Result<(usize, Field2), CoupledError> {
-        // Time blocked on the exchange (nests under "coupler" when the
-        // call comes from inside a coupler region).
-        let _t = foam_telemetry::scope("sst_wait");
-        let (world, ocean, rt) = (self.world, self.ocean(), &self.cfg.runtime);
-        let timeout = Duration::from_secs_f64(rt.sst_retry_timeout_secs);
-        let backoff = Backoff::new(rt.sst_retry_backoff_secs);
-        let mut retries = 0u32;
-        loop {
-            match world.recv_deadline::<(usize, Field2)>(ocean, TAG_SST, timeout) {
-                Ok((seq, sst)) if seq >= expected => return Ok((seq, sst)),
-                Ok((stale_seq, _)) => {
-                    // A retransmission from before the integration we
-                    // need: the ocean is still waiting for the forcing
-                    // of interval `stale_seq`. Resend it if we still
-                    // hold it (the ocean recognizes duplicates by
-                    // index).
-                    for f in self.recent.iter().filter(|(idx, _)| *idx == stale_seq) {
-                        world.send(ocean, TAG_FORCING, f.clone());
-                    }
-                }
-                Err(_) => {
-                    if retries >= rt.sst_retry_max {
-                        return Err(CoupledError::SstExchange {
-                            expected_seq: expected,
-                            retries,
-                        });
-                    }
-                    retries += 1;
-                    foam_telemetry::count("coupler.sst_retries", 1);
-                    world.send(ocean, TAG_SST_RETRY, expected);
-                    std::thread::sleep(backoff.delay(retries));
-                }
-            }
-        }
-    }
-
-    /// Tell the ocean the exchange is over and clear retransmitted
-    /// duplicates from the mailbox. The ocean's ack is ordered after any
-    /// SST it sent earlier, so after it arrives the drain leaves nothing
-    /// behind for teardown lint to flag.
+    /// Tell the ocean the exchange is over and clear what an abort left
+    /// unread from the mailbox (an SST or a checkpoint ack). The ocean's
+    /// ack is ordered after anything it sent earlier, so after it
+    /// arrives the drain leaves nothing behind for teardown lint to flag.
     fn shutdown_ocean(&self) {
         let (world, ocean) = (self.world, self.ocean());
         world.send(ocean, TAG_DONE, ());
@@ -699,7 +673,7 @@ impl AtmRank<'_> {
             if self.is_root() {
                 self.lead(atm, c, forcing)
             } else {
-                self.follow(atm, c)
+                self.follow()
             }
         })?;
         if let Some(sst) = received {
@@ -717,7 +691,7 @@ impl AtmRank<'_> {
             }
         }
         if self.cfg.ckpt.dir.is_some() && (c + 1).is_multiple_of(self.cfg.ckpt.interval) {
-            self.checkpoint(atm, c + 1, false);
+            self.checkpoint(atm, c + 1);
         }
         Ok(())
     }
@@ -747,12 +721,7 @@ impl AtmRank<'_> {
         let skins = atm.coupler_state.soil[atm.cells()].iter();
         let skins = skins.map(|col| col.skin() - KELVIN_OFFSET);
         sentinel("soil", skins, SOIL_RANGE_C, c).map_err(|e| self.abort(e))?;
-        let tagged = (c, forcing);
-        self.world.send(self.ocean(), TAG_FORCING, tagged.clone());
-        self.recent.push(tagged);
-        if self.recent.len() > 2 {
-            self.recent.remove(0);
-        }
+        self.world.send(self.ocean(), TAG_FORCING, (c, forcing));
         // When is the ocean's answer due? Sequentially: right now,
         // producing sequence c+1. Lagged: the SST from the *previous*
         // forcing (sequence c), overlapping the ocean's work with the
@@ -765,7 +734,7 @@ impl AtmRank<'_> {
             self.atm_comm.bcast(0, Some(NO_UPDATE));
             return Ok(None);
         };
-        match self.recv_sst(expected) {
+        match recv_sst(self.world, self.ocean(), expected, OCEAN_REPLY_TIMEOUT) {
             Ok((seq, mut sst)) => {
                 // An injected physics fault poisons the field exactly as
                 // a blown-up ocean would, *before* the sentinel scan;
@@ -779,32 +748,14 @@ impl AtmRank<'_> {
                 self.atm_comm.bcast(0, Some(SST_FOLLOWS));
                 Ok(Some(self.atm_comm.bcast(0, Some(sst))))
             }
-            Err(e) if cfg.ckpt.on_error && self.store.is_some() => {
-                // Abort — but first a best-effort emergency checkpoint,
-                // so the run is resumable from this interval. It logs
-                // and records the last *accepted* SST (by now stale), so
-                // it lies off the failure-free trajectory; the manifest
-                // marks it.
-                if let Some(log) = &mut self.log {
-                    let _ = log.record(atm.sst());
-                }
-                self.atm_comm.bcast(0, Some(EMERGENCY));
-                self.checkpoint(atm, c + 1, true);
-                self.shutdown_ocean();
-                Err(e)
-            }
             Err(e) => Err(self.abort(e)),
         }
     }
 
     /// Every other atmosphere rank's side: do what the root's status
     /// says.
-    fn follow(&self, atm: &AtmStepper, c: usize) -> Result<Option<Field2>, CoupledError> {
+    fn follow(&self) -> Result<Option<Field2>, CoupledError> {
         match self.atm_comm.bcast::<u8>(0, None) {
-            EMERGENCY => {
-                self.checkpoint(atm, c + 1, true);
-                Err(CoupledError::Aborted)
-            }
             ABORT => Err(CoupledError::Aborted),
             SST_FOLLOWS => Ok(Some(self.atm_comm.bcast(0, None))),
             _ => Ok(None),
@@ -819,7 +770,7 @@ impl AtmRank<'_> {
     /// matches), and the root commits with an atomic rename only when
     /// every ack is positive. Any failure abandons the snapshot — never
     /// the run.
-    fn checkpoint(&self, atm: &AtmStepper, target: usize, emergency: bool) {
+    fn checkpoint(&self, atm: &AtmStepper, target: usize) {
         let _t = foam_telemetry::scope("checkpoint");
         let mut pending = None;
         let staging: Option<String> = if self.is_root() {
@@ -841,10 +792,8 @@ impl AtmRank<'_> {
             exchange: ExchangeBuffers {
                 sst_seq: self.sst_seq,
                 sst: atm.sst().clone(),
-                recent: self.recent.clone(),
             },
             log,
-            emergency,
         });
         let ok =
             checkpoint::write_atm_shard(Path::new(&dir), self.atm_comm.rank(), atm, extras).is_ok();
@@ -852,18 +801,9 @@ impl AtmRank<'_> {
             return;
         };
         let (world, ocean) = (self.world, self.ocean());
-        // On the emergency path the ocean may still be waiting for lost
-        // forcings; retransmit what we hold so it can reach the target
-        // interval before the shard request (same-tag FIFO) lands.
-        if emergency {
-            for f in &self.recent {
-                world.send(ocean, TAG_FORCING, f.clone());
-            }
-        }
         world.send(ocean, TAG_CKPT, (target, dir));
-        let deadline = Duration::from_secs_f64(CKPT_ACK_TIMEOUT_SECS);
         let ocean_ok = loop {
-            match world.recv_deadline::<(usize, bool)>(ocean, TAG_CKPT, deadline) {
+            match world.recv_deadline::<(usize, bool)>(ocean, TAG_CKPT, OCEAN_REPLY_TIMEOUT) {
                 Ok((t, o)) if t == target => break o,
                 Ok(_) => continue, // stale ack of an earlier abandoned attempt
                 Err(_) => break false,
@@ -872,14 +812,7 @@ impl AtmRank<'_> {
         let n_atm = self.atm_comm.size();
         let staged = ocean_ok
             && oks.iter().all(|&b| b)
-            && checkpoint::write_manifest(
-                pending.staging_dir(),
-                self.cfg,
-                target,
-                n_atm,
-                emergency,
-            )
-            .is_ok();
+            && checkpoint::write_manifest(pending.staging_dir(), self.cfg, target, n_atm).is_ok();
         if !staged {
             pending.abort();
         } else if pending.commit().is_ok() {
@@ -889,11 +822,10 @@ impl AtmRank<'_> {
         }
     }
 
-    /// After the last interval, on the root: in lagged mode drain the
+    /// After the last interval, on the root: in lagged mode receive the
     /// final SST (the ocean produces one per forcing; a blown-up field
-    /// is refused like any mid-run one), then run the shutdown handshake
-    /// so retransmitted duplicates don't dirty the teardown lint. The
-    /// other atmosphere ranks are already done, so only the ocean is
+    /// is refused like any mid-run one), then run the shutdown handshake.
+    /// The other atmosphere ranks are already done, so only the ocean is
     /// told.
     fn finish(&self, atm: &AtmStepper, n_couple: usize) -> Result<Option<Field2>, CoupledError> {
         if !self.is_root() {
@@ -901,9 +833,10 @@ impl AtmRank<'_> {
         }
         let final_sst = match self.cfg.coupling {
             CouplingMode::Sequential => Ok(atm.sst().clone()),
-            CouplingMode::Lagged => self
-                .recv_sst(n_couple)
-                .and_then(|(_, sst)| sentinel_sst(&sst, atm.sea_mask(), n_couple).map(|()| sst)),
+            CouplingMode::Lagged => {
+                recv_sst(self.world, self.ocean(), n_couple, OCEAN_REPLY_TIMEOUT)
+                    .and_then(|(_, sst)| sentinel_sst(&sst, atm.sea_mask(), n_couple).map(|()| sst))
+            }
         };
         self.shutdown_ocean();
         final_sst.map(Some)
@@ -922,21 +855,19 @@ fn ocean_rank(
 
     // Announcing the latest SST up front serves fresh starts (the
     // initial condition, sequence 0) and restarts (the root either
-    // consumes it or absorbs it as a stale duplicate) identically.
-    let mut latest: (usize, Field2) = (ocean.completed(), ocean.sst());
-    world.send(atm_root, TAG_SST, latest.clone());
+    // consumes it or skips it as stale) identically.
+    world.send(atm_root, TAG_SST, (ocean.completed(), ocean.sst()));
 
     // Serve the exchange protocol until the root says we are done: step
-    // on each new forcing, retransmit on each NACK, write a checkpoint
-    // shard on request, ignore duplicates.
+    // on each forcing, write a checkpoint shard on request.
     loop {
-        let msg = world.recv_match(atm_root, &[TAG_FORCING, TAG_SST_RETRY, TAG_DONE, TAG_CKPT]);
+        let msg = world.recv_match(atm_root, &[TAG_FORCING, TAG_DONE, TAG_CKPT]);
         match msg.tag() {
             TAG_FORCING => {
                 let (idx, forcing) = msg.downcast::<(usize, OceanForcing)>();
                 // Only the forcing for the next interval advances the
-                // model; duplicates (idx < completed) and early
-                // retransmissions (idx > completed) are ignored.
+                // model; any other index is a protocol fault, and the
+                // root's SST deadline reports it.
                 if idx == ocean.completed() {
                     // The ocean dies on accepting the scheduled
                     // interval's forcing: its state is still exactly the
@@ -946,20 +877,15 @@ fn ocean_rank(
                         let _t = foam_telemetry::scope("ocean");
                         ocean.step(&forcing);
                     });
-                    latest = (ocean.completed(), ocean.sst());
-                    world.send(atm_root, TAG_SST, latest.clone());
+                    world.send(atm_root, TAG_SST, (ocean.completed(), ocean.sst()));
                 }
-            }
-            TAG_SST_RETRY => {
-                let _expected: usize = msg.downcast();
-                world.send(atm_root, TAG_SST, latest.clone());
             }
             TAG_CKPT => {
                 // The request is FIFO-ordered behind the target
-                // interval's forcing, so on a healthy run `completed`
-                // has reached the target by now; anything else (lost
-                // forcings on the emergency path) aborts the attempt
-                // via a negative ack.
+                // interval's forcing, so `completed` has reached the
+                // target by now; anything else would be a protocol
+                // fault, answered with a negative ack that abandons the
+                // snapshot.
                 let (target, dir) = msg.downcast::<(usize, String)>();
                 let ok = ocean.completed() == target
                     && checkpoint::write_ocean_shard(
@@ -1052,10 +978,7 @@ mod tests {
 
     #[test]
     fn exchange_tags_show_up_in_comm_stats() {
-        let mut cfg = FoamConfig::tiny(6);
-        // Generous per-attempt timeout so a slow CI machine cannot
-        // trigger spurious retransmissions and skew the exact counts.
-        cfg.runtime.sst_retry_timeout_secs = 30.0;
+        let cfg = FoamConfig::tiny(6);
         let out = run_coupled(&cfg, 1.0);
         let mut merged = foam_mpi::CommStats::default();
         for t in &out.traces {
@@ -1098,30 +1021,37 @@ mod tests {
         );
     }
 
+    /// The root's SST wait skips a stale sequence number and returns
+    /// the one it expects.
     #[test]
-    fn exhausted_retries_return_a_typed_error() {
-        // Drop *every* SST so no retry can succeed; the run must come
-        // back with a typed error, not a panic or a hang.
-        let mut cfg = FoamConfig::tiny(7);
-        cfg.runtime.sst_retry_timeout_secs = 0.05;
-        cfg.runtime.sst_retry_backoff_secs = 0.01;
-        cfg.runtime.sst_retry_max = 2;
-        cfg.runtime.fault_plan =
-            Some(foam_mpi::FaultPlan::new(11).with_rule(foam_mpi::FaultRule {
-                src: None,
-                dst: None,
-                tag: Some(TAG_SST),
-                action: foam_mpi::FaultAction::Drop,
-                max_hits: None,
-                probability: 1.0,
-            }));
-        let err = try_run_coupled(&cfg, 0.25).unwrap_err();
-        assert_eq!(
-            err,
-            CoupledError::SstExchange {
-                expected_seq: 0,
-                retries: 2
+    fn sst_wait_skips_a_stale_sequence() {
+        let out = Universe::run(2, |world| {
+            if world.rank() == 1 {
+                world.send(0, TAG_SST, (0usize, Field2::zeros(2, 2)));
+                world.send(0, TAG_SST, (1usize, Field2::zeros(2, 2)));
+                return None;
             }
+            Some(recv_sst(world, 1, 1, OCEAN_REPLY_TIMEOUT).map(|(seq, _)| seq))
+        });
+        assert_eq!(out.results[0], Some(Ok(1)));
+        assert!(out.lint.is_clean(), "{}", out.lint);
+    }
+
+    /// A stale SST and then silence: the wait gives up at its deadline
+    /// with a typed error naming the sequence it waited for, not a panic
+    /// or a hang.
+    #[test]
+    fn sst_wait_times_out_with_a_typed_error() {
+        let out = Universe::run(2, |world| {
+            if world.rank() == 1 {
+                world.send(0, TAG_SST, (0usize, Field2::zeros(2, 2)));
+                return None;
+            }
+            Some(recv_sst(world, 1, 1, Duration::from_millis(50)).map(|(seq, _)| seq))
+        });
+        assert_eq!(
+            out.results[0],
+            Some(Err(CoupledError::SstExchange { expected_seq: 1 }))
         );
     }
 }

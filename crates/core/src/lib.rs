@@ -75,6 +75,6 @@ pub use supervisor::{
 pub use foam_atm::{AtmConfig, AtmModel};
 pub use foam_coupler::Coupler;
 pub use foam_grid::{Field2, World};
-pub use foam_mpi::{Backoff, CommLint, CommStats, FaultPlan, RankTrace, Universe};
+pub use foam_mpi::{Backoff, CommLint, CommStats, RankTrace, Universe};
 pub use foam_ocean::{OceanConfig, OceanModel, SplitScheme};
 pub use foam_telemetry::{TelemetryRegistry, TelemetryReport};

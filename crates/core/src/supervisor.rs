@@ -1,9 +1,8 @@
 //! The run supervisor: detect → rollback → resume.
 //!
 //! A coupled run can die four ways that operators of long climate
-//! integrations know well: a rank crashes, an exchange times out past
-//! its retry budget, the checkpoint store misbehaves, or the physics
-//! blows up. Without supervision each of those ends the job and waits
+//! integrations know well: a rank crashes, the ocean stops answering,
+//! the checkpoint store misbehaves, or the physics blows up. Without supervision each of those ends the job and waits
 //! for a human to restart it. [`supervise_run`] closes the loop
 //! in-process:
 //!
@@ -49,9 +48,9 @@ pub enum RunFault {
     /// A rank died (panicked) mid-run; the runtime quiesced the
     /// survivors and reported the culprit.
     RankDead { rank: usize, detail: String },
-    /// The SST exchange exhausted its retry budget — the comm path is
-    /// lossy beyond what the protocol absorbs.
-    ExchangeTimeout { expected_seq: usize, retries: u32 },
+    /// The SST the root waited for did not come within the driver's
+    /// reply deadline — the ocean hung.
+    ExchangeTimeout { expected_seq: usize },
     /// Checkpoint-store I/O failed (unreadable snapshot, ENOSPC-style
     /// write error, corrupt shards all the way down).
     CheckpointStore { detail: String },
@@ -69,12 +68,8 @@ impl RunFault {
                 rank: *rank,
                 detail: detail.clone(),
             }),
-            CoupledError::SstExchange {
-                expected_seq,
-                retries,
-            } => Some(RunFault::ExchangeTimeout {
+            CoupledError::SstExchange { expected_seq } => Some(RunFault::ExchangeTimeout {
                 expected_seq: *expected_seq,
-                retries: *retries,
             }),
             CoupledError::Ckpt(e) => Some(RunFault::CheckpointStore {
                 detail: e.to_string(),
@@ -109,13 +104,9 @@ impl std::fmt::Display for RunFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunFault::RankDead { rank, detail } => write!(f, "rank {rank} dead: {detail}"),
-            RunFault::ExchangeTimeout {
-                expected_seq,
-                retries,
-            } => write!(
-                f,
-                "exchange timeout: SST sequence {expected_seq} missing after {retries} retries"
-            ),
+            RunFault::ExchangeTimeout { expected_seq } => {
+                write!(f, "exchange timeout: SST sequence {expected_seq} missing")
+            }
             RunFault::CheckpointStore { detail } => write!(f, "checkpoint store: {detail}"),
             RunFault::PhysicsSentinel { interval, detail } => {
                 write!(f, "physics sentinel at interval {interval}: {detail}")
@@ -313,14 +304,8 @@ pub struct SupervisedOutput {
 /// Run the coupled model under the supervisor: detect typed faults,
 /// roll back to the newest readable coordinated snapshot, and resume —
 /// up to `sup.max_recoveries` times — before surfacing a typed
-/// [`SupervisorError`].
-///
-/// Emergency ("on-error") snapshots are force-disabled for the
-/// supervised run: they record a stale SST off the failure-free
-/// trajectory, which would break the determinism contract. Injected
-/// faults are disarmed after the class fires once (the transient-fault
-/// model), mirroring how the comm layer's fault plans bound their own
-/// hits.
+/// [`SupervisorError`]. Injected faults are disarmed after the class
+/// fires once (the transient-fault model).
 pub fn supervise_run(
     cfg: &FoamConfig,
     days: f64,
@@ -355,7 +340,6 @@ fn supervise_inner(
     resume_first: bool,
 ) -> Result<SupervisedOutput, SupervisorError> {
     let mut cfg = cfg.clone();
-    cfg.ckpt.on_error = false;
     let n_couple = driver::n_couple_for(&cfg, days);
     let mut recovery = RecoveryReport::default();
     let mut recoveries = 0u32;
@@ -446,17 +430,12 @@ fn supervise_inner(
 
 /// The transient-fault model: after a fault class fires (and is
 /// recovered from), its injection knob is cleared so the next attempt
-/// runs clean. Mirrors the ensemble's retry loop, which drops the comm
-/// fault plan on retry.
+/// runs clean. A hung ocean has no injection knob: the next attempt
+/// simply relaunches it.
 fn disarm(cfg: &mut FoamConfig, fault: &RunFault) {
     match fault {
-        RunFault::RankDead { .. } => {
-            cfg.runtime.kill_rank = None;
-            // An organic rank death may have been provoked by comm
-            // faults; clear those too.
-            cfg.runtime.fault_plan = None;
-        }
-        RunFault::ExchangeTimeout { .. } => cfg.runtime.fault_plan = None,
+        RunFault::RankDead { .. } => cfg.runtime.kill_rank = None,
+        RunFault::ExchangeTimeout { .. } => {}
         RunFault::PhysicsSentinel { .. } => cfg.runtime.physics_fault = None,
         RunFault::CheckpointStore { .. } => cfg.ckpt.fault_plan = None,
     }
@@ -507,14 +486,8 @@ mod tests {
             })
         );
         assert_eq!(
-            RunFault::classify(&CoupledError::SstExchange {
-                expected_seq: 3,
-                retries: 2
-            }),
-            Some(RunFault::ExchangeTimeout {
-                expected_seq: 3,
-                retries: 2
-            })
+            RunFault::classify(&CoupledError::SstExchange { expected_seq: 3 }),
+            Some(RunFault::ExchangeTimeout { expected_seq: 3 })
         );
         assert!(matches!(
             RunFault::classify(&CoupledError::Ckpt(CkptError::NoCheckpoint)),
@@ -626,9 +599,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_a_typed_terminal_error() {
-        // An exchange that can never succeed: every SST dropped, and the
-        // comm fault plan survives disarm... it does not — so instead
-        // exhaust the budget with max_recoveries = 0.
+        // A run that dies at its first interval, with no recovery
+        // budget at all.
         let mut cfg = FoamConfig::tiny(25);
         cfg.runtime.kill_rank = Some(RankKill {
             rank: 0,
@@ -651,14 +623,6 @@ mod tests {
     fn unrecoverable_errors_bypass_the_budget() {
         let mut cfg = FoamConfig::tiny(26);
         cfg.atm.dt = 0.0; // invalid configuration
-        let err = supervise_run(&cfg, 1.0, &SupervisorConfig::default()).unwrap_err();
-        assert_eq!(err.kind, SupervisorErrorKind::Unrecoverable);
-        assert!(matches!(err.last_error, CoupledError::Config(_)));
-
-        // A NaN retry timeout would panic the root rank's `Duration` and
-        // pass for a recoverable rank death; it is refused up front.
-        let mut cfg = FoamConfig::tiny(26);
-        cfg.runtime.sst_retry_timeout_secs = f64::NAN;
         let err = supervise_run(&cfg, 1.0, &SupervisorConfig::default()).unwrap_err();
         assert_eq!(err.kind, SupervisorErrorKind::Unrecoverable);
         assert!(matches!(err.last_error, CoupledError::Config(_)));

@@ -193,30 +193,26 @@ impl Codec for CouplerState {
 }
 
 /// The sequence-numbered state of the atmosphere↔ocean exchange on the
-/// root rank: the last accepted SST with its sequence number, plus the
-/// recent forcings kept for retransmission. Checkpointed so a restarted
-/// run re-enters the retry protocol exactly where it left off.
+/// root rank: the last accepted SST with its sequence number.
+/// Checkpointed so a restarted run knows which SST it holds and which
+/// one it waits for next.
 #[derive(Debug, Clone)]
 pub struct ExchangeBuffers {
     /// Sequence number of `sst` (completed ocean integrations).
     pub sst_seq: usize,
     /// Last accepted sea-surface temperature.
     pub sst: Field2,
-    /// Recently sent `(interval, forcing)` pairs retained for resends.
-    pub recent: Vec<(usize, OceanForcing)>,
 }
 
 impl Codec for ExchangeBuffers {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.sst_seq.encode(buf);
         self.sst.encode(buf);
-        self.recent.encode(buf);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         Ok(ExchangeBuffers {
             sst_seq: usize::decode(r)?,
             sst: Field2::decode(r)?,
-            recent: Vec::<(usize, OceanForcing)>::decode(r)?,
         })
     }
 }

@@ -7,9 +7,12 @@
 //!
 //! A healthy exchange, by tag: the ocean opens with the sequence-0 SST,
 //! then each coupling interval is one `TAG_FORCING` (root → ocean)
-//! answered by one `TAG_SST` (ocean → root), with `TAG_SST_RETRY`
-//! NACKs only when a deadline expires, `TAG_CKPT` requesting snapshot
-//! shards, and a `TAG_DONE` handshake closing the run. Telemetry folds
+//! answered by one `TAG_SST` (ocean → root), with `TAG_CKPT` requesting
+//! snapshot shards and a `TAG_DONE` handshake closing the run. Nothing
+//! is ever resent: delivery is reliable and in order, and a reply that
+//! never comes ends the run with a typed error the supervisor recovers
+//! from by rollback. The tag values are pinned by the per-tag message
+//! counts of the driver's digest tests. Telemetry folds
 //! the per-tag communication counters into the run report under these
 //! names:
 //!
@@ -23,25 +26,20 @@
 //! ```
 
 /// Accumulated ocean forcing, atmosphere root → ocean. Payload:
-/// `(usize, OceanForcing)` — the coupling-interval index, so a resent
-/// duplicate is recognized and ignored.
+/// `(usize, OceanForcing)` — the coupling-interval index it closes.
 pub const TAG_FORCING: u32 = 10;
 
 /// Sea-surface temperature, ocean → atmosphere root. Payload:
 /// `(usize, Field2)` — the sequence number counts completed ocean
-/// integrations (0 = initial condition), letting the receiver ignore
-/// stale retransmissions.
+/// integrations (0 = initial condition), letting the receiver skip the
+/// stale announce a resumed ocean opens with.
 pub const TAG_SST: u32 = 11;
-
-/// Retry request (NACK), atmosphere root → ocean, sent when an expected
-/// SST misses its deadline. Payload: `usize` — the sequence number the
-/// root is waiting for. The ocean answers by resending its latest SST.
-pub const TAG_SST_RETRY: u32 = 12;
 
 /// Shutdown handshake. The root sends `()` when it has everything it
 /// needs (or is aborting); the ocean acknowledges with `()` on the same
-/// tag and exits. The ack, ordered after any SST retransmissions, lets
-/// the root drain duplicates so teardown comm-lint comes back clean.
+/// tag and exits. The ack is ordered after any SST or checkpoint ack the
+/// ocean sent before it, so the root can drain what an aborted run left
+/// unread and teardown comm-lint comes back clean.
 pub const TAG_DONE: u32 = 13;
 
 /// Checkpoint request, atmosphere root → ocean. Payload:
@@ -58,7 +56,6 @@ pub fn tag_name(tag: u32) -> Option<&'static str> {
     match tag {
         TAG_FORCING => Some("forcing"),
         TAG_SST => Some("sst"),
-        TAG_SST_RETRY => Some("sst-retry"),
         TAG_DONE => Some("done"),
         TAG_CKPT => Some("ckpt"),
         _ => None,
@@ -71,7 +68,7 @@ mod tests {
 
     #[test]
     fn tags_are_distinct_and_named() {
-        let tags = [TAG_FORCING, TAG_SST, TAG_SST_RETRY, TAG_DONE, TAG_CKPT];
+        let tags = [TAG_FORCING, TAG_SST, TAG_DONE, TAG_CKPT];
         for (i, a) in tags.iter().enumerate() {
             assert!(tag_name(*a).is_some());
             for b in &tags[i + 1..] {

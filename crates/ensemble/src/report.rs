@@ -6,9 +6,8 @@
 //!
 //! * aggregation walks members in member-id order (the runner sorts);
 //! * every value in the report is a pure function of member *science*
-//!   output — wall-clock quantities (speedups, phase seconds) and
-//!   timing-sensitive counters (`comm.*`, `coupler.sst_retries`, which
-//!   move under spurious retry traffic) are excluded;
+//!   output — wall-clock quantities (speedups, phase seconds) and the
+//!   timing-sensitive `comm.*` counters (wait times) are excluded;
 //! * serialization rides on `BTreeMap`-ordered
 //!   [`foam_telemetry::json::Value`], whose `f64` formatting
 //!   round-trips bits.
@@ -54,8 +53,7 @@ pub struct MemberDigest {
     /// attempt's telemetry dies with it.
     pub phase_calls: BTreeMap<String, u64>,
     /// Deterministic counters: algorithmic event counts, with the
-    /// timing-sensitive `comm.*` family and `coupler.sst_retries`
-    /// filtered out.
+    /// timing-sensitive `comm.*` family filtered out.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -208,7 +206,7 @@ impl EnsembleReport {
 /// Whether a telemetry counter is a deterministic algorithmic count
 /// (safe for the byte-identical report) rather than a timing artifact.
 fn deterministic_counter(key: &str) -> bool {
-    !key.starts_with("comm.") && key != "coupler.sst_retries"
+    !key.starts_with("comm.")
 }
 
 fn numbers(values: impl Iterator<Item = f64>) -> Value {

@@ -6,9 +6,8 @@
 use std::path::PathBuf;
 
 use foam::supervisor::SupervisorConfig;
-use foam::{Backoff, CkptConfig, FoamConfig, TelemetryConfig};
+use foam::{Backoff, CkptConfig, FoamConfig, RankKill, TelemetryConfig};
 use foam_ckpt::CheckpointStore;
-use foam_mpi::FaultPlan;
 
 use crate::EnsembleError;
 
@@ -53,9 +52,9 @@ pub struct MemberSpec {
     /// Absolute parameter settings for this member (sweep axes).
     /// Applied in order, so a later override of the same knob wins.
     pub overrides: Vec<ParamOverride>,
-    /// Fault plan injected into *this member's* runtime (testing and
+    /// A rank death injected into *this member's* run (testing and
     /// recovery demos: kill one member mid-run and watch it resume).
-    pub fault_plan: Option<FaultPlan>,
+    pub kill_rank: Option<RankKill>,
 }
 
 impl MemberSpec {
@@ -65,7 +64,7 @@ impl MemberSpec {
             id,
             seed,
             overrides: Vec::new(),
-            fault_plan: None,
+            kill_rank: None,
         }
     }
 }
@@ -169,18 +168,14 @@ impl EnsembleSpec {
     /// The full [`FoamConfig`] member `m` runs with: the base config
     /// with the member's perturbations applied, telemetry collection
     /// forced on (the ensemble aggregates it), and — when the ensemble
-    /// has an output directory — a per-member checkpoint store with
-    /// **periodic snapshots only**: emergency snapshots record a stale
-    /// SST and lie off the failure-free trajectory, which would break
-    /// the bit-identical-resume guarantee the report's determinism
-    /// rests on.
+    /// has an output directory — a per-member checkpoint store.
     pub fn member_config(&self, m: &MemberSpec) -> FoamConfig {
         let mut cfg = self.base.clone();
         cfg.atm.seed = m.seed;
         for ov in &m.overrides {
             ov.apply(&mut cfg);
         }
-        cfg.runtime.fault_plan = m.fault_plan.clone();
+        cfg.runtime.kill_rank = m.kill_rank;
         cfg.telemetry = TelemetryConfig {
             enabled: true,
             // Per-member report paths would collide; the ensemble writes
@@ -192,7 +187,6 @@ impl EnsembleSpec {
                 dir: Some(CheckpointStore::member_root(dir, m.id)),
                 interval: self.ckpt_interval,
                 keep: 2,
-                on_error: false,
                 fault_plan: None,
             },
             None => CkptConfig::default(),
@@ -226,7 +220,6 @@ mod tests {
         let c1 = spec.member_config(&spec.members[1]);
         assert_ne!(c0.ckpt.dir, c1.ckpt.dir);
         assert!(c0.ckpt.dir.unwrap().ends_with("member-0000"));
-        assert!(!c1.ckpt.on_error, "emergency snapshots must stay off");
     }
 
     #[test]

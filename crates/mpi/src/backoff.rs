@@ -1,13 +1,11 @@
-//! Deterministic (jitter-free) exponential backoff, shared by every
-//! retry loop in the workspace.
+//! Deterministic (jitter-free) exponential backoff for the workspace's
+//! one retry loop.
 //!
-//! Three subsystems retry with a doubling delay: the coupled driver's
-//! sequence-numbered SST re-request, the ensemble runner's per-member
-//! retry loop, and the run supervisor's rollback-and-resume budget. All
-//! of them must be *deterministic* — identical configuration must
+//! The run supervisor paces its rollback-and-resume attempts with a
+//! doubling delay, and ensemble members and hosted jobs run under it.
+//! The schedule must be *deterministic* — identical configuration must
 //! produce identical delays, so recovery reports stay byte-identical —
-//! which rules out the usual randomized jitter. This type is the single
-//! shared implementation.
+//! which rules out the usual randomized jitter.
 
 use std::time::Duration;
 

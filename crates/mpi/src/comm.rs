@@ -1,19 +1,17 @@
 //! The communicator: tagged typed point-to-point messaging, the three
 //! collectives FOAM runs (`bcast`, `gather`, `allreduce_mut`), and
 //! communicator splitting, in the style of MPI — instrumented with
-//! per-tag statistics, configurable receive deadlines, and deterministic
-//! fault injection.
+//! per-tag statistics and configurable receive deadlines.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
-use crate::fault::{ActiveFaults, FaultAction};
 use crate::heartbeat::HeartbeatBoard;
 use crate::stats::{tag_label, CommStats, INTERNAL_TAG};
 use crate::trace::{RankTrace, Tracer};
@@ -151,31 +149,22 @@ pub(crate) struct RankLint {
     /// `((src world rank, tag), count)` of unmatched messages left in
     /// the mailbox.
     pub leaked: Vec<((usize, u32), usize)>,
-    /// Reorder-held messages never released by a subsequent send.
-    pub unreleased_reorders: usize,
     /// A receive deadline expired on this rank.
     pub timed_out: bool,
 }
 
 /// Per-thread endpoint shared by every communicator that lives on this
 /// rank: the inbound channel, the stash of out-of-order messages, the
-/// tracer, comm statistics, fault-injection state, and the context-id
-/// allocator.
+/// tracer, comm statistics, and the context-id allocator.
 pub(crate) struct Endpoint {
     rx: Receiver<Envelope>,
     pending: VecDeque<Envelope>,
     pub(crate) tracer: Tracer,
     next_ctx: u32,
     stats: CommStats,
-    faults: Option<Arc<ActiveFaults>>,
-    /// Messages held back by a reorder fault, keyed by destination
-    /// world rank; released after the next send to that destination.
-    held: Vec<(usize, Envelope)>,
-    /// Per-(destination, tag) send sequence numbers for fault matching.
-    send_seq: HashMap<(usize, u32), u64>,
     /// Set when a receive deadline expires; cleared again by the next
     /// successful receive, so at teardown it means "ended blocked"
-    /// rather than "ever timed out" (a recovered retry is not an error).
+    /// rather than "ever timed out".
     timed_out: bool,
     /// Shared liveness board: beats piggyback on sends/receives, idle
     /// beacons fire while blocked.
@@ -200,14 +189,12 @@ pub struct Comm {
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_world(
         world_rank: usize,
         rx: Receiver<Envelope>,
         senders: Arc<Vec<Sender<Envelope>>>,
         epoch: Instant,
         tracing: bool,
-        faults: Option<Arc<ActiveFaults>>,
         board: Arc<HeartbeatBoard>,
         ctl: Arc<JobControl>,
     ) -> Self {
@@ -221,9 +208,6 @@ impl Comm {
                 tracer,
                 next_ctx: 1,
                 stats: CommStats::default(),
-                faults,
-                held: Vec::new(),
-                send_seq: HashMap::new(),
                 timed_out: false,
                 board,
                 ctl,
@@ -287,7 +271,6 @@ impl Comm {
         }
         let lint = RankLint {
             leaked: leaked.into_iter().collect(),
-            unreleased_reorders: ep.held.len(),
             timed_out: ep.timed_out,
         };
         let mut trace = ep.tracer.take();
@@ -322,58 +305,15 @@ impl Comm {
         };
         let mut ep = self.endpoint.borrow_mut();
         ep.board.beat(self.world_rank());
-        let ctl = Arc::clone(&ep.ctl);
+        ep.stats.on_send(tag, bytes);
         // A peer whose endpoint dropped mid-job means that rank died;
         // once the universe has raised the abort flag, park quietly
         // instead of turning the casualty into a second loud panic.
-        let deliver = |env: Envelope| {
-            if self.senders[dst_world].send(env).is_err() {
-                if ctl.aborted() {
-                    std::panic::panic_any(Quiesced);
-                }
-                panic!("peer rank endpoint dropped while sending");
+        if self.senders[dst_world].send(env).is_err() {
+            if ep.ctl.aborted() {
+                std::panic::panic_any(Quiesced);
             }
-        };
-        ep.stats.on_send(tag, bytes);
-        let action = if let Some(faults) = ep.faults.clone() {
-            let seq = ep.send_seq.entry((dst_world, tag)).or_insert(0);
-            let s = *seq;
-            *seq += 1;
-            faults.decide(env.src, dst_world, tag, s)
-        } else {
-            None
-        };
-        match action {
-            Some(FaultAction::Drop) => {
-                ep.stats.on_injected_drop(tag);
-            }
-            Some(FaultAction::Delay(seconds)) => {
-                // Deliver late without blocking the sender; a delivery
-                // after the job ends is dropped (and flagged by lint
-                // as a send/recv imbalance).
-                let tx = self.senders[dst_world].clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_secs_f64(seconds));
-                    let _ = tx.send(env);
-                });
-            }
-            Some(FaultAction::Reorder) => {
-                ep.held.push((dst_world, env));
-            }
-            None => {
-                deliver(env);
-                // Release held messages *after* the one that just
-                // overtook them.
-                let mut i = 0;
-                while i < ep.held.len() {
-                    if ep.held[i].0 == dst_world {
-                        let (_, held_env) = ep.held.remove(i);
-                        deliver(held_env);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            panic!("peer rank endpoint dropped while sending");
         }
     }
 
@@ -524,8 +464,8 @@ impl Comm {
     }
 
     /// Consume every currently-delivered message from `src` with `tag`,
-    /// in delivery order, without blocking. Used to clear duplicates a
-    /// retry protocol may have produced before teardown lint runs.
+    /// in delivery order, without blocking. Used to clear a reply an
+    /// aborted exchange left behind before teardown lint runs.
     pub fn drain<T: Send + 'static>(&self, src: usize, tag: u32) -> Vec<T> {
         assert!(tag < INTERNAL_TAG, "user tags must be < 2^31");
         let src_world = self.group[src];
@@ -752,7 +692,7 @@ fn downcast<T: Send + 'static>(env: Envelope) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, RunConfig, Universe};
+    use crate::{RunConfig, Universe};
 
     #[test]
     fn send_recv_roundtrip() {
@@ -918,10 +858,7 @@ mod tests {
 
     #[test]
     fn wait_time_is_recorded_when_tracing() {
-        let traced = RunConfig {
-            tracing: true,
-            ..Default::default()
-        };
+        let traced = RunConfig { tracing: true };
         let out = Universe::run_cfg(2, traced, |comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
@@ -941,7 +878,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Deadlines, stats, lint, faults
+    // Deadlines, stats, lint
     // ------------------------------------------------------------------
 
     #[test]
@@ -1024,68 +961,6 @@ mod tests {
                 assert_eq!(second.downcast::<usize>(), 7);
             }
         });
-    }
-
-    #[test]
-    fn injected_drop_suppresses_delivery_but_keeps_lint_clean() {
-        let cfg = RunConfig {
-            faults: Some(FaultPlan::new(3).drop_first(0, 1, 6, 1)),
-            ..Default::default()
-        };
-        let out = Universe::run_cfg(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 6, 1u8); // dropped
-                comm.send(1, 6, 2u8); // delivered
-            } else {
-                let got: u8 = comm.recv(0, 6);
-                assert_eq!(got, 2, "first send must have been dropped");
-            }
-        });
-        assert_eq!(out.lint.injected_drops, 1);
-        assert!(out.lint.is_clean(), "{}", out.lint);
-        assert_eq!(out.traces[0].stats.tag(6).injected_drops, 1);
-    }
-
-    #[test]
-    fn injected_reorder_swaps_adjacent_messages() {
-        let cfg = RunConfig {
-            faults: Some(FaultPlan::new(4).reorder_first(0, 1, 2, 1)),
-            ..Default::default()
-        };
-        Universe::run_cfg(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 2, 10i32); // held back
-                comm.send(1, 2, 20i32); // overtakes
-            } else {
-                let a: i32 = comm.recv(0, 2);
-                let b: i32 = comm.recv(0, 2);
-                assert_eq!((a, b), (20, 10), "reorder fault must swap delivery");
-            }
-        });
-    }
-
-    #[test]
-    fn injected_delay_defers_delivery() {
-        let cfg = RunConfig {
-            faults: Some(FaultPlan::new(5).delay(0, 1, 8, 0.03)),
-            ..Default::default()
-        };
-        let out = Universe::run_cfg(2, cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 8, ());
-                0.0
-            } else {
-                let t0 = comm.now();
-                let () = comm.recv(0, 8);
-                comm.now() - t0
-            }
-        });
-        assert!(
-            out.results[1] > 0.02,
-            "delayed message arrived too fast: {} s",
-            out.results[1]
-        );
-        assert!(out.lint.is_clean(), "{}", out.lint);
     }
 
     #[test]

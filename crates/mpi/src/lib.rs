@@ -34,17 +34,13 @@
 //! * **Deadlines instead of deadlocks** — [`Comm::recv_deadline`] turns
 //!   a mismatched tag from an infinite hang into a [`RecvTimeout`] that
 //!   names the unmatched messages sitting in the mailbox. The driver
-//!   sets one where an answer may legitimately never come (the SST
-//!   exchange, the checkpoint acknowledgement); every other receive
-//!   blocks.
+//!   sets one on the two replies it awaits from the ocean (the SST and
+//!   the checkpoint acknowledgement); every other receive blocks.
 //! * **Comm-lint at teardown** — every [`Universe`] run returns a
 //!   [`CommLint`]: leaked (sent-but-never-received) messages by
 //!   `(source, tag)`, per-tag send/receive imbalances, and ranks whose
 //!   receives timed out. When a rank panics, the lint is printed to
 //!   stderr before the panic propagates.
-//! * **Deterministic fault injection** — a seeded [`FaultPlan`] drops,
-//!   delays, or reorders selected point-to-point messages so recovery
-//!   paths can be tested reproducibly ([`RunConfig::faults`]).
 //! * **Per-rank comm statistics** — message/byte counters and wait-time
 //!   histograms per tag ([`CommStats`]), carried on each
 //!   [`RankTrace`], so trace tooling reports *what* ranks waited on.
@@ -60,9 +56,14 @@
 //!   steady-state allocation-free reduction for hot-loop use (see
 //!   PERFORMANCE.md).
 //! * **Shared deterministic backoff** — [`Backoff`], the jitter-free
-//!   exponential schedule reused by every retry loop in the workspace
-//!   (driver SST retries and supervisor rollback-and-resume, which
-//!   ensemble members run under).
+//!   exponential schedule of the supervisor's rollback-and-resume loop,
+//!   which ensemble members and hosted jobs run under.
+//!
+//! Delivery is reliable and in order, as in MPI: nothing here loses,
+//! delays or reorders a message. The faults a run can meet are a dead
+//! rank (above) and what lies outside this crate — a failing checkpoint
+//! store, a blown-up model — and the run supervisor recovers from all of
+//! them by rollback.
 //!
 //! # Example
 //!
@@ -80,7 +81,6 @@
 
 mod backoff;
 mod comm;
-mod fault;
 mod heartbeat;
 pub mod pool;
 mod stats;
@@ -89,7 +89,6 @@ mod universe;
 
 pub use backoff::Backoff;
 pub use comm::{Comm, Message, RecvTimeout, ReduceOp};
-pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use heartbeat::{HeartbeatBoard, RankState};
 pub use stats::{
     tag_label, CommLint, CommStats, LeakedMessage, TagImbalance, TagStats, WaitHistogram,

@@ -96,8 +96,6 @@ pub struct TagStats {
     /// contents behind pointers are not chased).
     pub bytes_sent: u64,
     pub bytes_recvd: u64,
-    /// Sends suppressed by fault injection.
-    pub injected_drops: u64,
     /// Total seconds this rank spent blocked waiting on this tag.
     pub wait_seconds: f64,
     pub wait_hist: WaitHistogram,
@@ -123,10 +121,6 @@ impl CommStats {
         t.bytes_recvd += bytes as u64;
     }
 
-    pub(crate) fn on_injected_drop(&mut self, tag: u32) {
-        self.by_tag.entry(tag).or_default().injected_drops += 1;
-    }
-
     pub(crate) fn on_wait(&mut self, tag: u32, seconds: f64) {
         let t = self.by_tag.entry(tag).or_default();
         t.wait_seconds += seconds;
@@ -146,7 +140,6 @@ impl CommStats {
             t.msgs_recvd += o.msgs_recvd;
             t.bytes_sent += o.bytes_sent;
             t.bytes_recvd += o.bytes_recvd;
-            t.injected_drops += o.injected_drops;
             t.wait_seconds += o.wait_seconds;
             for (b, ob) in t.wait_hist.buckets.iter_mut().zip(o.wait_hist.buckets) {
                 *b += ob;
@@ -167,14 +160,12 @@ pub struct LeakedMessage {
     pub count: usize,
 }
 
-/// A tag whose global send/receive counts do not balance after
-/// accounting for injected drops.
+/// A tag whose global send and receive counts do not balance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagImbalance {
     pub tag: u32,
     pub sent: u64,
     pub received: u64,
-    pub injected_drops: u64,
 }
 
 /// The teardown report of a [`crate::Universe`] run: what the
@@ -184,24 +175,16 @@ pub struct CommLint {
     /// Unmatched messages found in rank mailboxes at teardown, by
     /// receiving rank then (src, tag).
     pub leaked: Vec<LeakedMessage>,
-    /// Tags where `sent - injected_drops != received` across the job.
+    /// Tags where `sent != received` across the job.
     pub unbalanced_tags: Vec<TagImbalance>,
     /// Ranks on which at least one receive deadline expired.
     pub timed_out_ranks: Vec<usize>,
-    /// Messages held back by a reorder fault and never released.
-    pub unreleased_reorders: usize,
-    /// Total sends suppressed by fault injection (expected losses).
-    pub injected_drops: u64,
 }
 
 impl CommLint {
-    /// True when the run left no unexplained communication residue.
-    /// Injected drops are *expected* losses and do not dirty the lint.
+    /// True when the run left no communication residue.
     pub fn is_clean(&self) -> bool {
-        self.leaked.is_empty()
-            && self.unbalanced_tags.is_empty()
-            && self.timed_out_ranks.is_empty()
-            && self.unreleased_reorders == 0
+        self.leaked.is_empty() && self.unbalanced_tags.is_empty() && self.timed_out_ranks.is_empty()
     }
 
     /// The (src, tag) pairs of all leaked messages, deduplicated — the
@@ -217,11 +200,7 @@ impl CommLint {
 impl std::fmt::Display for CommLint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_clean() {
-            return writeln!(
-                f,
-                "comm-lint: clean ({} injected drop(s))",
-                self.injected_drops
-            );
+            return writeln!(f, "comm-lint: clean");
         }
         writeln!(f, "comm-lint: DIRTY")?;
         for l in &self.leaked {
@@ -237,22 +216,14 @@ impl std::fmt::Display for CommLint {
         for t in &self.unbalanced_tags {
             writeln!(
                 f,
-                "  imbalance: {} sent {} (-{} injected) but received {}",
+                "  imbalance: {} sent {} but received {}",
                 tag_label(t.tag),
                 t.sent,
-                t.injected_drops,
                 t.received
             )?;
         }
         if !self.timed_out_ranks.is_empty() {
             writeln!(f, "  timed-out ranks: {:?}", self.timed_out_ranks)?;
-        }
-        if self.unreleased_reorders > 0 {
-            writeln!(
-                f,
-                "  {} reordered message(s) were never released",
-                self.unreleased_reorders
-            )?;
         }
         Ok(())
     }
@@ -285,13 +256,11 @@ mod tests {
         a.on_wait(7, 1e-3);
         let mut b = CommStats::default();
         b.on_send(7, 10);
-        b.on_injected_drop(7);
         a.merge(&b);
         let t = a.tag(7);
         assert_eq!(t.msgs_sent, 3);
         assert_eq!(t.bytes_sent, 160);
         assert_eq!(t.msgs_recvd, 1);
-        assert_eq!(t.injected_drops, 1);
         assert!(t.wait_seconds > 0.0);
     }
 
@@ -307,10 +276,7 @@ mod tests {
 
     #[test]
     fn lint_clean_and_dirty_rendering() {
-        let clean = CommLint {
-            injected_drops: 2,
-            ..Default::default()
-        };
+        let clean = CommLint::default();
         assert!(clean.is_clean());
         assert!(clean.to_string().contains("clean"));
 

@@ -14,7 +14,6 @@ use crossbeam::channel;
 use parking_lot::Mutex;
 
 use crate::comm::{make_abort, Comm, Quiesced, RankLint};
-use crate::fault::FaultPlan;
 use crate::heartbeat::{HeartbeatBoard, RankState};
 use crate::stats::{CommLint, CommStats, LeakedMessage, TagImbalance};
 use crate::trace::RankTrace;
@@ -24,8 +23,6 @@ use crate::trace::RankTrace;
 pub struct RunConfig {
     /// Record per-rank activity traces from the start (Figure 2).
     pub tracing: bool,
-    /// Deterministic fault-injection plan for point-to-point traffic.
-    pub faults: Option<FaultPlan>,
 }
 
 /// Results of a [`Universe::run`]: per-rank closure outputs and activity
@@ -160,10 +157,10 @@ impl Universe {
         Self::run_cfg(n, RunConfig::default(), f)
     }
 
-    /// The fully configurable launcher: tracing and fault injection.
-    /// Every rank runs under `catch_unwind` so that even when a rank
-    /// panics (type mismatch, application bug) the teardown lint still runs and is printed to stderr before
-    /// the panic is propagated.
+    /// The configurable launcher (tracing). Every rank runs under
+    /// `catch_unwind` so that even when a rank panics (type mismatch,
+    /// application bug) the teardown lint still runs and is printed to
+    /// stderr before the panic is propagated.
     pub fn run_cfg<R, F>(n: usize, cfg: RunConfig, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -209,10 +206,6 @@ impl Universe {
         }
         let senders = Arc::new(txs);
         let epoch = Instant::now();
-        let faults = cfg
-            .faults
-            .filter(|p| !p.is_empty())
-            .map(FaultPlan::activate);
         let board = Arc::new(HeartbeatBoard::new(n));
         let ctl = Arc::new(JobControl::new());
 
@@ -223,7 +216,6 @@ impl Universe {
             let mut handles = Vec::with_capacity(n);
             for (rank, rx) in rxs.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
-                let faults = faults.clone();
                 let board = Arc::clone(&board);
                 let ctl = Arc::clone(&ctl);
                 let f = &f;
@@ -239,7 +231,6 @@ impl Universe {
                             Arc::clone(&senders),
                             epoch,
                             tracing,
-                            faults,
                             Arc::clone(&board),
                             Arc::clone(&ctl),
                         );
@@ -346,19 +337,16 @@ fn aggregate_lint(traces: &[RankTrace], rank_lints: &[RankLint]) -> CommLint {
                 count: *count,
             });
         }
-        lint.unreleased_reorders += rl.unreleased_reorders;
         if rl.timed_out {
             lint.timed_out_ranks.push(rank);
         }
     }
     for (tag, t) in &merged.by_tag {
-        lint.injected_drops += t.injected_drops;
-        if t.msgs_sent - t.injected_drops != t.msgs_recvd {
+        if t.msgs_sent != t.msgs_recvd {
             lint.unbalanced_tags.push(TagImbalance {
                 tag: *tag,
                 sent: t.msgs_sent,
                 received: t.msgs_recvd,
-                injected_drops: t.injected_drops,
             });
         }
     }
@@ -371,10 +359,7 @@ mod tests {
 
     #[test]
     fn traces_come_back_per_rank() {
-        let traced = RunConfig {
-            tracing: true,
-            ..Default::default()
-        };
+        let traced = RunConfig { tracing: true };
         let out = Universe::run_cfg(3, traced, |comm| {
             comm.region("alpha", || {
                 std::thread::sleep(std::time::Duration::from_millis(5))
@@ -473,7 +458,6 @@ mod tests {
             n[0]
         });
         assert!(out.lint.is_clean(), "{}", out.lint);
-        assert_eq!(out.lint.injected_drops, 0);
     }
 }
 

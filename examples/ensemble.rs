@@ -1,34 +1,46 @@
-//! Run a small perturbed-initial-condition ensemble — with an optional
-//! injected fault, to watch a member die mid-run and recover from its
+//! Run a small perturbed-initial-condition ensemble — optionally killing
+//! one member's ocean rank mid-run, to watch the member recover from its
 //! checkpoint.
 //!
 //! ```sh
 //! cargo run --release -p foam-examples --bin ensemble -- \
-//!     [--members N] [--workers W] [--days D] [--fault-plan M]
+//!     [--members N] [--workers W] [--days D] [--kill-member M]
 //! ```
 //!
 //! The aggregate report is deterministic: rerun with any `--workers`
-//! value and the printed JSON is byte-identical.
+//! value and the printed JSON is byte-identical. A malformed value, a
+//! `--kill-member` outside the ensemble, or a spec the ensemble refuses
+//! (no members, no workers, no days) ends the program with status 2.
 
 use foam::FoamConfig;
-use foam_ensemble::{kill_sst_after, run_ensemble, EnsembleSpec};
+use foam_ensemble::{run_ensemble, EnsembleSpec, RankKill};
 
 mod cli;
 
-fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// The value following `name` on the command line, if any.
+fn flag(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    let value = args
-        .iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1));
-    cli::parse_or(name, value, default)
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1).cloned()
+}
+
+fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    cli::parse_or(name, flag(name).as_ref(), default)
+}
+
+/// Print `error: {msg}` and exit with status 2.
+fn refuse(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 fn main() {
     let members: usize = flag_or("--members", 4);
     let workers: usize = flag_or("--workers", 2);
     let days: f64 = flag_or("--days", 5.0);
-    let fault_member: i64 = flag_or("--fault-plan", -1);
+    let kill_member: Option<usize> = flag("--kill-member")
+        .as_ref()
+        .map(|v| cli::parse_or("--kill-member", Some(v), 0));
 
     // Four seeds, one trajectory each; per-member checkpoints land
     // under the output directory so a killed member can resume.
@@ -36,16 +48,23 @@ fn main() {
     spec.workers = workers;
     spec.output_dir =
         Some(std::env::temp_dir().join(format!("foam-example-ensemble-{}", std::process::id())));
-    if fault_member >= 0 {
-        let m = fault_member as usize;
-        assert!(m < members, "--fault-plan member out of range");
-        let hits = ((days * 4.0) as u64 / 2).max(1);
-        println!("injecting a fault: member {m} will lose its SST exchange mid-run\n");
-        spec.members[m].fault_plan = Some(kill_sst_after(42, hits));
+    if let Some(m) = kill_member {
+        if m >= members {
+            refuse(format_args!(
+                "--kill-member: member {m} is outside the {members}-member ensemble"
+            ));
+        }
+        // The ocean rank dies halfway through the run.
+        let n_couple = (days * 86_400.0 / spec.base.dt_couple).round() as usize;
+        println!("injecting a fault: member {m}'s ocean will die mid-run\n");
+        spec.members[m].kill_rank = Some(RankKill {
+            rank: spec.base.n_atm_ranks,
+            interval: n_couple / 2,
+        });
     }
 
     println!("running {members} members on {workers} workers, {days} simulated days each...\n");
-    let out = run_ensemble(&spec).expect("valid ensemble spec");
+    let out = run_ensemble(&spec).unwrap_or_else(|e| refuse(e));
 
     for rec in &out.members {
         match rec.output() {

@@ -1,6 +1,6 @@
 //! The ensemble orchestration contract, end to end:
 //!
-//! * a member killed mid-run by the fault injector is retried from its
+//! * a member whose ocean rank dies mid-run is retried from its
 //!   checkpoint and produces output **bit-identical** to the same
 //!   member run without the fault;
 //! * the aggregate `foam-ensemble/1` report is **byte-identical** for
@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use foam::FoamConfig;
-use foam_ensemble::{kill_sst_after, run_ensemble, EnsembleError, EnsembleSpec, MemberOutput};
+use foam_ensemble::{run_ensemble, EnsembleError, EnsembleSpec, MemberOutput, RankKill};
 
 /// A fresh scratch directory under the system temp dir (the build has
 /// no `tempfile` crate); any debris from a previous run is removed.
@@ -55,7 +55,7 @@ fn assert_member_bit_equal(a: &MemberOutput, b: &MemberOutput, what: &str) {
 }
 
 /// The acceptance scenario: one member of a two-member ensemble loses
-/// its SST exchange mid-run, is resumed from its per-member checkpoint
+/// its ocean rank mid-run, is resumed from its per-member checkpoint
 /// store, and its output matches the unfaulted ensemble bit-for-bit.
 #[test]
 fn faulted_member_recovers_bit_identically() {
@@ -64,9 +64,12 @@ fn faulted_member_recovers_bit_identically() {
     spec.workers = 2;
     spec.output_dir = Some(scratch("recovery"));
     spec.ckpt_interval = 2;
-    // Member 1: SST exchange dies after 5 delivered intervals — past
-    // the interval-4 checkpoint, before the end of the run.
-    spec.members[1].fault_plan = Some(kill_sst_after(77, 5));
+    // Member 1: the ocean dies at interval 5 — past the interval-4
+    // checkpoint, before the end of the run.
+    spec.members[1].kill_rank = Some(RankKill {
+        rank: spec.base.n_atm_ranks,
+        interval: 5,
+    });
 
     let faulted = run_ensemble(&spec).unwrap();
     assert_eq!(faulted.report.n_ok, 2, "both members must complete");
@@ -80,9 +83,9 @@ fn faulted_member_recovers_bit_identically() {
     assert_eq!(faulted.report.members[1].status, "ok");
     assert_eq!(faulted.members[0].retries, 0, "healthy member, no retries");
 
-    // The same ensemble with no fault plan is the reference.
+    // The same ensemble with no fault is the reference.
     let mut clean_spec = spec.clone();
-    clean_spec.members[1].fault_plan = None;
+    clean_spec.members[1].kill_rank = None;
     clean_spec.output_dir = Some(scratch("recovery-ref"));
     let clean = run_ensemble(&clean_spec).unwrap();
 
@@ -187,11 +190,10 @@ fn exhausted_member_is_marked_failed_without_failing_the_ensemble() {
     let mut spec = EnsembleSpec::seed_sweep(FoamConfig::tiny(9), 0.5, 2);
     spec.workers = 2;
     spec.supervisor.max_recoveries = 0;
-    // Fail fast: with retries disabled there is nothing to recover, so
-    // shrink the exchange's own retry protocol too.
-    spec.base.runtime.sst_retry_timeout_secs = 0.05;
-    spec.base.runtime.sst_retry_backoff_secs = 0.01;
-    spec.members[0].fault_plan = Some(kill_sst_after(9, 1));
+    spec.members[0].kill_rank = Some(RankKill {
+        rank: spec.base.n_atm_ranks,
+        interval: 1,
+    });
 
     let out = run_ensemble(&spec).unwrap();
     assert_eq!(out.report.n_ok, 1);

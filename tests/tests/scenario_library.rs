@@ -129,7 +129,6 @@ fn assert_resume_bit_identical(sc: &Scenario, dir: &Path) {
         dir: Some(dir.to_path_buf()),
         interval: 2,
         keep: 3,
-        on_error: false,
         fault_plan: None,
     };
     // First leg stops mid-ramp (half the horizon), on a snapshot.
@@ -205,7 +204,6 @@ fn resuming_under_different_forcings_is_a_typed_refusal() {
         dir: Some(dir.clone()),
         interval: 2,
         keep: 2,
-        on_error: false,
         fault_plan: None,
     };
     let _ = try_run_coupled(&cfg, 1.0).unwrap();
