@@ -7,7 +7,8 @@
 //! moved the model's answers (see ROADMAP's re-pin gate before editing a
 //! constant here).
 
-use foam_grid::World;
+use foam_grid::{Field2, OceanGrid, World};
+use foam_ocean::polar::PolarFilter;
 use foam_ocean::{OceanConfig, OceanForcing, OceanModel, OceanState};
 
 const DT_COUPLE: f64 = 21_600.0;
@@ -101,5 +102,36 @@ fn tiny_step_unsplit() {
         "tiny, 1 unsplit interval",
         [digest(&state)],
         [0x3891_9b75_be6a_db4a],
+    );
+}
+
+#[test]
+fn polar_filter_on_the_default_grid() {
+    // Every filtered row of the 128×128 grid, fed a field with energy at
+    // every zonal wavenumber; unfiltered rows must come back untouched.
+    let cfg = OceanConfig::default();
+    let grid = OceanGrid::mercator(cfg.nx, cfg.ny, cfg.lat_max_deg);
+    let filter = PolarFilter::new(&grid, cfg.polar_lat);
+    let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut f = Field2::from_fn(grid.nx, grid.ny, |i, j| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let noise = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        10.0 + (0.2 * i as f64).sin() * (0.05 * j as f64).cos() + noise
+    });
+    let before = f.clone();
+    filter.apply(&mut f);
+    let touched = (0..grid.ny).filter(|&j| f.row(j) != before.row(j)).count();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in f.as_slice() {
+        for b in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    check(
+        "default grid, filtered rows and field digest",
+        [touched as u64, h],
+        [26, 0xfb44_47fb_e38e_0db7],
     );
 }

@@ -130,3 +130,33 @@ fn iteration_cap_and_dry_parcel_are_pinned() {
     ];
     assert_eq!(got, want, "digests {got:#018x?}");
 }
+
+#[test]
+fn every_depth_from_two_to_eighteen_levels() {
+    // 1 to 17 ascent levels: every remainder of a lane group of width 8
+    // (and of any narrower width), one, two and no full groups.
+    let mut ws = PhysicsWorkspace::new();
+    let got: Vec<(u64, u64)> = (2..=18)
+        .map(|nlev| digests(&lattice(nlev), &mut ws))
+        .collect();
+    let want: [(u64, u64); 17] = [
+        (0x5823_b355_5705_f3c7, 0xd6df_521f_7ac8_6069),
+        (0xb396_e0ed_ca4d_9463, 0x5c2c_3454_9cf3_1a23),
+        (0x247c_1e08_622c_31bc, 0x72ee_a078_80c7_e578),
+        (0xb019_ce14_8a85_13d9, 0xfc48_fc7b_ac7d_6c0f),
+        (0xae67_fe71_2f5c_ca70, 0x9808_f466_a050_b415),
+        (0x5f3a_7889_e91b_419c, 0x5105_c8cb_07df_214b),
+        (0xf28e_1b44_c774_4387, 0xf44d_cea7_5fff_5f6f),
+        (0xf610_b7d4_08d4_86be, 0x82cc_52cb_c884_d886),
+        (0x0544_75a5_9d8d_d6e1, 0x4aa2_40ab_a2a7_ed80),
+        (0x2ebe_80e4_740b_bb62, 0x330a_103f_a30c_f575),
+        (0x4873_5025_7128_e7a7, 0x238c_4bb2_0c9c_0bc4),
+        (0x2851_c073_02b9_c3a1, 0x55c9_98e7_1ae8_e691),
+        (0x4be2_0593_4116_0aca, 0x1f22_ef39_26ff_fcd2),
+        (0x6104_d92d_3e47_475b, 0x72cf_b4ce_4451_1034),
+        (0x15d8_34a3_a43e_e144, 0x894a_9391_a0e6_405b),
+        (0x1db2_ca10_d45e_c1e2, 0x5f22_6e60_33c3_25f2),
+        (0x5753_6ac6_c573_b654, 0x9849_ca4f_11aa_4704),
+    ];
+    assert_eq!(got, want, "digests for 2..=18 levels {got:#018x?}");
+}
