@@ -238,7 +238,8 @@ pub struct FoamConfig {
     /// a resume under different forcings is rejected instead of
     /// silently diverging.
     pub forcings: Forcings,
-    /// Failure-handling knobs (SST retries, fault injection).
+    /// Fault injection for the recovery tests (a rank kill, a poisoned
+    /// SST); off by default.
     pub runtime: RuntimeConfig,
     /// Checkpoint/restart knobs (off unless a directory is set).
     pub ckpt: CkptConfig,

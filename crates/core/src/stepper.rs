@@ -15,10 +15,10 @@
 //! Nothing here opens a file, reads a clock, sleeps or spawns a thread;
 //! a stepper talks to the world only through the [`Comm`] it is handed
 //! and the [`GlobalSnapshot`] it may be restored from. The exchange
-//! protocol, retries, sentinels, fault injection and checkpoints are
-//! services of the driver (`driver.rs`, DESIGN.md §18), which makes an
-//! in-process embedding a wrapper around these types rather than a port
-//! of the driver.
+//! protocol, sentinels, fault injection and checkpoints are services of
+//! the driver (`driver.rs`, DESIGN.md §18), which makes an in-process
+//! embedding a wrapper around these types rather than a port of the
+//! driver.
 
 use foam_atm::{AtmExport, AtmForcing, AtmModel, AtmState, AtmWorkspace};
 use foam_coupler::{AtmSurfaceView, Coupler, CouplerState, CouplerWorkspace};

@@ -9,16 +9,16 @@
 use std::cell::RefCell;
 
 use foam_grid::{Field2, OceanGrid};
-use foam_spectral::fft::{real_analysis_into, real_synthesis_into, Complex, FftPlan};
+use foam_spectral::fft::{real_analysis_rows, real_synthesis_into, Complex, FftPlan, ROW_LANES};
 
 /// A polar filter bound to a grid.
 pub struct PolarFilter {
     plan: FftPlan,
-    /// Per row: `None` (row untouched) or damping factors per zonal
-    /// wavenumber 0..=nx/2.
-    factors: Vec<Option<Vec<f64>>>,
-    /// One row's coefficients (nx/2) followed by the transforms'
-    /// scratch. Grown on the first `apply`.
+    /// The filtered rows in ascending order, each with its damping
+    /// factor per zonal wavenumber 0..=nx/2; other rows are untouched.
+    rows: Vec<(usize, Vec<f64>)>,
+    /// Coefficients (nx/2 per row) and transform scratch for one group
+    /// of `ROW_LANES` rows, sized at construction.
     scratch: RefCell<Vec<Complex>>,
 }
 
@@ -28,13 +28,12 @@ impl PolarFilter {
     pub fn new(grid: &OceanGrid, lat0_deg: f64) -> Self {
         let lat0 = lat0_deg.to_radians();
         let half = grid.nx / 2;
-        let factors = grid
+        let rows = grid
             .lats
             .iter()
-            .map(|&lat| {
-                if lat.abs() <= lat0 {
-                    return None;
-                }
+            .enumerate()
+            .filter(|(_, lat)| lat.abs() > lat0)
+            .map(|(j, &lat)| {
                 let m_keep = (half as f64) * lat.cos() / lat0.cos();
                 let f: Vec<f64> = (0..=half)
                     .map(|m| {
@@ -45,35 +44,74 @@ impl PolarFilter {
                         }
                     })
                     .collect();
-                Some(f)
+                (j, f)
             })
             .collect();
+        let plan = FftPlan::new(grid.nx);
+        let scratch = vec![Complex::ZERO; ROW_LANES * (half + plan.scratch_len())];
         PolarFilter {
-            plan: FftPlan::new(grid.nx),
-            factors,
-            scratch: RefCell::new(Vec::new()),
+            plan,
+            rows,
+            scratch: RefCell::new(scratch),
         }
     }
 
-    /// Filter a field in place.
+    /// Filter a field in place. The filtered rows go through the
+    /// transforms [`ROW_LANES`] at a time, the rest as one narrower
+    /// group; each row gets the bits it would alone.
     pub fn apply(&self, f: &mut Field2) {
+        assert_eq!(f.nx(), self.plan.len());
+        let mut scratch = self.scratch.borrow_mut();
+        for group in self.rows.chunks(ROW_LANES) {
+            match group.len() {
+                1 => self.apply_group::<1>(f, group, &mut scratch),
+                2 => self.apply_group::<2>(f, group, &mut scratch),
+                3 => self.apply_group::<3>(f, group, &mut scratch),
+                ROW_LANES => self.apply_group::<ROW_LANES>(f, group, &mut scratch),
+                _ => unreachable!("chunks of at most ROW_LANES rows"),
+            }
+        }
+    }
+
+    /// Filter the `W` rows of `group`.
+    fn apply_group<const W: usize>(
+        &self,
+        f: &mut Field2,
+        group: &[(usize, Vec<f64>)],
+        scratch: &mut [Complex],
+    ) {
         let nx = self.plan.len();
-        assert_eq!(f.nx(), nx);
         // real_synthesis requires 2·m_max < nx, so the Nyquist
         // coefficient (damped hardest anyway) is never computed.
         let half = nx / 2;
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.resize(half + self.plan.scratch_len(), Complex::ZERO);
-        let (coeffs, scratch) = scratch.split_at_mut(half);
-        for j in 0..f.ny() {
-            if let Some(fac) = &self.factors[j] {
-                real_analysis_into(&self.plan, f.row(j), coeffs, scratch);
-                for (c, &damp) in coeffs.iter_mut().zip(fac) {
-                    *c = c.scale(damp);
-                }
-                real_synthesis_into(&self.plan, coeffs, f.row_mut(j), scratch);
+        let (coeffs, fft) = scratch.split_at_mut(ROW_LANES * half);
+        let coeffs = &mut coeffs[..W * half];
+        {
+            let mut out = coeffs.chunks_exact_mut(half);
+            real_analysis_rows::<W>(
+                &self.plan,
+                std::array::from_fn(|l| f.row(group[l].0)),
+                std::array::from_fn(|_| out.next().expect("W rows of coefficients")),
+                fft,
+            );
+        }
+        for (row, (_, fac)) in coeffs.chunks_exact_mut(half).zip(group) {
+            for (c, &damp) in row.iter_mut().zip(fac) {
+                *c = c.scale(damp);
             }
         }
+        let rows = f
+            .as_mut_slice()
+            .get_disjoint_mut(std::array::from_fn::<_, W, _>(|l| {
+                group[l].0 * nx..(group[l].0 + 1) * nx
+            }))
+            .expect("filtered rows are distinct");
+        real_synthesis_into::<W>(
+            &self.plan,
+            std::array::from_fn(|l| &coeffs[l * half..(l + 1) * half]),
+            rows,
+            fft,
+        );
     }
 }
 
@@ -149,9 +187,9 @@ mod tests {
         let filt = PolarFilter::new(&g, 55.0);
         // Effective kept wavenumbers decrease towards the pole.
         let kept = |j: usize| -> f64 {
-            match &filt.factors[j] {
+            match filt.rows.iter().find(|(row, _)| *row == j) {
                 None => (g.nx / 2) as f64,
-                Some(f) => f.iter().sum(),
+                Some((_, f)) => f.iter().sum(),
             }
         };
         assert!(kept(g.ny - 1) < kept(g.ny - 3));

@@ -287,8 +287,14 @@ mod tests {
             let counts = check_lanes::<8>(&mut rng);
             staggered += usize::from(counts.iter().any(|c| *c != counts[0]));
             capped += counts.iter().filter(|c| c.is_none()).count();
-            check_lanes::<4>(&mut rng);
+            // Every width a column's remainder group can take.
+            check_lanes::<1>(&mut rng);
+            check_lanes::<2>(&mut rng);
             check_lanes::<3>(&mut rng);
+            check_lanes::<4>(&mut rng);
+            check_lanes::<5>(&mut rng);
+            check_lanes::<6>(&mut rng);
+            check_lanes::<7>(&mut rng);
         }
         // The draws cover what the lanes must get right: neighbours that
         // stop at different updates, and lanes stopped by the cap.

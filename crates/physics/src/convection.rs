@@ -125,10 +125,27 @@ pub fn dry_adjustment_ws(
 }
 
 /// Levels of the parcel ascent solved together by
-/// [`moist_adiabat_lanes`]. Levels left over once a column is cut into
-/// groups of this width take one lane each, so no lane ever computes a
-/// level the column does not have.
+/// [`moist_adiabat_lanes`]. The levels left over once a column is cut
+/// into groups of this width run as one more group at their exact
+/// width (1 to 7), so no lane ever computes a level the column does
+/// not have, and a short column (3 levels in the century preset) is
+/// one group of its own depth rather than a level at a time.
 const PARCEL_LANES: usize = 8;
+
+/// The parcel temperature at the `W` levels from `k0`, as lanes of one
+/// moist-adiabat solve.
+fn ascend<const W: usize>(
+    parcel: &mut [f64],
+    k0: usize,
+    t0: f64,
+    q0: f64,
+    lift: &[f64],
+    p: &[f64],
+) {
+    let t_dry: [f64; W] = std::array::from_fn(|l| t0 * lift[k0 + l]);
+    let p = std::array::from_fn(|l| p[k0 + l]);
+    parcel[k0..k0 + W].copy_from_slice(&moist_adiabat_lanes(t_dry, q0, p));
+}
 
 /// Convective available potential energy of a parcel lifted
 /// pseudo-adiabatically from the lowest layer \[J/kg\]. The
@@ -142,15 +159,23 @@ pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
     let q0 = col.q[n - 1];
     let parcel = &mut ws.parcel;
     fit(parcel, n - 1);
-    // The ascent, PARCEL_LANES levels at a time, then the rest singly.
+    // The ascent, PARCEL_LANES levels at a time, then the rest as one
+    // group at its own width.
     let grouped = (n - 1) / PARCEL_LANES * PARCEL_LANES;
     for k0 in (0..grouped).step_by(PARCEL_LANES) {
-        let t_dry: [f64; PARCEL_LANES] = std::array::from_fn(|l| t0 * pf.lift[k0 + l]);
-        let p = std::array::from_fn(|l| col.p[k0 + l]);
-        parcel[k0..k0 + PARCEL_LANES].copy_from_slice(&moist_adiabat_lanes(t_dry, q0, p));
+        ascend::<PARCEL_LANES>(parcel, k0, t0, q0, &pf.lift, &col.p);
     }
-    for k in grouped..n - 1 {
-        [parcel[k]] = moist_adiabat_lanes([t0 * pf.lift[k]], q0, [col.p[k]]);
+    let (k0, lift, p) = (grouped, &pf.lift, &col.p);
+    match n - 1 - grouped {
+        0 => {}
+        1 => ascend::<1>(parcel, k0, t0, q0, lift, p),
+        2 => ascend::<2>(parcel, k0, t0, q0, lift, p),
+        3 => ascend::<3>(parcel, k0, t0, q0, lift, p),
+        4 => ascend::<4>(parcel, k0, t0, q0, lift, p),
+        5 => ascend::<5>(parcel, k0, t0, q0, lift, p),
+        6 => ascend::<6>(parcel, k0, t0, q0, lift, p),
+        7 => ascend::<7>(parcel, k0, t0, q0, lift, p),
+        _ => unreachable!("fewer than PARCEL_LANES levels are left"),
     }
     // The integral, upward from the lowest level: its summation order
     // is part of the pinned bits.

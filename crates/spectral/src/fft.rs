@@ -10,7 +10,10 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 use foam_ckpt::{ByteReader, CkptError, Codec};
 
 /// A complex number (we avoid external crates by policy; see DESIGN.md §5).
+/// The fields are laid out in order (`repr(C)`), which lets the FFT's
+/// lane groups (see `Lanes::load`) move as plain vector copies.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     pub re: f64,
     pub im: f64,
@@ -128,6 +131,96 @@ impl Neg for Complex {
     }
 }
 
+/// Rows a caller should transform together: [`real_analysis_rows`] and
+/// [`real_synthesis_into`] run this many independent rows as lanes of
+/// one pass over the plan. Four lanes fill two SSE2 registers per real
+/// or imaginary part; a few rows left over run as one narrower group.
+pub const ROW_LANES: usize = 4;
+
+/// `W` complex numbers, one per lane, as structure of arrays: the form
+/// in which a compiled plan runs `W` independent transforms at once.
+/// Every lane does the scalar [`Complex`] arithmetic, in the scalar
+/// order, so lane `l` of a `W`-wide run has the bits of a run of lane
+/// `l` alone; what the width buys is `W` independent chains per
+/// operation instead of one.
+#[derive(Clone, Copy)]
+struct Lanes<const W: usize> {
+    re: [f64; W],
+    im: [f64; W],
+}
+
+impl<const W: usize> Lanes<W> {
+    const ZERO: Self = Lanes {
+        re: [0.0; W],
+        im: [0.0; W],
+    };
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> Complex) -> Self {
+        let mut v = Self::ZERO;
+        for l in 0..W {
+            let c = f(l);
+            v.re[l] = c.re;
+            v.im[l] = c.im;
+        }
+        v
+    }
+
+    #[inline(always)]
+    fn lane(&self, l: usize) -> Complex {
+        Complex::new(self.re[l], self.im[l])
+    }
+
+    /// The value held by a group of `W` slots of a plan's buffers. The
+    /// group stores its `2W` numbers as structure of arrays — the `W`
+    /// real parts, then the `W` imaginary parts, two to a slot — so that
+    /// moving a group between registers and memory is a plain copy.
+    #[inline(always)]
+    fn load(slots: &[Complex; W]) -> Self {
+        let part = |i: usize| {
+            let slot = &slots[i / 2];
+            if i.is_multiple_of(2) {
+                slot.re
+            } else {
+                slot.im
+            }
+        };
+        Lanes {
+            re: std::array::from_fn(part),
+            im: std::array::from_fn(|l| part(W + l)),
+        }
+    }
+
+    /// The inverse of [`Lanes::load`].
+    #[inline(always)]
+    fn store(&self, slots: &mut [Complex; W]) {
+        let part = |i: usize| if i < W { self.re[i] } else { self.im[i - W] };
+        for (q, slot) in slots.iter_mut().enumerate() {
+            *slot = Complex::new(part(2 * q), part(2 * q + 1));
+        }
+    }
+
+    /// [`Complex::conj`] in every lane.
+    #[inline(always)]
+    fn conj(mut self) -> Self {
+        for im in &mut self.im {
+            *im = -*im;
+        }
+        self
+    }
+
+    /// `self + w · y` in every lane: the scalar `acc += w * y`.
+    #[inline(always)]
+    fn mul_add(self, w: Complex, y: Self) -> Self {
+        let mut acc = self;
+        for l in 0..W {
+            acc.re[l] += w.re * y.re[l] - w.im * y.im[l];
+            acc.im[l] += w.re * y.im[l] + w.im * y.re[l];
+        }
+        acc
+    }
+}
+
 /// A reusable FFT plan for length `n`, compiled once.
 ///
 /// The transform is mixed-radix Cooley–Tukey, decimating in time over
@@ -140,6 +233,11 @@ impl Neg for Complex {
 /// modulo `n` — while every output still sums the same operands in the
 /// same order as the recursive definition (the unit tests hold the plan
 /// to the recursion bit for bit).
+///
+/// The stages are one kernel, generic over a lane count `W`: it runs
+/// `W` transforms of independent rows side by side, each lane doing
+/// exactly the arithmetic of a single transform. `W = 1` is the
+/// single-row transform.
 ///
 /// A stage of radix `r` and length `len` stores `len · (r − 1)`
 /// twiddles, so a large prime length costs O(n²) memory to match its
@@ -174,7 +272,12 @@ impl Stage {
     /// each block to `emit(position, value)`; outputs at or above `limit`
     /// are not computed.
     #[inline(always)]
-    fn combine(&self, src: &[Complex], limit: usize, emit: impl FnMut(usize, Complex)) {
+    fn combine<const W: usize>(
+        &self,
+        src: &[[Complex; W]],
+        limit: usize,
+        emit: impl FnMut(usize, Lanes<W>),
+    ) {
         // Constant radices let the compiler unroll the inner sum.
         match self.r {
             2 => self.combine_radix(2, src, limit, emit),
@@ -184,21 +287,21 @@ impl Stage {
     }
 
     /// Output `k = s + t·m` is Σ_j W^{jk} Y_j(s), summed from zero in
-    /// ascending `j` exactly as the recursion does.
+    /// ascending `j` exactly as the recursion does, in every lane.
     #[inline(always)]
-    fn combine_radix(
+    fn combine_radix<const W: usize>(
         &self,
         r: usize,
-        src: &[Complex],
+        src: &[[Complex; W]],
         limit: usize,
-        mut emit: impl FnMut(usize, Complex),
+        mut emit: impl FnMut(usize, Lanes<W>),
     ) {
         let m = self.len / r;
         for (block, subs) in src.chunks_exact(self.len).enumerate() {
             let base = block * self.len;
             for (s, tws) in self.tw.chunks_exact(r * (r - 1)).enumerate().take(limit) {
                 // The j = 0 term is the same in all r outputs s + t·m.
-                let first = Complex::ZERO + self.w0 * subs[s];
+                let first = Lanes::ZERO.mul_add(self.w0, Lanes::load(&subs[s]));
                 for (t, tw) in tws.chunks_exact(r - 1).enumerate() {
                     let k = s + t * m;
                     if k >= limit {
@@ -206,7 +309,7 @@ impl Stage {
                     }
                     let mut acc = first;
                     for j in 1..r {
-                        acc += tw[j - 1] * subs[j * m + s];
+                        acc = acc.mul_add(tw[j - 1], Lanes::load(&subs[j * m + s]));
                     }
                     emit(base + k, acc);
                 }
@@ -268,77 +371,56 @@ impl FftPlan {
         self.n == 0
     }
 
-    /// The scratch length (in `Complex` elements) that every `_into`
-    /// method of this plan accepts: `3 * len()`. Allocate it once and
-    /// reuse it across calls — that is the whole point of the scratch
-    /// API.
+    /// The scratch length (in `Complex` elements) that a one-row call
+    /// accepts: `3 * len()`; a call on `W` rows takes `W` times as much.
+    /// Allocate it once and reuse it across calls — that is the whole
+    /// point of the scratch API.
     ///
     /// ```
-    /// use foam_spectral::fft::{Complex, FftPlan};
+    /// use foam_spectral::fft::{real_analysis_into, Complex, FftPlan};
     /// let plan = FftPlan::new(16);
     /// let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
-    /// let x = vec![Complex::ONE; 16];
-    /// let mut y = vec![Complex::ZERO; 16];
-    /// plan.forward_into(&x, &mut y, &mut scratch);
-    /// assert!((y[0].re - 16.0).abs() < 1e-12);
+    /// let row = vec![1.0; 16];
+    /// let mut c = vec![Complex::ZERO; 8];
+    /// real_analysis_into(&plan, &row, &mut c, &mut scratch);
+    /// assert!((c[0].re - 1.0).abs() < 1e-12);
     /// ```
     #[inline]
     pub fn scratch_len(&self) -> usize {
         3 * self.n
     }
 
-    /// Run the compiled stages: `load(i)` supplies input element `i`,
-    /// and the first `limit` outputs of the transform go to
-    /// `emit(k, X_k)`. Intermediate stages compute only what those
-    /// outputs read. `scratch` holds the two ping-pong buffers
-    /// (`2 * len()`).
+    /// Run the compiled stages on `W` lanes: `load(i)` supplies input
+    /// element `i` of every lane, and the first `limit` outputs of the
+    /// transform go to `emit(k, X_k)`. Intermediate stages compute only
+    /// what those outputs read. `scratch` holds the two ping-pong
+    /// buffers (`2 * W * len()`).
     #[inline(always)]
-    fn run(
+    fn run<const W: usize>(
         &self,
         scratch: &mut [Complex],
         limit: usize,
-        load: impl Fn(usize) -> Complex,
-        mut emit: impl FnMut(usize, Complex),
+        load: impl Fn(usize) -> Lanes<W>,
+        mut emit: impl FnMut(usize, Lanes<W>),
     ) {
-        assert!(scratch.len() >= 2 * self.n, "scratch too small");
-        let (mut src, rest) = scratch.split_at_mut(self.n);
-        let mut dst = &mut rest[..self.n];
+        let len = W * self.n;
+        assert!(scratch.len() >= 2 * len, "scratch too small");
+        let (src, rest) = scratch.split_at_mut(len);
+        let (mut src, mut dst) = (
+            src.as_chunks_mut::<W>().0,
+            rest[..len].as_chunks_mut::<W>().0,
+        );
         for (leaf, &i) in src.iter_mut().zip(&self.perm) {
-            *leaf = load(i);
+            load(i).store(leaf);
         }
         let Some((last, inner)) = self.stages.split_last() else {
-            return emit(0, src[0]);
+            return emit(0, Lanes::load(&src[0]));
         };
         for stage in inner {
-            stage.combine(src, limit.min(stage.len), |k, v| dst[k] = v);
+            stage.combine(src, limit.min(stage.len), |k, v| v.store(&mut dst[k]));
             std::mem::swap(&mut src, &mut dst);
         }
         last.combine(src, limit, emit);
-    }
-
-    /// Forward DFT: X_k = Σ_j x_j e^{-2πijk/n} (no normalization),
-    /// written into `out` using caller-provided `scratch` (at least
-    /// `2 * len()` elements; [`FftPlan::scratch_len`] always suffices).
-    pub fn forward_into(&self, x: &[Complex], out: &mut [Complex], scratch: &mut [Complex]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.n);
-        self.run(scratch, self.n, |i| x[i], |k, v| out[k] = v);
-    }
-
-    /// Inverse DFT: x_j = (1/n) Σ_k X_k e^{+2πijk/n} (`scratch` needs
-    /// at least `2 * len()` elements; [`FftPlan::scratch_len`] always
-    /// suffices).
-    pub fn inverse_into(&self, x: &[Complex], out: &mut [Complex], scratch: &mut [Complex]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.n);
-        // Conjugate trick: IDFT(x) = conj(DFT(conj(x))) / n.
-        let s = 1.0 / self.n as f64;
-        self.run(
-            scratch,
-            self.n,
-            |i| x[i].conj(),
-            |k, v| out[k] = v.conj().scale(s),
-        );
     }
 }
 
@@ -364,59 +446,175 @@ fn smallest_prime_factor(n: usize) -> usize {
 /// that f_i = Re[c_0 + 2 Σ_{m≥1} c_m e^{imλ_i}] for band-limited f.
 /// Caller scratch of at least `2 * plan.len()` elements
 /// ([`FftPlan::scratch_len`] always suffices). Wavenumbers above
-/// `m_max` are never computed.
+/// `m_max` are never computed. This is [`real_analysis_rows`] on one
+/// row.
 pub fn real_analysis_into(
     plan: &FftPlan,
     row: &[f64],
     out: &mut [Complex],
     scratch: &mut [Complex],
 ) {
-    let n = plan.len();
-    assert_eq!(row.len(), n);
-    assert!(!out.is_empty() && out.len() <= n);
-    let s = 1.0 / n as f64;
-    plan.run(
-        scratch,
-        out.len(),
-        |i| Complex::new(row[i], 0.0),
-        |k, v| out[k] = v.scale(s),
-    );
+    real_analysis_rows(plan, [row], [out], scratch);
 }
 
-/// Real synthesis on a longitude circle: inverse of
-/// [`real_analysis_into`], using caller scratch of at least
-/// `3 * plan.len()` elements (exactly [`FftPlan::scratch_len`]). Only
-/// the real half of the last stage is computed — the imaginary half is
-/// discarded anyway.
-pub fn real_synthesis_into(
+/// [`real_analysis_into`] of `W` rows at once, as lanes of one pass:
+/// `out[l]` receives the coefficients of `rows[l]`, bit for bit what a
+/// call on that row alone gives. Every `out[l]` has the same length;
+/// the scratch needs `W * 2 * plan.len()` elements (`W *`
+/// [`FftPlan::scratch_len`] always suffices).
+pub fn real_analysis_rows<const W: usize>(
     plan: &FftPlan,
-    coeffs: &[Complex],
-    out: &mut [f64],
+    rows: [&[f64]; W],
+    mut out: [&mut [Complex]; W],
     scratch: &mut [Complex],
 ) {
     let n = plan.len();
-    assert_eq!(out.len(), n);
-    assert!(scratch.len() >= 3 * n, "scratch too small");
-    let (spec, rest) = scratch.split_at_mut(n);
-    spec.fill(Complex::ZERO);
-    // Build the two-sided spectrum of a real signal: X_m = n c_m,
-    // X_{n-m} = n conj(c_m).
-    let m_max = coeffs.len() - 1;
-    assert!(2 * m_max < n, "synthesis requires nlon > 2*m_max");
-    spec[0] = coeffs[0].scale(n as f64);
-    for m in 1..=m_max {
-        spec[m] = coeffs[m].scale(n as f64);
-        spec[n - m] = coeffs[m].conj().scale(n as f64);
+    let count = out[0].len();
+    assert!(count >= 1 && count <= n);
+    for l in 0..W {
+        assert_eq!(rows[l].len(), n);
+        assert_eq!(out[l].len(), count);
     }
-    // The inverse transform (see `FftPlan::inverse_into`), keeping
+    let s = 1.0 / n as f64;
+    plan.run::<W>(
+        scratch,
+        count,
+        |i| Lanes::from_fn(|l| Complex::new(rows[l][i], 0.0)),
+        |k, v| {
+            for (l, row) in out.iter_mut().enumerate() {
+                row[k] = v.lane(l).scale(s);
+            }
+        },
+    );
+}
+
+/// Real synthesis on longitude circles, the inverse of
+/// [`real_analysis_into`], for `W` rows at once as lanes of one pass:
+/// `out[l]` receives the row whose coefficients are `coeffs[l]`, bit
+/// for bit what a one-row call (`W = 1`) gives. Every `coeffs[l]` has
+/// the same length `m_max + 1`, with `2 * m_max < plan.len()`; the
+/// scratch needs `W * 3 * plan.len()` elements (`W *`
+/// [`FftPlan::scratch_len`]). Only the real half of the last stage is
+/// kept — the imaginary half is discarded anyway.
+pub fn real_synthesis_into<const W: usize>(
+    plan: &FftPlan,
+    coeffs: [&[Complex]; W],
+    mut out: [&mut [f64]; W],
+    scratch: &mut [Complex],
+) {
+    let n = plan.len();
+    assert!(scratch.len() >= 3 * W * n, "scratch too small");
+    let (spec, rest) = scratch.split_at_mut(W * n);
+    let spec = spec.as_chunks_mut::<W>().0;
+    let m_max = coeffs[0].len() - 1;
+    assert!(2 * m_max < n, "synthesis requires nlon > 2*m_max");
+    for l in 0..W {
+        assert_eq!(coeffs[l].len(), m_max + 1);
+        assert_eq!(out[l].len(), n);
+    }
+    // Build each lane's two-sided spectrum of a real signal:
+    // X_m = n c_m, X_{n-m} = n conj(c_m).
+    let scale = |c: Complex| c.scale(n as f64);
+    for group in spec.iter_mut() {
+        Lanes::ZERO.store(group);
+    }
+    Lanes::from_fn(|l| scale(coeffs[l][0])).store(&mut spec[0]);
+    for m in 1..=m_max {
+        Lanes::from_fn(|l| scale(coeffs[l][m])).store(&mut spec[m]);
+        Lanes::from_fn(|l| scale(coeffs[l][m].conj())).store(&mut spec[n - m]);
+    }
+    // The inverse transform (IDFT(x) = conj(DFT(conj(x))) / n), keeping
     // Re[conj(X)/n] = Re[X]/n only.
     let s = 1.0 / n as f64;
-    plan.run(rest, n, |i| spec[i].conj(), |k, v| out[k] = v.re * s);
+    let spec = &*spec;
+    plan.run::<W>(
+        rest,
+        n,
+        |i| Lanes::load(&spec[i]).conj(),
+        |k, v| {
+            for (l, row) in out.iter_mut().enumerate() {
+                row[k] = v.re[l] * s;
+            }
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The complex transforms on the one kernel; the model itself only
+    /// transforms real rows.
+    impl FftPlan {
+        /// Forward DFT of `W` lanes: X_k = Σ_j x_j e^{-2πijk/n} (no
+        /// normalization), with `W * 2 * len()` elements of scratch.
+        pub(crate) fn forward_rows<const W: usize>(
+            &self,
+            x: [&[Complex]; W],
+            mut out: [&mut [Complex]; W],
+            scratch: &mut [Complex],
+        ) {
+            for l in 0..W {
+                assert_eq!(x[l].len(), self.n);
+                assert_eq!(out[l].len(), self.n);
+            }
+            self.run::<W>(
+                scratch,
+                self.n,
+                |i| Lanes::from_fn(|l| x[l][i]),
+                |k, v| {
+                    for (l, row) in out.iter_mut().enumerate() {
+                        row[k] = v.lane(l);
+                    }
+                },
+            );
+        }
+
+        /// Inverse DFT of `W` lanes: x_j = (1/n) Σ_k X_k e^{+2πijk/n}, by
+        /// the conjugate trick IDFT(x) = conj(DFT(conj(x))) / n.
+        pub(crate) fn inverse_rows<const W: usize>(
+            &self,
+            x: [&[Complex]; W],
+            mut out: [&mut [Complex]; W],
+            scratch: &mut [Complex],
+        ) {
+            for l in 0..W {
+                assert_eq!(x[l].len(), self.n);
+                assert_eq!(out[l].len(), self.n);
+            }
+            let s = 1.0 / self.n as f64;
+            self.run::<W>(
+                scratch,
+                self.n,
+                |i| Lanes::from_fn(|l| x[l][i].conj()),
+                |k, v| {
+                    for (l, row) in out.iter_mut().enumerate() {
+                        row[k] = v.lane(l).conj().scale(s);
+                    }
+                },
+            );
+        }
+
+        /// [`FftPlan::forward_rows`] on one row.
+        pub(crate) fn forward_into(
+            &self,
+            x: &[Complex],
+            out: &mut [Complex],
+            scratch: &mut [Complex],
+        ) {
+            self.forward_rows([x], [out], scratch);
+        }
+
+        /// [`FftPlan::inverse_rows`] on one row.
+        pub(crate) fn inverse_into(
+            &self,
+            x: &[Complex],
+            out: &mut [Complex],
+            scratch: &mut [Complex],
+        ) {
+            self.inverse_rows([x], [out], scratch);
+        }
+    }
 
     /// The recursive mixed-radix Cooley–Tukey definition the compiled
     /// plan must reproduce bit for bit. `x` is viewed with `stride`; `n`
@@ -520,48 +718,110 @@ mod tests {
         x.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
-    #[test]
-    fn compiled_plan_is_bit_identical_to_the_recursion() {
-        for n in (1..=64).chain([128]) {
-            let plan = FftPlan::new(n);
-            let oracle = Oracle::new(n);
-            let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
-            for seed in 0..3u64 {
-                let mut x = rand_signal(n, 1000 * seed + n as u64);
-                if seed == 2 {
+    /// `W` lanes of different data through all four entry points at
+    /// once, each lane held to the recursion bit for bit.
+    fn check_lanes<const W: usize>(n: usize, plan: &FftPlan, oracle: &Oracle) {
+        let mut scratch = vec![Complex::ZERO; W * plan.scratch_len()];
+        for seed in 0..3u64 {
+            let xs: [Vec<Complex>; W] = std::array::from_fn(|l| {
+                let mut x = rand_signal(n, 1000 * seed + n as u64 + 7919 * l as u64);
+                if seed == 2 && l % 2 == 0 {
                     // Signed zeros and an exact cancellation must
                     // survive too.
                     x[0] = Complex::new(-0.0, 0.0);
                     x[n / 2] = Complex::new(0.0, -0.0);
                 }
-                let mut y = vec![Complex::ZERO; n];
-                plan.forward_into(&x, &mut y, &mut scratch);
-                assert_eq!(bits(&y), bits(&oracle.forward(&x)), "forward n={n}");
-                plan.inverse_into(&x, &mut y, &mut scratch);
-                assert_eq!(bits(&y), bits(&oracle.inverse(&x)), "inverse n={n}");
+                x
+            });
+            let x = std::array::from_fn(|l| &xs[l][..]);
+            let mut ys: [Vec<Complex>; W] = std::array::from_fn(|_| vec![Complex::ZERO; n]);
+            plan.forward_rows(x, ys.each_mut().map(|y| &mut y[..]), &mut scratch);
+            for l in 0..W {
+                let want = oracle.forward(&xs[l]);
+                assert_eq!(bits(&ys[l]), bits(&want), "forward n={n} lane {l}/{W}");
+            }
+            plan.inverse_rows(x, ys.each_mut().map(|y| &mut y[..]), &mut scratch);
+            for l in 0..W {
+                let want = oracle.inverse(&xs[l]);
+                assert_eq!(bits(&ys[l]), bits(&want), "inverse n={n} lane {l}/{W}");
+            }
 
-                let row: Vec<f64> = x.iter().map(|c| c.re).collect();
-                for m_max in 0..n {
-                    let mut c = vec![Complex::ZERO; m_max + 1];
-                    real_analysis_into(&plan, &row, &mut c, &mut scratch);
+            let rows: [Vec<f64>; W] = xs.each_ref().map(|x| x.iter().map(|c| c.re).collect());
+            for m_max in 0..n {
+                let mut cs: [Vec<Complex>; W] =
+                    std::array::from_fn(|_| vec![Complex::ZERO; m_max + 1]);
+                real_analysis_rows(
+                    plan,
+                    rows.each_ref().map(|r| &r[..]),
+                    cs.each_mut().map(|c| &mut c[..]),
+                    &mut scratch,
+                );
+                for l in 0..W {
+                    let want = oracle.real_analysis(&rows[l], m_max);
                     assert_eq!(
-                        bits(&c),
-                        bits(&oracle.real_analysis(&row, m_max)),
-                        "analysis n={n} m_max={m_max}"
+                        bits(&cs[l]),
+                        bits(&want),
+                        "analysis n={n} m_max={m_max} lane {l}/{W}"
                     );
                 }
-                for m_max in 0..n.div_ceil(2) {
-                    let mut coeffs = x[..=m_max].to_vec();
-                    coeffs[0].im = 0.0;
-                    let mut back = vec![0.0; n];
-                    real_synthesis_into(&plan, &coeffs, &mut back, &mut scratch);
-                    let want = oracle.real_synthesis(&coeffs);
+            }
+            for m_max in 0..n.div_ceil(2) {
+                let coeffs: [Vec<Complex>; W] = xs.each_ref().map(|x| {
+                    let mut c = x[..=m_max].to_vec();
+                    c[0].im = 0.0;
+                    c
+                });
+                let mut backs: [Vec<f64>; W] = std::array::from_fn(|_| vec![0.0; n]);
+                real_synthesis_into(
+                    plan,
+                    coeffs.each_ref().map(|c| &c[..]),
+                    backs.each_mut().map(|b| &mut b[..]),
+                    &mut scratch,
+                );
+                for l in 0..W {
+                    let want = oracle.real_synthesis(&coeffs[l]);
                     assert_eq!(
-                        back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        backs[l].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "synthesis n={n} m_max={m_max}"
+                        "synthesis n={n} m_max={m_max} lane {l}/{W}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_plan_is_bit_identical_to_the_recursion() {
+        for n in (1..=64).chain([128]) {
+            let plan = FftPlan::new(n);
+            let oracle = Oracle::new(n);
+            check_lanes::<1>(n, &plan, &oracle);
+            check_lanes::<2>(n, &plan, &oracle);
+            check_lanes::<3>(n, &plan, &oracle);
+            check_lanes::<4>(n, &plan, &oracle);
+        }
+    }
+
+    #[test]
+    fn fft_roundtrip_proptest_style_sweep() {
+        // Deterministic sweep over lengths with pseudo-random signals; the
+        // FFT must invert exactly for every smooth and prime length.
+        let mut seed = 99u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for n in [2usize, 3, 5, 7, 11, 13, 24, 30, 48, 60, 97, 128] {
+            let plan = FftPlan::new(n);
+            let x: Vec<Complex> = (0..n).map(|_| Complex::new(next(), next())).collect();
+            let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
+            let (mut spec, mut y) = (x.clone(), x.clone());
+            plan.forward_into(&x, &mut spec, &mut scratch);
+            plan.inverse_into(&spec, &mut y, &mut scratch);
+            for (a, b) in x.iter().zip(&y) {
+                assert!((*a - *b).abs() < 1e-9, "n = {n}");
             }
         }
     }
@@ -669,7 +929,7 @@ mod tests {
         let mut c = vec![Complex::ZERO; m_max + 1];
         real_analysis_into(&plan, &row, &mut c, &mut scratch);
         let mut back = vec![0.0; n];
-        real_synthesis_into(&plan, &c, &mut back, &mut scratch);
+        real_synthesis_into(&plan, [&c], [&mut back], &mut scratch);
         for (a, b) in row.iter().zip(&back) {
             assert!((a - b).abs() < 1e-10);
         }
