@@ -42,6 +42,7 @@
 //! );
 //! ```
 
+mod backoff;
 pub mod checkpoint;
 mod config;
 pub mod diagnostics;
@@ -52,6 +53,7 @@ pub mod stepper;
 pub mod stream;
 pub mod supervisor;
 
+pub use backoff::Backoff;
 pub use checkpoint::GlobalSnapshot;
 pub use config::{
     CkptConfig, ConfigError, CouplingMode, FoamConfig, PhysicsFault, PhysicsFaultKind, RankKill,
@@ -75,6 +77,6 @@ pub use supervisor::{
 pub use foam_atm::{AtmConfig, AtmModel};
 pub use foam_coupler::Coupler;
 pub use foam_grid::{Field2, World};
-pub use foam_mpi::{Backoff, CommLint, CommStats, RankTrace, Universe};
+pub use foam_mpi::{CommLint, CommStats, RankTrace, Universe};
 pub use foam_ocean::{OceanConfig, OceanModel, SplitScheme};
 pub use foam_telemetry::{TelemetryRegistry, TelemetryReport};

@@ -8,7 +8,7 @@
 //!
 //! 1. **Detect** — the driver surfaces every failure as a typed
 //!    [`CoupledError`] (rank deaths are caught by the runtime's
-//!    heartbeat/quiesce machinery in `foam-mpi` and mapped to
+//!    abort/quiesce machinery in `foam-mpi` and mapped to
 //!    [`CoupledError::RankDead`]); the supervisor classifies it into a
 //!    [`RunFault`].
 //! 2. **Rollback** — survivors are already quiesced by the runtime; the
@@ -17,19 +17,19 @@
 //!    condition when none exists.
 //! 3. **Resume** — the SPMD job is relaunched (worker threads respawn
 //!    inside [`foam_mpi::Universe`]) and integrates from the rollback
-//!    point, under a bounded recovery budget and the shared
-//!    deterministic [`Backoff`].
+//!    point, under a bounded recovery budget and the deterministic
+//!    [`Backoff`] schedule.
 //!
 //! Recovery is **deterministic and observable**: periodic snapshots lie
 //! on the failure-free trajectory and injected faults are disarmed
 //! after firing once (the transient-fault model), so the same seed and
 //! fault plan produce a bit-identical final state — and a byte-identical
-//! [`RecoveryReport`] — every run. The report carries no wall-clock or
-//! heartbeat counts for exactly that reason.
+//! [`RecoveryReport`] — every run. The report carries no wall-clock
+//! time for exactly that reason.
 
-use foam_mpi::Backoff;
 use foam_telemetry::json::Value;
 
+use crate::backoff::Backoff;
 use crate::checkpoint;
 use crate::config::FoamConfig;
 use crate::driver::{self, CoupledError, CoupledOutput};
@@ -147,8 +147,8 @@ pub struct RecoveryEvent {
 /// The deterministic, observable record of a supervised run's recovery
 /// activity: which faults were seen, which rollbacks were taken, and
 /// how many simulated days were replayed. Contains **no wall-clock
-/// times and no heartbeat counts** — identical seed + fault plan must
-/// render byte-identical ([`RecoveryReport::to_json`]) across reruns.
+/// times** — identical seed + fault plan must render byte-identical
+/// ([`RecoveryReport::to_json`]) across reruns.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryReport {
     /// One entry per recovery attempt, in order.

@@ -8,7 +8,7 @@
 //! [`foam::try_run_coupled`]: take an [`EnsembleSpec`] (a base
 //! [`foam::FoamConfig`] plus per-member perturbations of seeds and
 //! parameters, and an optional injected rank death), execute the
-//! members across a pool of OS workers ([`scheduler`]), retry members
+//! members across a pool of OS workers ([`run_ensemble`]), retry members
 //! that die with a [`foam::CoupledError`] from their own checkpoint
 //! store, and reduce everything into one deterministic `foam-ensemble/1`
 //! JSON report.
@@ -49,7 +49,6 @@
 pub mod queue;
 mod report;
 mod runner;
-pub mod scheduler;
 mod spec;
 
 pub use queue::FairShareQueue;

@@ -1,11 +1,10 @@
 //! A multi-tenant, priority + fair-share job queue.
 //!
-//! [`scheduler::execute`](crate::scheduler::execute) is the *static*
-//! pool: the full job list is known up front and workers claim it
-//! position by position. A long-lived service needs the dynamic one —
-//! jobs arrive over time, from different tenants, with different
-//! priorities, and a greedy FIFO would let one chatty tenant starve
-//! everyone else. Those are the crate's two scheduling policies. The
+//! [`run_ensemble`](crate::run_ensemble) runs a member list known up
+//! front: its workers claim it position by position. A long-lived
+//! service needs a dynamic queue — jobs arrive over time, from
+//! different tenants, with different priorities, and a greedy FIFO
+//! would let one chatty tenant starve everyone else. The
 //! [`FairShareQueue`] keeps the same worker-facing shape (a pool of OS
 //! threads looping on "give me the next job") while making dispatch
 //! **fair across tenants and prioritized within each**:

@@ -2,6 +2,7 @@
 //! per-member retry loop, and the final reduction into an
 //! [`EnsembleReport`].
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use foam::supervisor::supervise_run;
@@ -10,7 +11,6 @@ use foam_grid::Field2;
 use foam_telemetry::TelemetryReport;
 
 use crate::report::EnsembleReport;
-use crate::scheduler;
 use crate::spec::{EnsembleSpec, MemberSpec};
 use crate::EnsembleError;
 
@@ -101,18 +101,29 @@ pub fn run_ensemble(spec: &EnsembleSpec) -> Result<EnsembleOutput, EnsembleError
     }
 
     let start = Instant::now();
-    // Job index = position in the spec's member list (the submission
-    // order); the scheduler's slot-indexed results make worker count
-    // and completion order invisible downstream.
-    let order: Vec<usize> = (0..spec.members.len()).collect();
-    let results = scheduler::execute(&order, spec.members.len(), spec.workers, |i| {
-        run_member(spec, &spec.members[i])
+    // The member list is fixed up front, so the pool needs one shared
+    // counter: an idle worker claims the next unclaimed member. Which
+    // worker ran which member, and in what order they finished, is
+    // erased by the sort below. A panicking member propagates through
+    // the scope's join.
+    let next = AtomicUsize::new(0);
+    let mut members: Vec<MemberRecord> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..spec.workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(m) = spec.members.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push(run_member(spec, m));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-
-    let mut members: Vec<MemberRecord> = results
-        .into_iter()
-        .map(|r| r.expect("scheduler filled every submitted slot"))
-        .collect();
     // Aggregation walks members in id order — never completion order.
     members.sort_by_key(|r| r.spec.id);
 

@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
-use crate::heartbeat::HeartbeatBoard;
 use crate::stats::{tag_label, CommStats, INTERNAL_TAG};
 use crate::trace::{RankTrace, Tracer};
 use crate::universe::JobControl;
@@ -57,8 +56,8 @@ const TAG_GATHER: u32 = INTERNAL_TAG + 4;
 /// can tear down instead of hanging in a receive that will never match.
 const TAG_ABORT: u32 = INTERNAL_TAG + 8;
 
-/// Poll interval for blocked receives: each expiry emits one idle
-/// heartbeat beacon and re-checks the job-abort flag.
+/// Poll interval for blocked receives: each expiry re-checks the
+/// job-abort flag.
 const BEACON: Duration = Duration::from_millis(25);
 
 /// Panic payload marking a rank parked by the job-abort broadcast — a
@@ -166,9 +165,6 @@ pub(crate) struct Endpoint {
     /// successful receive, so at teardown it means "ended blocked"
     /// rather than "ever timed out".
     timed_out: bool,
-    /// Shared liveness board: beats piggyback on sends/receives, idle
-    /// beacons fire while blocked.
-    board: Arc<HeartbeatBoard>,
     /// Job-wide abort flag set by the universe when any rank dies.
     ctl: Arc<JobControl>,
 }
@@ -195,7 +191,6 @@ impl Comm {
         senders: Arc<Vec<Sender<Envelope>>>,
         epoch: Instant,
         tracing: bool,
-        board: Arc<HeartbeatBoard>,
         ctl: Arc<JobControl>,
     ) -> Self {
         let n = senders.len();
@@ -209,7 +204,6 @@ impl Comm {
                 next_ctx: 1,
                 stats: CommStats::default(),
                 timed_out: false,
-                board,
                 ctl,
             })),
             senders,
@@ -304,7 +298,6 @@ impl Comm {
             payload: Box::new(value),
         };
         let mut ep = self.endpoint.borrow_mut();
-        ep.board.beat(self.world_rank());
         ep.stats.on_send(tag, bytes);
         // A peer whose endpoint dropped mid-job means that rank died;
         // once the universe has raised the abort flag, park quietly
@@ -368,8 +361,8 @@ impl Comm {
 
     /// The receive engine: match the stash, then drain the channel, then
     /// block (with wait-time accounting and optional deadline). Blocking
-    /// is chunked into [`BEACON`]-sized polls so a waiting rank keeps
-    /// emitting idle heartbeats and notices the job-abort broadcast.
+    /// is chunked into [`BEACON`]-sized polls so a waiting rank notices
+    /// the job-abort flag.
     fn recv_matching(
         &self,
         src: usize,
@@ -380,7 +373,6 @@ impl Comm {
         let matches =
             |e: &Envelope| e.ctx == self.ctx && e.src == src_world && tags.contains(&e.tag);
         let mut ep = self.endpoint.borrow_mut();
-        ep.board.beat(self.world_rank());
         if ep.ctl.aborted() {
             std::panic::panic_any(Quiesced);
         }
@@ -447,8 +439,6 @@ impl Comm {
                     ep.pending.push_back(env);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Idle beacon: still alive, just waiting.
-                    ep.board.beat(self.world_rank());
                     if ep.ctl.aborted() {
                         std::panic::panic_any(Quiesced);
                     }

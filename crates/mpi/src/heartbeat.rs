@@ -1,25 +1,17 @@
-//! Per-rank liveness heartbeats.
+//! Per-rank lifecycle states of a running job.
 //!
-//! Every rank of a running job ticks a shared [`HeartbeatBoard`]:
-//! heartbeats piggyback on every send and receive (a rank doing real
-//! communication is visibly alive for free), and a rank *blocked* in a
-//! receive emits an idle-period beacon every poll interval, so "quiet
-//! because waiting" and "quiet because dead" are distinguishable. The
-//! universe marks terminal states on the same board — done, dead
-//! (panicked), or quiesced (parked by a job abort) — which is what the
-//! run supervisor reads when it classifies a failure.
-//!
-//! Heartbeat *counts* are timing-dependent (a slow machine beacons more
-//! often) and must never enter a deterministic report; they are
-//! diagnostics only.
+//! The universe marks each rank's terminal state here — done, dead
+//! (panicked), or quiesced (parked by a job abort) — and reads back the
+//! quiesced ranks for the [`RankFailure`](crate::RankFailure) it
+//! returns. Liveness of a *blocked* rank is not recorded: its receive
+//! polls the job-abort flag every `BEACON` interval instead.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lifecycle of one rank as seen by the heartbeat board.
+/// Lifecycle of one rank as seen by the board.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankState {
-    /// The rank closure is executing (or blocked in a receive, still
-    /// emitting idle beacons).
+pub(crate) enum RankState {
+    /// The rank closure is executing (or blocked in a receive).
     Running,
     /// The rank closure returned normally.
     Done,
@@ -50,68 +42,34 @@ impl RankState {
     }
 }
 
-/// Shared liveness board: one heartbeat counter and one lifecycle state
-/// per rank. All operations are lock-free relaxed atomics — the board
-/// is advisory, never a synchronization point.
+/// One lifecycle state per rank. All operations are lock-free relaxed
+/// atomics — the board is advisory, never a synchronization point.
 #[derive(Debug)]
-pub struct HeartbeatBoard {
-    beats: Vec<AtomicU64>,
+pub(crate) struct HeartbeatBoard {
     states: Vec<AtomicU8>,
 }
 
 impl HeartbeatBoard {
-    /// A fresh board for `n` ranks, all `Running` with zero beats.
-    pub fn new(n: usize) -> Self {
+    /// A fresh board for `n` ranks, all `Running`.
+    pub(crate) fn new(n: usize) -> Self {
         HeartbeatBoard {
-            beats: (0..n).map(|_| AtomicU64::new(0)).collect(),
             states: (0..n).map(|_| AtomicU8::new(0)).collect(),
         }
     }
 
-    /// Number of ranks on the board.
-    pub fn len(&self) -> usize {
-        self.beats.len()
-    }
-
-    /// True when the board covers zero ranks.
-    pub fn is_empty(&self) -> bool {
-        self.beats.is_empty()
-    }
-
-    /// Tick `rank`'s heartbeat (piggybacked on comm activity or emitted
-    /// as an idle beacon).
-    #[inline]
-    pub fn beat(&self, rank: usize) {
-        self.beats[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Heartbeats recorded for `rank` so far. Timing-dependent — never
-    /// put this in a deterministic report.
-    pub fn beats(&self, rank: usize) -> u64 {
-        self.beats[rank].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of every rank's heartbeat count.
-    pub fn all_beats(&self) -> Vec<u64> {
-        self.beats
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Record `rank`'s lifecycle state.
-    pub fn set_state(&self, rank: usize, state: RankState) {
+    pub(crate) fn set_state(&self, rank: usize, state: RankState) {
         self.states[rank].store(state.as_u8(), Ordering::Relaxed);
     }
 
     /// `rank`'s last recorded lifecycle state.
-    pub fn state(&self, rank: usize) -> RankState {
+    pub(crate) fn state(&self, rank: usize) -> RankState {
         RankState::from_u8(self.states[rank].load(Ordering::Relaxed))
     }
 
     /// Ranks currently in the given state, ascending.
-    pub fn ranks_in(&self, state: RankState) -> Vec<usize> {
-        (0..self.len())
+    pub(crate) fn ranks_in(&self, state: RankState) -> Vec<usize> {
+        (0..self.states.len())
             .filter(|&r| self.state(r) == state)
             .collect()
     }
@@ -120,15 +78,6 @@ impl HeartbeatBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn beats_accumulate_per_rank() {
-        let b = HeartbeatBoard::new(3);
-        b.beat(1);
-        b.beat(1);
-        b.beat(2);
-        assert_eq!(b.all_beats(), vec![0, 2, 1]);
-    }
 
     #[test]
     fn states_round_trip() {

@@ -48,16 +48,11 @@
 //!   [`RankFailure`] naming the first rank that died instead of
 //!   re-raising its panic; survivors blocked in receives are woken by a
 //!   job-abort broadcast and parked (quiesced) so the job tears down
-//!   promptly. Every rank ticks a [`HeartbeatBoard`] — beats piggyback
-//!   on sends/receives, and blocked ranks emit idle beacons — so
-//!   "waiting" and "dead" are distinguishable.
+//!   promptly.
 //! * **Payload recycling** — the per-thread [`pool`] recycles `Vec<f64>`
 //!   message payloads, and [`Comm::allreduce_mut`] is an in-place,
 //!   steady-state allocation-free reduction for hot-loop use (see
 //!   PERFORMANCE.md).
-//! * **Shared deterministic backoff** — [`Backoff`], the jitter-free
-//!   exponential schedule of the supervisor's rollback-and-resume loop,
-//!   which ensemble members and hosted jobs run under.
 //!
 //! Delivery is reliable and in order, as in MPI: nothing here loses,
 //! delays or reorders a message. The faults a run can meet are a dead
@@ -79,7 +74,6 @@
 //! assert_eq!(out.results, vec![6, 6, 6, 6]);
 //! ```
 
-mod backoff;
 mod comm;
 mod heartbeat;
 pub mod pool;
@@ -87,9 +81,7 @@ mod stats;
 mod trace;
 mod universe;
 
-pub use backoff::Backoff;
 pub use comm::{Comm, Message, RecvTimeout, ReduceOp};
-pub use heartbeat::{HeartbeatBoard, RankState};
 pub use stats::{
     tag_label, CommLint, CommStats, LeakedMessage, TagImbalance, TagStats, WaitHistogram,
 };

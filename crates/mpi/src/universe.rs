@@ -33,10 +33,6 @@ pub struct RunOutput<R> {
     pub traces: Vec<RankTrace>,
     /// What the communication layer left behind at teardown.
     pub lint: CommLint,
-    /// Heartbeats each rank emitted (piggybacked on comm activity plus
-    /// idle beacons while blocked), indexed by rank. Timing-dependent —
-    /// diagnostics only, never part of a deterministic report.
-    pub heartbeats: Vec<u64>,
 }
 
 /// Job-wide abort control shared by every rank's endpoint: the first
@@ -81,7 +77,7 @@ impl JobControl {
 /// Typed description of a failed job, returned by
 /// [`Universe::try_run_cfg`]: which rank died first, the panic message,
 /// which survivors were quiesced by the abort broadcast, plus the
-/// teardown lint and heartbeat counts for diagnosis.
+/// teardown lint for diagnosis.
 pub struct RankFailure {
     /// World rank of the first rank that died (the culprit).
     pub rank: usize,
@@ -89,9 +85,6 @@ pub struct RankFailure {
     pub detail: String,
     /// Ranks parked by the abort broadcast (casualties, ascending).
     pub quiesced: Vec<usize>,
-    /// Per-rank heartbeat counts at teardown. Timing-dependent —
-    /// diagnostics only.
-    pub heartbeats: Vec<u64>,
     /// What the communication layer left behind at teardown.
     pub lint: CommLint,
     payload: Box<dyn std::any::Any + Send>,
@@ -111,7 +104,6 @@ impl std::fmt::Debug for RankFailure {
             .field("rank", &self.rank)
             .field("detail", &self.detail)
             .field("quiesced", &self.quiesced)
-            .field("heartbeats", &self.heartbeats)
             .finish_non_exhaustive()
     }
 }
@@ -181,15 +173,14 @@ impl Universe {
     /// [`RankFailure`] instead of re-raising the panic. When a rank dies,
     /// the universe raises the job-abort flag and broadcasts an abort
     /// message to every surviving rank; survivors park with a quiesce
-    /// panic at their next communication call (or within one idle-beacon
+    /// panic at their next communication call (or within one poll
     /// interval if blocked), so the job tears down promptly and the
     /// *first* failure is the one attributed. This is the primitive the
     /// run supervisor builds detect-rollback-resume on.
     //
-    // The Err variant is large (it carries the teardown lint, the
-    // heartbeat board, and the panic payload), but this returns once
-    // per *job*, not per message — boxing would only complicate the one
-    // caller that matters.
+    // The Err variant is large (it carries the teardown lint and the
+    // panic payload), but this returns once per *job*, not per message
+    // — boxing would only complicate the one caller that matters.
     #[allow(clippy::result_large_err)]
     pub fn try_run_cfg<R, F>(n: usize, cfg: RunConfig, f: F) -> Result<RunOutput<R>, RankFailure>
     where
@@ -206,7 +197,7 @@ impl Universe {
         }
         let senders = Arc::new(txs);
         let epoch = Instant::now();
-        let board = Arc::new(HeartbeatBoard::new(n));
+        let board = HeartbeatBoard::new(n);
         let ctl = Arc::new(JobControl::new());
 
         type Slot<R> = (std::thread::Result<R>, RankTrace, RankLint);
@@ -216,7 +207,7 @@ impl Universe {
             let mut handles = Vec::with_capacity(n);
             for (rank, rx) in rxs.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
-                let board = Arc::clone(&board);
+                let board = &board;
                 let ctl = Arc::clone(&ctl);
                 let f = &f;
                 let slot = &slots[rank];
@@ -231,7 +222,6 @@ impl Universe {
                             Arc::clone(&senders),
                             epoch,
                             tracing,
-                            Arc::clone(&board),
                             Arc::clone(&ctl),
                         );
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
@@ -289,7 +279,6 @@ impl Universe {
                 results,
                 traces,
                 lint,
-                heartbeats: board.all_beats(),
             });
         }
 
@@ -316,7 +305,6 @@ impl Universe {
             rank,
             detail: panic_message(payload.as_ref()),
             quiesced: board.ranks_in(RankState::Quiesced),
-            heartbeats: board.all_beats(),
             lint,
             payload,
         })
@@ -413,41 +401,6 @@ mod tests {
             failure.detail
         );
         assert_eq!(failure.quiesced, vec![0, 1]);
-        assert_eq!(failure.heartbeats.len(), 3);
-    }
-
-    #[test]
-    fn try_run_succeeds_with_heartbeats() {
-        let out = Universe::try_run_cfg(2, RunConfig::default(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, 5i32);
-            } else {
-                let _: i32 = comm.recv(0, 0);
-            }
-        })
-        .unwrap();
-        assert_eq!(out.heartbeats.len(), 2);
-        // Every rank communicated, so every rank beat at least once.
-        assert!(
-            out.heartbeats.iter().all(|&b| b > 0),
-            "{:?}",
-            out.heartbeats
-        );
-    }
-
-    #[test]
-    fn blocked_rank_emits_idle_beacons() {
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                // Long enough for several 25 ms beacon intervals.
-                std::thread::sleep(std::time::Duration::from_millis(90));
-                comm.send(1, 0, ());
-            } else {
-                let () = comm.recv(0, 0);
-            }
-        });
-        // Rank 1 spent ~90 ms blocked: entry beat + >= 2 idle beacons.
-        assert!(out.heartbeats[1] >= 3, "{:?}", out.heartbeats);
     }
 
     #[test]

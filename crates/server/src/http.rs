@@ -20,6 +20,11 @@ use foam_telemetry::json::Value;
 /// a megabyte is paranoia headroom, not a real limit).
 const MAX_BODY: usize = 1 << 20;
 
+/// Upper bound on the request line plus headers. The job API's heads
+/// are a few hundred bytes; the bound keeps a client that never sends
+/// a newline from growing a connection thread's buffer without limit.
+const MAX_HEAD: usize = 16 << 10;
+
 /// One parsed request: method, path (with any `?query` dropped), body.
 #[derive(Debug)]
 pub struct Request {
@@ -28,48 +33,60 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+fn invalid(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
 /// Read and parse one request from the stream. Malformed requests
 /// surface as `Err`; the caller answers 400 and closes.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+pub fn read_request<R: Read>(stream: R) -> io::Result<Request> {
+    let mut reader = BufReader::new(stream);
+    let mut budget = MAX_HEAD;
+    let line = read_head_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request line",
-            ))
-        }
+        _ => return Err(invalid("malformed request line")),
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_head_line(&mut reader, &mut budget)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| invalid("bad Content-Length"))?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(invalid("request body too large"));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let path = target.split('?').next().unwrap_or("").to_string();
     Ok(Request { method, path, body })
+}
+
+/// One `\n`-terminated line of the request head, charged to `budget`.
+/// A head longer than [`MAX_HEAD`], or one cut off by EOF before its
+/// blank line, is `InvalidData`.
+fn read_head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    *budget -= reader.take(*budget as u64).read_line(&mut line)?;
+    if !line.ends_with('\n') {
+        return Err(invalid(if *budget == 0 {
+            "request head too large"
+        } else {
+            "request head truncated"
+        }));
+    }
+    Ok(line)
 }
 
 fn status_text(code: u16) -> &'static str {
@@ -142,5 +159,58 @@ impl<'a> NdjsonStream<'a> {
     pub fn finish(self) -> io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refusal(raw: &[u8]) -> String {
+        let e = read_request(raw).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        e.to_string()
+    }
+
+    #[test]
+    fn valid_request_parses() {
+        let req = read_request(&b"POST /v1/jobs?x=1 HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd"[..])
+            .unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/jobs");
+        assert_eq!(req.body, b"abcd");
+    }
+
+    #[test]
+    fn oversized_head_is_refused() {
+        let mut raw = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        raw.resize(MAX_HEAD + 1, b'a');
+        assert_eq!(refusal(&raw), "request head too large");
+        // Many short headers add up the same way.
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        while raw.len() <= MAX_HEAD {
+            raw.extend_from_slice(b"X-Pad: a\r\n");
+        }
+        raw.extend_from_slice(b"\r\n");
+        assert_eq!(refusal(&raw), "request head too large");
+    }
+
+    #[test]
+    fn head_cut_by_eof_is_refused() {
+        assert_eq!(
+            refusal(b"GET / HTTP/1.1\r\nHost: x\r\n"),
+            "request head truncated"
+        );
+        assert_eq!(refusal(b"GET / HTTP/1.1\r\nHo"), "request head truncated");
+        assert_eq!(refusal(b""), "request head truncated");
+    }
+
+    #[test]
+    fn body_above_the_limit_is_refused() {
+        let raw = format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert_eq!(refusal(raw.as_bytes()), "request body too large");
     }
 }

@@ -1,51 +1,14 @@
-//! Property-based tests of the ensemble orchestration's determinism
+//! Property-based test of the ensemble orchestration's determinism
 //! contract: for *any* member set, worker count, and submission order,
-//! the work-stealing scheduler fills the same result slots and the
-//! aggregate `foam-ensemble/1` JSON report comes out byte-identical.
+//! the aggregate `foam-ensemble/1` JSON report comes out byte-identical.
 //!
-//! The scheduler property is exercised heavily with synthetic jobs
-//! (cheap); the end-to-end property runs the real coupled model at the
-//! smallest useful size (one coupling interval per member), so its case
-//! count is deliberately low.
+//! It runs the real coupled model at the smallest useful size (one
+//! coupling interval per member), so its case count is deliberately low.
 
 use proptest::prelude::*;
 
 use foam::FoamConfig;
-use foam_ensemble::{run_ensemble, scheduler, EnsembleSpec};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Slot-indexed results are a pure function of the job set: worker
-    /// count and submission order are invisible.
-    #[test]
-    fn scheduler_results_are_independent_of_workers_and_order(
-        n in 1usize..24,
-        perm_seed in 0u32..1000,
-        jitter in prop::collection::vec(0usize..4, 24),
-    ) {
-        // A deterministic permutation of 0..n as the submission order.
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut s = perm_seed as u64;
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (s >> 33) as usize % (i + 1));
-        }
-
-        let run = |workers: usize, order: &[usize]| {
-            scheduler::execute(order, n, workers, |job| {
-                // Uneven, timing-jittered jobs: force real stealing.
-                if jitter[job] == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                (job as u64).wrapping_mul(2654435761) ^ 0x5bd1e995
-            })
-        };
-        let reference = run(1, &(0..n).collect::<Vec<_>>());
-        prop_assert_eq!(&run(2, &order), &reference);
-        prop_assert_eq!(&run(8, &order), &reference);
-    }
-}
+use foam_ensemble::{run_ensemble, EnsembleSpec};
 
 proptest! {
     // Each case runs 4 real (tiny, one-interval) ensembles; keep the
