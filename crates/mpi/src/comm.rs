@@ -14,7 +14,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::stats::{tag_label, CommStats, INTERNAL_TAG};
 use crate::trace::{RankTrace, Tracer};
-use crate::universe::JobControl;
 
 /// Reduction operators supported by [`Comm::allreduce_mut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +53,8 @@ const TAG_GATHER: u32 = INTERNAL_TAG + 4;
 /// Job-abort broadcast injected by the universe when a rank dies: any
 /// rank that sees it parks itself with a [`Quiesced`] panic so the job
 /// can tear down instead of hanging in a receive that will never match.
+/// It is the job's only abort signal.
 const TAG_ABORT: u32 = INTERNAL_TAG + 8;
-
-/// Poll interval for blocked receives: each expiry re-checks the
-/// job-abort flag.
-const BEACON: Duration = Duration::from_millis(25);
 
 /// Panic payload marking a rank parked by the job-abort broadcast — a
 /// casualty of another rank's failure, not a culprit. The universe
@@ -165,8 +161,6 @@ pub(crate) struct Endpoint {
     /// successful receive, so at teardown it means "ended blocked"
     /// rather than "ever timed out".
     timed_out: bool,
-    /// Job-wide abort flag set by the universe when any rank dies.
-    ctl: Arc<JobControl>,
 }
 
 /// A communicator over a group of ranks.
@@ -191,7 +185,6 @@ impl Comm {
         senders: Arc<Vec<Sender<Envelope>>>,
         epoch: Instant,
         tracing: bool,
-        ctl: Arc<JobControl>,
     ) -> Self {
         let n = senders.len();
         let mut tracer = Tracer::new(world_rank, epoch);
@@ -204,7 +197,6 @@ impl Comm {
                 next_ctx: 1,
                 stats: CommStats::default(),
                 timed_out: false,
-                ctl,
             })),
             senders,
             ctx: 0,
@@ -299,13 +291,12 @@ impl Comm {
         };
         let mut ep = self.endpoint.borrow_mut();
         ep.stats.on_send(tag, bytes);
-        // A peer whose endpoint dropped mid-job means that rank died;
-        // once the universe has raised the abort flag, park quietly
-        // instead of turning the casualty into a second loud panic.
+        // A peer's endpoint drops when its rank ends. A rank that ends by
+        // a panic broadcasts the job abort before its endpoint drops, so
+        // if the abort is in our mailbox, park quietly instead of turning
+        // the casualty into a second loud panic.
         if self.senders[dst_world].send(env).is_err() {
-            if ep.ctl.aborted() {
-                std::panic::panic_any(Quiesced);
-            }
+            ep.stash_arrivals();
             panic!("peer rank endpoint dropped while sending");
         }
     }
@@ -359,10 +350,10 @@ impl Comm {
             .unwrap_or_else(|e| unreachable!("no deadline, yet {e}"))
     }
 
-    /// The receive engine: match the stash, then drain the channel, then
-    /// block (with wait-time accounting and optional deadline). Blocking
-    /// is chunked into [`BEACON`]-sized polls so a waiting rank notices
-    /// the job-abort flag.
+    /// The receive engine: move every arrival into the stash (parking on
+    /// a job abort), match the stash, then block (with wait-time
+    /// accounting and optional deadline). The stash keeps arrival order,
+    /// so its first match is the earliest matching delivery.
     fn recv_matching(
         &self,
         src: usize,
@@ -373,11 +364,7 @@ impl Comm {
         let matches =
             |e: &Envelope| e.ctx == self.ctx && e.src == src_world && tags.contains(&e.tag);
         let mut ep = self.endpoint.borrow_mut();
-        if ep.ctl.aborted() {
-            std::panic::panic_any(Quiesced);
-        }
-
-        // Check the stash first.
+        ep.stash_arrivals();
         if let Some(pos) = ep.pending.iter().position(matches) {
             let env = ep.pending.remove(pos).unwrap();
             ep.stats.on_recv(env.tag, env.bytes);
@@ -385,49 +372,20 @@ impl Comm {
             return Ok(env);
         }
 
-        // Drain the channel without blocking.
-        while let Ok(env) = ep.rx.try_recv() {
-            if env.tag == TAG_ABORT {
-                std::panic::panic_any(Quiesced);
-            }
-            if matches(&env) {
-                ep.stats.on_recv(env.tag, env.bytes);
-                ep.timed_out = false;
-                return Ok(env);
-            }
-            ep.pending.push_back(env);
-        }
-
         // Block; account the blocked interval as wait time.
         let t0 = ep.tracer.now();
         let started = Instant::now();
         loop {
-            let poll = match deadline {
-                None => BEACON,
+            let arrival = match deadline {
+                None => ep.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
                 Some(d) => match d.checked_sub(started.elapsed()) {
-                    Some(remaining) => remaining.min(BEACON),
-                    None => {
-                        let t1 = ep.tracer.now();
-                        ep.tracer.record_wait(t0, t1);
-                        ep.stats.on_wait(tags[0], t1 - t0);
-                        ep.timed_out = true;
-                        let pending: Vec<(usize, u32)> =
-                            ep.pending.iter().map(|e| (e.src, e.tag)).collect();
-                        return Err(RecvTimeout {
-                            rank: self.world_rank(),
-                            src,
-                            tags: tags.to_vec(),
-                            waited: started.elapsed(),
-                            pending,
-                        });
-                    }
+                    Some(remaining) => ep.rx.recv_timeout(remaining),
+                    None => Err(RecvTimeoutError::Timeout),
                 },
             };
-            match ep.rx.recv_timeout(poll) {
+            match arrival {
                 Ok(env) => {
-                    if env.tag == TAG_ABORT {
-                        std::panic::panic_any(Quiesced);
-                    }
+                    park_on_abort(&env);
                     if matches(&env) {
                         let t1 = ep.tracer.now();
                         ep.tracer.record_wait(t0, t1);
@@ -439,14 +397,21 @@ impl Comm {
                     ep.pending.push_back(env);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if ep.ctl.aborted() {
-                        std::panic::panic_any(Quiesced);
-                    }
+                    let t1 = ep.tracer.now();
+                    ep.tracer.record_wait(t0, t1);
+                    ep.stats.on_wait(tags[0], t1 - t0);
+                    ep.timed_out = true;
+                    let pending: Vec<(usize, u32)> =
+                        ep.pending.iter().map(|e| (e.src, e.tag)).collect();
+                    return Err(RecvTimeout {
+                        rank: self.world_rank(),
+                        src,
+                        tags: tags.to_vec(),
+                        waited: started.elapsed(),
+                        pending,
+                    });
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    if ep.ctl.aborted() {
-                        std::panic::panic_any(Quiesced);
-                    }
                     panic!("all senders dropped while this rank is still receiving")
                 }
             }
@@ -455,17 +420,12 @@ impl Comm {
 
     /// Consume every currently-delivered message from `src` with `tag`,
     /// in delivery order, without blocking. Used to clear a reply an
-    /// aborted exchange left behind before teardown lint runs.
+    /// abandoned exchange left behind before teardown lint runs.
     pub fn drain<T: Send + 'static>(&self, src: usize, tag: u32) -> Vec<T> {
         assert!(tag < INTERNAL_TAG, "user tags must be < 2^31");
         let src_world = self.group[src];
         let mut ep = self.endpoint.borrow_mut();
-        while let Ok(env) = ep.rx.try_recv() {
-            if env.tag == TAG_ABORT {
-                std::panic::panic_any(Quiesced);
-            }
-            ep.pending.push_back(env);
-        }
+        ep.stash_arrivals();
         let mut out = Vec::new();
         let mut i = 0;
         while i < ep.pending.len() {
@@ -670,6 +630,23 @@ impl Comm {
     }
 }
 
+impl Endpoint {
+    /// Move everything delivered so far into the stash, in arrival order,
+    /// parking the rank if the job-abort broadcast is among it.
+    fn stash_arrivals(&mut self) {
+        while let Ok(env) = self.rx.try_recv() {
+            park_on_abort(&env);
+            self.pending.push_back(env);
+        }
+    }
+}
+
+fn park_on_abort(env: &Envelope) {
+    if env.tag == TAG_ABORT {
+        std::panic::panic_any(Quiesced);
+    }
+}
+
 fn downcast<T: Send + 'static>(env: Envelope) -> T {
     *env.payload.downcast::<T>().unwrap_or_else(|_| {
         panic!(
@@ -849,7 +826,7 @@ mod tests {
     #[test]
     fn wait_time_is_recorded_when_tracing() {
         let traced = RunConfig { tracing: true };
-        let out = Universe::run_cfg(2, traced, |comm| {
+        let out = Universe::try_run_cfg(2, traced, |comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
                 comm.send(1, 0, ());
@@ -858,7 +835,8 @@ mod tests {
                     let () = comm.recv(0, 0);
                 });
             }
-        });
+        })
+        .unwrap();
         let t1 = &out.traces[1];
         assert!(
             t1.wait_time() > 0.01,

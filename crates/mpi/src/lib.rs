@@ -46,9 +46,10 @@
 //!   [`RankTrace`], so trace tooling reports *what* ranks waited on.
 //! * **Typed rank-death detection** — [`Universe::try_run_cfg`] returns a
 //!   [`RankFailure`] naming the first rank that died instead of
-//!   re-raising its panic; survivors blocked in receives are woken by a
-//!   job-abort broadcast and parked (quiesced) so the job tears down
-//!   promptly.
+//!   re-raising its panic; survivors are parked (quiesced) by a
+//!   job-abort broadcast at their next communication call — the message
+//!   itself wakes a blocked receive — so the job tears down promptly.
+//!   The broadcast is the job's one abort signal.
 //! * **Payload recycling** — the per-thread [`pool`] recycles `Vec<f64>`
 //!   message payloads, and [`Comm::allreduce_mut`] is an in-place,
 //!   steady-state allocation-free reduction for hot-loop use (see
@@ -75,7 +76,6 @@
 //! ```
 
 mod comm;
-mod heartbeat;
 pub mod pool;
 mod stats;
 mod trace;

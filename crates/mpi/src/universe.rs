@@ -6,7 +6,7 @@
 //! miscommunicating job *reports* what it leaked instead of hanging.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -14,11 +14,10 @@ use crossbeam::channel;
 use parking_lot::Mutex;
 
 use crate::comm::{make_abort, Comm, Quiesced, RankLint};
-use crate::heartbeat::{HeartbeatBoard, RankState};
 use crate::stats::{CommLint, CommStats, LeakedMessage, TagImbalance};
 use crate::trace::RankTrace;
 
-/// Knobs for a [`Universe::run_cfg`] job.
+/// Knobs for a [`Universe::try_run_cfg`] job.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Record per-rank activity traces from the start (Figure 2).
@@ -33,45 +32,6 @@ pub struct RunOutput<R> {
     pub traces: Vec<RankTrace>,
     /// What the communication layer left behind at teardown.
     pub lint: CommLint,
-}
-
-/// Job-wide abort control shared by every rank's endpoint: the first
-/// rank to die raises the flag (and records itself as culprit), after
-/// which surviving ranks park with a quiesce panic instead of hanging
-/// or failing loudly on their own.
-#[derive(Debug)]
-pub(crate) struct JobControl {
-    aborted: AtomicBool,
-    culprit: AtomicUsize,
-}
-
-impl JobControl {
-    fn new() -> Self {
-        JobControl {
-            aborted: AtomicBool::new(false),
-            culprit: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// Raise the abort flag on behalf of dead rank `rank`; only the
-    /// first caller wins culprit attribution.
-    fn signal(&self, rank: usize) {
-        let _ = self
-            .culprit
-            .compare_exchange(usize::MAX, rank, Ordering::SeqCst, Ordering::SeqCst);
-        self.aborted.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
-    fn culprit(&self) -> Option<usize> {
-        match self.culprit.load(Ordering::SeqCst) {
-            usize::MAX => None,
-            r => Some(r),
-        }
-    }
 }
 
 /// Typed description of a failed job, returned by
@@ -140,25 +100,14 @@ const RANK_STACK: usize = 16 * 1024 * 1024;
 
 impl Universe {
     /// Run `f` on `n` ranks and wait for all of them. Panics in any rank
-    /// propagate (the whole job aborts, like an MPI error).
+    /// propagate (the whole job aborts, like an MPI error), after the
+    /// teardown lint is printed to stderr.
     pub fn run<R, F>(n: usize, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(&Comm) -> R + Send + Sync,
     {
-        Self::run_cfg(n, RunConfig::default(), f)
-    }
-
-    /// The configurable launcher (tracing). Every rank runs under
-    /// `catch_unwind` so that even when a rank panics (type mismatch,
-    /// application bug) the teardown lint still runs and is printed to
-    /// stderr before the panic is propagated.
-    pub fn run_cfg<R, F>(n: usize, cfg: RunConfig, f: F) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(&Comm) -> R + Send + Sync,
-    {
-        match Self::try_run_cfg(n, cfg, f) {
+        match Self::try_run_cfg(n, RunConfig::default(), f) {
             Ok(out) => out,
             Err(failure) => {
                 // Give the user the teardown diagnosis before aborting,
@@ -169,14 +118,15 @@ impl Universe {
         }
     }
 
-    /// Like [`Universe::run_cfg`] but a rank death comes back as a typed
-    /// [`RankFailure`] instead of re-raising the panic. When a rank dies,
-    /// the universe raises the job-abort flag and broadcasts an abort
-    /// message to every surviving rank; survivors park with a quiesce
-    /// panic at their next communication call (or within one poll
-    /// interval if blocked), so the job tears down promptly and the
-    /// *first* failure is the one attributed. This is the primitive the
-    /// run supervisor builds detect-rollback-resume on.
+    /// The configurable launcher (tracing). Every rank runs under
+    /// `catch_unwind`, so a rank death comes back as a typed
+    /// [`RankFailure`] instead of re-raising the panic, with the
+    /// teardown lint. When a rank dies, the universe broadcasts an abort
+    /// message to every other rank; survivors park with a quiesce panic
+    /// at their next communication call (a blocked receive wakes on the
+    /// message), so the job tears down promptly and the *first* failure
+    /// is the one attributed. This is the primitive the run supervisor
+    /// builds detect-rollback-resume on.
     //
     // The Err variant is large (it carries the teardown lint and the
     // panic payload), but this returns once per *job*, not per message
@@ -197,8 +147,8 @@ impl Universe {
         }
         let senders = Arc::new(txs);
         let epoch = Instant::now();
-        let board = HeartbeatBoard::new(n);
-        let ctl = Arc::new(JobControl::new());
+        // The first rank to die, attributed as the culprit.
+        let culprit = AtomicUsize::new(usize::MAX);
 
         type Slot<R> = (std::thread::Result<R>, RankTrace, RankLint);
         let slots: Vec<Mutex<Option<Slot<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -207,8 +157,7 @@ impl Universe {
             let mut handles = Vec::with_capacity(n);
             for (rank, rx) in rxs.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
-                let board = &board;
-                let ctl = Arc::clone(&ctl);
+                let culprit = &culprit;
                 let f = &f;
                 let slot = &slots[rank];
                 let tracing = cfg.tracing;
@@ -216,30 +165,26 @@ impl Universe {
                     .name(format!("foam-rank-{rank}"))
                     .stack_size(RANK_STACK)
                     .spawn_scoped(s, move || {
-                        let comm = Comm::new_world(
-                            rank,
-                            rx,
-                            Arc::clone(&senders),
-                            epoch,
-                            tracing,
-                            Arc::clone(&ctl),
-                        );
+                        let comm = Comm::new_world(rank, rx, Arc::clone(&senders), epoch, tracing);
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        match &out {
-                            Ok(_) => board.set_state(rank, RankState::Done),
-                            Err(p) if p.is::<Quiesced>() => {
-                                board.set_state(rank, RankState::Quiesced)
+                        if let Err(p) = &out {
+                            if !p.is::<Quiesced>() {
+                                let _ = culprit.compare_exchange(
+                                    usize::MAX,
+                                    rank,
+                                    Ordering::SeqCst,
+                                    Ordering::SeqCst,
+                                );
                             }
-                            Err(_) => {
-                                // This rank is the (or a) culprit: flag
-                                // the job aborted and wake everyone
-                                // still blocked in a receive.
-                                board.set_state(rank, RankState::Dead);
-                                ctl.signal(rank);
-                                for (dst, tx) in senders.iter().enumerate() {
-                                    if dst != rank {
-                                        let _ = tx.send(make_abort(rank));
-                                    }
+                            // Wake everyone still blocked in a receive.
+                            // A parked rank repeats the abort too, so
+                            // every endpoint that drops after a failure
+                            // has left an abort in each peer's mailbox:
+                            // a send that finds it gone parks instead of
+                            // panicking.
+                            for (dst, tx) in senders.iter().enumerate() {
+                                if dst != rank {
+                                    let _ = tx.send(make_abort(rank));
                                 }
                             }
                         }
@@ -282,29 +227,23 @@ impl Universe {
             });
         }
 
-        // Attribute the failure: the first rank that raised the abort
-        // flag if known, else the lowest-rank non-quiesced panic, else
-        // (only quiesce panics — possible when user code raises one
-        // directly) the lowest-rank panic of any kind.
-        let culprit_rank = ctl
-            .culprit()
-            .filter(|r| panics.iter().any(|(pr, _)| pr == r))
-            .or_else(|| {
-                panics
-                    .iter()
-                    .find(|(_, p)| !p.is::<Quiesced>())
-                    .map(|(r, _)| *r)
-            })
-            .unwrap_or(panics[0].0);
+        // Attribute the failure to the first rank that died. A rank only
+        // parks on an abort, which a rank that died sent first.
+        let quiesced: Vec<usize> = panics
+            .iter()
+            .filter(|(_, p)| p.is::<Quiesced>())
+            .map(|(r, _)| *r)
+            .collect();
+        let culprit = culprit.into_inner();
         let pos = panics
             .iter()
-            .position(|(r, _)| *r == culprit_rank)
-            .expect("culprit rank must be among the panicked ranks");
+            .position(|(r, _)| *r == culprit)
+            .expect("a rank parks only after another rank died");
         let (rank, payload) = panics.swap_remove(pos);
         Err(RankFailure {
             rank,
             detail: panic_message(payload.as_ref()),
-            quiesced: board.ranks_in(RankState::Quiesced),
+            quiesced,
             lint,
             payload,
         })
@@ -348,12 +287,13 @@ mod tests {
     #[test]
     fn traces_come_back_per_rank() {
         let traced = RunConfig { tracing: true };
-        let out = Universe::run_cfg(3, traced, |comm| {
+        let out = Universe::try_run_cfg(3, traced, |comm| {
             comm.region("alpha", || {
                 std::thread::sleep(std::time::Duration::from_millis(5))
             });
             comm.rank()
-        });
+        })
+        .unwrap();
         assert_eq!(out.traces.len(), 3);
         for (i, t) in out.traces.iter().enumerate() {
             assert_eq!(t.rank, i);
@@ -401,6 +341,25 @@ mod tests {
             failure.detail
         );
         assert_eq!(failure.quiesced, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_survivor_sending_to_a_dead_rank_is_quiesced() {
+        // Rank 0 never receives, so only the send path can see the
+        // abort: once rank 1's endpoint is gone, rank 0 must park, not
+        // die as a second culprit.
+        let failure = Universe::try_run_cfg(2, RunConfig::default(), |comm| {
+            if comm.rank() == 1 {
+                panic!("injected rank death");
+            }
+            for i in 0u64.. {
+                comm.send(1, 5, i);
+                std::thread::yield_now();
+            }
+        })
+        .unwrap_err();
+        assert_eq!(failure.rank, 1);
+        assert_eq!(failure.quiesced, vec![0]);
     }
 
     #[test]

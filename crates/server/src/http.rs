@@ -13,6 +13,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use foam_telemetry::json::Value;
 
@@ -24,6 +25,13 @@ const MAX_BODY: usize = 1 << 20;
 /// are a few hundred bytes; the bound keeps a client that never sends
 /// a newline from growing a connection thread's buffer without limit.
 const MAX_HEAD: usize = 16 << 10;
+
+/// How long one read of a request may wait for bytes. A client that
+/// connects and sends nothing is answered 400 and closed after this
+/// long, instead of holding its connection thread forever. It bounds
+/// the gap between bytes, not the whole request: a client trickling
+/// one byte per gap can hold a thread for up to `MAX_HEAD` (16 KiB) gaps.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed request: method, path (with any `?query` dropped), body.
 #[derive(Debug)]

@@ -1,5 +1,5 @@
-//! In-memory job state: the submitted→queued→running→recovering→
-//! done/failed machine, live progress fan-out, and the observer that
+//! In-memory job state: the queued→running→recovering→done/failed
+//! machine, live progress fan-out, and the observer that
 //! bridges a running simulation to its watchers.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -15,10 +15,8 @@ use crate::spec::JobSpec;
 /// `Recovering`; the next completed interval returns to `Running`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
-    /// Accepted and persisted, not yet handed to the queue. (Jobs served
-    /// straight from cache skip from here to `Done`.)
-    Submitted,
-    /// In the fair-share queue, waiting for a worker.
+    /// In the fair-share queue, waiting for a worker. (Jobs served
+    /// straight from cache start as `Done`.)
     Queued,
     /// A worker is integrating it.
     Running,
@@ -36,7 +34,6 @@ pub enum JobState {
 impl JobState {
     pub fn as_str(&self) -> &'static str {
         match self {
-            JobState::Submitted => "submitted",
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Recovering => "recovering",
@@ -126,13 +123,6 @@ impl Job {
         p.resumed_from = Some(interval);
     }
 
-    pub fn resumed_from(&self) -> Option<usize> {
-        self.progress
-            .lock()
-            .expect("job lock poisoned")
-            .resumed_from
-    }
-
     /// Append one NDJSON progress line and wake streamers.
     pub fn push_line(&self, line: String) {
         let mut p = self.progress.lock().expect("job lock poisoned");
@@ -195,7 +185,7 @@ impl RunObserver for JobObserver<'_> {
             ("mean_sst".to_string(), Value::from(ev.mean_sst)),
             ("n_intervals".to_string(), Value::from(ev.n_intervals)),
         ]);
-        self.job.push_line(oneline(&line));
+        self.job.push_line(line.to_string());
     }
 
     fn should_stop(&self) -> bool {
@@ -212,24 +202,8 @@ impl RunObserver for JobObserver<'_> {
                 Value::from(ev.replayed_intervals),
             ),
         ]);
-        self.job.push_line(oneline(&line));
+        self.job.push_line(line.to_string());
     }
-}
-
-/// NDJSON needs one-object-per-line; `to_string_pretty` is multi-line
-/// by design. Render compactly by collapsing the pretty form's
-/// newlines — safe because the serializer escapes all control
-/// characters inside strings.
-pub(crate) fn oneline(v: &Value) -> String {
-    let pretty = v.to_string_pretty();
-    let mut out = String::with_capacity(pretty.len());
-    for (i, line) in pretty.lines().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(line.trim_start());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -239,7 +213,7 @@ mod tests {
 
     fn job() -> Job {
         let spec = JobSpec::parse(r#"{"seed":1,"days":1}"#).unwrap();
-        Job::new(spec.digest(), spec, JobState::Submitted)
+        Job::new(spec.digest(), spec, JobState::Queued)
     }
 
     #[test]
@@ -272,11 +246,13 @@ mod tests {
 
     #[test]
     fn oneline_json_is_single_line_and_parses_back() {
+        // Progress lines are the compact `Display` form of a `Value`;
+        // NDJSON needs each to stay on one line.
         let v = Value::object([
             ("day".to_string(), Value::from(0.25)),
             ("note".to_string(), Value::from("two\nlines")),
         ]);
-        let line = oneline(&v);
+        let line = v.to_string();
         assert!(!line.contains('\n'));
         assert_eq!(foam_telemetry::json::parse(&line).unwrap(), v);
     }

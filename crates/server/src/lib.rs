@@ -360,8 +360,9 @@ fn run_job(job: &Job, root: &std::path::Path) -> Result<Value, String> {
 
 /// Execute a `kind: ensemble` job. The ensemble runner owns its own
 /// scheduling, retries, and member checkpoint stores (under this job's
-/// root, so a restarted server retries unfinished members with their
-/// snapshots available).
+/// root). Each member clears its store before it runs, so a restarted
+/// server reruns every member from its initial condition; the report
+/// bits are the same either way.
 fn ensemble_job(job: &Job, root: &std::path::Path) -> Result<Value, String> {
     let mut spec = job.spec.ensemble();
     spec.output_dir = Some(root.to_path_buf());
@@ -431,6 +432,7 @@ fn run_report(spec: &JobSpec, digest: &str, out: &SupervisedOutput) -> Value {
 }
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(http::READ_TIMEOUT))?;
     let req = match http::read_request(&mut stream) {
         Ok(req) => req,
         Err(e) => return respond_error(&mut stream, 400, &e.to_string()),
@@ -531,7 +533,7 @@ fn stream_progress(stream: &mut TcpStream, job: &Job) -> io::Result<()> {
                 ("state".to_string(), Value::from(state.as_str())),
                 ("lines".to_string(), Value::from(from)),
             ]);
-            out.line(&job::oneline(&fin))?;
+            out.line(&fin.to_string())?;
             return out.finish();
         }
     }

@@ -446,6 +446,9 @@ mod tests {
             ),
             ("c".to_string(), Value::object([])),
         ]);
+        // The compact form is one line (NDJSON progress streams rely
+        // on it): the string's newline is escaped.
+        assert!(!v.to_string().contains('\n'));
         for text in [v.to_string(), v.to_string_pretty()] {
             assert_eq!(parse(&text).unwrap(), v, "failed on {text:?}");
         }

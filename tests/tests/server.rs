@@ -4,10 +4,13 @@
 //! (kill the server mid-job, start a new one on the same root, get the
 //! same report bits an uninterrupted run produces).
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use foam_server::client::{get, post};
+use foam_server::http::READ_TIMEOUT;
 use foam_server::{Server, ServerConfig};
 use foam_telemetry::json::{parse, Value};
 
@@ -331,6 +334,27 @@ fn ensemble_jobs_serve_the_deterministic_ensemble_report() {
     // Same content resubmitted: cache hit, identical bytes.
     let re = json(&post(&addr, "/v1/jobs", spec).unwrap().text());
     assert_eq!(field(&re, "cached"), &Value::Bool(true));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn idle_connection_is_answered_400_and_closed() {
+    let root = scratch("idle");
+    let server = boot(&root);
+    let margin = Duration::from_secs(5);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT + margin))
+        .unwrap();
+    let t0 = Instant::now();
+    // Send nothing: the server must give up on the head and close.
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("server closed the idle connection");
+    assert!(t0.elapsed() < READ_TIMEOUT + margin);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
