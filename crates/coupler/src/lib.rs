@@ -36,8 +36,8 @@ use foam_land::river::{RiverModel, RiverState};
 use foam_land::soil::{ice_column, SoilColumn, SOIL_CLASSES};
 use foam_land::{ICE_FORMATION_WATER, ICE_STRESS_FACTOR};
 use foam_ocean::OceanForcing;
-use foam_physics::surface::BulkFluxes;
-use foam_physics::{AtmColumn, ColumnPhysics, PhysicsConfig, SurfaceKind, SurfaceState};
+use foam_physics::surface::{bulk_fluxes_fixed_z0, bulk_fluxes_ocean_lanes, BulkFluxes, BulkInput};
+use foam_physics::{ColumnPhysics, PhysicsConfig, SurfaceKind, SurfaceState};
 
 pub mod tags;
 
@@ -111,12 +111,11 @@ pub struct SurfaceForAtm {
     pub albedo: Vec<f64>,
 }
 
-/// Pre-allocated scratch and result buffers for
-/// [`Coupler::step_rows_ws`], created once per run with
-/// [`Coupler::workspace`] and reused every step. The pseudo-column
-/// keeps its reference profile between calls (only the bottom level is
-/// rewritten), and all accumulators are reset at the start of each
-/// call, so a reused workspace is bit-identical to fresh allocation.
+/// Pre-allocated result buffers for [`Coupler::step_rows_ws`] and
+/// scratch for [`Coupler::route_rivers_ws`], created once per run with
+/// [`Coupler::workspace`] and reused every step. Every buffer is reset
+/// or overwritten by the call that uses it, so a reused workspace is
+/// bit-identical to fresh allocation.
 #[derive(Debug, Clone)]
 pub struct CouplerWorkspace {
     /// Surface seen by the atmosphere, written by the last
@@ -125,13 +124,6 @@ pub struct CouplerWorkspace {
     /// Local runoff \[m over the step\], full-length, entries filled in
     /// the last call's cell range.
     pub runoff: Vec<f64>,
-    /// The reference pseudo-column; only its bottom level changes.
-    col: AtmColumn,
-    /// Per-atmosphere-cell sea-side accumulators.
-    sea_flux: Vec<BulkFluxes>,
-    sea_area: Vec<f64>,
-    sea_tsfc: Vec<f64>,
-    sea_albedo: Vec<f64>,
     /// River-routing scratch ([`Coupler::route_rivers_ws`]): per-cell
     /// outflow, atmosphere-grid mouths, their ocean-grid regridding.
     river_outflow: Vec<f64>,
@@ -235,8 +227,61 @@ pub struct Coupler {
     /// Total overlap area of each ocean cell \[m²\] (for normalizing
     /// partial flux sums when the coupler is distributed by rows).
     ocn_overlap_area: Vec<f64>,
-    /// Reference column used to adapt bulk formulas (levels only).
-    nlev_ref: usize,
+}
+
+/// Overlap cells per block of the sea pass. A block's surfaces, queued
+/// inputs and fluxes live on the stack, so the pass allocates nothing.
+const BLOCK: usize = 32;
+
+/// Overlap cells run side by side through the Charnock iteration
+/// ([`bulk_fluxes_ocean_lanes`]); chosen by timing the coupler step at
+/// R15 and R3.
+const LANES: usize = 4;
+
+/// The atmosphere's lowest level and surface forcing over one cell.
+#[derive(Debug, Clone, Copy)]
+struct CellAir {
+    t: f64,
+    q: f64,
+    wind: (f64, f64),
+    precip: f64,
+    sw: f64,
+    lw: f64,
+}
+
+impl CellAir {
+    /// Entry `k` of `atm` (an index into the view, not the full grid).
+    fn of(atm: &AtmSurfaceView<'_>, k: usize) -> Self {
+        let at = |f: &Field2| f.as_slice()[k];
+        CellAir {
+            t: at(atm.t_low),
+            q: at(atm.q_low),
+            wind: (at(atm.u_low), at(atm.v_low)),
+            precip: at(atm.precip),
+            sw: at(atm.sw_sfc),
+            lw: at(atm.lw_down),
+        }
+    }
+}
+
+/// One atmosphere cell's area-weighted sums over its sea overlap cells.
+#[derive(Debug, Clone, Copy, Default)]
+struct SeaSums {
+    flux: BulkFluxes,
+    area: f64,
+    t_sfc: f64,
+    albedo: f64,
+    /// Whether any of the overlap cells is icy.
+    icy: bool,
+}
+
+/// The Charnock fluxes of `inp` (exactly `W` queued overlap cells),
+/// written to their block slots `slots`.
+fn charnock_into<const W: usize>(inp: &[BulkInput], slots: &[usize], flux: &mut [BulkFluxes]) {
+    let inp: &[BulkInput; W] = inp.try_into().expect("W queued cells");
+    for (f, &i) in bulk_fluxes_ocean_lanes(inp).into_iter().zip(slots) {
+        flux[i] = f;
+    }
 }
 
 impl Coupler {
@@ -270,7 +315,6 @@ impl Coupler {
             sea_frac,
             sea_mask,
             ocn_overlap_area,
-            nlev_ref: 8,
         }
     }
 
@@ -322,31 +366,10 @@ impl Coupler {
                 albedo: vec![0.07; n],
             },
             runoff: vec![0.0; n],
-            col: AtmColumn::isothermal(self.nlev_ref, 2000.0, 280.0),
-            sea_flux: vec![BulkFluxes::default(); n],
-            sea_area: vec![0.0; n],
-            sea_tsfc: vec![0.0; n],
-            sea_albedo: vec![0.0; n],
             river_outflow: Vec::new(),
             mouths_atm: Field2::zeros(self.atm_grid.nlon, self.atm_grid.nlat),
             mouths_ocn: Field2::zeros(self.ocn_grid.nx, self.ocn_grid.ny),
         }
-    }
-
-    /// Load the lowest-level state at cell `ka` into the reference
-    /// pseudo-column (the bulk formulas only read the bottom level;
-    /// every other level keeps the constructor's profile). `off` is the
-    /// flat index of `atm`'s first entry (0 for full-grid fields).
-    fn pseudo_column_into(
-        &self,
-        atm: AtmSurfaceView<'_>,
-        ka: usize,
-        off: usize,
-        col: &mut AtmColumn,
-    ) {
-        let n = col.nlev();
-        col.t[n - 1] = atm.t_low.as_slice()[ka - off];
-        col.q[n - 1] = atm.q_low.as_slice()[ka - off];
     }
 
     /// One coupler pass for one atmosphere step of length `dt` \[s\]:
@@ -421,70 +444,87 @@ impl Coupler {
         ws: &mut CouplerWorkspace,
     ) {
         let _t = foam_telemetry::scope("fluxes");
-        let at = |f: &Field2, ka: usize| f.as_slice()[ka - ka_offset];
+        ws.out.fluxes.fill(BulkFluxes::default());
+        ws.out.t_sfc.fill(288.0);
+        ws.out.albedo.fill(0.07);
+        ws.runoff.fill(0.0);
 
         // ---------------- Overlap-grid air–sea fluxes. -----------------
-        // Accumulate per-atm (sea-average) and per-ocean quantities.
-        // Reset the reused buffers to the values a fresh allocation
-        // would carry.
-        let CouplerWorkspace {
-            out,
-            runoff,
-            col,
-            sea_flux,
-            sea_area,
-            sea_tsfc,
-            sea_albedo,
-            // River scratch is route_rivers_ws's, untouched here.
-            ..
-        } = ws;
-        let sea_flux_atm = sea_flux;
-        let sea_area_atm = sea_area;
-        let sea_tsfc_atm = sea_tsfc;
-        let sea_albedo_atm = sea_albedo;
-        sea_flux_atm.fill(BulkFluxes::default());
-        sea_area_atm.fill(0.0);
-        sea_tsfc_atm.fill(0.0);
-        sea_albedo_atm.fill(0.0);
-
-        for ka in ka0..ka1 {
-            self.pseudo_column_into(atm, ka, ka_offset, col);
-            let col = &*col;
-            let wind = (at(atm.u_low, ka), at(atm.v_low, ka));
-            self.overlap.for_each_pair_of_atm(ka, |ko, area| {
-                let icy = st.ice[ko];
-                let sst_c = sst.as_slice()[ko];
-                let (sfc, albedo) = if icy {
-                    (
-                        SurfaceState {
-                            kind: SurfaceKind::SeaIce,
-                            t_sfc: st.ice_col[ka].skin(),
-                            albedo: st.ice_col[ka].props.albedo,
-                            wetness: 1.0,
-                        },
-                        st.ice_col[ka].props.albedo,
-                    )
+        // The row range's overlap cells are one slice, taken in blocks.
+        // Pass 1 evaluates a block's fluxes, the diagnosed-roughness ones
+        // as lanes; pass 2 accumulates them in the slice's order, so no
+        // sum is reordered. A cell is finished (land, ice, blend) once
+        // its last overlap cell is accumulated, before any later pair's
+        // pass 1 could read it.
+        let (offsets, pairs) = self.overlap.pairs_by_atm();
+        let p0 = offsets[ka0];
+        let mut ka = ka0; // pass 1's cell
+        let mut air = None;
+        let mut open = ka0; // pass 2's cell, whose sums are open
+        let mut sums = SeaSums::default();
+        let mut sfc = [SurfaceState::open_ocean(0.0); BLOCK];
+        let mut cell = [0; BLOCK];
+        let mut flux = [BulkFluxes::default(); BLOCK];
+        let mut queued = [BulkInput::default(); BLOCK];
+        let mut slot = [0; BLOCK];
+        for (b, block) in pairs[p0..offsets[ka1]].chunks(BLOCK).enumerate() {
+            let mut n_q = 0;
+            for (i, &(ko, _)) in block.iter().enumerate() {
+                while offsets[ka + 1] <= p0 + b * BLOCK + i {
+                    ka += 1;
+                    air = None;
+                }
+                let a = *air.get_or_insert_with(|| CellAir::of(&atm, ka - ka_offset));
+                cell[i] = ka;
+                sfc[i] = if st.ice[ko as usize] {
+                    SurfaceState {
+                        kind: SurfaceKind::SeaIce,
+                        t_sfc: st.ice_col[ka].skin(),
+                        albedo: st.ice_col[ka].props.albedo,
+                        wetness: 1.0,
+                    }
                 } else {
-                    (SurfaceState::open_ocean(sst_c + 273.15), 0.07)
+                    SurfaceState::open_ocean(sst.as_slice()[ko as usize] + 273.15)
                 };
-                let f = self.phys.surface_fluxes(col, &sfc, wind);
+                let inp = self.phys.bulk_input(a.t, a.q, &sfc[i], a.wind);
+                match self.phys.fixed_roughness(sfc[i].kind) {
+                    Some(z0) => flux[i] = bulk_fluxes_fixed_z0(&inp, z0),
+                    None => {
+                        (queued[n_q], slot[n_q]) = (inp, i);
+                        n_q += 1;
+                    }
+                }
+            }
+            let (inp, to) = (&queued[..n_q], &slot[..n_q]);
+            let whole = n_q - n_q % LANES;
+            for (c, s) in inp[..whole].chunks(LANES).zip(to.chunks(LANES)) {
+                charnock_into::<LANES>(c, s, &mut flux);
+            }
+            let (inp, to) = (&inp[whole..], &to[whole..]);
+            match inp.len() {
+                1 => charnock_into::<1>(inp, to, &mut flux),
+                2 => charnock_into::<2>(inp, to, &mut flux),
+                3 => charnock_into::<3>(inp, to, &mut flux),
+                _ => {}
+            }
 
+            for (i, &(ko, w)) in block.iter().enumerate() {
+                while open < cell[i] {
+                    let a = CellAir::of(&atm, open - ka_offset);
+                    self.finish_cell(st, ws, open, &a, &std::mem::take(&mut sums), dt);
+                    open += 1;
+                }
+                let (ka, ko, f) = (open, ko as usize, &flux[i]);
+                let icy = sfc[i].kind == SurfaceKind::SeaIce;
                 // Atmosphere side: area-weighted sea-average flux.
-                let w = area;
-                let sa = &mut sea_flux_atm[ka];
-                sa.sensible += w * f.sensible;
-                sa.latent += w * f.latent;
-                sa.evaporation += w * f.evaporation;
-                sa.tau_x += w * f.tau_x;
-                sa.tau_y += w * f.tau_y;
-                sa.stress += w * f.stress;
-                sa.c_exchange += w * f.c_exchange;
-                sea_area_atm[ka] += w;
-                sea_tsfc_atm[ka] += w * sfc.t_sfc;
-                sea_albedo_atm[ka] += w * albedo;
+                sums.flux = sums.flux.zip_with(f, |s, x| s + w * x);
+                sums.area += w;
+                sums.t_sfc += w * sfc[i].t_sfc;
+                sums.albedo += w * sfc[i].albedo;
+                sums.icy |= icy;
 
                 // Ocean side: net heat and momentum into the water.
-                let t_water_k = sst_c + 273.15;
+                let t_water_k = sst.as_slice()[ko] + 273.15;
                 let (heat, taux, tauy, evap) = if icy {
                     // Conduction with the lowest ice layer; stress divided by
                     // 15 (paper, verbatim); no direct evaporation from water.
@@ -497,7 +537,8 @@ impl Coupler {
                         0.0,
                     )
                 } else {
-                    let q = at(atm.sw_sfc, ka) + at(atm.lw_down, ka)
+                    let k = ka - ka_offset;
+                    let q = atm.sw_sfc.as_slice()[k] + atm.lw_down.as_slice()[k]
                         - STEFAN_BOLTZMANN * t_water_k.powi(4)
                         - f.sensible
                         - f.latent;
@@ -511,141 +552,110 @@ impl Coupler {
                 st.acc.tau_y.as_mut_slice()[ko] += wn * tauy;
                 st.acc.heat.as_mut_slice()[ko] += wn * heat;
                 // P − E on the sea part; rivers are added by route_rivers.
-                st.acc.freshwater.as_mut_slice()[ko] += wn * (at(atm.precip, ka) - evap);
-            });
+                st.acc.freshwater.as_mut_slice()[ko] +=
+                    wn * (atm.precip.as_slice()[ka - ka_offset] - evap);
+            }
         }
-
-        // ---------------- Land surface + hydrology. --------------------
-        out.fluxes.fill(BulkFluxes::default());
-        out.t_sfc.fill(288.0);
-        out.albedo.fill(0.07);
-        runoff.fill(0.0);
-        for ka in ka0..ka1 {
-            let sea_a = sea_area_atm[ka];
-            let cell_a = self.overlap.atm_cell_area(ka);
-            let land_frac = (1.0 - sea_a / cell_a).clamp(0.0, 1.0);
-
-            // Land-side fluxes and updates (also covers polar caps with
-            // no ocean coverage, treated as land/ice surface).
-            let mut land_flux = BulkFluxes::default();
-            let mut land_t = 0.0;
-            let mut land_albedo = 0.0;
-            if land_frac > 1.0e-6 {
-                self.pseudo_column_into(atm, ka, ka_offset, col);
-                let wind = (at(atm.u_low, ka), at(atm.v_low, ka));
-                let props = SOIL_CLASSES[self.soil_type[ka]];
-                let snow_covered = st.bucket[ka].snow > 1.0e-4;
-                let albedo = if snow_covered { 0.65 } else { props.albedo };
-                let sfc = SurfaceState {
-                    kind: if snow_covered {
-                        SurfaceKind::Snow
-                    } else {
-                        SurfaceKind::Land {
-                            z0: props.roughness,
-                        }
-                    },
-                    t_sfc: st.soil[ka].skin(),
-                    albedo,
-                    wetness: st.bucket[ka].wetness(),
-                };
-                land_flux = self.phys.surface_fluxes(col, &sfc, wind);
-                // Soil energy budget.
-                let skin = st.soil[ka].skin();
-                let net = at(atm.sw_sfc, ka) + at(atm.lw_down, ka)
-                    - STEFAN_BOLTZMANN * skin.powi(4)
-                    - land_flux.sensible
-                    - land_flux.latent;
-                // Hydrology first (melt energy cools the soil).
-                let snowing = at(atm.t_low, ka) < 273.15 && skin < 273.15;
-                let h = st.bucket[ka].step(
-                    at(atm.precip, ka),
-                    land_flux.evaporation,
-                    snowing,
-                    skin,
-                    dt,
-                );
-                st.soil[ka].step(net - h.melt_energy / dt, dt);
-                runoff[ka] = h.runoff;
-                land_t = st.soil[ka].skin();
-                land_albedo = albedo;
-            }
-
-            // Ice-column thermodynamics for icy sea parts of this cell.
-            if sea_a > 0.0 {
-                // Advance the ice column with the cell's net surface
-                // energy when any of its overlap is icy.
-                let any_ice = {
-                    let mut any = false;
-                    self.overlap.for_each_pair_of_atm(ka, |ko, _a| {
-                        any = any || st.ice[ko];
-                    });
-                    any
-                };
-                if any_ice {
-                    let skin = st.ice_col[ka].skin();
-                    let f = &sea_flux_atm[ka];
-                    let net = at(atm.sw_sfc, ka) + at(atm.lw_down, ka)
-                        - STEFAN_BOLTZMANN * skin.powi(4)
-                        - f.sensible / sea_a.max(1.0)
-                        - f.latent / sea_a.max(1.0);
-                    st.ice_col[ka].step(net, dt);
-                    // The base stays pinned near freezing by the ocean.
-                    st.ice_col[ka].t[3] =
-                        st.ice_col[ka].t[3].clamp(SEAWATER_FREEZE_C + 273.15 - 2.0, 273.15);
-                }
-            }
-
-            // Blend land and sea for the atmosphere.
-            let (sea_flux, sea_t, sea_alb) = if sea_a > 0.0 {
-                let inv = 1.0 / sea_a;
-                let f = &sea_flux_atm[ka];
-                (
-                    BulkFluxes {
-                        sensible: f.sensible * inv,
-                        latent: f.latent * inv,
-                        evaporation: f.evaporation * inv,
-                        stress: f.stress * inv,
-                        tau_x: f.tau_x * inv,
-                        tau_y: f.tau_y * inv,
-                        c_exchange: f.c_exchange * inv,
-                    },
-                    sea_tsfc_atm[ka] * inv,
-                    sea_albedo_atm[ka] * inv,
-                )
-            } else {
-                (BulkFluxes::default(), 0.0, 0.0)
-            };
-            let lf = land_frac;
-            let sf = 1.0 - lf;
-            let blend = |a: f64, b: f64| lf * a + sf * b;
-            out.fluxes[ka] = BulkFluxes {
-                sensible: blend(land_flux.sensible, sea_flux.sensible),
-                latent: blend(land_flux.latent, sea_flux.latent),
-                evaporation: blend(land_flux.evaporation, sea_flux.evaporation),
-                stress: blend(land_flux.stress, sea_flux.stress),
-                tau_x: blend(land_flux.tau_x, sea_flux.tau_x),
-                tau_y: blend(land_flux.tau_y, sea_flux.tau_y),
-                c_exchange: blend(land_flux.c_exchange, sea_flux.c_exchange),
-            };
-            // Where there is no land, fall back to sea values and vice
-            // versa.
-            out.t_sfc[ka] = if lf >= 1.0 - 1e-9 {
-                land_t
-            } else if lf <= 1e-9 {
-                sea_t
-            } else {
-                blend(land_t, sea_t)
-            };
-            out.albedo[ka] = if lf >= 1.0 - 1e-9 {
-                land_albedo
-            } else if lf <= 1e-9 {
-                sea_alb
-            } else {
-                blend(land_albedo, sea_alb)
-            };
+        while open < ka1 {
+            let a = CellAir::of(&atm, open - ka_offset);
+            self.finish_cell(st, ws, open, &a, &std::mem::take(&mut sums), dt);
+            open += 1;
         }
 
         st.acc_seconds += dt;
+    }
+
+    /// Finish atmosphere cell `ka` once its sea overlap cells are summed
+    /// in `sea`: step its land surface and hydrology, its ice column if
+    /// any overlap cell is icy, and blend land and sea into `ws.out`.
+    fn finish_cell(
+        &self,
+        st: &mut CouplerState,
+        ws: &mut CouplerWorkspace,
+        ka: usize,
+        air: &CellAir,
+        sea: &SeaSums,
+        dt: f64,
+    ) {
+        let sea_a = sea.area;
+        let cell_a = self.overlap.atm_cell_area(ka);
+        let land_frac = (1.0 - sea_a / cell_a).clamp(0.0, 1.0);
+
+        // Land-side fluxes and updates (also covers polar caps with
+        // no ocean coverage, treated as land/ice surface).
+        let mut land_flux = BulkFluxes::default();
+        let mut land_t = 0.0;
+        let mut land_albedo = 0.0;
+        if land_frac > 1.0e-6 {
+            let props = SOIL_CLASSES[self.soil_type[ka]];
+            let snow_covered = st.bucket[ka].snow > 1.0e-4;
+            let albedo = if snow_covered { 0.65 } else { props.albedo };
+            let sfc = SurfaceState {
+                kind: if snow_covered {
+                    SurfaceKind::Snow
+                } else {
+                    SurfaceKind::Land {
+                        z0: props.roughness,
+                    }
+                },
+                t_sfc: st.soil[ka].skin(),
+                albedo,
+                wetness: st.bucket[ka].wetness(),
+            };
+            let inp = self.phys.bulk_input(air.t, air.q, &sfc, air.wind);
+            land_flux = self.phys.bulk_fluxes(&inp, sfc.kind);
+            // Soil energy budget.
+            let skin = st.soil[ka].skin();
+            let net = air.sw + air.lw
+                - STEFAN_BOLTZMANN * skin.powi(4)
+                - land_flux.sensible
+                - land_flux.latent;
+            // Hydrology first (melt energy cools the soil).
+            let snowing = air.t < 273.15 && skin < 273.15;
+            let h = st.bucket[ka].step(air.precip, land_flux.evaporation, snowing, skin, dt);
+            st.soil[ka].step(net - h.melt_energy / dt, dt);
+            ws.runoff[ka] = h.runoff;
+            land_t = st.soil[ka].skin();
+            land_albedo = albedo;
+        }
+
+        // Ice-column thermodynamics: advance the ice column with the
+        // cell's net surface energy when any of its overlap is icy.
+        if sea_a > 0.0 && sea.icy {
+            let skin = st.ice_col[ka].skin();
+            let f = &sea.flux;
+            let net = air.sw + air.lw
+                - STEFAN_BOLTZMANN * skin.powi(4)
+                - f.sensible / sea_a.max(1.0)
+                - f.latent / sea_a.max(1.0);
+            st.ice_col[ka].step(net, dt);
+            // The base stays pinned near freezing by the ocean.
+            st.ice_col[ka].t[3] =
+                st.ice_col[ka].t[3].clamp(SEAWATER_FREEZE_C + 273.15 - 2.0, 273.15);
+        }
+
+        // Blend land and sea for the atmosphere (with no sea, every sea
+        // sum is 0 and scales to 0).
+        let inv = if sea_a > 0.0 { 1.0 / sea_a } else { 0.0 };
+        let (sea_t, sea_alb) = (sea.t_sfc * inv, sea.albedo * inv);
+        let lf = land_frac;
+        let sf = 1.0 - lf;
+        let blend = |a: f64, b: f64| lf * a + sf * b;
+        let out = &mut ws.out;
+        out.fluxes[ka] = land_flux.zip_with(&sea.flux, |l, s| blend(l, s * inv));
+        // Where there is no land, fall back to sea values and vice
+        // versa.
+        let pick = |l: f64, s: f64| {
+            if lf >= 1.0 - 1e-9 {
+                l
+            } else if lf <= 1e-9 {
+                s
+            } else {
+                blend(l, s)
+            }
+        };
+        out.t_sfc[ka] = pick(land_t, sea_t);
+        out.albedo[ka] = pick(land_albedo, sea_alb);
     }
 
     /// Route runoff through the river network and book the mouth inflow

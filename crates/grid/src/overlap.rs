@@ -20,8 +20,11 @@ pub struct OverlapGrid {
     atm_ny: usize,
     ocn_nx: usize,
     ocn_ny: usize,
-    /// Per atmosphere cell: list of (ocean flat index, overlap area m²).
-    atm_entries: Vec<Vec<(u32, f64)>>,
+    /// Every overlap cell as (ocean flat index, overlap area m²), in
+    /// atmosphere-cell order: cell `ka`'s are
+    /// `atm_pairs[atm_offsets[ka]..atm_offsets[ka + 1]]`.
+    atm_pairs: Vec<(u32, f64)>,
+    atm_offsets: Vec<usize>,
     /// Per ocean cell: list of (atm flat index, overlap area m²).
     ocn_entries: Vec<Vec<(u32, f64)>>,
     /// Sea overlap area of each atmosphere cell divided by its full area.
@@ -72,11 +75,15 @@ impl OverlapGrid {
             }
         }
 
-        let mut atm_entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); atm.len()];
+        // Cells are visited in flat order, so each one's pairs extend
+        // the flat list.
+        let mut atm_pairs = Vec::new();
+        let mut atm_offsets = vec![0];
         let mut ocn_entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); ocn.len()];
         for ja in 0..atm.nlat {
             for ia in 0..atm.nlon {
                 let ka = atm.idx(ia, ja);
+                debug_assert_eq!(ka + 1, atm_offsets.len());
                 for &(jo, dmu) in &lat_ov[ja] {
                     for &(io, dlam) in &lon_ov[ia] {
                         let ko = ocn.idx(io, jo);
@@ -84,10 +91,11 @@ impl OverlapGrid {
                             continue;
                         }
                         let area = r2 * dlam * dmu;
-                        atm_entries[ka].push((ko as u32, area));
+                        atm_pairs.push((ko as u32, area));
                         ocn_entries[ko].push((ka as u32, area));
                     }
                 }
+                atm_offsets.push(atm_pairs.len());
             }
         }
 
@@ -96,7 +104,10 @@ impl OverlapGrid {
             .collect();
         let sea_frac_atm: Vec<f64> = (0..atm.len())
             .map(|k| {
-                let s: f64 = atm_entries[k].iter().map(|&(_, a)| a).sum();
+                let s: f64 = atm_pairs[atm_offsets[k]..atm_offsets[k + 1]]
+                    .iter()
+                    .map(|&(_, a)| a)
+                    .sum();
                 (s / atm_area[k]).min(1.0)
             })
             .collect();
@@ -106,7 +117,8 @@ impl OverlapGrid {
             atm_ny: atm.nlat,
             ocn_nx: ocn.nx,
             ocn_ny: ocn.ny,
-            atm_entries,
+            atm_pairs,
+            atm_offsets,
             ocn_entries,
             sea_frac_atm,
             atm_area,
@@ -126,7 +138,7 @@ impl OverlapGrid {
         let fo = f.as_slice();
         let mut out = Field2::zeros(self.atm_nx, self.atm_ny);
         let o = out.as_mut_slice();
-        for (ka, entries) in self.atm_entries.iter().enumerate() {
+        for (ka, entries) in self.atm_cells().enumerate() {
             let mut num = 0.0;
             let mut den = 0.0;
             for &(ko, a) in entries {
@@ -177,8 +189,7 @@ impl OverlapGrid {
     /// sea overlap area \[unit·m²\].
     pub fn integral_atm_sea(&self, f: &Field2) -> f64 {
         let fa = f.as_slice();
-        self.atm_entries
-            .iter()
+        self.atm_cells()
             .enumerate()
             .map(|(ka, es)| fa[ka] * es.iter().map(|&(_, a)| a).sum::<f64>())
             .sum()
@@ -209,12 +220,19 @@ impl OverlapGrid {
         }
     }
 
-    /// Visit the overlap cells of one atmosphere cell as
-    /// `(ocean_flat, area_m2)`.
-    pub fn for_each_pair_of_atm(&self, ka: usize, mut f: impl FnMut(usize, f64)) {
-        for &(ko, a) in &self.atm_entries[ka] {
-            f(ko as usize, a);
-        }
+    /// Every overlap cell as `(ocean_flat, area_m2)` in atmosphere-cell
+    /// order, with the `n_atm + 1` offsets that split them by cell: cell
+    /// `ka`'s are `pairs[offsets[ka]..offsets[ka + 1]]`, so the cells of
+    /// a row range are one contiguous slice.
+    pub fn pairs_by_atm(&self) -> (&[usize], &[(u32, f64)]) {
+        (&self.atm_offsets, &self.atm_pairs)
+    }
+
+    /// The overlap cells of each atmosphere cell, in flat order.
+    fn atm_cells(&self) -> impl Iterator<Item = &[(u32, f64)]> {
+        self.atm_offsets
+            .windows(2)
+            .map(|w| &self.atm_pairs[w[0]..w[1]])
     }
 }
 

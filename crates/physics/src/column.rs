@@ -63,7 +63,7 @@ impl AtmColumn {
 
     /// Layer mass per unit area \[kg/m²\]: Δp / g.
     #[inline]
-    pub fn layer_mass(&self, k: usize) -> f64 {
+    pub(crate) fn layer_mass(&self, k: usize) -> f64 {
         self.dp[k] / GRAVITY
     }
 
@@ -85,7 +85,7 @@ impl AtmColumn {
 
     /// Relative humidity of layer `k`, clipped to \[0, 1.5\].
     #[inline]
-    pub fn rel_humidity(&self, k: usize) -> f64 {
+    pub(crate) fn rel_humidity(&self, k: usize) -> f64 {
         (self.q[k] / saturation_humidity(self.t[k], self.p[k])).clamp(0.0, 1.5)
     }
 

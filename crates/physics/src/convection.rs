@@ -88,7 +88,7 @@ impl ConvectionResult {
 /// Exner factors of the pressure grid are read from `ws` (computed once
 /// per grid) instead of calling `powf` four times per layer pair per
 /// sweep.
-pub fn dry_adjustment_ws(
+pub(crate) fn dry_adjustment_ws(
     col: &mut AtmColumn,
     max_iters: usize,
     ws: &mut PhysicsWorkspace,
@@ -151,7 +151,7 @@ fn ascend<const W: usize>(
 /// pseudo-adiabatically from the lowest layer \[J/kg\]. The
 /// pressure-grid factors are read from `ws`, and the parcel's
 /// temperature at every level above the lowest is left in `ws.parcel`
-/// for [`deep_convection_ws`].
+/// for `deep_convection_ws`.
 pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
     let n = col.nlev();
     let pf = ws.pressure.of(&col.p);
@@ -196,7 +196,7 @@ pub fn compute_cape_ws(col: &AtmColumn, ws: &mut PhysicsWorkspace) -> f64 {
 /// Returns (precip \[kg/m²\], sweeps used). Scratch is borrowed from
 /// `ws`, and the moist adiabat it relaxes toward is the profile the CAPE
 /// integral has just computed (the column has not changed in between).
-pub fn deep_convection_ws(
+pub(crate) fn deep_convection_ws(
     col: &mut AtmColumn,
     dt: f64,
     p: &ConvectionParams,
@@ -250,7 +250,7 @@ pub fn deep_convection_ws(
 
 /// Hack-style shallow moistening: mix humidity upward through the lowest
 /// three layers when the surface layer is nearly saturated.
-pub fn shallow_convection(col: &mut AtmColumn) -> usize {
+pub(crate) fn shallow_convection(col: &mut AtmColumn) -> usize {
     let n = col.nlev();
     if n < 3 {
         return 0;

@@ -156,9 +156,8 @@ impl ColumnPhysics {
     }
 
     /// Compute the turbulent surface fluxes for a column over a given
-    /// surface, without modifying the column — used by the coupler, which
-    /// evaluates fluxes on the overlap grid with each side's own surface
-    /// state (paper Fig. 1b).
+    /// surface, without modifying the column (the bulk formulas read
+    /// only its lowest level).
     pub fn surface_fluxes(
         &self,
         col: &AtmColumn,
@@ -166,26 +165,59 @@ impl ColumnPhysics {
         wind: (f64, f64),
     ) -> BulkFluxes {
         let n = col.nlev();
-        let inp = BulkInput {
+        self.bulk_fluxes(
+            &self.bulk_input(col.t[n - 1], col.q[n - 1], sfc, wind),
+            sfc.kind,
+        )
+    }
+
+    /// The bulk-formula input for `sfc` under lowest-level air at
+    /// temperature `t_air` \[K\] and humidity `q_air`, with `wind` — what
+    /// the coupler evaluates on each overlap cell with that side's own
+    /// surface state (paper Fig. 1b).
+    pub fn bulk_input(
+        &self,
+        t_air: f64,
+        q_air: f64,
+        sfc: &SurfaceState,
+        wind: (f64, f64),
+    ) -> BulkInput {
+        BulkInput {
             u: wind.0,
             v: wind.1,
-            t_air: col.t[n - 1],
-            q_air: col.q[n - 1],
+            t_air,
+            q_air,
             t_sfc: sfc.t_sfc,
             q_sfc_sat: saturation_humidity(sfc.t_sfc, 1.0e5),
             wetness: sfc.wetness,
             z_ref: self.cfg.z_ref,
-        };
-        match sfc.kind {
+        }
+    }
+
+    /// The roughness length \[m\] that `kind` holds fixed, or `None` for
+    /// the CCM3 open ocean, whose roughness the Charnock iteration
+    /// diagnoses ([`crate::surface::bulk_fluxes_ocean_lanes`]).
+    pub fn fixed_roughness(&self, kind: SurfaceKind) -> Option<f64> {
+        match kind {
             SurfaceKind::Ocean => match self.cfg.vintage {
-                PhysicsVintage::Ccm3 => bulk_fluxes_ocean(&inp),
+                PhysicsVintage::Ccm3 => None,
                 // CCM2: constant ocean roughness length instead of the
                 // wind/stability-diagnosed one.
-                PhysicsVintage::Ccm2 => bulk_fluxes_fixed_z0(&inp, 1.0e-4),
+                PhysicsVintage::Ccm2 => Some(1.0e-4),
             },
-            SurfaceKind::SeaIce => bulk_fluxes_fixed_z0(&inp, roughness::ICE),
-            SurfaceKind::Snow => bulk_fluxes_fixed_z0(&inp, roughness::SNOW),
-            SurfaceKind::Land { z0 } => bulk_fluxes_fixed_z0(&inp, z0),
+            SurfaceKind::SeaIce => Some(roughness::ICE),
+            SurfaceKind::Snow => Some(roughness::SNOW),
+            SurfaceKind::Land { z0 } => Some(z0),
+        }
+    }
+
+    /// The fluxes for `inp` over a surface of `kind`: fixed roughness
+    /// where [`ColumnPhysics::fixed_roughness`] gives one, else the
+    /// diagnosed ocean roughness.
+    pub fn bulk_fluxes(&self, inp: &BulkInput, kind: SurfaceKind) -> BulkFluxes {
+        match self.fixed_roughness(kind) {
+            Some(z0) => bulk_fluxes_fixed_z0(inp, z0),
+            None => bulk_fluxes_ocean(inp),
         }
     }
 

@@ -163,7 +163,7 @@ impl Forcings {
     }
 
     /// Channel values in effect on `day`.
-    pub fn at_day(&self, day: f64) -> DailyForcing {
+    pub(crate) fn at_day(&self, day: f64) -> DailyForcing {
         DailyForcing {
             co2_mult: self.co2.value_at(day).unwrap_or(1.0),
             solar_mult: self.solar.value_at(day).unwrap_or(1.0),

@@ -49,7 +49,7 @@ impl OrbitalState {
     }
 
     /// Solar declination \[rad\] (±obliquity sinusoid).
-    pub fn declination(&self) -> f64 {
+    pub(crate) fn declination(&self) -> f64 {
         let obliquity = self.obliquity_deg.to_radians();
         obliquity
             * (2.0 * std::f64::consts::PI * (self.day_of_year - 81.0)
@@ -58,7 +58,7 @@ impl OrbitalState {
     }
 
     /// Cosine of the solar zenith angle at (lon, lat) \[rad\], clipped at 0.
-    pub fn cos_zenith(&self, lon: f64, lat: f64) -> f64 {
+    pub(crate) fn cos_zenith(&self, lon: f64, lat: f64) -> f64 {
         let delta = self.declination();
         let hour_angle = 2.0 * std::f64::consts::PI * self.seconds_utc / SECONDS_PER_DAY + lon
             - std::f64::consts::PI;
@@ -173,7 +173,7 @@ impl Default for RadParams {
 
 /// Diagnose a column cloud fraction from relative humidity (CCM-like RH
 /// threshold closure).
-pub fn diagnose_cloud(col: &AtmColumn) -> f64 {
+pub(crate) fn diagnose_cloud(col: &AtmColumn) -> f64 {
     let mut c: f64 = 0.0;
     for k in 0..col.nlev() {
         let rh = col.rel_humidity(k);

@@ -105,6 +105,7 @@ fn status_text(code: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }

@@ -39,7 +39,7 @@ use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -48,6 +48,21 @@ use foam::{
 };
 use foam_ensemble::FairShareQueue;
 use foam_telemetry::json::Value;
+
+/// Connections handled at once. One more is answered 503 and closed,
+/// so idle or trickling clients cannot hold an unbounded number of
+/// threads.
+pub const MAX_CONNECTIONS: usize = 32;
+
+/// A live connection handler's place under [`MAX_CONNECTIONS`], given
+/// back when the handler ends, however it ends.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
 
 pub mod cache;
 pub mod client;
@@ -142,17 +157,25 @@ impl Server {
         let accept = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
+            let live = Arc::new(AtomicUsize::new(0));
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(mut stream) = stream else { continue };
+                    if live.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
+                        live.fetch_sub(1, Ordering::AcqRel);
+                        let _ = respond_error(&mut stream, 503, "too many connections");
+                        continue;
+                    }
+                    let slot = ConnectionSlot(Arc::clone(&live));
                     let shared = Arc::clone(&shared);
                     // One thread per connection; each closes after one
                     // response, so these are short-lived (except
                     // progress streams, which end with their job).
                     std::thread::spawn(move || {
+                        let _slot = slot;
                         let _ = handle_connection(&shared, stream);
                     });
                 }

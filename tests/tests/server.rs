@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use foam_server::client::{get, post};
 use foam_server::http::READ_TIMEOUT;
-use foam_server::{Server, ServerConfig};
+use foam_server::{Server, ServerConfig, MAX_CONNECTIONS};
 use foam_telemetry::json::{parse, Value};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -355,6 +355,45 @@ fn idle_connection_is_answered_400_and_closed() {
         .expect("server closed the idle connection");
     assert!(t0.elapsed() < READ_TIMEOUT + margin);
     assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn connections_beyond_the_cap_are_answered_503() {
+    let root = scratch("cap");
+    let server = boot(&root);
+    let read_reply = |stream: &mut TcpStream| {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    };
+    // Hold every handler with an idle connection (each waits up to
+    // READ_TIMEOUT for a request head), then one more is refused.
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    let mut extra = TcpStream::connect(server.addr()).unwrap();
+    let reply = read_reply(&mut extra);
+    assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+    // Once one idle connection is answered and closed, a new one is
+    // served.
+    let mut first = idle.remove(0);
+    assert!(read_reply(&mut first).starts_with("HTTP/1.1 400"));
+    let addr = server.addr().to_string();
+    let t0 = Instant::now();
+    loop {
+        let status = get(&addr, "/v1/healthz").map(|r| r.status);
+        if status.as_ref().is_ok_and(|&code| code == 200) {
+            break;
+        }
+        assert!(t0.elapsed() < READ_TIMEOUT * 2, "not served: {status:?}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    drop(idle);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
